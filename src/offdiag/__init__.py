@@ -30,6 +30,7 @@ from .paths import PathGraph, delannoy, enumerate_families, q_doublet, q_free
 from .pfaffian import (
     SkewMatrix,
     bordered_skew,
+    deletion_pfaffians,
     determinant,
     pfaffian,
     pfaffian_cofactor,
@@ -60,6 +61,7 @@ __all__ = [
     "d_entry_bordered",
     "d_vector",
     "delannoy",
+    "deletion_pfaffians",
     "determinant",
     "enumerate_families",
     "even_order_full",

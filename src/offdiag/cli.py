@@ -54,7 +54,30 @@ def _require_positive(n_max: int) -> None:
         raise ValueError("--n-max must be at least 1")
 
 
+def _check_count_flags(args) -> None:
+    """Refuse missing flags, flag combinations `count` would otherwise
+    ignore, and an out-of-range --k, before anything is computed."""
+    given = [flag for flag, value in (("--k", args.k is not None),
+                                      ("--all", args.all),
+                                      ("--kept", args.kept is not None))
+             if value]
+    if args.target in ("d", "even") and given:
+        raise ValueError(f"target {args.target} takes none of --k, --all, "
+                         "--kept")
+    if len(given) > 1:
+        raise ValueError(f"{' and '.join(given)} cannot be combined")
+    if args.kept is not None and args.target != "o":
+        raise ValueError("--kept applies to target o only")
+    if args.target == "o" and not given:
+        raise ValueError("target o needs one of --k, --all, --kept")
+    if args.target in ("dpm", "dminus", "dplus") and not given:
+        raise ValueError(f"target {args.target} needs --k or --all")
+    if args.k is not None and args.n >= 1 and not 1 <= args.k <= args.n:
+        raise ValueError(f"cell index must be within 1..{args.n}")
+
+
 def _cmd_count(args) -> int:
+    _check_count_flags(args)
     target = args.target
     n = args.n
     if target == "o":
@@ -69,34 +92,25 @@ def _cmd_count(args) -> int:
             payload = {"target": target, "n": n,
                        "values": [str(v) for v in vec]}
             text = _join(vec)
-        elif args.k is not None:
+        else:
             vec = o_vector(n)
-            if not 1 <= args.k <= n:
-                raise ValueError(f"cell index must be within 1..{n}")
             payload = {"target": target, "n": n, "k": args.k,
                        "value": str(vec[args.k - 1])}
             text = str(vec[args.k - 1])
-        else:
-            raise ValueError("target o needs one of --k, --all, --kept")
     elif target == "d":
         value = count_nearly(n)
         payload = {"target": target, "n": n, "value": str(value)}
         text = str(value)
     elif target in ("dpm", "dminus", "dplus"):
-        variant = target[1:]
-        vec = d_vector(variant, n)
+        vec = d_vector(target[1:], n)
         if args.all:
             payload = {"target": target, "n": n,
                        "values": [str(v) for v in vec]}
             text = _join(vec)
-        elif args.k is not None:
-            if not 1 <= args.k <= n:
-                raise ValueError(f"cell index must be within 1..{n}")
+        else:
             payload = {"target": target, "n": n, "k": args.k,
                        "value": str(vec[args.k - 1])}
             text = str(vec[args.k - 1])
-        else:
-            raise ValueError(f"target {target} needs --k or --all")
     elif target == "even":
         value = even_order_full(n)
         payload = {"target": target, "n": n, "value": str(value)}

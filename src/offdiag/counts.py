@@ -13,7 +13,7 @@ from .matrices import matrix_a, matrix_b, matrix_m
 from .paths import delannoy
 from .pfaffian import (
     bordered_skew,
-    integer_kernel_vector,
+    deletion_pfaffians,
     pfaffian,
     principal_submatrix,
 )
@@ -46,31 +46,14 @@ def _o_vector_direct(n: int) -> tuple[int, ...]:
 def o_vector(n: int) -> tuple[int, ...]:
     """All single-deletion counts (|O(n; [n] minus k)| for k = 1..n), odd n.
 
-    The direct route is n Pfaffians; since the odd-order skew matrix has
-    corank 1 and its kernel is spanned by the alternating-sign vector of
-    those very Pfaffians, one exact kernel solve plus one anchoring Pfaffian
-    recovers the whole vector.  A second direct Pfaffian cross-checks the
-    scale and any irregularity falls back to the direct route.
+    Entry k is the Pfaffian of the odd-order matrix A(n) with row and column
+    k deleted; all n of them come from one bordered condensation
+    (`deletion_pfaffians`).  `_o_vector_direct` computes the same vector as
+    n separate Pfaffians, for verification.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("deletion vector is defined for odd n >= 1")
-    if n == 1:
-        return (1,)
-    a = matrix_a(n)
-    kernel = integer_kernel_vector(a.rows)
-    if kernel is None or kernel[0] == 0:
-        return _o_vector_direct(n)
-    anchor = pfaffian(principal_submatrix(a, range(2, n + 1)))
-    out = []
-    for k0 in range(n):
-        num = anchor * kernel[k0] * (-1) ** k0
-        if num % kernel[0]:
-            return _o_vector_direct(n)
-        out.append(num // kernel[0])
-    check = pfaffian(principal_submatrix(a, range(1, n)))
-    if out[-1] != check:
-        return _o_vector_direct(n)
-    return tuple(out)
+    return deletion_pfaffians(matrix_a(n))
 
 
 def count_nearly(n: int) -> int:
@@ -88,8 +71,12 @@ def d_vector(variant: str, n: int) -> tuple[int, ...]:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("defect vector is defined for odd n >= 1")
+    return _defect_vector(variant, n, o_vector(n))
+
+
+def _defect_vector(variant: str, n: int, o) -> tuple[int, ...]:
+    """`d_vector` from an already computed deletion vector o = o_vector(n)."""
     m = matrix_m(variant, n)
-    o = o_vector(n)
     return tuple(sum(row[l] * o[l] for l in range(n)) for row in m)
 
 

@@ -5,14 +5,14 @@ expansion (clear, good for small orders) and a fraction-free condensation
 (fast, good for large orders).  They cross-check each other in the tests and
 `pfaffian` dispatches between them by order.
 
-Also here: exact determinants (Bareiss), exact rank and kernel over the
+Also here: every single-deletion Pfaffian of an odd-order matrix in one
+bordered condensation, exact determinants (Bareiss), exact rank over the
 rationals, and the bordered-matrix constructor used by the counting layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 class SkewMatrix:
@@ -87,6 +87,37 @@ def pfaffian_cofactor(m: SkewMatrix) -> int:
     return pf(tuple(range(m.order)))
 
 
+def _condense(a: list[list[int]], prev: int) -> list[list[int]]:
+    """One condensation step on the working matrix `a` with a nonzero
+    (0,1) pivot: new_ij = (p * a_ij + a_1i * a_0j - a_0i * a_1j) / prev for
+    i, j >= 2, where p = a_01 and prev is the previous step's pivot."""
+    p = a[0][1]
+    top, second = a[0], a[1]
+    nxt = []
+    for i in range(2, len(a)):
+        row_i = a[i]
+        ui, vi = top[i], second[i]
+        new_row = []
+        for j in range(2, len(a)):
+            if j <= i:
+                new_row.append(-nxt[j - 2][i - 2] if j < i else 0)
+                continue
+            num = p * row_i[j] + vi * top[j] - ui * second[j]
+            q, r = divmod(num, prev)
+            if r:
+                raise ArithmeticError("inexact division; input not skew?")
+            new_row.append(q)
+        nxt.append(new_row)
+    return nxt
+
+
+def _swap(a: list[list[int]], i: int, j: int) -> None:
+    """Swap rows and columns i and j of `a` in place."""
+    a[i], a[j] = a[j], a[i]
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+
+
 def pfaffian_eliminate(m: SkewMatrix) -> int:
     """Pfaffian by fraction-free condensation.
 
@@ -109,30 +140,65 @@ def pfaffian_eliminate(m: SkewMatrix) -> int:
             j = next((k for k in range(2, len(a)) if a[0][k] != 0), None)
             if j is None:
                 return 0
-            a[1], a[j] = a[j], a[1]
-            for row in a:
-                row[1], row[j] = row[j], row[1]
+            _swap(a, 1, j)
             sign = -sign
         p = a[0][1]
-        top, second = a[0], a[1]
-        nxt = []
-        for i in range(2, len(a)):
-            row_i = a[i]
-            ui, vi = top[i], second[i]
-            new_row = []
-            for j in range(2, len(a)):
-                if j <= i:
-                    new_row.append(-nxt[j - 2][i - 2] if j < i else 0)
-                    continue
-                num = p * row_i[j] + vi * top[j] - ui * second[j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise ArithmeticError("inexact division; input not skew?")
-                new_row.append(q)
-            nxt.append(new_row)
-        a = nxt
+        a = _condense(a, prev)
         prev = p
     return sign * a[0][1]
+
+
+def deletion_pfaffians(m: SkewMatrix) -> tuple[int, ...]:
+    """Every Pfaffian of an odd-order skew matrix with one row and column
+    deleted: entry k (0-based) is Pf of m without row and column k.
+
+    The matrix is bordered with a symbolic column x whose row-i entry starts
+    as the unit coefficient vector e_i, so the bordered Pfaffian is
+    sum_k (-1)^k x_k Pf(m minus k).  The condensation of
+    `pfaffian_eliminate` runs on the real entries and, coefficient by
+    coefficient, on the border vectors; pivots are always real pairs.  When
+    one real row is left, its border vector c gives
+    Pf(m minus k) = sign * (-1)^k * c[k].  If no real entry is nonzero while
+    three or more real rows remain, every perfect matching of the bordered
+    matrix uses a zero real-real entry, so every deleted Pfaffian is 0.
+    """
+    n = m.order
+    if n % 2 == 0:
+        raise ValueError("deletion Pfaffians need an odd order")
+    a = [list(row) for row in m.rows]
+    border = [[int(i == k) for k in range(n)] for i in range(n)]
+    sign = 1
+    prev = 1
+    while len(a) > 1:
+        if a[0][1] == 0:
+            pair = next(((i, j) for i in range(len(a))
+                         for j in range(i + 1, len(a)) if a[i][j]), None)
+            if pair is None:
+                return (0,) * n
+            for src, dst in zip(pair, (0, 1)):
+                if src != dst:
+                    _swap(a, src, dst)
+                    border[src], border[dst] = border[dst], border[src]
+                    sign = -sign
+        p = a[0][1]
+        top, second = a[0], a[1]
+        b0, b1 = border[0], border[1]
+        nxt = []
+        for i in range(2, len(a)):
+            ui, vi = top[i], second[i]
+            new_vec = []
+            for x, y, z in zip(border[i], b0, b1):
+                q, r = divmod(p * x + vi * y - ui * z, prev)
+                if r:
+                    raise ArithmeticError("inexact division; input not skew?")
+                new_vec.append(q)
+            nxt.append(new_vec)
+        border = nxt
+        a = _condense(a, prev)
+        prev = p
+    c = border[0]
+    return tuple(sign * c[k] if k % 2 == 0 else -sign * c[k]
+                 for k in range(n))
 
 
 def pfaffian(m: SkewMatrix) -> int:
@@ -217,39 +283,3 @@ def rational_rank(rows) -> int:
     if not rows:
         return 0
     return len(_echelon(rows)[1])
-
-
-def integer_kernel_vector(rows):
-    """Primitive integer kernel vector of an integer matrix.
-
-    Returns None unless the kernel is exactly one-dimensional.  The result
-    has coprime entries and its first nonzero entry is positive.
-    """
-    if not rows:
-        return None
-    a, pivots = _echelon(rows)
-    ncols = len(rows[0])
-    pivot_cols = {col for _, col in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    if len(free) != 1:
-        return None
-    x = [Fraction(0)] * ncols
-    x[free[0]] = Fraction(1)
-    for r, col in reversed(pivots):
-        acc = Fraction(0)
-        for j in range(col + 1, ncols):
-            if a[r][j]:
-                acc += a[r][j] * x[j]
-        x[col] = -acc / a[r][col]
-    scale = 1
-    for v in x:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    ints = [int(v * scale) for v in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import series
 from .counts import (
+    _defect_vector,
     _o_vector_direct,
     count_nearly,
     count_off_diag,
@@ -596,7 +597,7 @@ def _check_deletion_ratios(n_max: int) -> CheckResult:
         o = o_vector(n)
         if o[1] != (n - 2) * o[0]:
             failures.append({"n": n, "first": o[0], "second": o[1]})
-        d = d_vector("pm", n)
+        d = _defect_vector("pm", n, o)
         if d[1] != (n - 1) * d[0]:
             failures.append({"n": n, "d-first": d[0], "d-second": d[1]})
     return _check("second-entry-ratios", f"odd orders 3..{cap}", failures)
@@ -614,7 +615,7 @@ def _check_deletion_alternating_sum(n_max: int) -> CheckResult:
                   f"odd orders <= {cap}, entries after the first", failures)
 
 
-def _check_kernel_route(n_max: int) -> CheckResult:
+def _check_bordered_route(n_max: int) -> CheckResult:
     cap = min(_odd_cap(n_max), 13)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -622,7 +623,7 @@ def _check_kernel_route(n_max: int) -> CheckResult:
         direct = _o_vector_direct(n)
         if fast != direct:
             failures.append({"n": n, "fast": fast, "direct": direct})
-    return _check("deletion-vector-kernel-route", f"odd orders <= {cap}",
+    return _check("deletion-vector-bordered-route", f"odd orders <= {cap}",
                   failures)
 
 
@@ -631,9 +632,10 @@ def _check_nearly_total(n_max: int) -> CheckResult:
     failures = []
     for n in range(1, cap + 1, 2):
         total = count_nearly(n)
-        pm = d_vector("pm", n)
-        plus = d_vector("plus", n)
-        minus = d_vector("minus", n)
+        o = o_vector(n)
+        pm = _defect_vector("pm", n, o)
+        plus = _defect_vector("plus", n, o)
+        minus = _defect_vector("minus", n, o)
         if total != sum(pm):
             failures.append({"n": n, "bordered": total, "by-cell": sum(pm)})
         if any(pm[k] != plus[k] + minus[k] for k in range(n)):
@@ -716,9 +718,10 @@ def _check_nearly_families(n_max: int) -> CheckResult:
                                  "odd-permutation-families": odd_perms})
             per_cell.append((signed_family_count(lo_fams),
                              signed_family_count(hi_fams)))
-        pm = d_vector("pm", n)
-        plus = d_vector("plus", n)
-        minus = d_vector("minus", n)
+        o = o_vector(n)
+        pm = _defect_vector("pm", n, o)
+        plus = _defect_vector("plus", n, o)
+        minus = _defect_vector("minus", n, o)
         for k in range(n):
             lo, hi = per_cell[k]
             if lo + hi != pm[k] or 2 * lo != plus[k] or hi - lo != minus[k]:
@@ -734,11 +737,12 @@ def _check_oracle_small(n_max: int) -> CheckResult:
     failures = []
     for n in range(1, cap + 1, 2):
         oc = oracle_counts(n)
-        if oc.o != o_vector(n):
-            failures.append({"n": n, "oracle": oc.o, "matrix": o_vector(n)})
-        if oc.d_pm != d_vector("pm", n):
-            failures.append({"n": n, "oracle": oc.d_pm,
-                             "matrix": d_vector("pm", n)})
+        o = o_vector(n)
+        if oc.o != o:
+            failures.append({"n": n, "oracle": oc.o, "matrix": o})
+        pm = _defect_vector("pm", n, o)
+        if oc.d_pm != pm:
+            failures.append({"n": n, "oracle": oc.d_pm, "matrix": pm})
         if oc.nearly_total != count_nearly(n):
             failures.append({"n": n, "oracle": oc.nearly_total,
                              "matrix": count_nearly(n)})
@@ -834,7 +838,7 @@ def verify_identities(n_max: int = 12) -> CheckReport:
         lambda: _check_deletion_palindrome(n_max),
         lambda: _check_deletion_ratios(n_max),
         lambda: _check_deletion_alternating_sum(n_max),
-        lambda: _check_kernel_route(n_max),
+        lambda: _check_bordered_route(n_max),
         lambda: _check_nearly_total(n_max),
         lambda: _check_defect_routes(n_max),
         lambda: _check_family_enumeration(n_max),
@@ -967,7 +971,7 @@ def scan_log_concavity(n_max: int = 35):
                 lc_failures.append({"order": order, "k": k + 1,
                                     "triple": (o[k - 1], o[k], o[k + 1])})
                 break
-        pm_unimodal = _is_unimodal(d_vector("pm", order))
+        pm_unimodal = _is_unimodal(_defect_vector("pm", order, o))
         if not pm_unimodal:
             non_unimodal.append(order)
         rows.append({"order": order, "log_concave": log_concave,

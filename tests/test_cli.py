@@ -62,6 +62,39 @@ def test_count_usage_errors(capsys):
     assert code == 2
 
 
+def test_count_refuses_ignored_flags(capsys):
+    cases = {
+        ("d", "--n", "5", "--k", "9"): "takes none of",
+        ("even", "--n", "4", "--all"): "takes none of",
+        ("o", "--n", "5", "--k", "3", "--all"): "--k and --all cannot",
+        ("o", "--n", "5", "--all", "--kept", "1,2"): "--all and --kept",
+        ("dpm", "--n", "5", "--kept", "1", "--all"): "--all and --kept",
+        ("dpm", "--n", "5", "--kept", "1"): "target o only",
+        ("dplus", "--n", "5"): "needs --k or --all",
+    }
+    for argv, message in cases.items():
+        code, out, err = run(capsys, "count", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert message in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_count_checks_k_before_computing(capsys, monkeypatch):
+    import offdiag.cli
+
+    def refuse(*args):
+        raise AssertionError("vector computed before --k was checked")
+
+    monkeypatch.setattr(offdiag.cli, "o_vector", refuse)
+    monkeypatch.setattr(offdiag.cli, "d_vector", refuse)
+    for target in ("o", "dpm"):
+        for k in ("0", "10"):
+            code, _, err = run(capsys, "count", target, "--n", "9", "--k", k)
+            assert code == 2
+            assert "cell index must be within 1..9" in err
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "5")
     assert code == 0

@@ -43,8 +43,8 @@ def test_o_vector_is_palindromic():
         assert vec == tuple(reversed(vec))
 
 
-def test_o_vector_kernel_route_matches_direct():
-    for n in range(1, 22, 2):
+def test_o_vector_bordered_route_matches_direct():
+    for n in range(1, 42, 2):
         assert o_vector(n) == _o_vector_direct(n)
 
 

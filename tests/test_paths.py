@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from offdiag.matrices import matrix_a
@@ -35,6 +37,30 @@ def test_delannoy_table():
     for p in range(6):
         for q in range(6):
             assert delannoy(p, q) == delannoy(q, p)
+
+
+def delannoy_closed_form(p, q):
+    return sum(comb(p, k) * comb(q, k) * 2 ** k for k in range(min(p, q) + 1))
+
+
+def test_delannoy_matches_closed_form_and_recurrence():
+    for p in range(40):
+        for q in range(40):
+            assert delannoy(p, q) == delannoy_closed_form(p, q)
+            if p and q:
+                assert delannoy(p, q) == (delannoy(p - 1, q)
+                                          + delannoy(p, q - 1)
+                                          + delannoy(p - 1, q - 1))
+
+
+def test_delannoy_cold_cache_deep_arguments():
+    # a cold cache must not recurse p + q deep (RecursionError at ~1000)
+    delannoy.cache_clear()
+    try:
+        assert delannoy(1200, 1200) == delannoy_closed_form(1200, 1200)
+        assert delannoy(2000, 1500) == delannoy_closed_form(2000, 1500)
+    finally:
+        delannoy.cache_clear()
 
 
 def test_graph_structure():

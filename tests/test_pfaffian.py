@@ -7,8 +7,8 @@ import pytest
 from offdiag.pfaffian import (
     SkewMatrix,
     bordered_skew,
+    deletion_pfaffians,
     determinant,
-    integer_kernel_vector,
     pfaffian,
     pfaffian_cofactor,
     pfaffian_eliminate,
@@ -180,38 +180,51 @@ def test_bordered_skew_layout_and_sign():
     assert bordered_skew(four, [[1, 1]] * 4)[1] == 1
 
 
-def test_kernel_vector_properties():
-    rng = random.Random(127)
-    found = 0
-    for _ in range(200):
-        order = rng.randint(1, 9)
-        m = random_skew(rng, order, -6, 6)
-        kernel = integer_kernel_vector(m.rows)
-        if kernel is None:
-            continue
-        found += 1
-        assert len(kernel) == order
-        for row in m.rows:
-            assert sum(r * k for r, k in zip(row, kernel)) == 0
-        g = 0
-        for v in kernel:
-            g = abs(v) if g == 0 else _gcd(g, abs(v))
-        assert g == 1
-        first = next(v for v in kernel if v)
-        assert first > 0
-    assert found > 50  # odd orders are singular, so plenty of hits
+def sparse_skew(rng, order, density):
+    rows = [[0] * order for _ in range(order)]
+    for i in range(order):
+        for j in range(i + 1, order):
+            if rng.random() < density:
+                e = rng.randint(-3, 3)
+                rows[i][j] = e
+                rows[j][i] = -e
+    return SkewMatrix(rows)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def deleted_by_cofactor(m):
+    labels = range(1, m.order + 1)
+    return tuple(
+        pfaffian_cofactor(
+            principal_submatrix(m, [i for i in labels if i != k]))
+        for k in labels)
 
 
-def test_kernel_vector_none_cases():
-    assert integer_kernel_vector(((0, 1), (-1, 0))) is None  # nonsingular
-    assert integer_kernel_vector(((0, 0), (0, 0))) is None   # nullity 2
-    assert integer_kernel_vector(((0,),)) == (1,)
+def test_deletion_pfaffians_match_cofactor_on_random_skew():
+    rng = random.Random(137)
+    all_zero = mixed = 0
+    for _ in range(1500):
+        order = rng.choice((1, 3, 5, 7, 9))
+        m = sparse_skew(rng, order, rng.random())
+        got = deletion_pfaffians(m)
+        assert got == deleted_by_cofactor(m)
+        if not any(got):
+            all_zero += 1
+        elif m.order > 1 and m.rows[0][1] == 0:
+            mixed += 1
+    # both the zero-result and the zero-leading-pivot paths were exercised
+    assert all_zero > 100 and mixed > 100
+
+
+def test_deletion_pfaffians_small_cases():
+    assert deletion_pfaffians(SkewMatrix(((0,),))) == (1,)
+    assert deletion_pfaffians(SkewMatrix([[0] * 5] * 5)) == (0,) * 5
+    m = SkewMatrix(((0, 5, -2), (-5, 0, 7), (2, -7, 0)))
+    assert deletion_pfaffians(m) == (7, -2, 5)
+    # zero leading pivot: the pivot comes from the pair (1, 2)
+    m = SkewMatrix(((0, 0, 0), (0, 0, 4), (0, -4, 0)))
+    assert deletion_pfaffians(m) == (4, 0, 0)
+    with pytest.raises(ValueError):
+        deletion_pfaffians(SkewMatrix(((0, 1), (-1, 0))))
 
 
 def test_rational_rank():
