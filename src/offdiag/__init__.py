@@ -26,7 +26,7 @@ from .matrices import (
     t_array,
 )
 from .oracle import build_region, oracle_counts, render_svg, render_text
-from .paths import PathGraph, delannoy, enumerate_families, q_doublet, q_free
+from .paths import PathGraph, delannoy, enumerate_families, q_doublet
 from .pfaffian import (
     SkewMatrix,
     bordered_skew,
@@ -78,7 +78,6 @@ __all__ = [
     "pfaffian_eliminate",
     "principal_submatrix",
     "q_doublet",
-    "q_free",
     "r_value",
     "rational_rank",
     "render_svg",

@@ -80,63 +80,36 @@ def _cmd_count(args) -> int:
     _check_count_flags(args)
     target = args.target
     n = args.n
-    if target == "o":
-        if args.kept is not None:
-            value = count_off_diag(n, _parse_kept(args.kept))
-            payload = {"target": target, "n": n,
-                       "kept": list(_parse_kept(args.kept)),
-                       "value": str(value)}
-            text = str(value)
-        elif args.all:
-            vec = o_vector(n)
-            payload = {"target": target, "n": n,
-                       "values": [str(v) for v in vec]}
-            text = _join(vec)
-        else:
-            vec = o_vector(n)
-            payload = {"target": target, "n": n, "k": args.k,
-                       "value": str(vec[args.k - 1])}
-            text = str(vec[args.k - 1])
-    elif target == "d":
-        value = count_nearly(n)
-        payload = {"target": target, "n": n, "value": str(value)}
-        text = str(value)
-    elif target in ("dpm", "dminus", "dplus"):
-        vec = d_vector(target[1:], n)
+    payload = {"target": target, "n": n}
+    if args.kept is not None:
+        kept = _parse_kept(args.kept)
+        payload["kept"] = list(kept)
+        payload["value"] = str(count_off_diag(n, kept))
+    elif target in ("d", "even"):
+        count = count_nearly if target == "d" else even_order_full
+        payload["value"] = str(count(n))
+    else:
+        vec = o_vector(n) if target == "o" else d_vector(target[1:], n)
         if args.all:
-            payload = {"target": target, "n": n,
-                       "values": [str(v) for v in vec]}
-            text = _join(vec)
+            payload["values"] = [str(v) for v in vec]
         else:
-            payload = {"target": target, "n": n, "k": args.k,
-                       "value": str(vec[args.k - 1])}
-            text = str(vec[args.k - 1])
-    elif target == "even":
-        value = even_order_full(n)
-        payload = {"target": target, "n": n, "value": str(value)}
-        text = str(value)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown target {target!r}")
+            payload["k"] = args.k
+            payload["value"] = str(vec[args.k - 1])
     if args.format == "json":
         print(json.dumps(payload))
     elif args.format == "csv":
         if "values" in payload:
             fields = ("n", "k", "value")
-            rows = [{"n": n, "k": k + 1, "value": v}
-                    for k, v in enumerate(payload["values"])]
-        elif "k" in payload:
-            fields = ("n", "k", "value")
-            rows = [{"n": n, "k": payload["k"], "value": payload["value"]}]
-        elif "kept" in payload:
-            fields = ("n", "kept", "value")
-            rows = [{"n": n, "kept": _join(payload["kept"]),
-                     "value": payload["value"]}]
+            rows = [{"n": n, "k": k, "value": v}
+                    for k, v in enumerate(payload["values"], start=1)]
         else:
-            fields = ("n", "value")
-            rows = [{"n": n, "value": payload["value"]}]
+            fields = [f for f in ("n", "k", "kept", "value") if f in payload]
+            rows = [{f: _join(payload[f]) if f == "kept" else payload[f]
+                     for f in fields}]
         _write_csv(fields, rows)
     else:
-        print(text)
+        print(",".join(payload["values"]) if "values" in payload
+              else payload["value"])
     return 0
 
 
@@ -151,11 +124,13 @@ def _print_report_plain(report) -> None:
 def _cmd_verify(args) -> int:
     _require_positive(args.n_max)
     suite = None if args.all else args.suite
+    if suite in (None, "rank") and args.n_max < 3:
+        raise ValueError("--n-max must be at least 3 for the rank suite")
     reports = []
     if suite in (None, "identities"):
         reports.append(verify_identities(args.n_max))
     if suite in (None, "rank"):
-        reports.append(verify_rank_claim(max(args.n_max, 3)))
+        reports.append(verify_rank_claim(args.n_max))
     passed = all(r.passed for r in reports)
     if args.format == "json":
         print(json.dumps({
@@ -186,56 +161,46 @@ def _cmd_scan(args) -> int:
     return 0 if report.passed else 1
 
 
+# (label, OracleCounts field, matrix route or None) for `oracle` output.
+_ORACLE_FIELDS = (
+    ("total tilings", "total", None),
+    ("off-diagonal, no deletion", "off_diag_full", None),
+    ("deletion counts", "o", o_vector),
+    ("defect pm", "d_pm", lambda n: d_vector("pm", n)),
+    ("defect plus", "d_plus", lambda n: d_vector("plus", n)),
+    ("defect minus", "d_minus", lambda n: d_vector("minus", n)),
+    ("nearly total", "nearly_total", count_nearly),
+)
+
+
 def _cmd_oracle(args) -> int:
     counts = oracle_counts(args.n)
-    lines = [
-        ("n", str(counts.n)),
-        ("total tilings", str(counts.total)),
-        ("off-diagonal, no deletion", str(counts.off_diag_full)),
-        ("deletion counts", _join(counts.o)),
-        ("defect pm", _join(counts.d_pm)),
-        ("defect plus", _join(counts.d_plus)),
-        ("defect minus", _join(counts.d_minus)),
-        ("nearly total", str(counts.nearly_total)),
-    ]
-    payload = {
-        "n": counts.n,
-        "total": str(counts.total),
-        "off_diag_full": str(counts.off_diag_full),
-        "o": [str(v) for v in counts.o],
-        "d_pm": [str(v) for v in counts.d_pm],
-        "d_plus": [str(v) for v in counts.d_plus],
-        "d_minus": [str(v) for v in counts.d_minus],
-        "nearly_total": str(counts.nearly_total),
-    }
+    n = counts.n
+
+    def text(value):
+        return _join(value) if isinstance(value, tuple) else str(value)
+
+    def strings(value):
+        if isinstance(value, tuple):
+            return [str(v) for v in value]
+        return str(value)
+
+    lines = [("n", str(n))]
+    payload = {"n": n}
+    for label, field, _ in _ORACLE_FIELDS:
+        lines.append((label, text(getattr(counts, field))))
+        payload[field] = strings(getattr(counts, field))
     agree = True
     if args.compare:
-        n = counts.n
-        matrix = {
-            "o": o_vector(n),
-            "d_pm": d_vector("pm", n),
-            "d_plus": d_vector("plus", n),
-            "d_minus": d_vector("minus", n),
-            "nearly_total": count_nearly(n),
-        }
-        agree = (counts.o == matrix["o"] and counts.d_pm == matrix["d_pm"]
-                 and counts.d_plus == matrix["d_plus"]
-                 and counts.d_minus == matrix["d_minus"]
-                 and counts.nearly_total == matrix["nearly_total"]
-                 and counts.off_diag_full == 0)
-        payload["matrix"] = {
-            "o": [str(v) for v in matrix["o"]],
-            "d_pm": [str(v) for v in matrix["d_pm"]],
-            "d_plus": [str(v) for v in matrix["d_plus"]],
-            "d_minus": [str(v) for v in matrix["d_minus"]],
-            "nearly_total": str(matrix["nearly_total"]),
-        }
+        routed = [(label, field, route(n))
+                  for label, field, route in _ORACLE_FIELDS if route]
+        agree = counts.off_diag_full == 0 and all(
+            getattr(counts, field) == value for _, field, value in routed)
+        payload["matrix"] = {field: strings(value)
+                             for _, field, value in routed}
         payload["agree"] = agree
-        lines.append(("matrix deletion counts", _join(matrix["o"])))
-        lines.append(("matrix defect pm", _join(matrix["d_pm"])))
-        lines.append(("matrix defect plus", _join(matrix["d_plus"])))
-        lines.append(("matrix defect minus", _join(matrix["d_minus"])))
-        lines.append(("matrix nearly total", str(matrix["nearly_total"])))
+        lines += [(f"matrix {label}", text(value))
+                  for label, _, value in routed]
         lines.append(("agreement", "yes" if agree else "NO"))
     if args.format == "json":
         print(json.dumps(payload))

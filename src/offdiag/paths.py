@@ -125,20 +125,6 @@ def q_doublet(g: PathGraph, a: Point, b: Point) -> int:
     return total
 
 
-def q_free(g: PathGraph, a: Point, b: Point, ends=None) -> int:
-    """Same kernel but summed over all ascending pairs of the given sinks
-    (defaults to every staircase point, not just matched doublets)."""
-    if ends is None:
-        ends = [g.v[k] for k in sorted(g.v)]
-    ca, cb = g.path_counts(a), g.path_counts(b)
-    total = 0
-    for i in range(len(ends)):
-        for j in range(i + 1, len(ends)):
-            e1, e2 = ends[i], ends[j]
-            total += ca.get(e1, 0) * cb.get(e2, 0) - ca.get(e2, 0) * cb.get(e1, 0)
-    return total
-
-
 @dataclass(frozen=True)
 class PathFamily:
     """One vertex-disjoint path family.
@@ -181,12 +167,11 @@ def _paths_into(g: PathGraph, a: Point, b: Point, occupied):
     yield from walk(a, (a,))
 
 
-def enumerate_families(g: PathGraph, starts, fixed_ends=(), use_doublets=True):
+def enumerate_families(g: PathGraph, starts, fixed_ends=()):
     """All vertex-disjoint path families from `starts` onto admissible ends.
 
     End slots are the fixed ends (in the given order) followed by free ends
-    in ascending staircase order; with use_doublets=True the free ends are
-    whole doublets, otherwise any ascending tuple of staircase points.  Every
+    in ascending staircase order, taken as whole doublets.  Every
     assignment of starts to slots contributes one PathFamily per disjoint
     realization, carrying the permutation sign.  Exhaustive, hence refused
     for n > 8.
@@ -199,17 +184,13 @@ def enumerate_families(g: PathGraph, starts, fixed_ends=(), use_doublets=True):
     if m > r:
         raise ValueError("more fixed ends than starts")
     free = r - m
-    if use_doublets:
-        if free % 2:
-            end_choices = []
-        else:
-            end_choices = [
-                fixed + tuple(p for d in chosen for p in d)
-                for chosen in combinations(g.doublets, free // 2)
-            ]
+    if free % 2:
+        end_choices = []
     else:
-        pool = tuple(g.v[k] for k in sorted(g.v))
-        end_choices = [fixed + chosen for chosen in combinations(pool, free)]
+        end_choices = [
+            fixed + tuple(p for d in chosen for p in d)
+            for chosen in combinations(g.doublets, free // 2)
+        ]
 
     families = []
     for ends in end_choices:

@@ -1,9 +1,9 @@
 """Exact Pfaffians of integer skew-symmetric matrices.
 
-Two independent algorithms are kept public on purpose: a memoized cofactor
-expansion (clear, good for small orders) and a fraction-free condensation
-(fast, good for large orders).  They cross-check each other in the tests and
-`pfaffian` dispatches between them by order.
+Two independent algorithms are kept public on purpose: a fraction-free
+condensation, which `pfaffian` uses at every order, and a memoized cofactor
+expansion, kept as the clear verification route.  They cross-check each other
+in the tests and in the verify battery.
 
 Also here: every single-deletion Pfaffian of an odd-order matrix in one
 bordered condensation, exact determinants (Bareiss), exact rank over the
@@ -202,8 +202,8 @@ def deletion_pfaffians(m: SkewMatrix) -> tuple[int, ...]:
 
 
 def pfaffian(m: SkewMatrix) -> int:
-    """Exact Pfaffian; cofactor expansion up to order 8, condensation above."""
-    return pfaffian_cofactor(m) if m.order <= 8 else pfaffian_eliminate(m)
+    """Exact Pfaffian, by fraction-free condensation."""
+    return pfaffian_eliminate(m)
 
 
 def bordered_skew(q: SkewMatrix, columns) -> tuple[SkewMatrix, int]:
@@ -254,32 +254,23 @@ def determinant(rows) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def _echelon(rows):
-    """Fraction Gauss echelon. Returns (reduced rows, pivot columns)."""
+def rational_rank(rows) -> int:
+    """Exact rank over the rationals, by Fraction Gauss elimination."""
     a = [[Fraction(e) for e in row] for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
+    rank = 0
     for col in range(ncols):
-        if r == nrows:
+        if rank == nrows:
             break
-        piv = next((i for i in range(r, nrows) if a[i][col]), None)
+        piv = next((i for i in range(rank, nrows) if a[i][col]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, nrows):
             if a[i][col]:
-                f = a[i][col] / a[r][col]
+                f = a[i][col] / a[rank][col]
                 for j in range(col, ncols):
-                    a[i][j] -= f * a[r][j]
-        pivots.append((r, col))
-        r += 1
-    return a, pivots
-
-
-def rational_rank(rows) -> int:
-    """Exact rank over the rationals."""
-    if not rows:
-        return 0
-    return len(_echelon(rows)[1])
+                    a[i][j] -= f * a[rank][j]
+        rank += 1
+    return rank

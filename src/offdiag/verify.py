@@ -5,16 +5,14 @@ PASS or FAIL with a witness for the first disagreement.  Floats appear only
 in the advisory columns of the asymptotic scan rows; no tolerance is ever
 applied to a correctness decision.
 
-Set OFFDIAG_THREADS=<k> to fan independent checks of a suite over k worker
-threads; results keep their declared order either way.
+Each check is declared once, by suite and id, in `CHECKS`; the suite runners
+and the tests run it from there.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,16 +21,13 @@ from .counts import (
     _defect_vector,
     _o_vector_direct,
     count_nearly,
-    count_off_diag,
     d_entry_bordered,
     d_vector,
     even_order_full,
     o_vector,
 )
 from .matrices import (
-    g_sequence,
     matrix_a,
-    matrix_m,
     matrix_r,
     pell_vector,
     r_value,
@@ -137,14 +132,25 @@ def _check(check_id: str, range_str: str, failures) -> CheckResult:
                        status="FAIL" if failures else "PASS", witness=witness)
 
 
-def _run_suite(suite: str, builders) -> CheckReport:
-    workers = int(os.environ.get("OFFDIAG_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda f: f(), builders))
-    else:
-        results = [f() for f in builders]
-    return CheckReport(suite=suite, results=tuple(results))
+# The checks of each suite, keyed by check id, in report order.  Every check
+# takes n_max (some ignore it) and returns a CheckResult.
+CHECKS: dict[str, dict] = {"identities": {}, "rank-claim": {}}
+
+
+def _registered(suite: str, check_id: str):
+    """Register a check body, which takes n_max and returns its range string
+    and its list of failures, under `suite` and `check_id`."""
+    def register(body):
+        def run(n_max: int) -> CheckResult:
+            return _check(check_id, *body(n_max))
+        CHECKS[suite][check_id] = run
+        return run
+    return register
+
+
+def _run_suite(suite: str, n_max: int) -> CheckReport:
+    return CheckReport(suite=suite, results=tuple(
+        run(n_max) for run in CHECKS[suite].values()))
 
 
 # --- identity battery --------------------------------------------------------
@@ -159,7 +165,8 @@ def _random_skew(rng: random.Random, order: int) -> SkewMatrix:
     return SkewMatrix(rows)
 
 
-def _check_pfaffian_routes() -> CheckResult:
+@_registered("identities", "pfaffian-routes-agree")
+def _check_pfaffian_routes(_n_max: int):
     rng = random.Random(_SEED)
     failures = []
     for trial in range(200):
@@ -175,11 +182,11 @@ def _check_pfaffian_routes() -> CheckResult:
             failures.append({"trial": trial, "order": order, "odd": c})
     if pfaffian_cofactor(SkewMatrix(())) != 1 or pfaffian_eliminate(SkewMatrix(())) != 1:
         failures.append({"empty": "pfaffian of the empty matrix must be 1"})
-    return _check("pfaffian-routes-agree",
-                  "200 seeded random skew matrices, orders 0..10", failures)
+    return "200 seeded random skew matrices, orders 0..10", failures
 
 
-def _check_pfaffian_square() -> CheckResult:
+@_registered("identities", "pfaffian-square-equals-determinant")
+def _check_pfaffian_square(_n_max: int):
     rng = random.Random(_SEED + 1)
     failures = []
     for trial in range(120):
@@ -190,11 +197,11 @@ def _check_pfaffian_square() -> CheckResult:
         if pf * pf != det:
             failures.append({"trial": trial, "order": order,
                              "pf": pf, "det": det})
-    return _check("pfaffian-square-equals-determinant",
-                  "120 seeded random skew matrices, orders 0..8", failures)
+    return "120 seeded random skew matrices, orders 0..8", failures
 
 
-def _check_pfaffian_swap() -> CheckResult:
+@_registered("identities", "pfaffian-swap-antisymmetry")
+def _check_pfaffian_swap(_n_max: int):
     rng = random.Random(_SEED + 2)
     failures = []
     for trial in range(120):
@@ -209,11 +216,11 @@ def _check_pfaffian_swap() -> CheckResult:
         )
         if pfaffian(swapped) != -pfaffian(m):
             failures.append({"trial": trial, "order": order, "swap": (i, j)})
-    return _check("pfaffian-swap-antisymmetry",
-                  "120 seeded random swaps, orders 2..10", failures)
+    return "120 seeded random swaps, orders 2..10", failures
 
 
-def _check_bordered_expansion() -> CheckResult:
+@_registered("identities", "bordered-pfaffian-expansion")
+def _check_bordered_expansion(_n_max: int):
     rng = random.Random(_SEED + 3)
     failures = []
     for trial in range(80):
@@ -231,12 +238,11 @@ def _check_bordered_expansion() -> CheckResult:
         if lhs != rhs:
             failures.append({"trial": trial, "order": order,
                              "bordered": lhs, "expansion": rhs})
-    return _check("bordered-pfaffian-expansion",
-                  "80 seeded random odd skew matrices with random border",
-                  failures)
+    return "80 seeded random odd skew matrices with random border", failures
 
 
-def _check_series_expansion_roundtrip() -> CheckResult:
+@_registered("identities", "series-expansion-roundtrip")
+def _check_series_expansion_roundtrip(_n_max: int):
     rng = random.Random(_SEED + 4)
     order = 12
     failures = []
@@ -251,11 +257,11 @@ def _check_series_expansion_roundtrip() -> CheckResult:
         if back != want:
             failures.append({"trial": trial, "num": num, "den": den,
                              "product": back})
-    return _check("series-expansion-roundtrip",
-                  "120 seeded random rational functions, 12 terms", failures)
+    return "120 seeded random rational functions, 12 terms", failures
 
 
-def _check_series_sqrt_roundtrip() -> CheckResult:
+@_registered("identities", "series-sqrt-roundtrip")
+def _check_series_sqrt_roundtrip(_n_max: int):
     rng = random.Random(_SEED + 5)
     failures = []
     for trial in range(120):
@@ -266,11 +272,11 @@ def _check_series_sqrt_roundtrip() -> CheckResult:
         got = series.sqrt(square)
         if got != root or series.multiply(got, got) != square:
             failures.append({"trial": trial, "root": root, "got": got})
-    return _check("series-sqrt-roundtrip",
-                  "120 seeded random roots squared and recovered", failures)
+    return "120 seeded random roots squared and recovered", failures
 
 
-def _check_schroeder_numbers() -> CheckResult:
+@_registered("identities", "schroeder-generating-function")
+def _check_schroeder_numbers(_n_max: int):
     count = 30
     sch = series.schroeder_numbers(count)
     failures = []
@@ -282,12 +288,11 @@ def _check_schroeder_numbers() -> CheckResult:
                    + sum(rec[k] * rec[n - 1 - k] for k in range(1, n - 1)))
     if sch != tuple(rec):
         failures.append({"expansion": sch, "recurrence": tuple(rec)})
-    return _check("schroeder-generating-function",
-                  "series expansion vs convolution recurrence, 30 terms",
-                  failures)
+    return "series expansion vs convolution recurrence, 30 terms", failures
 
 
-def _check_kernel_matches_recurrence(n_max: int) -> CheckResult:
+@_registered("identities", "doublet-kernel-matches-recurrence")
+def _check_kernel_matches_recurrence(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(1, cap + 1):
@@ -299,11 +304,11 @@ def _check_kernel_matches_recurrence(n_max: int) -> CheckResult:
                 if got != a.rows[i - 1][j - 1]:
                     failures.append({"n": n, "i": i, "j": j, "kernel": got,
                                      "matrix": a.rows[i - 1][j - 1]})
-    return _check("doublet-kernel-matches-recurrence",
-                  f"full graphs n <= {cap}, all source pairs", failures)
+    return f"full graphs n <= {cap}, all source pairs", failures
 
 
-def _check_path_count_closed_forms(n_max: int) -> CheckResult:
+@_registered("identities", "path-counts-match-delannoy")
+def _check_path_count_closed_forms(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(1, cap + 1):
@@ -326,11 +331,11 @@ def _check_path_count_closed_forms(n_max: int) -> CheckResult:
                     failures.append({"n": n, "i": i, "j": j, "sum": s})
                 if d != 2 * delannoy(i - j - 1, j - 1):
                     failures.append({"n": n, "i": i, "j": j, "diff": d})
-    return _check("path-counts-match-delannoy",
-                  f"full graphs n <= {cap}, all labeled endpoints", failures)
+    return f"full graphs n <= {cap}, all labeled endpoints", failures
 
 
-def _check_translation_invariance(n_max: int) -> CheckResult:
+@_registered("identities", "kernel-translation-invariance")
+def _check_translation_invariance(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(2, cap + 1):
@@ -343,11 +348,11 @@ def _check_translation_invariance(n_max: int) -> CheckResult:
                 if a2 in g.vertices and b2 in g.vertices:
                     if q_doublet(g, a, b) != q_doublet(g, a2, b2):
                         failures.append({"n": n, "a": a, "b": b})
-    return _check("kernel-translation-invariance",
-                  f"reduced graphs n <= {cap}, all vertex pairs", failures)
+    return f"reduced graphs n <= {cap}, all vertex pairs", failures
 
 
-def _check_wall_shift(n_max: int) -> CheckResult:
+@_registered("identities", "wall-shift-boundary-term")
+def _check_wall_shift(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(2, cap + 1):
@@ -361,11 +366,11 @@ def _check_wall_shift(n_max: int) -> CheckResult:
                 if lhs != rhs:
                     failures.append({"n": n, "i": i, "j": j,
                                      "lhs": lhs, "rhs": rhs})
-    return _check("wall-shift-boundary-term",
-                  f"reduced graphs n <= {cap}", failures)
+    return f"reduced graphs n <= {cap}", failures
 
 
-def _check_three_term_window(n_max: int) -> CheckResult:
+@_registered("identities", "window-three-term-recurrence")
+def _check_three_term_window(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(4, cap + 1):
@@ -378,11 +383,11 @@ def _check_three_term_window(n_max: int) -> CheckResult:
                    + q_doublet(g, g.x[i - 1], g.w[2]))
             if lhs != rhs:
                 failures.append({"n": n, "i": i, "lhs": lhs, "rhs": rhs})
-    return _check("window-three-term-recurrence",
-                  f"reduced graphs 4 <= n <= {cap}", failures)
+    return f"reduced graphs 4 <= n <= {cap}", failures
 
 
-def _check_corner_kernel(n_max: int) -> CheckResult:
+@_registered("identities", "corner-kernel-halves-pair")
+def _check_corner_kernel(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(2, cap + 1):
@@ -392,11 +397,11 @@ def _check_corner_kernel(n_max: int) -> CheckResult:
         rhs = pair // 2 + (-1) ** (n - 1)
         if pair % 2 or lhs != rhs:
             failures.append({"n": n, "lhs": lhs, "rhs": rhs})
-    return _check("corner-kernel-halves-pair",
-                  f"full graphs 2 <= n <= {cap}", failures)
+    return f"full graphs 2 <= n <= {cap}", failures
 
 
-def _check_wall_kernel_linear(n_max: int) -> CheckResult:
+@_registered("identities", "wall-kernel-linear-value")
+def _check_wall_kernel_linear(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(3, cap + 1):
@@ -404,11 +409,11 @@ def _check_wall_kernel_linear(n_max: int) -> CheckResult:
         got = q_doublet(g, g.u[2], g.w[1])
         if got != 2 * n - 4:
             failures.append({"n": n, "got": got, "want": 2 * n - 4})
-    return _check("wall-kernel-linear-value",
-                  f"full graphs 3 <= n <= {cap}", failures)
+    return f"full graphs 3 <= n <= {cap}", failures
 
 
-def _check_r_structure(n_max: int) -> CheckResult:
+@_registered("identities", "r-matrix-structure")
+def _check_r_structure(n_max: int):
     cap = min(n_max, 12)
     failures = []
     for n in range(1, cap + 1):
@@ -430,12 +435,12 @@ def _check_r_structure(n_max: int) -> CheckResult:
                    + r_value(n - 1, 1, j - 1))
             if lhs != rhs:
                 failures.append({"n": n, "j": j, "recurrence": (lhs, rhs)})
-    return _check("r-matrix-structure",
-                  f"triangularity, shift invariance, first-row recurrence, "
-                  f"n <= {cap}", failures)
+    return (f"triangularity, shift invariance, first-row recurrence, "
+            f"n <= {cap}", failures)
 
 
-def _check_r_involution(n_max: int) -> CheckResult:
+@_registered("identities", "r-matrix-involution")
+def _check_r_involution(n_max: int):
     cap = min(n_max, 12)
     failures = []
     for n in range(1, cap + 1):
@@ -446,11 +451,11 @@ def _check_r_involution(n_max: int) -> CheckResult:
                 if entry != (1 if i == j else 0):
                     failures.append({"n": n, "i": i + 1, "j": j + 1,
                                      "entry": entry})
-    return _check("r-matrix-involution", f"matrix squares, n <= {cap}",
-                  failures)
+    return f"matrix squares, n <= {cap}", failures
 
 
-def _check_r_reverses_counts(n_max: int) -> CheckResult:
+@_registered("identities", "r-matrix-reverses-deletion-vector")
+def _check_r_reverses_counts(n_max: int):
     cap = min(n_max, 12)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -460,11 +465,11 @@ def _check_r_reverses_counts(n_max: int) -> CheckResult:
                       for i in range(n))
         if image != tuple(reversed(o)):
             failures.append({"n": n, "image": image, "vector": o})
-    return _check("r-matrix-reverses-deletion-vector",
-                  f"odd orders <= {cap}", failures)
+    return f"odd orders <= {cap}", failures
 
 
-def _check_r_first_row_closed_forms(n_max: int) -> CheckResult:
+@_registered("identities", "r-matrix-first-row-closed-forms")
+def _check_r_first_row_closed_forms(n_max: int):
     cap = min(n_max, 12)
     failures = []
     for n in range(2, cap + 1):
@@ -478,11 +483,11 @@ def _check_r_first_row_closed_forms(n_max: int) -> CheckResult:
         if r_value(n, 1, 4) != want:
             failures.append({"n": n, "j": 4, "got": r_value(n, 1, 4),
                              "want": want})
-    return _check("r-matrix-first-row-closed-forms",
-                  f"linear, square and cubic values, n <= {cap}", failures)
+    return f"linear, square and cubic values, n <= {cap}", failures
 
 
-def _check_t_matches_r(n_max: int) -> CheckResult:
+@_registered("identities", "t-array-matches-kernel-rows")
+def _check_t_matches_r(n_max: int):
     cap = min(n_max, 12)
     arr = t_array(cap, cap)
     failures = []
@@ -491,12 +496,11 @@ def _check_t_matches_r(n_max: int) -> CheckResult:
             if arr[n - 1][j - 1] != r_value(n, 1, j):
                 failures.append({"n": n, "j": j, "array": arr[n - 1][j - 1],
                                  "kernel": r_value(n, 1, j)})
-    return _check("t-array-matches-kernel-rows",
-                  f"rows n <= {cap} against first-row kernel values",
-                  failures)
+    return f"rows n <= {cap} against first-row kernel values", failures
 
 
-def _check_t_row_generating_function() -> CheckResult:
+@_registered("identities", "t-array-row-generating-function")
+def _check_t_row_generating_function(_n_max: int):
     cols = 30
     arr = t_array(cols, cols)
     failures = []
@@ -509,11 +513,11 @@ def _check_t_row_generating_function() -> CheckResult:
         if row != arr[n - 1]:
             failures.append({"n": n, "series": row[:6],
                              "array": arr[n - 1][:6]})
-    return _check("t-array-row-generating-function",
-                  "rows n <= 30 against shifted rational expansion", failures)
+    return "rows n <= 30 against shifted rational expansion", failures
 
 
-def _check_t_alternating_convolution() -> CheckResult:
+@_registered("identities", "t-array-alternating-convolution")
+def _check_t_alternating_convolution(_n_max: int):
     size = 30
     arr = t_array(size, size)
     failures = []
@@ -523,11 +527,11 @@ def _check_t_alternating_convolution() -> CheckResult:
                       for k in range(1, j + 1))
             if acc != (1 if j == 1 else 0):
                 failures.append({"n": n, "j": j, "sum": acc})
-    return _check("t-array-alternating-convolution",
-                  "rows and columns <= 30", failures)
+    return "rows and columns <= 30", failures
 
 
-def _check_t_series_inverse_pair() -> CheckResult:
+@_registered("identities", "t-row-series-inverse-pair")
+def _check_t_series_inverse_pair(_n_max: int):
     order = 24
     arr = t_array(20, order)
     one = (Fraction(1),) + (Fraction(0),) * (order - 1)
@@ -537,12 +541,11 @@ def _check_t_series_inverse_pair() -> CheckResult:
         neg = tuple(c if i % 2 == 0 else -c for i, c in enumerate(row))
         if series.multiply(row, neg) != one:
             failures.append({"n": n})
-    return _check("t-row-series-inverse-pair",
-                  "row series times sign-flipped row series, n <= 20",
-                  failures)
+    return "row series times sign-flipped row series, n <= 20", failures
 
 
-def _check_diagonal_closed_form() -> CheckResult:
+@_registered("identities", "diagonal-closed-form")
+def _check_diagonal_closed_form(_n_max: int):
     size = 30
     arr = t_array(size, size)
     closed = series.integer_coeffs(series.expand_rational(
@@ -559,38 +562,38 @@ def _check_diagonal_closed_form() -> CheckResult:
         if not (diag == closed[n - 1] == finite):
             failures.append({"n": n, "array": diag, "closed": closed[n - 1],
                              "finite-sum": finite})
-    return _check("diagonal-closed-form",
-                  "array diagonal vs algebraic series vs finite sum, n <= 30",
-                  failures)
+    return ("array diagonal vs algebraic series vs finite sum, n <= 30",
+            failures)
 
 
-def _check_pell_delannoy_sums() -> CheckResult:
+@_registered("identities", "pell-equals-doubled-delannoy-sums")
+def _check_pell_delannoy_sums(_n_max: int):
     pell = pell_vector(40)
     failures = []
     for i in range(1, 41):
         total = sum(2 * delannoy(i - j, j - 1) for j in range(1, i + 1))
         if total != pell[i - 1]:
             failures.append({"i": i, "sum": total, "pell": pell[i - 1]})
-    return _check("pell-equals-doubled-delannoy-sums", "indices i <= 40",
-                  failures)
+    return "indices i <= 40", failures
 
 
 def _odd_cap(n_max: int) -> int:
     return n_max if n_max % 2 else n_max - 1
 
 
-def _check_deletion_palindrome(n_max: int) -> CheckResult:
+@_registered("identities", "deletion-vector-palindrome")
+def _check_deletion_palindrome(n_max: int):
     cap = _odd_cap(n_max)
     failures = []
     for n in range(1, cap + 1, 2):
         o = o_vector(n)
         if o != tuple(reversed(o)):
             failures.append({"n": n, "vector": o})
-    return _check("deletion-vector-palindrome", f"odd orders <= {cap}",
-                  failures)
+    return f"odd orders <= {cap}", failures
 
 
-def _check_deletion_ratios(n_max: int) -> CheckResult:
+@_registered("identities", "second-entry-ratios")
+def _check_deletion_ratios(n_max: int):
     cap = _odd_cap(n_max)
     failures = []
     for n in range(3, cap + 1, 2):
@@ -600,10 +603,11 @@ def _check_deletion_ratios(n_max: int) -> CheckResult:
         d = _defect_vector("pm", n, o)
         if d[1] != (n - 1) * d[0]:
             failures.append({"n": n, "d-first": d[0], "d-second": d[1]})
-    return _check("second-entry-ratios", f"odd orders 3..{cap}", failures)
+    return f"odd orders 3..{cap}", failures
 
 
-def _check_deletion_alternating_sum(n_max: int) -> CheckResult:
+@_registered("identities", "deletion-vector-alternating-sum")
+def _check_deletion_alternating_sum(n_max: int):
     cap = _odd_cap(n_max)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -611,11 +615,11 @@ def _check_deletion_alternating_sum(n_max: int) -> CheckResult:
         acc = sum((-1) ** (k + 1) * o[k] for k in range(1, n))
         if acc != 0:
             failures.append({"n": n, "sum": acc})
-    return _check("deletion-vector-alternating-sum",
-                  f"odd orders <= {cap}, entries after the first", failures)
+    return f"odd orders <= {cap}, entries after the first", failures
 
 
-def _check_bordered_route(n_max: int) -> CheckResult:
+@_registered("identities", "deletion-vector-bordered-route")
+def _check_bordered_route(n_max: int):
     cap = min(_odd_cap(n_max), 13)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -623,11 +627,11 @@ def _check_bordered_route(n_max: int) -> CheckResult:
         direct = _o_vector_direct(n)
         if fast != direct:
             failures.append({"n": n, "fast": fast, "direct": direct})
-    return _check("deletion-vector-bordered-route", f"odd orders <= {cap}",
-                  failures)
+    return f"odd orders <= {cap}", failures
 
 
-def _check_nearly_total(n_max: int) -> CheckResult:
+@_registered("identities", "nearly-total-equals-cell-sums")
+def _check_nearly_total(n_max: int):
     cap = _odd_cap(n_max)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -640,11 +644,11 @@ def _check_nearly_total(n_max: int) -> CheckResult:
             failures.append({"n": n, "bordered": total, "by-cell": sum(pm)})
         if any(pm[k] != plus[k] + minus[k] for k in range(n)):
             failures.append({"n": n, "pm": pm, "plus": plus, "minus": minus})
-    return _check("nearly-total-equals-cell-sums", f"odd orders <= {cap}",
-                  failures)
+    return f"odd orders <= {cap}", failures
 
 
-def _check_defect_routes(n_max: int) -> CheckResult:
+@_registered("identities", "defect-entry-routes-agree")
+def _check_defect_routes(n_max: int):
     cap = min(_odd_cap(n_max), 21)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -656,11 +660,11 @@ def _check_defect_routes(n_max: int) -> CheckResult:
                     failures.append({"n": n, "variant": variant, "k": k,
                                      "bordered": direct,
                                      "matrix": vec[k - 1]})
-    return _check("defect-entry-routes-agree",
-                  f"odd orders <= {cap}, all cells and variants", failures)
+    return f"odd orders <= {cap}, all cells and variants", failures
 
 
-def _check_family_enumeration(n_max: int) -> CheckResult:
+@_registered("identities", "family-enumeration-matches-pfaffians")
+def _check_family_enumeration(n_max: int):
     from itertools import combinations
 
     cap = min(n_max, 4)
@@ -696,12 +700,11 @@ def _check_family_enumeration(n_max: int) -> CheckResult:
                     failures.append({"n": n, "i": i, "j": j,
                                      "families": len(fams),
                                      "kernel": kernel})
-    return _check("family-enumeration-matches-pfaffians",
-                  f"all start subsets n <= {cap}, pairs n <= {pair_cap}",
-                  failures)
+    return f"all start subsets n <= {cap}, pairs n <= {pair_cap}", failures
 
 
-def _check_nearly_families(n_max: int) -> CheckResult:
+@_registered("identities", "nearly-families-split-by-endpoint")
+def _check_nearly_families(n_max: int):
     cap = min(_odd_cap(n_max), 5)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -728,11 +731,11 @@ def _check_nearly_families(n_max: int) -> CheckResult:
                 failures.append({"n": n, "k": k + 1, "lower-end": lo,
                                  "upper-end": hi, "pm": pm[k],
                                  "plus": plus[k], "minus": minus[k]})
-    return _check("nearly-families-split-by-endpoint",
-                  f"full graphs, odd n <= {cap}", failures)
+    return f"full graphs, odd n <= {cap}", failures
 
 
-def _check_oracle_small(n_max: int) -> CheckResult:
+@_registered("identities", "oracle-agrees-small")
+def _check_oracle_small(n_max: int):
     cap = min(_odd_cap(n_max), 5)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -740,19 +743,22 @@ def _check_oracle_small(n_max: int) -> CheckResult:
         o = o_vector(n)
         if oc.o != o:
             failures.append({"n": n, "oracle": oc.o, "matrix": o})
-        pm = _defect_vector("pm", n, o)
-        if oc.d_pm != pm:
-            failures.append({"n": n, "oracle": oc.d_pm, "matrix": pm})
+        for variant, got in (("pm", oc.d_pm), ("plus", oc.d_plus),
+                             ("minus", oc.d_minus)):
+            want = _defect_vector(variant, n, o)
+            if got != want:
+                failures.append({"n": n, "variant": variant, "oracle": got,
+                                 "matrix": want})
         if oc.nearly_total != count_nearly(n):
             failures.append({"n": n, "oracle": oc.nearly_total,
                              "matrix": count_nearly(n)})
         if oc.off_diag_full != 0:
             failures.append({"n": n, "full-region": oc.off_diag_full})
-    return _check("oracle-agrees-small", f"exhaustive regions, odd n <= {cap}",
-                  failures)
+    return f"exhaustive regions, odd n <= {cap}", failures
 
 
-def _check_tiling_census(n_max: int) -> CheckResult:
+@_registered("identities", "tiling-count-power-of-two")
+def _check_tiling_census(n_max: int):
     cap = min(n_max, 5)
     failures = []
     for n in range(1, cap + 1):
@@ -760,11 +766,11 @@ def _check_tiling_census(n_max: int) -> CheckResult:
         want = 2 ** (n * (n + 1) // 2)
         if total != want:
             failures.append({"n": n, "count": total, "power": want})
-    return _check("tiling-count-power-of-two", f"full regions n <= {cap}",
-                  failures)
+    return f"full regions n <= {cap}", failures
 
 
-def _check_tiling_round_trip(n_max: int) -> CheckResult:
+@_registered("identities", "tiling-path-round-trip")
+def _check_tiling_round_trip(n_max: int):
     cap = min(n_max, 4)
     failures = []
     for n in range(1, cap + 1):
@@ -780,11 +786,11 @@ def _check_tiling_round_trip(n_max: int) -> CheckResult:
             elif paths_to_tiling(region, paths) != tiling:
                 failures.append({"n": n, "index": index,
                                  "reason": "round trip differs"})
-    return _check("tiling-path-round-trip",
-                  f"symmetric tilings of full regions, n <= {cap}", failures)
+    return f"symmetric tilings of full regions, n <= {cap}", failures
 
 
-def _check_diagonal_doublet_law(n_max: int) -> CheckResult:
+@_registered("identities", "diagonal-doublet-law")
+def _check_diagonal_doublet_law(n_max: int):
     cap = min(n_max, 4)
     failures = []
     for n in range(1, cap + 1):
@@ -802,53 +808,14 @@ def _check_diagonal_doublet_law(n_max: int) -> CheckResult:
                 if (profile[k - 1] == 0) != both_or_neither:
                     failures.append({"n": n, "index": index, "k": k,
                                      "value": profile[k - 1]})
-    return _check("diagonal-doublet-law",
-                  f"symmetric tilings of full regions, n <= {cap}", failures)
+    return f"symmetric tilings of full regions, n <= {cap}", failures
 
 
 def verify_identities(n_max: int = 12) -> CheckReport:
     """Run the full identity battery, capped by n_max where it matters."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    builders = [
-        _check_pfaffian_routes,
-        _check_pfaffian_square,
-        _check_pfaffian_swap,
-        _check_bordered_expansion,
-        _check_series_expansion_roundtrip,
-        _check_series_sqrt_roundtrip,
-        _check_schroeder_numbers,
-        lambda: _check_kernel_matches_recurrence(n_max),
-        lambda: _check_path_count_closed_forms(n_max),
-        lambda: _check_translation_invariance(n_max),
-        lambda: _check_wall_shift(n_max),
-        lambda: _check_three_term_window(n_max),
-        lambda: _check_corner_kernel(n_max),
-        lambda: _check_wall_kernel_linear(n_max),
-        lambda: _check_r_structure(n_max),
-        lambda: _check_r_involution(n_max),
-        lambda: _check_r_reverses_counts(n_max),
-        lambda: _check_r_first_row_closed_forms(n_max),
-        lambda: _check_t_matches_r(n_max),
-        _check_t_row_generating_function,
-        _check_t_alternating_convolution,
-        _check_t_series_inverse_pair,
-        _check_diagonal_closed_form,
-        _check_pell_delannoy_sums,
-        lambda: _check_deletion_palindrome(n_max),
-        lambda: _check_deletion_ratios(n_max),
-        lambda: _check_deletion_alternating_sum(n_max),
-        lambda: _check_bordered_route(n_max),
-        lambda: _check_nearly_total(n_max),
-        lambda: _check_defect_routes(n_max),
-        lambda: _check_family_enumeration(n_max),
-        lambda: _check_nearly_families(n_max),
-        lambda: _check_oracle_small(n_max),
-        lambda: _check_tiling_census(n_max),
-        lambda: _check_tiling_round_trip(n_max),
-        lambda: _check_diagonal_doublet_law(n_max),
-    ]
-    return _run_suite("identities", builders)
+    return _run_suite("identities", n_max)
 
 
 # --- rank claim --------------------------------------------------------------
@@ -861,79 +828,81 @@ def _reversal_difference(order: int) -> list[list[int]]:
     ]
 
 
+def _adjusted_left_block(order: int) -> list[list[int]]:
+    """The left half - 1 columns of the reversal difference, less the
+    identity on top and plus the anti-identity just below the middle row."""
+    half = (order + 1) // 2
+    block = [row[: half - 1] for row in _reversal_difference(order)]
+    for r in range(half - 1):
+        block[r][r] -= 1
+        block[half + r][half - 2 - r] += 1
+    return block
+
+
+@_registered("rank-claim", "reversal-difference-antisymmetry")
+def _check_reversal_antisymmetry(n_max: int):
+    cap = _odd_cap(n_max)
+    failures = []
+    for order in range(3, cap + 1, 2):
+        x = _reversal_difference(order)
+        for i in range(order):
+            for j in range(order):
+                if x[i][j] != -x[i][order - 1 - j]:
+                    failures.append({"order": order, "i": i + 1, "j": j + 1})
+        mid = (order - 1) // 2
+        if any(x[i][mid] for i in range(order)):
+            failures.append({"order": order, "middle-column": "nonzero"})
+    return f"odd orders 3..{cap}", failures
+
+
+@_registered("rank-claim", "reversal-difference-rank")
+def _check_reversal_rank(n_max: int):
+    cap = _odd_cap(n_max)
+    failures = []
+    for order in range(3, cap + 1, 2):
+        want = (order - 1) // 2
+        rank = rational_rank(_adjusted_left_block(order))
+        if rank != want:
+            failures.append({"order": order, "rank": rank, "want": want})
+    return f"odd orders 3..{cap}", failures
+
+
+@_registered("rank-claim", "reversal-difference-staircase")
+def _check_reversal_staircase(n_max: int):
+    cap = _odd_cap(n_max)
+    failures = []
+    for order in range(3, cap + 1, 2):
+        block = _adjusted_left_block(order)
+        for j in range(1, (order + 1) // 2):
+            want = 2 if j % 2 else 0
+            got = block[order - j][j - 1]
+            if got != want:
+                failures.append({"order": order, "j": j, "got": got,
+                                 "want": want})
+    return f"odd orders 3..{cap}", failures
+
+
+@_registered("rank-claim", "reversal-difference-annihilates-counts")
+def _check_reversal_annihilates(n_max: int):
+    cap = _odd_cap(n_max)
+    failures = []
+    for order in range(3, cap + 1, 2):
+        x = _reversal_difference(order)
+        o = o_vector(order)
+        image = [sum(x[i][j] * o[j] for j in range(order))
+                 for i in range(order)]
+        if any(image):
+            failures.append({"order": order, "image": image})
+    return f"odd orders 3..{cap}", failures
+
+
 def verify_rank_claim(n_max: int = 21) -> CheckReport:
     """Structure of the reversal-difference matrix at odd orders <= n_max:
-    mirror antisymmetry, the staircase values, the exact rank drop of its
-    left block, and that it annihilates the deletion-count vector."""
+    mirror antisymmetry, the exact rank drop of its left block, the
+    staircase values, and that it annihilates the deletion-count vector."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    cap = _odd_cap(n_max)
-
-    def antisymmetry() -> CheckResult:
-        failures = []
-        for order in range(3, cap + 1, 2):
-            x = _reversal_difference(order)
-            for i in range(order):
-                for j in range(order):
-                    if x[i][j] != -x[i][order - 1 - j]:
-                        failures.append({"order": order, "i": i + 1,
-                                         "j": j + 1})
-            mid = (order - 1) // 2
-            if any(x[i][mid] for i in range(order)):
-                failures.append({"order": order, "middle-column": "nonzero"})
-        return _check("reversal-difference-antisymmetry",
-                      f"odd orders 3..{cap}", failures)
-
-    def rank_drop() -> CheckResult:
-        failures = []
-        for order in range(3, cap + 1, 2):
-            half = (order + 1) // 2
-            x = _reversal_difference(order)
-            block = [row[: half - 1] for row in x]
-            for r in range(half - 1):
-                block[r][r] -= 1
-            for r in range(half - 1):
-                block[half + r][half - 2 - r] += 1
-            rank = rational_rank(block)
-            if rank != half - 1:
-                failures.append({"order": order, "rank": rank,
-                                 "want": half - 1})
-        return _check("reversal-difference-rank", f"odd orders 3..{cap}",
-                      failures)
-
-    def staircase() -> CheckResult:
-        failures = []
-        for order in range(3, cap + 1, 2):
-            half = (order + 1) // 2
-            x = _reversal_difference(order)
-            block = [row[: half - 1] for row in x]
-            for r in range(half - 1):
-                block[r][r] -= 1
-            for r in range(half - 1):
-                block[half + r][half - 2 - r] += 1
-            for j in range(1, half):
-                want = 2 if j % 2 else 0
-                got = block[order - j][j - 1]
-                if got != want:
-                    failures.append({"order": order, "j": j, "got": got,
-                                     "want": want})
-        return _check("reversal-difference-staircase",
-                      f"odd orders 3..{cap}", failures)
-
-    def annihilates() -> CheckResult:
-        failures = []
-        for order in range(3, cap + 1, 2):
-            x = _reversal_difference(order)
-            o = o_vector(order)
-            image = [sum(x[i][j] * o[j] for j in range(order))
-                     for i in range(order)]
-            if any(image):
-                failures.append({"order": order, "image": image})
-        return _check("reversal-difference-annihilates-counts",
-                      f"odd orders 3..{cap}", failures)
-
-    return _run_suite("rank-claim", [antisymmetry, rank_drop, staircase,
-                                     annihilates])
+    return _run_suite("rank-claim", n_max)
 
 
 # --- conjecture scans ----------------------------------------------------------

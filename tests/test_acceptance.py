@@ -7,24 +7,11 @@ from contextlib import contextmanager
 
 import conftest
 
-from offdiag import series
 from offdiag.cli import main
-from offdiag.counts import count_nearly, d_vector, even_order_full, o_vector
+from offdiag.counts import count_nearly, d_vector, o_vector
 from offdiag.matrices import matrix_r, r_value, t_array
-from offdiag.oracle import build_region, count_all_tilings, oracle_counts
 from offdiag.verify import (
-    _check_corner_kernel,
-    _check_diagonal_closed_form,
-    _check_family_enumeration,
-    _check_kernel_matches_recurrence,
-    _check_nearly_families,
-    _check_path_count_closed_forms,
-    _check_t_alternating_convolution,
-    _check_t_matches_r,
-    _check_three_term_window,
-    _check_translation_invariance,
-    _check_wall_kernel_linear,
-    _check_wall_shift,
+    CHECKS,
     scan_asymptotics,
     scan_log_concavity,
     verify_rank_claim,
@@ -69,6 +56,13 @@ def criterion(num, name, budget=None):
         conftest.ACCEPTANCE_LINES.append(line)
 
 
+def assert_checks_pass(n_max, *check_ids):
+    """Run identity checks by id, as the battery declares them."""
+    for check_id in check_ids:
+        result = CHECKS["identities"][check_id](n_max)
+        assert result.ok, result
+
+
 def test_criterion_01_oracle_equivalence():
     with criterion(1, "oracle equivalence at small odd orders", budget=10.0):
         assert o_vector(3) == (2, 2, 2)
@@ -76,20 +70,12 @@ def test_criterion_01_oracle_equivalence():
         assert count_nearly(3) == 16
         assert count_nearly(5) == 312
         assert d_vector("pm", 5) == (24, 96, 72, 96, 24)
-        for n in (1, 3, 5):
-            oc = oracle_counts(n)
-            assert oc.o == o_vector(n)
-            assert oc.d_pm == d_vector("pm", n)
-            assert oc.d_plus == d_vector("plus", n)
-            assert oc.d_minus == d_vector("minus", n)
-            assert oc.nearly_total == count_nearly(n)
-            assert oc.off_diag_full == 0
+        assert_checks_pass(5, "oracle-agrees-small")
 
 
 def test_criterion_02_total_tiling_counts():
     with criterion(2, "exhaustive totals are 2^(n(n+1)/2)", budget=30.0):
-        for n in range(1, 6):
-            assert count_all_tilings(build_region(n)) == 2 ** (n * (n + 1) // 2)
+        assert_checks_pass(5, "tiling-count-power-of-two")
 
 
 def test_criterion_03_table_fixtures():
@@ -104,70 +90,37 @@ def test_criterion_03_table_fixtures():
 def test_criterion_04_deletion_vector_symmetry():
     with criterion(4, "deletion vectors palindromic through order 61",
                    budget=60.0):
-        for n in range(1, 62, 2):
-            vec = o_vector(n)
-            assert vec == tuple(reversed(vec))
+        assert_checks_pass(61, "deletion-vector-palindrome")
 
 
 def test_criterion_05_r_matrix_properties():
     with criterion(5, "reversal matrix structure through n = 12"):
-        for n in range(1, 13):
-            rows = matrix_r(n)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if j < i:
-                        assert rows[i - 1][j - 1] == 0
-                    if j == i:
-                        assert abs(rows[i - 1][j - 1]) == 1
-                    if i < j < n:
-                        assert r_value(n, i, j) == r_value(n, i + 1, j + 1)
-            for i in range(n):
-                for j in range(n):
-                    entry = sum(rows[i][k] * rows[k][j] for k in range(n))
-                    assert entry == (1 if i == j else 0)
-        for n in range(3, 13):
-            for j in range(2, n):
-                assert r_value(n, 1, j) == (r_value(n, 1, j - 1)
-                                            + r_value(n - 1, 1, j)
-                                            + r_value(n - 1, 1, j - 1))
-        for n in range(1, 13, 2):
-            rows = matrix_r(n)
-            o = o_vector(n)
-            image = tuple(sum(rows[i][j] * o[j] for j in range(n))
-                          for i in range(n))
-            assert image == tuple(reversed(o))
+        assert_checks_pass(12, "r-matrix-structure", "r-matrix-involution",
+                           "r-matrix-reverses-deletion-vector")
 
 
 def test_criterion_06_kernel_lemmas():
     with criterion(6, "kernel identities on graphs through n = 8"):
-        for check in (
-            _check_translation_invariance(8),
-            _check_wall_shift(8),
-            _check_three_term_window(8),
-            _check_corner_kernel(8),
-            _check_wall_kernel_linear(8),
-        ):
-            assert check.status == "PASS", check
+        assert_checks_pass(8, "kernel-translation-invariance",
+                           "wall-shift-boundary-term",
+                           "window-three-term-recurrence",
+                           "corner-kernel-halves-pair",
+                           "wall-kernel-linear-value")
 
 
 def test_criterion_07_embedding_gate():
     with criterion(7, "path kernel embeds the count matrices, n = 8"):
-        assert _check_kernel_matches_recurrence(8).status == "PASS"
-        assert _check_path_count_closed_forms(8).status == "PASS"
+        assert_checks_pass(8, "doublet-kernel-matches-recurrence",
+                           "path-counts-match-delannoy")
 
 
 def test_criterion_08_series_suite():
     with criterion(8, "generating function suite"):
-        assert _check_t_matches_r(12).status == "PASS"
-        assert _check_diagonal_closed_form().status == "PASS"
-        assert _check_t_alternating_convolution().status == "PASS"
-        arr = t_array(10, 20)
-        one = (1,) + (0,) * 19
-        for n in range(1, 11):
-            row = arr[n - 1]
-            neg = tuple(c if i % 2 == 0 else -c for i, c in enumerate(row))
-            assert series.multiply(row, neg) == one
-        assert series.schroeder_numbers(5) == (1, 2, 6, 22, 90)
+        assert_checks_pass(12, "t-array-matches-kernel-rows",
+                           "diagonal-closed-form",
+                           "t-array-alternating-convolution",
+                           "t-row-series-inverse-pair",
+                           "schroeder-generating-function")
 
 
 def test_criterion_09_rank_claim():
@@ -178,12 +131,8 @@ def test_criterion_09_rank_claim():
 
 def test_criterion_10_ratio_and_alternating_identities():
     with criterion(10, "ratio and alternating-sum identities through 41"):
-        for n in range(3, 42, 2):
-            o = o_vector(n)
-            assert o[1] == (n - 2) * o[0]
-            d = d_vector("pm", n)
-            assert d[1] == (n - 1) * d[0]
-            assert sum((-1) ** (k + 1) * o[k] for k in range(1, n)) == 0
+        assert_checks_pass(41, "second-entry-ratios",
+                           "deletion-vector-alternating-sum")
 
 
 def test_criterion_11_conjecture_scans():
@@ -200,8 +149,8 @@ def test_criterion_11_conjecture_scans():
 
 def test_criterion_12_family_enumeration():
     with criterion(12, "path families match the signed matrix counts"):
-        assert _check_family_enumeration(4).status == "PASS"
-        assert _check_nearly_families(3).status == "PASS"
+        assert_checks_pass(4, "family-enumeration-matches-pfaffians")
+        assert_checks_pass(3, "nearly-families-split-by-endpoint")
 
 
 def test_cli_entry_points():

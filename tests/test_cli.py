@@ -1,12 +1,37 @@
 import json
+from pathlib import Path
 
 from offdiag.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_golden(capsys, name, *argv):
+    # read as bytes: the csv fixtures keep the writer's \r\n line ends
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_bytes().decode()
+
+
+def test_count_and_oracle_match_golden_output(capsys):
+    for target, name in ((("dpm", "--n", "7", "--all"), "count_dpm_n7_all"),
+                         (("d", "--n", "7"), "count_d_n7")):
+        assert_golden(capsys, f"{name}.txt", "count", *target)
+        for fmt in ("json", "csv"):
+            assert_golden(capsys, f"{name}.{fmt}", "count", *target,
+                          "--format", fmt)
+    assert_golden(capsys, "count_o_n5_kept.json", "count", "o", "--n", "5",
+                  "--kept", "1,2,3,4", "--format", "json")
+    assert_golden(capsys, "oracle_n3_compare.txt", "oracle", "--n", "3",
+                  "--compare")
+    assert_golden(capsys, "oracle_n3_compare.json", "oracle", "--n", "3",
+                  "--compare", "--format", "json")
 
 
 def test_count_single_entry(capsys):
@@ -96,14 +121,11 @@ def test_count_checks_k_before_computing(capsys, monkeypatch):
 
 
 def test_verify_command(capsys):
-    code, out, _ = run(capsys, "verify", "--n-max", "5")
-    assert code == 0
-    assert "identities: PASS" in out
-    assert "rank-claim: PASS" in out
-    assert "overall: PASS" in out
-    code, out, _ = run(capsys, "verify", "--n-max", "5", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
+    # witnesses are null on PASS, so the whole report is deterministic
+    assert_golden(capsys, "verify_n5.txt", "verify", "--n-max", "5")
+    assert_golden(capsys, "verify_n12.json", "verify", "--n-max", "12",
+                  "--format", "json")
+    payload = json.loads((GOLDEN / "verify_n12.json").read_text())
     assert payload["passed"] is True
     assert [s["suite"] for s in payload["suites"]] == ["identities",
                                                        "rank-claim"]
@@ -154,6 +176,22 @@ def test_verify_rejects_nonpositive_n_max(capsys):
     code, _, err = run(capsys, "verify", "--all", "--n-max", "0")
     assert code == 2
     assert "at least 1" in err
+
+
+def test_verify_refuses_rank_bound_below_3(capsys, monkeypatch):
+    import offdiag.cli
+
+    def refuse(n_max):
+        raise AssertionError("a suite ran before --n-max was checked")
+
+    monkeypatch.setattr(offdiag.cli, "verify_identities", refuse)
+    monkeypatch.setattr(offdiag.cli, "verify_rank_claim", refuse)
+    for argv in (("rank", "--n-max", "1"), ("--n-max", "2"),
+                 ("--all", "--n-max", "2")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: --n-max must be at least 3 for the rank suite\n"
 
 
 def test_scan_rejects_nonpositive_n_max(capsys):

@@ -10,7 +10,6 @@ from offdiag.paths import (
     delannoy,
     enumerate_families,
     q_doublet,
-    q_free,
     signed_family_count,
 )
 
@@ -121,7 +120,6 @@ def test_doublet_kernel_is_antisymmetric():
         for a in verts:
             for b in verts:
                 assert q_doublet(g, a, b) == -q_doublet(g, b, a)
-                assert q_free(g, a, b) == -q_free(g, b, a)
 
 
 def test_doublet_kernel_matches_matrix_entries():
@@ -166,21 +164,6 @@ def test_two_family_count_equals_kernel():
             for j in range(1, n + 1):
                 fams = enumerate_families(g, (g.u[j], g.w[i]))
                 assert signed_family_count(fams) == q_doublet(g, g.u[j], g.w[i])
-
-
-def test_free_end_counts():
-    g = PathGraph(3, FULL)
-    # a single free path can end on any staircase point
-    for i in range(1, 4):
-        fams = enumerate_families(g, (g.u[i],), use_doublets=False)
-        assert all(f.sign == 1 for f in fams)
-        total = sum(g.count_paths(g.u[i], g.v[k]) for k in sorted(g.v))
-        assert signed_family_count(fams) == total
-    # a free pair reproduces the all-pairs kernel
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            fams = enumerate_families(g, (g.u[i], g.u[j]), use_doublets=False)
-            assert signed_family_count(fams) == q_free(g, g.u[i], g.u[j])
 
 
 def test_fixed_end_decomposition():

@@ -5,6 +5,7 @@ import pytest
 from offdiag.matrices import matrix_r
 from offdiag.pfaffian import rational_rank
 from offdiag.verify import (
+    CHECKS,
     CheckReport,
     CheckResult,
     jsonable,
@@ -26,13 +27,6 @@ def test_identity_battery_passes():
     for r in report.results:
         assert r.status == "PASS"
         assert r.range
-
-
-def test_identity_battery_is_thread_stable(monkeypatch):
-    serial = verify_identities(6)
-    monkeypatch.setenv("OFFDIAG_THREADS", "3")
-    threaded = verify_identities(6)
-    assert serial == threaded
 
 
 def test_identity_battery_rejects_bad_bound():
@@ -135,7 +129,7 @@ def test_corrupted_matrix_entry_yields_fail_with_witness(monkeypatch):
         return SimpleNamespace(rows=tuple(tuple(row) for row in rows))
 
     monkeypatch.setattr(verify_mod, "matrix_a", corrupted)
-    result = verify_mod._check_kernel_matches_recurrence(3)
+    result = CHECKS["identities"]["doublet-kernel-matches-recurrence"](3)
     assert result.status == "FAIL"
     assert not result.ok
     assert result.witness["failures"] == 1
@@ -145,6 +139,25 @@ def test_corrupted_matrix_entry_yields_fail_with_witness(monkeypatch):
     report = CheckReport(suite="identities", results=(result,))
     assert not report.passed
     json.dumps(report.to_jsonable())
+
+
+def test_oracle_check_compares_every_defect_variant(monkeypatch):
+    from dataclasses import replace
+
+    from offdiag import verify as verify_mod
+    from offdiag.oracle import oracle_counts
+
+    check = CHECKS["identities"]["oracle-agrees-small"]
+    for field in ("d_pm", "d_plus", "d_minus"):
+        def corrupted(n, field=field):
+            counts = oracle_counts(n)
+            vec = getattr(counts, field)
+            return replace(counts, **{field: (vec[0] + 1,) + vec[1:]})
+
+        monkeypatch.setattr(verify_mod, "oracle_counts", corrupted)
+        result = check(1)
+        assert not result.ok
+        assert result.witness["first"]["variant"] == field[2:]
 
 
 def test_jsonable_conversions():
