@@ -5,7 +5,7 @@ rank claim), scan (conjecture scans), oracle (exhaustive small-order recount),
 render (draw one tiling as text or SVG).
 
 Exit codes: 0 on success, 1 when a verification or comparison fails, 2 on
-usage errors or out-of-range requests.
+usage errors or out-of-range requests, 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .counts import (
 )
 from .oracle import build_region, enumerate_tilings, oracle_counts, render_svg, render_text
 from .verify import (
+    MIN_N_MAX,
     jsonable,
     scan_asymptotics,
     scan_log_concavity,
@@ -123,13 +124,17 @@ def _print_report_plain(report) -> None:
 
 def _cmd_verify(args) -> int:
     _require_positive(args.n_max)
-    suite = None if args.all else args.suite
-    if suite in (None, "rank") and args.n_max < 3:
-        raise ValueError("--n-max must be at least 3 for the rank suite")
+    run_identities = args.suite in (None, "identities")
+    run_rank = args.suite in (None, "rank")
+    for wanted, suite, label in ((run_rank, "rank-claim", "rank"),
+                                 (run_identities, "identities", "identity")):
+        if wanted and args.n_max < MIN_N_MAX[suite]:
+            raise ValueError(f"--n-max must be at least {MIN_N_MAX[suite]} "
+                             f"for the {label} suite")
     reports = []
-    if suite in (None, "identities"):
+    if run_identities:
         reports.append(verify_identities(args.n_max))
-    if suite in (None, "rank"):
+    if run_rank:
         reports.append(verify_rank_claim(args.n_max))
     passed = all(r.passed for r in reports)
     if args.format == "json":
@@ -253,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the identity battery and the rank claim")
     p_verify.add_argument("suite", nargs="?", choices=("identities", "rank"),
                           help="run a single suite (default: both)")
-    p_verify.add_argument("--all", action="store_true",
-                          help="run every suite (the default when no suite "
-                               "is named)")
     p_verify.add_argument("--n-max", type=int, default=12)
     p_verify.add_argument("--format", choices=("plain", "json"),
                           default="plain")
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ two independent routes to the same numbers and get cross-checked in verify.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .pfaffian import SkewMatrix, bordered_skew
 from .paths import FULL, PathGraph, delannoy, q_doublet
 from . import series
@@ -55,8 +57,7 @@ def matrix_b(order: int) -> SkewMatrix:
     Pell column; its Pfaffian counts the nearly off-diagonal tilings."""
     if order < 2 or order % 2:
         raise ValueError("order must be even and >= 2")
-    bordered, _sign = bordered_skew(matrix_a(order - 1), [pell_vector(order - 1)])
-    return bordered
+    return bordered_skew(matrix_a(order - 1), pell_vector(order - 1))
 
 
 def matrix_m(variant: str, n: int) -> tuple[tuple[int, ...], ...]:
@@ -95,14 +96,9 @@ def r_value(n: int, i: int, j: int) -> int:
     return q_doublet(g, g.u[j], g.w[i])
 
 
-_GRAPH_CACHE: dict[int, PathGraph] = {}
-
-
+@lru_cache(maxsize=None)
 def _full_graph(n: int) -> PathGraph:
-    g = _GRAPH_CACHE.get(n)
-    if g is None:
-        g = _GRAPH_CACHE[n] = PathGraph(n, FULL)
-    return g
+    return PathGraph(n, FULL)
 
 
 def matrix_r(n: int) -> tuple[tuple[int, ...], ...]:
@@ -113,15 +109,10 @@ def matrix_r(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _full_graph(n)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            val = q_doublet(g, g.u[j], g.w[i])
-            row.append(val if (n + j) % 2 == 0 else -val)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple((-1) ** (n + j) * r_value(n, i, j) for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    )
 
 
 def g_sequence(count: int) -> tuple[int, ...]:

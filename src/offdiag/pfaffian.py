@@ -5,9 +5,10 @@ condensation, which `pfaffian` uses at every order, and a memoized cofactor
 expansion, kept as the clear verification route.  They cross-check each other
 in the tests and in the verify battery.
 
-Also here: every single-deletion Pfaffian of an odd-order matrix in one
-bordered condensation, exact determinants (Bareiss), exact rank over the
-rationals, and the bordered-matrix constructor used by the counting layer.
+Also here: every single-deletion Pfaffian of an odd-order matrix, from the
+same condensation loop run on a symbolically bordered matrix; exact
+determinants (Bareiss), exact rank over the rationals, and the
+bordered-matrix constructor used by the counting layer.
 """
 
 from __future__ import annotations
@@ -88,22 +89,22 @@ def pfaffian_cofactor(m: SkewMatrix) -> int:
 
 
 def _condense(a: list[list[int]], prev: int) -> list[list[int]]:
-    """One condensation step on the working matrix `a` with a nonzero
-    (0,1) pivot: new_ij = (p * a_ij + a_1i * a_0j - a_0i * a_1j) / prev for
-    i, j >= 2, where p = a_01 and prev is the previous step's pivot."""
+    """One condensation step on the working rows `a` with a nonzero (0,1)
+    pivot: new_ij = (p * a_ij + a_1i * a_0j - a_0i * a_1j) / prev for
+    i, j >= 2, where p = a_01 and prev is the previous step's pivot.
+
+    Columns at or past len(a) are border columns; the same formula carries
+    them along."""
     p = a[0][1]
     top, second = a[0], a[1]
     nxt = []
     for i in range(2, len(a)):
         row_i = a[i]
         ui, vi = top[i], second[i]
-        new_row = []
-        for j in range(2, len(a)):
-            if j <= i:
-                new_row.append(-nxt[j - 2][i - 2] if j < i else 0)
-                continue
-            num = p * row_i[j] + vi * top[j] - ui * second[j]
-            q, r = divmod(num, prev)
+        new_row = [-nxt[j][i - 2] for j in range(i - 2)]
+        new_row.append(0)
+        for j in range(i + 1, len(row_i)):
+            q, r = divmod(p * row_i[j] + vi * top[j] - ui * second[j], prev)
             if r:
                 raise ArithmeticError("inexact division; input not skew?")
             new_row.append(q)
@@ -112,10 +113,37 @@ def _condense(a: list[list[int]], prev: int) -> list[list[int]]:
 
 
 def _swap(a: list[list[int]], i: int, j: int) -> None:
-    """Swap rows and columns i and j of `a` in place."""
+    """Swap rows and (skew) columns i and j of `a` in place."""
     a[i], a[j] = a[j], a[i]
     for row in a:
         row[i], row[j] = row[j], row[i]
+
+
+def _condense_all(a: list[list[int]]) -> tuple[int, int, list[list[int]]]:
+    """Condense the working rows `a` two at a time until at most one is left.
+
+    Before each step the first nonzero skew pair (i, j) is moved to (0, 1),
+    flipping the sign once per actual swap.  Returns (sign, last pivot, rows
+    left).  The sign is 0 when no nonzero pair is left among two or more
+    rows: every perfect matching then uses a zero entry, so the Pfaffian,
+    bordered or not, vanishes.
+    """
+    sign = 1
+    prev = 1
+    while len(a) > 1:
+        size = len(a)
+        pair = next(((i, j) for i in range(size)
+                     for j in range(i + 1, size) if a[i][j]), None)
+        if pair is None:
+            return 0, prev, a
+        for src, dst in zip(pair, (0, 1)):
+            if src != dst:
+                _swap(a, src, dst)
+                sign = -sign
+        p = a[0][1]
+        a = _condense(a, prev)
+        prev = p
+    return sign, prev, a
 
 
 def pfaffian_eliminate(m: SkewMatrix) -> int:
@@ -125,27 +153,13 @@ def pfaffian_eliminate(m: SkewMatrix) -> int:
     new_ij = (p * cur_ij + cur_1i * cur_0j - cur_0i * cur_1j) / p_prev,
     where p is the current (0,1) pivot and p_prev the previous one.  The
     working entries are Pfaffian minors of the input, so every division is
-    exact; a zero pivot is cured by a symmetric swap, which flips the sign.
+    exact, and the last pivot is the Pfaffian up to the sign of the swaps
+    that cured zero pivots.
     """
-    n = m.order
-    if n % 2:
+    if m.order % 2:
         return 0
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = 1
-    while len(a) > 2:
-        if a[0][1] == 0:
-            j = next((k for k in range(2, len(a)) if a[0][k] != 0), None)
-            if j is None:
-                return 0
-            _swap(a, 1, j)
-            sign = -sign
-        p = a[0][1]
-        a = _condense(a, prev)
-        prev = p
-    return sign * a[0][1]
+    sign, pivot, _ = _condense_all([list(row) for row in m.rows])
+    return sign * pivot
 
 
 def deletion_pfaffians(m: SkewMatrix) -> tuple[int, ...]:
@@ -153,50 +167,19 @@ def deletion_pfaffians(m: SkewMatrix) -> tuple[int, ...]:
     deleted: entry k (0-based) is Pf of m without row and column k.
 
     The matrix is bordered with a symbolic column x whose row-i entry starts
-    as the unit coefficient vector e_i, so the bordered Pfaffian is
-    sum_k (-1)^k x_k Pf(m minus k).  The condensation of
-    `pfaffian_eliminate` runs on the real entries and, coefficient by
-    coefficient, on the border vectors; pivots are always real pairs.  When
-    one real row is left, its border vector c gives
-    Pf(m minus k) = sign * (-1)^k * c[k].  If no real entry is nonzero while
-    three or more real rows remain, every perfect matching of the bordered
-    matrix uses a zero real-real entry, so every deleted Pfaffian is 0.
+    as the unit coefficient vector e_i, kept as n trailing columns of row i,
+    so the bordered Pfaffian is sum_k (-1)^k x_k Pf(m minus k).  The
+    condensation of `pfaffian_eliminate` runs on it, with pivots from real
+    pairs only; the border vector c of the one real row left gives
+    Pf(m minus k) = sign * (-1)^k * c[k].
     """
     n = m.order
     if n % 2 == 0:
         raise ValueError("deletion Pfaffians need an odd order")
-    a = [list(row) for row in m.rows]
-    border = [[int(i == k) for k in range(n)] for i in range(n)]
-    sign = 1
-    prev = 1
-    while len(a) > 1:
-        if a[0][1] == 0:
-            pair = next(((i, j) for i in range(len(a))
-                         for j in range(i + 1, len(a)) if a[i][j]), None)
-            if pair is None:
-                return (0,) * n
-            for src, dst in zip(pair, (0, 1)):
-                if src != dst:
-                    _swap(a, src, dst)
-                    border[src], border[dst] = border[dst], border[src]
-                    sign = -sign
-        p = a[0][1]
-        top, second = a[0], a[1]
-        b0, b1 = border[0], border[1]
-        nxt = []
-        for i in range(2, len(a)):
-            ui, vi = top[i], second[i]
-            new_vec = []
-            for x, y, z in zip(border[i], b0, b1):
-                q, r = divmod(p * x + vi * y - ui * z, prev)
-                if r:
-                    raise ArithmeticError("inexact division; input not skew?")
-                new_vec.append(q)
-            nxt.append(new_vec)
-        border = nxt
-        a = _condense(a, prev)
-        prev = p
-    c = border[0]
+    sign, _, rows = _condense_all(
+        [list(row) + [int(i == k) for k in range(n)]
+         for i, row in enumerate(m.rows)])
+    c = rows[-1][len(rows):]
     return tuple(sign * c[k] if k % 2 == 0 else -sign * c[k]
                  for k in range(n))
 
@@ -206,25 +189,14 @@ def pfaffian(m: SkewMatrix) -> int:
     return pfaffian_eliminate(m)
 
 
-def bordered_skew(q: SkewMatrix, columns) -> tuple[SkewMatrix, int]:
-    """Append border columns to a skew matrix, keeping skew-symmetry.
-
-    Returns the order n+m matrix [[Q, H], [-H^T, 0]] for the n x m border H,
-    together with the sign (-1)^(m(m-1)/2) that relates its Pfaffian to the
-    signed enumeration it represents.
-    """
-    n = q.order
-    columns = [tuple(int(e) for e in col) for col in columns]
-    m = len(columns)
-    for col in columns:
-        if len(col) != n:
-            raise ValueError("border column length must match matrix order")
-    rows = []
-    for i in range(n):
-        rows.append(tuple(q.rows[i]) + tuple(col[i] for col in columns))
-    for j in range(m):
-        rows.append(tuple(-columns[j][i] for i in range(n)) + (0,) * m)
-    return SkewMatrix(rows), (-1) ** (m * (m - 1) // 2)
+def bordered_skew(q: SkewMatrix, column) -> SkewMatrix:
+    """The order n+1 skew matrix [[Q, h], [-h^T, 0]] for the border column
+    h; for odd n its Pfaffian is sum_k (-1)^(k-1) h_k Pf(Q minus k)."""
+    col = tuple(int(e) for e in column)
+    if len(col) != q.order:
+        raise ValueError("border column length must match matrix order")
+    return SkewMatrix([row + (e,) for row, e in zip(q.rows, col)]
+                      + [tuple(-e for e in col) + (0,)])
 
 
 def determinant(rows) -> int:

@@ -39,12 +39,6 @@ def expand_rational(num, den, order: int) -> Coeffs:
     return tuple(out)
 
 
-def add(a, b) -> Coeffs:
-    a, b = _as_coeffs(a), _as_coeffs(b)
-    n = min(len(a), len(b))
-    return tuple(a[i] + b[i] for i in range(n))
-
-
 def subtract(a, b) -> Coeffs:
     a, b = _as_coeffs(a), _as_coeffs(b)
     n = min(len(a), len(b))

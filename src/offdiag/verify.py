@@ -136,6 +136,10 @@ def _check(check_id: str, range_str: str, failures) -> CheckResult:
 # takes n_max (some ignore it) and returns a CheckResult.
 CHECKS: dict[str, dict] = {"identities": {}, "rank-claim": {}}
 
+# The smallest n_max at which every check of a suite covers a nonempty range;
+# below it some check would PASS over nothing, so the suite refuses to run.
+MIN_N_MAX = {"identities": 4, "rank-claim": 3}
+
 
 def _registered(suite: str, check_id: str):
     """Register a check body, which takes n_max and returns its range string
@@ -149,6 +153,8 @@ def _registered(suite: str, check_id: str):
 
 
 def _run_suite(suite: str, n_max: int) -> CheckReport:
+    if n_max < MIN_N_MAX[suite]:
+        raise ValueError(f"n_max must be >= {MIN_N_MAX[suite]}")
     return CheckReport(suite=suite, results=tuple(
         run(n_max) for run in CHECKS[suite].values()))
 
@@ -227,8 +233,7 @@ def _check_bordered_expansion(_n_max: int):
         order = 2 * rng.randint(1, 4) + 1
         m = _random_skew(rng, order)
         col = [rng.randint(-50, 50) for _ in range(order)]
-        bordered, sign = bordered_skew(m, [col])
-        lhs = sign * pfaffian(bordered)
+        lhs = pfaffian(bordered_skew(m, col))
         rhs = sum(
             (-1) ** (k - 1) * col[k - 1]
             * pfaffian(principal_submatrix(m, [i for i in range(1, order + 1)
@@ -813,8 +818,6 @@ def _check_diagonal_doublet_law(n_max: int):
 
 def verify_identities(n_max: int = 12) -> CheckReport:
     """Run the full identity battery, capped by n_max where it matters."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     return _run_suite("identities", n_max)
 
 
@@ -900,8 +903,6 @@ def verify_rank_claim(n_max: int = 21) -> CheckReport:
     """Structure of the reversal-difference matrix at odd orders <= n_max:
     mirror antisymmetry, the exact rank drop of its left block, the
     staircase values, and that it annihilates the deletion-count vector."""
-    if n_max < 3:
-        raise ValueError("n_max must be >= 3")
     return _run_suite("rank-claim", n_max)
 
 

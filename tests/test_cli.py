@@ -161,19 +161,19 @@ def test_verify_single_suite(capsys):
     assert "rank-claim: PASS" in out
     assert "identities:" not in out
 
-    code, out, _ = run(capsys, "verify", "identities", "--n-max", "3")
+    code, out, _ = run(capsys, "verify", "identities", "--n-max", "4")
     assert code == 0
     assert "identities: PASS" in out
     assert "rank-claim" not in out
 
-    code, out, _ = run(capsys, "verify", "--all", "--n-max", "4")
+    code, out, _ = run(capsys, "verify", "--n-max", "4")
     assert code == 0
     assert "identities: PASS" in out
     assert "rank-claim: PASS" in out
 
 
 def test_verify_rejects_nonpositive_n_max(capsys):
-    code, _, err = run(capsys, "verify", "--all", "--n-max", "0")
+    code, _, err = run(capsys, "verify", "--n-max", "0")
     assert code == 2
     assert "at least 1" in err
 
@@ -186,12 +186,49 @@ def test_verify_refuses_rank_bound_below_3(capsys, monkeypatch):
 
     monkeypatch.setattr(offdiag.cli, "verify_identities", refuse)
     monkeypatch.setattr(offdiag.cli, "verify_rank_claim", refuse)
-    for argv in (("rank", "--n-max", "1"), ("--n-max", "2"),
-                 ("--all", "--n-max", "2")):
+    for argv in (("rank", "--n-max", "1"), ("--n-max", "2")):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2, argv
         assert out == ""
         assert err == "error: --n-max must be at least 3 for the rank suite\n"
+
+
+def test_verify_refuses_identity_bound_below_4(capsys, monkeypatch):
+    import offdiag.cli
+
+    def refuse(n_max):
+        raise AssertionError("a suite ran before --n-max was checked")
+
+    monkeypatch.setattr(offdiag.cli, "verify_identities", refuse)
+    monkeypatch.setattr(offdiag.cli, "verify_rank_claim", refuse)
+    for argv in (("identities", "--n-max", "3"), ("--n-max", "3"),
+                 ("identities", "--n-max", "1")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == ("error: --n-max must be at least 4 for the identity "
+                       "suite\n")
+
+
+def test_verify_all_flag_is_gone(capsys):
+    code, out, err = run(capsys, "verify", "--all", "--n-max", "4")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --all" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    import offdiag.cli
+
+    def broken(n):
+        raise ArithmeticError("inexact division; input not skew?")
+
+    monkeypatch.setattr(offdiag.cli, "o_vector", broken)
+    code, out, err = run(capsys, "count", "o", "--n", "5", "--k", "3")
+    assert code == 3
+    assert out == ""
+    assert err == ("internal error: ArithmeticError: inexact division; "
+                   "input not skew?\n")
 
 
 def test_scan_rejects_nonpositive_n_max(capsys):

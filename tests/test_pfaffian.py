@@ -160,8 +160,7 @@ def test_principal_submatrix():
 def test_bordered_skew_layout_and_sign():
     m = SkewMatrix(((0, 5, -2), (-5, 0, 7), (2, -7, 0)))
     col = [3, -4, 6]
-    bordered, sign = bordered_skew(m, [col])
-    assert sign == 1
+    bordered = bordered_skew(m, col)
     assert bordered.order == 4
     for i in range(3):
         assert bordered.rows[i][3] == col[i]
@@ -172,12 +171,9 @@ def test_bordered_skew_layout_and_sign():
         * pfaffian(principal_submatrix(m, [i for i in (1, 2, 3) if i != k]))
         for k in (1, 2, 3)
     )
-    assert sign * pfaffian(bordered) == want
-    # two borders flip the sign, three keep it, four flip it back
-    assert bordered_skew(m, [col, col])[1] == -1
-    assert bordered_skew(m, [col, col, col])[1] == -1
-    four = SkewMatrix(((0, 1), (-1, 0)))
-    assert bordered_skew(four, [[1, 1]] * 4)[1] == 1
+    assert pfaffian(bordered) == want
+    with pytest.raises(ValueError):
+        bordered_skew(m, col[:2])
 
 
 def sparse_skew(rng, order, density):
@@ -213,6 +209,20 @@ def test_deletion_pfaffians_match_cofactor_on_random_skew():
             mixed += 1
     # both the zero-result and the zero-leading-pivot paths were exercised
     assert all_zero > 100 and mixed > 100
+    # even orders through the same loop: pfaffian_eliminate against the
+    # cofactor route, counting the inputs whose first step needs the pair
+    # search, with row 0 all zero and with row 0 nonzero but a zero (0,1)
+    zero_row = swap_in_row = nonzero = 0
+    for _ in range(1500):
+        m = sparse_skew(rng, rng.choice((2, 4, 6, 8, 10)), rng.random())
+        got = pfaffian_eliminate(m)
+        assert got == pfaffian_cofactor(m)
+        nonzero += got != 0
+        if not any(m.rows[0]):
+            zero_row += 1
+        elif m.rows[0][1] == 0:
+            swap_in_row += 1
+    assert zero_row > 100 and swap_in_row > 100 and nonzero > 100
 
 
 def test_deletion_pfaffians_small_cases():

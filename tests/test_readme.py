@@ -1,0 +1,28 @@
+"""The README's examples, run as tests: the library block as doctests and
+the `offdiag count` lines against the values in their comments."""
+
+import doctest
+import re
+import shlex
+from pathlib import Path
+
+from offdiag.cli import main
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
+def test_readme_examples(capsys):
+    block = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README",
+                                               "README.md", 0)
+    result = doctest.DocTestRunner().run(test)
+    report = capsys.readouterr().out
+    assert result.attempted == 5
+    assert result.failed == 0, report
+
+    lines = re.findall(r"^offdiag (count .*?)#(.*)$", README, re.M)
+    assert len(lines) == 6
+    for command, comment in lines:
+        want = comment.split()[0].rstrip(",")
+        assert main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out == want + "\n", command

@@ -34,6 +34,17 @@ def test_identity_battery_rejects_bad_bound():
         verify_identities(0)
 
 
+def test_suites_refuse_bounds_with_empty_ranges():
+    for n_max in (1, 2, 3):
+        with pytest.raises(ValueError, match="n_max must be >= 4"):
+            verify_identities(n_max)
+    with pytest.raises(ValueError, match="n_max must be >= 3"):
+        verify_rank_claim(2)
+    # the check that sets the identity bound covers n = 4 at it
+    assert "4 <= n <= 4" in CHECKS["identities"][
+        "window-three-term-recurrence"](4).range
+
+
 def test_rank_claim_passes():
     report = verify_rank_claim(13)
     assert report.suite == "rank-claim"
