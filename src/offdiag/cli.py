@@ -219,11 +219,14 @@ def _cmd_oracle(args) -> int:
 def _cmd_render(args) -> int:
     kept = _parse_kept(args.kept) if args.kept is not None else None
     region = build_region(args.n, kept)
-    tilings = list(enumerate_tilings(region))
-    if not 0 <= args.index < len(tilings):
+    seen = 0
+    for tiling in enumerate_tilings(region):
+        if seen == args.index:
+            break
+        seen += 1
+    else:
         raise ValueError(
-            f"index {args.index} out of range; region has {len(tilings)} tilings")
-    tiling = tilings[args.index]
+            f"index {args.index} out of range; region has {seen} tilings")
     if args.format == "svg":
         print(render_svg(region, tiling))
     else:

@@ -1,4 +1,4 @@
-"""Brute-force tiling oracle: enumerate, classify, and render domino tilings.
+"""Brute-force tiling oracle: enumerate, census, and render domino tilings.
 
 Squares are named by their integer lower-left corner (a, b).  The order-n
 diamond region holds every square with span(a) + span(b) <= n + 1, where
@@ -12,7 +12,8 @@ The diagonal cells are the n two-square-by-two-square blocks along the
 mirror axis, numbered bottom to top.  A tiling's profile records, for each
 cell, (number of dominoes lying fully inside the cell) - 1.  A mirror
 symmetric tiling is off-diagonal when its profile is all zero and nearly
-off-diagonal when exactly one cell is nonzero.
+off-diagonal when exactly one cell is nonzero.  Symmetric tilings are built
+directly, a domino and its mirror image at a time, not filtered.
 
 Everything here is exhaustive and meant as an independent ground truth for
 the Pfaffian and path counts, so region sizes are deliberately capped.
@@ -24,10 +25,6 @@ from dataclasses import dataclass
 
 Square = tuple[int, int]
 Domino = tuple[Square, Square]
-
-OFF_DIAG = "off_diag"
-NEARLY = "nearly"
-OTHER = "other"
 
 _MAX_SQUARES = 64
 
@@ -90,51 +87,61 @@ def build_region(n: int, kept=None) -> Region:
     return Region(n=n, kept=kept, squares=frozenset(squares))
 
 
-def enumerate_tilings(region: Region):
-    """Yield every domino tiling of the region, in a fixed order.
-
-    Backtracking always covers the first free square in lexicographic (a, b)
-    order, trying its rightward partner before its upward one; that order is
-    what the render CLI's --index refers to.
-    """
+def _backtrack(region: Region, images):
+    """Yield the region's tilings: the first free square in (a, b) order is
+    covered by images(d) of its rightward, then its upward domino d.  Each
+    square's table holds these placements as (bitmask, dominoes)."""
     squares = sorted(region.squares)
     if len(squares) > _MAX_SQUARES:
         raise ValueError("region too large for exhaustive enumeration")
     if len(squares) % 2:
         return
-    index = {sq: i for i, sq in enumerate(squares)}
-    partners = []
+    bit = {sq: 1 << i for i, sq in enumerate(squares)}
+    table = []
     for a, b in squares:
-        cand = []
-        for other in ((a + 1, b), (a, b + 1)):
-            j = index.get(other)
-            if j is not None:
-                cand.append(j)
-        partners.append(tuple(cand))
-    total = len(squares)
-    full = (1 << total) - 1
+        placements = []
+        for d in (((a, b), (a + 1, b)), ((a, b), (a, b + 1))):
+            dominoes = images(d)
+            covered = [sq for domino in dominoes for sq in domino]
+            if all(sq in bit for sq in covered):
+                placements.append((sum(bit[sq] for sq in covered), dominoes))
+        table.append(placements)
+    full = (1 << len(squares)) - 1
+    acc = []
 
-    def rec(mask, acc):
+    def rec(mask):
         if mask == full:
             yield frozenset(acc)
             return
-        low = (mask + 1) & ~mask
-        i = low.bit_length() - 1
-        for j in partners[i]:
-            if not mask >> j & 1:
-                acc.append((squares[i], squares[j]))
-                yield from rec(mask | low | 1 << j, acc)
-                acc.pop()
+        i = ((mask + 1) & ~mask).bit_length() - 1
+        for cover, dominoes in table[i]:
+            if not mask & cover:
+                acc.extend(dominoes)
+                yield from rec(mask | cover)
+                del acc[-len(dominoes):]
 
-    yield from rec(0, [])
+    yield from rec(0)
+
+
+def enumerate_tilings(region: Region):
+    """Yield every domino tiling of the region, one domino placed at a time,
+    in the fixed order the render CLI's --index refers to."""
+    yield from _backtrack(region, lambda d: (d,))
+
+
+def symmetric_tilings(region: Region):
+    """Yield the mirror-symmetric tilings, in enumerate_tilings' order.
+
+    Each domino is placed with its mirror image (a domino crossing the axis
+    is its own).  Left-half squares precede right-half ones in (a, b) order,
+    so the first free square is always on the left and the right half never
+    branches.
+    """
+    yield from _backtrack(region, lambda d: tuple({d, mirror_domino(d)}))
 
 
 def count_all_tilings(region: Region) -> int:
     return sum(1 for _ in enumerate_tilings(region))
-
-
-def is_mirror_symmetric(tiling) -> bool:
-    return all(mirror_domino(d) in tiling for d in tiling)
 
 
 def cell_block(n: int, k: int) -> tuple[Square, ...]:
@@ -154,51 +161,30 @@ def diagonal_profile(region: Region, tiling) -> tuple[int, ...]:
     return tuple(profile)
 
 
-def classify(region: Region, tiling):
-    """Classify one tiling: ("off_diag", None), ("nearly", (cell, value)),
-    or ("other", None)."""
-    if not is_mirror_symmetric(tiling):
-        return (OTHER, None)
-    profile = diagonal_profile(region, tiling)
-    defects = [(k + 1, v) for k, v in enumerate(profile) if v]
-    if not defects:
-        return (OFF_DIAG, None)
-    if len(defects) == 1:
-        return (NEARLY, defects[0])
-    return (OTHER, None)
-
-
 @dataclass(frozen=True)
 class RegionCensus:
-    total: int
     off_diag: int
     nearly_plus: tuple[int, ...]
     nearly_minus: tuple[int, ...]
-    other: int
 
 
 def classify_region_tilings(region: Region) -> RegionCensus:
-    """Exhaustively classify every tiling of the region."""
+    """Census of the region's mirror-symmetric tilings by diagonal profile:
+    off-diagonal ones, and nearly off-diagonal ones by defect cell and sign."""
     n = region.n
-    total = other = off_diag = 0
+    off_diag = 0
     plus = [0] * n
     minus = [0] * n
-    for tiling in enumerate_tilings(region):
-        total += 1
-        kind, detail = classify(region, tiling)
-        if kind == OFF_DIAG:
+    for tiling in symmetric_tilings(region):
+        defects = [(k, value) for k, value
+                   in enumerate(diagonal_profile(region, tiling)) if value]
+        if not defects:
             off_diag += 1
-        elif kind == NEARLY:
-            k, value = detail
-            if value > 0:
-                plus[k - 1] += 1
-            else:
-                minus[k - 1] += 1
-        else:
-            other += 1
-    return RegionCensus(total=total, off_diag=off_diag,
-                        nearly_plus=tuple(plus), nearly_minus=tuple(minus),
-                        other=other)
+        elif len(defects) == 1:
+            k, value = defects[0]
+            (plus if value > 0 else minus)[k] += 1
+    return RegionCensus(off_diag=off_diag, nearly_plus=tuple(plus),
+                        nearly_minus=tuple(minus))
 
 
 @dataclass(frozen=True)
@@ -218,7 +204,8 @@ def oracle_counts(n: int) -> OracleCounts:
 
     o[k-1] counts the off-diagonally symmetric tilings of the region with
     boundary square k removed; the d vectors count the nearly off-diagonal
-    tilings of the full region by defect cell and defect sign.
+    tilings of the full region by defect cell and defect sign.  Only total
+    walks every tiling; the rest walk the symmetric tilings alone.
     """
     if n < 1 or n % 2 == 0 or n > 5:
         raise ValueError("oracle is exhaustive; odd n <= 5 only")
@@ -230,7 +217,7 @@ def oracle_counts(n: int) -> OracleCounts:
     d_pm = tuple(p + m for p, m in zip(full.nearly_plus, full.nearly_minus))
     return OracleCounts(
         n=n,
-        total=full.total,
+        total=count_all_tilings(build_region(n)),
         off_diag_full=full.off_diag,
         o=tuple(o),
         d_plus=full.nearly_plus,

@@ -37,10 +37,9 @@ from .oracle import (
     build_region,
     count_all_tilings,
     diagonal_profile,
-    enumerate_tilings,
-    is_mirror_symmetric,
     oracle_counts,
     paths_to_tiling,
+    symmetric_tilings,
     tiling_to_paths,
 )
 from .paths import (
@@ -780,9 +779,7 @@ def _check_tiling_round_trip(n_max: int):
     failures = []
     for n in range(1, cap + 1):
         region = build_region(n)
-        for index, tiling in enumerate(enumerate_tilings(region)):
-            if not is_mirror_symmetric(tiling):
-                continue
+        for index, tiling in enumerate(symmetric_tilings(region)):
             paths = tiling_to_paths(region, tiling)
             points = [p for path in paths.values() for p in path]
             if len(points) != len(set(points)):
@@ -801,9 +798,7 @@ def _check_diagonal_doublet_law(n_max: int):
     for n in range(1, cap + 1):
         region = build_region(n)
         g = PathGraph(n, FULL)
-        for index, tiling in enumerate(enumerate_tilings(region)):
-            if not is_mirror_symmetric(tiling):
-                continue
+        for index, tiling in enumerate(symmetric_tilings(region)):
             profile = diagonal_profile(region, tiling)
             ends = {path[-1]
                     for path in tiling_to_paths(region, tiling).values()}

@@ -28,10 +28,11 @@ def test_count_and_oracle_match_golden_output(capsys):
                           "--format", fmt)
     assert_golden(capsys, "count_o_n5_kept.json", "count", "o", "--n", "5",
                   "--kept", "1,2,3,4", "--format", "json")
-    assert_golden(capsys, "oracle_n3_compare.txt", "oracle", "--n", "3",
-                  "--compare")
-    assert_golden(capsys, "oracle_n3_compare.json", "oracle", "--n", "3",
-                  "--compare", "--format", "json")
+    for n in ("3", "5"):
+        assert_golden(capsys, f"oracle_n{n}_compare.txt", "oracle", "--n", n,
+                      "--compare")
+        assert_golden(capsys, f"oracle_n{n}_compare.json", "oracle", "--n", n,
+                      "--compare", "--format", "json")
 
 
 def test_count_single_entry(capsys):
@@ -303,6 +304,17 @@ def test_render_index_out_of_range(capsys):
     code, _, err = run(capsys, "render", "--n", "1", "--index", "5")
     assert code == 2
     assert "out of range" in err
+
+
+def test_render_refuses_negative_index(capsys):
+    # negative indexes are refused, not counted from the end; the count in
+    # the message comes from the same pass
+    for index in ("-1", "-64", "-65"):
+        code, out, err = run(capsys, "render", "--n", "3", "--index", index)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: index {index} out of range; "
+                       "region has 64 tilings\n")
 
 
 def test_bad_usage_exits_2(capsys):

@@ -4,24 +4,21 @@ import pytest
 
 from offdiag.counts import count_nearly, d_vector, even_order_full, o_vector
 from offdiag.oracle import (
-    NEARLY,
-    OFF_DIAG,
     boundary_square,
     build_region,
     cell_block,
-    classify,
     classify_region_tilings,
     count_all_tilings,
     diagonal_profile,
     enumerate_tilings,
     is_black,
-    is_mirror_symmetric,
     mirror_domino,
     mirror_square,
     oracle_counts,
     paths_to_tiling,
     render_svg,
     render_text,
+    symmetric_tilings,
     tiling_to_paths,
 )
 
@@ -39,6 +36,30 @@ def all_kept_subsets(n):
     labels = list(range(1, n + 1))
     for mask in range(1 << n):
         yield frozenset(l for i, l in enumerate(labels) if mask >> i & 1)
+
+
+def is_mirror_symmetric(tiling):
+    """Reference predicate: the tiling holds the mirror image of each of its
+    dominoes."""
+    return all(mirror_domino(d) in tiling for d in tiling)
+
+
+def reference_census(region):
+    """(off_diag, nearly_plus, nearly_minus) by filtering every tiling."""
+    off_diag = 0
+    plus = [0] * region.n
+    minus = [0] * region.n
+    for tiling in enumerate_tilings(region):
+        if not is_mirror_symmetric(tiling):
+            continue
+        profile = diagonal_profile(region, tiling)
+        defects = [k for k, value in enumerate(profile) if value]
+        if not defects:
+            off_diag += 1
+        elif len(defects) == 1:
+            k = defects[0]
+            (plus if profile[k] > 0 else minus)[k] += 1
+    return off_diag, tuple(plus), tuple(minus)
 
 
 def test_mirror_and_color_helpers():
@@ -81,36 +102,70 @@ def test_total_tiling_counts():
 
 
 def test_enumeration_guard_on_large_regions():
-    with pytest.raises(ValueError):
-        next(enumerate_tilings(build_region(7)))
+    for generate in (enumerate_tilings, symmetric_tilings):
+        with pytest.raises(ValueError):
+            next(generate(build_region(7)))
+
+
+def test_symmetric_tilings_match_mirror_filter():
+    for n in (1, 2, 3, 4):
+        for kept in all_kept_subsets(n):
+            region = build_region(n, kept)
+            built = list(symmetric_tilings(region))
+            assert len(set(built)) == len(built)
+            assert built == [t for t in enumerate_tilings(region)
+                             if is_mirror_symmetric(t)]
+
+
+def test_symmetric_tiling_counts_at_n5():
+    assert sum(1 for _ in symmetric_tilings(build_region(5))) == 1048
+    deleted = []
+    for k in range(1, 6):
+        region = build_region(5, set(range(1, 6)) - {k})
+        deleted.append(sum(1 for _ in symmetric_tilings(region)))
+    assert deleted == [916, 1716, 1484, 684, 132]
+
+
+def test_census_matches_reference_classification():
+    # the reference skips asymmetric tilings and those with two or more
+    # nonzero cells, so the census must leave both out as well
+    for n in (1, 2, 3, 4):
+        for kept in all_kept_subsets(n):
+            region = build_region(n, kept)
+            census = classify_region_tilings(region)
+            assert (census.off_diag, census.nearly_plus,
+                    census.nearly_minus) == reference_census(region)
 
 
 def test_ad1_classification():
     region = build_region(1)
     tilings = list(enumerate_tilings(region))
     assert len(tilings) == 2
+    assert list(symmetric_tilings(region)) == tilings
     for tiling in tilings:
         assert is_mirror_symmetric(tiling)
         assert diagonal_profile(region, tiling) == (1,)
-        assert classify(region, tiling) == (NEARLY, (1, 1))
     census = classify_region_tilings(region)
-    assert census.total == 2
     assert census.off_diag == 0
     assert census.nearly_plus == (2,)
     assert census.nearly_minus == (0,)
-    assert census.other == 0
 
 
 def test_ad1_deleted_region():
     region = build_region(1, ())
-    tilings = list(enumerate_tilings(region))
+    tilings = list(symmetric_tilings(region))
+    assert tilings == list(enumerate_tilings(region))
     assert len(tilings) == 1
-    assert classify(region, tilings[0]) == (OFF_DIAG, None)
+    assert diagonal_profile(region, tilings[0]) == (0,)
+    assert classify_region_tilings(region).off_diag == 1
 
 
 def test_ad3_census_matches_matrix_counts():
-    census = classify_region_tilings(build_region(3))
-    assert census.total == 64
+    region = build_region(3)
+    census = classify_region_tilings(region)
+    # 24 symmetric tilings: 16 nearly off-diagonal, 8 with two or more
+    # nonzero cells, which the census leaves out
+    assert sum(1 for _ in symmetric_tilings(region)) == 24
     assert census.off_diag == 0
     assert census.nearly_plus == tuple(d_vector("plus", 3))
     assert census.nearly_minus == tuple(d_vector("minus", 3))
@@ -157,9 +212,7 @@ def test_path_round_trip_on_all_symmetric_tilings():
     for n in (1, 2, 3):
         for kept in all_kept_subsets(n):
             region = build_region(n, kept)
-            for tiling in enumerate_tilings(region):
-                if not is_mirror_symmetric(tiling):
-                    continue
+            for tiling in symmetric_tilings(region):
                 paths = tiling_to_paths(region, tiling)
                 rebuilt = paths_to_tiling(region, paths)
                 assert rebuilt == tiling
@@ -169,8 +222,7 @@ def test_path_round_trip_on_all_symmetric_tilings():
 
 def test_paths_to_tiling_rejects_bad_input():
     region = build_region(3)
-    tiling = next(t for t in enumerate_tilings(region)
-                  if classify(region, t)[0] != "other")
+    tiling = next(symmetric_tilings(region))
     paths = tiling_to_paths(region, tiling)
     if paths:
         broken = dict(paths)
