@@ -5,10 +5,16 @@ condensation, which `pfaffian` uses at every order, and a memoized cofactor
 expansion, kept as the clear verification route.  They cross-check each other
 in the tests and in the verify battery.
 
-Also here: every single-deletion Pfaffian of an odd-order matrix, from the
-same condensation loop run on a symbolically bordered matrix; exact
-determinants (Bareiss), exact rank over the rationals, and the
-bordered-matrix constructor used by the counting layer.
+One condensation loop serves every Pfaffian here.  Without pivoting, one
+pass gives every leading order: the pivot after step t is the Pfaffian of
+the leading 2t x 2t block, and a border column carried along gives the
+bordered Pfaffian of each odd leading block (`leading_pfaffians`).  The same
+loop on a symbolically bordered matrix gives every single-deletion Pfaffian
+of an odd-order matrix (`deletion_pfaffians`, and per odd leading block
+`leading_deletion_pfaffians`).
+
+Also here: exact determinants (Bareiss), exact rank over the rationals, and
+the bordered-matrix constructor used by the counting layer.
 """
 
 from __future__ import annotations
@@ -119,8 +125,33 @@ def _swap(a: list[list[int]], i: int, j: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
+def _condensation(a: list[list[int]]):
+    """The one condensation loop: condense the working rows `a` two at a
+    time, never pivoting, until at most one row is left.
+
+    Yields (pivot, rows) before the first step and after each step.  With no
+    swaps, the pivot after step t is the Pfaffian of the leading 2t x 2t block
+    of the input (1 for t = 0), and working entry (i, j) is the Pfaffian of
+    that block plus input rows 2t+i and 2t+j (the Pfaffian form of Bareiss's
+    leading-minor property), so one pass gives every leading order.  A caller
+    may swap rows of the yielded list in place before resuming, as
+    `_condense_all` does to cure zero pivots; a zero (0, 1) entry when the
+    loop resumes raises ArithmeticError.
+    """
+    prev = 1
+    while True:
+        yield prev, a
+        if len(a) < 2:
+            return
+        p = a[0][1]
+        if not p:
+            raise ArithmeticError("zero pivot in condensation")
+        a = _condense(a, prev)
+        prev = p
+
+
 def _condense_all(a: list[list[int]]) -> tuple[int, int, list[list[int]]]:
-    """Condense the working rows `a` two at a time until at most one is left.
+    """Run `_condensation` to the end, curing zero pivots.
 
     Before each step the first nonzero skew pair (i, j) is moved to (0, 1),
     flipping the sign once per actual swap.  Returns (sign, last pivot, rows
@@ -129,21 +160,37 @@ def _condense_all(a: list[list[int]]) -> tuple[int, int, list[list[int]]]:
     bordered or not, vanishes.
     """
     sign = 1
-    prev = 1
-    while len(a) > 1:
-        size = len(a)
+    for pivot, rows in _condensation(a):
+        size = len(rows)
+        if size < 2:
+            return sign, pivot, rows
         pair = next(((i, j) for i in range(size)
-                     for j in range(i + 1, size) if a[i][j]), None)
+                     for j in range(i + 1, size) if rows[i][j]), None)
         if pair is None:
-            return 0, prev, a
+            return 0, pivot, rows
         for src, dst in zip(pair, (0, 1)):
             if src != dst:
-                _swap(a, src, dst)
+                _swap(rows, src, dst)
                 sign = -sign
-        p = a[0][1]
-        a = _condense(a, prev)
-        prev = p
-    return sign, prev, a
+
+
+def _bordered_rows(m: SkewMatrix, border) -> list[list[int]]:
+    """Working rows: row i of m followed by the border entries border[i]."""
+    if len(border) != m.order:
+        raise ValueError("border must have one row per matrix row")
+    return [list(row) + [int(e) for e in extra]
+            for row, extra in zip(m.rows, border)]
+
+
+def _unit_border(n: int) -> list[list[int]]:
+    """The symbolic border column x: row i starts as the unit vector e_i."""
+    return [[int(i == k) for k in range(n)] for i in range(n)]
+
+
+def _deleted(sign: int, c) -> tuple[int, ...]:
+    """Pf(m minus k) = sign * (-1)^k * c[k] from the border vector c."""
+    return tuple(sign * e if k % 2 == 0 else -sign * e
+                 for k, e in enumerate(c))
 
 
 def pfaffian_eliminate(m: SkewMatrix) -> int:
@@ -176,12 +223,35 @@ def deletion_pfaffians(m: SkewMatrix) -> tuple[int, ...]:
     n = m.order
     if n % 2 == 0:
         raise ValueError("deletion Pfaffians need an odd order")
-    sign, _, rows = _condense_all(
-        [list(row) + [int(i == k) for k in range(n)]
-         for i, row in enumerate(m.rows)])
-    c = rows[-1][len(rows):]
-    return tuple(sign * c[k] if k % 2 == 0 else -sign * c[k]
-                 for k in range(n))
+    sign, _, rows = _condense_all(_bordered_rows(m, _unit_border(n)))
+    return _deleted(sign, rows[-1][len(rows):])
+
+
+def leading_pfaffians(m: SkewMatrix, border):
+    """Every leading order of m from one condensation pass, without pivoting.
+
+    `border[i]` lists the border entries of row i (one per border column h).
+    Yields, for t = 0, 1, ..., m.order // 2, the pair (Pf of the leading
+    2t x 2t block of m, working row 0's border entries after t steps); entry
+    h of the latter is the Pfaffian of the leading (2t+1) x (2t+1) block
+    bordered by column h, and the tuple is empty once no row is left.  This
+    path never swaps: a zero leading pivot raises ArithmeticError.
+    """
+    for pivot, rows in _condensation(_bordered_rows(m, border)):
+        yield pivot, tuple(rows[0][len(rows):]) if rows else ()
+
+
+def leading_deletion_pfaffians(m: SkewMatrix):
+    """`deletion_pfaffians` of every odd leading block of m, from one pass.
+
+    Yields, for t = 0, 1, ..., (m.order - 1) // 2, the deletion Pfaffians of
+    the leading (2t+1) x (2t+1) block: before step t+1, working row 0's
+    symbolic border holds them up to the (-1)^k signs.  Raises
+    ArithmeticError on a zero leading pivot, like `leading_pfaffians`.
+    """
+    for t, (_, c) in enumerate(leading_pfaffians(m, _unit_border(m.order))):
+        if c:
+            yield _deleted(1, c[:2 * t + 1])
 
 
 def pfaffian(m: SkewMatrix) -> int:

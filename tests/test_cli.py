@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from offdiag.cli import main
@@ -236,6 +237,28 @@ def test_scan_rejects_nonpositive_n_max(capsys):
     code, _, err = run(capsys, "scan", "logconcavity", "--n-max", "0")
     assert code == 2
     assert "at least 1" in err
+
+
+def test_scan_matches_golden_output(capsys):
+    assert_golden(capsys, "scan_logconcavity_n35.json", "scan",
+                  "logconcavity", "--n-max", "35", "--format", "json")
+    assert_golden(capsys, "scan_asymptotics_n50.json", "scan", "asymptotics",
+                  "--n-max", "50", "--format", "json")
+
+
+def test_oversized_requests_exit_2_up_front(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "d", "--n", "2401")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == ("error: this request needs a condensation of order 2402; "
+                   "the largest supported order is 200\n")
+    for argv in (("scan", "asymptotics", "--n-max", "101"),
+                 ("scan", "logconcavity", "--n-max", "101"),
+                 ("count", "o", "--n", "201", "--k", "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "largest supported order" in err
 
 
 def test_scan_command_formats(capsys):

@@ -1,14 +1,21 @@
+import time
+
 import pytest
 
+import offdiag.counts
 from offdiag.counts import (
+    MAX_ORDER,
     _o_vector_direct,
     count_nearly,
     count_off_diag,
     d_entry_bordered,
     d_vector,
+    even_and_nearly_counts,
     even_order_full,
     o_vector,
+    o_vectors,
 )
+from offdiag.paths import delannoy
 
 O_VECTORS = {
     1: (1,),
@@ -147,3 +154,45 @@ def test_ratio_identities():
         assert o[1] == (n - 2) * o[0]
         d = d_vector("pm", n)
         assert d[1] == (n - 1) * d[0]
+
+
+def test_one_pass_ladders_match_per_order_counts():
+    assert even_and_nearly_counts(21) == [
+        (even_order_full(2 * m), count_nearly(2 * m - 1))
+        for m in range(1, 22)]
+    assert o_vectors(41) == [o_vector(n) for n in range(1, 42, 2)]
+    with pytest.raises(ValueError):
+        even_and_nearly_counts(0)
+    with pytest.raises(ValueError):
+        o_vectors(8)
+
+
+def test_oversized_requests_are_refused_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a matrix for a refused request")
+
+    cached = delannoy.cache_info().currsize
+    monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="order 2402; the largest supported"):
+        d_entry_bordered("pm", 2401, 1200)
+    assert time.perf_counter() - start < 0.5
+    assert delannoy.cache_info().currsize == cached
+    assert MAX_ORDER == 200
+
+
+def test_order_bound_admits_exactly_max_order(monkeypatch):
+    monkeypatch.setattr(offdiag.counts, "MAX_ORDER", 8)
+    assert count_nearly(7) == 21632            # order 8
+    assert even_order_full(8) == 30992
+    assert d_entry_bordered("pm", 7, 1) == 624
+    assert o_vector(7) == O_VECTORS[7]
+    assert len(even_and_nearly_counts(4)) == 4
+    assert count_off_diag(8) == 30992
+    for call in (lambda: count_nearly(9), lambda: even_order_full(10),
+                 lambda: d_entry_bordered("pm", 9, 1), lambda: o_vector(9),
+                 lambda: d_vector("pm", 9), lambda: o_vectors(9),
+                 lambda: even_and_nearly_counts(5),
+                 lambda: count_off_diag(9)):
+        with pytest.raises(ValueError, match="largest supported order is 8"):
+            call()

@@ -9,6 +9,8 @@ from offdiag.pfaffian import (
     bordered_skew,
     deletion_pfaffians,
     determinant,
+    leading_deletion_pfaffians,
+    leading_pfaffians,
     pfaffian,
     pfaffian_cofactor,
     pfaffian_eliminate,
@@ -235,6 +237,63 @@ def test_deletion_pfaffians_small_cases():
     assert deletion_pfaffians(m) == (4, 0, 0)
     with pytest.raises(ValueError):
         deletion_pfaffians(SkewMatrix(((0, 1), (-1, 0))))
+
+
+def leading(m, order):
+    return principal_submatrix(m, range(1, order + 1))
+
+
+def test_leading_pfaffians_read_every_leading_order():
+    rng = random.Random(139)
+    raised = 0
+    for _ in range(300):
+        order = rng.randint(0, 9)
+        m = random_skew(rng, order, -4, 4)
+        cols = [[rng.randint(-9, 9) for _ in range(order)] for _ in range(2)]
+        border = list(zip(*cols)) if order else []
+        pivots = [pfaffian_cofactor(leading(m, 2 * t))
+                  for t in range(order // 2 + 1)]
+        if not all(pivots):
+            # a zero leading pivot: no swap, no fallback
+            raised += 1
+            with pytest.raises(ArithmeticError):
+                list(leading_pfaffians(m, border))
+            continue
+        got = list(leading_pfaffians(m, border))
+        assert [p for p, _ in got] == pivots
+        odd = [leading(m, k) for k in range(1, order + 1, 2)]
+        assert [row0 for _, row0 in got] == [
+            tuple(pfaffian_cofactor(bordered_skew(block, col[:block.order]))
+                  for col in cols)
+            for block in odd] + [()] * (order % 2 == 0)
+        assert list(leading_deletion_pfaffians(m)) == [
+            deleted_by_cofactor(block) for block in odd]
+    assert raised > 10
+    with pytest.raises(ValueError):
+        list(leading_pfaffians(SkewMatrix(((0, 1), (-1, 0))), [(1,)]))
+
+
+def test_zero_leading_pivot_raises_on_the_leading_path():
+    # Pf = a01 a23 - a02 a13 + a03 a12 = 0 - 1 + 6: a zero (0, 1) pivot
+    m = SkewMatrix(((0, 0, 1, 2), (0, 0, 3, 1), (-1, -3, 0, 5),
+                    (-2, -1, -5, 0)))
+    assert pfaffian(m) == naive_pfaffian(m.rows) == 5
+    with pytest.raises(ArithmeticError):
+        list(leading_pfaffians(m, [()] * 4))
+    odd = bordered_skew(m, (1, 1, 1, 1))
+    assert deletion_pfaffians(odd) == deleted_by_cofactor(odd)
+    with pytest.raises(ArithmeticError):
+        list(leading_deletion_pfaffians(odd))
+    # the zero pivot may also come later: Pf of the leading 4 x 4 block is 0
+    m = SkewMatrix(((0, 1, 1, 0, 0, 1), (-1, 0, -1, 1, -1, 0),
+                    (-1, 1, 0, 1, 0, 0), (0, -1, -1, 0, 1, 0),
+                    (0, 1, 0, -1, 0, 0), (-1, 0, 0, 0, 0, 0)))
+    assert pfaffian_cofactor(leading(m, 4)) == 0
+    assert pfaffian(m) == pfaffian_cofactor(m) == -2
+    steps = leading_pfaffians(m, [()] * 6)
+    assert [next(steps)[0], next(steps)[0]] == [1, 1]
+    with pytest.raises(ArithmeticError):
+        next(steps)
 
 
 def test_rational_rank():

@@ -1,13 +1,18 @@
+import importlib
 import json
 
 import pytest
 
+import offdiag.counts
+import offdiag.verify
+from offdiag.counts import count_nearly
 from offdiag.matrices import matrix_r
-from offdiag.pfaffian import rational_rank
+from offdiag.pfaffian import SkewMatrix, pfaffian, rational_rank
 from offdiag.verify import (
     CHECKS,
     CheckReport,
     CheckResult,
+    _root_offset,
     jsonable,
     scan_asymptotics,
     scan_log_concavity,
@@ -98,6 +103,76 @@ def test_asymptotics_scan():
     assert isinstance(last["even_root"], float)
     assert last["even_gap"] < ref["even_gap"]
     assert last["nearly_gap"] < ref["nearly_gap"]
+
+
+def test_scans_run_one_condensation_pass(monkeypatch):
+    # the package exports a function named pfaffian, so fetch the module
+    pfaffian_module = importlib.import_module("offdiag.pfaffian")
+    passes = []
+    condensation = pfaffian_module._condensation
+
+    def counted(rows):
+        passes.append(len(rows))
+        return condensation(rows)
+
+    def refuse(*args):
+        raise AssertionError("a scan fell back to per-order work")
+
+    monkeypatch.setattr(pfaffian_module, "_condensation", counted)
+    for module in (offdiag.counts, offdiag.verify):
+        for name in ("even_order_full", "count_nearly", "o_vector"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert scan_asymptotics(50)[0].passed
+    assert passes == [100]
+    passes.clear()
+    assert scan_log_concavity(25)[0].passed
+    assert passes == [49]
+
+
+def test_scans_raise_on_a_zero_leading_pivot(monkeypatch):
+    # a skew matrix whose (0, 1) pivot is 0 though its Pfaffian is not; the
+    # scans' one pass never swaps, so it must stop rather than misread orders
+    def zero_pivot(n):
+        return SkewMatrix([[0 if {i, j} == {0, 1} else j - i
+                            for j in range(n)] for i in range(n)])
+
+    assert pfaffian(zero_pivot(4)) == -1
+    monkeypatch.setattr(offdiag.counts, "matrix_a", zero_pivot)
+    with pytest.raises(ArithmeticError):
+        scan_asymptotics(3)
+    with pytest.raises(ArithmeticError):
+        scan_log_concavity(3)
+
+
+def test_gap_check_is_exact_across_the_sqrt2_crossing():
+    # the nearly root is above sqrt(2) at m = 16 and below it at m = 17:
+    # count^(2/N^2) > sqrt(2) exactly when count^4 > 2^(N^2)
+    for m, above in ((16, True), (17, False)):
+        order = 2 * m - 1
+        count = count_nearly(order)
+        assert (count ** 4 > 2 ** (order * order)) is above
+        offset = _root_offset(count, order)
+        assert offset >= 1 if above else offset <= -1
+    for n_max in (16, 17):
+        report, _ = scan_asymptotics(n_max)
+        gap = report.results[1]
+        assert (gap.check, gap.range, gap.status) == (
+            "gap-shrinks-past-calibration", f"m = {n_max} against m = 5",
+            "PASS")
+
+
+def test_gap_check_fails_when_the_brackets_overlap(monkeypatch):
+    monkeypatch.setattr(offdiag.verify, "_ROOT_BITS", 1)
+    report, rows = scan_asymptotics(7)
+    assert not report.passed
+    gap = report.results[1]
+    assert gap.status == "FAIL"
+    assert gap.witness == {
+        "failures": 2,
+        "first": {"even_gap_last": rows[-1]["even_gap"],
+                  "even_gap_ref": rows[4]["even_gap"],
+                  "verdict": "undecided at 1 bits"}}
     json.dumps(rows)  # floats and strings only, no big ints
     short_report, _ = scan_asymptotics(3)
     assert len(short_report.results) == 1
