@@ -30,11 +30,8 @@ from .paths import PathGraph, delannoy, enumerate_families, q_doublet
 from .pfaffian import (
     SkewMatrix,
     bordered_skew,
-    deletion_pfaffians,
     determinant,
-    pfaffian,
     pfaffian_cofactor,
-    pfaffian_eliminate,
     principal_submatrix,
     rational_rank,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "d_entry_bordered",
     "d_vector",
     "delannoy",
-    "deletion_pfaffians",
     "determinant",
     "enumerate_families",
     "even_order_full",
@@ -73,9 +69,7 @@ __all__ = [
     "o_vector",
     "oracle_counts",
     "pell_vector",
-    "pfaffian",
     "pfaffian_cofactor",
-    "pfaffian_eliminate",
     "principal_submatrix",
     "q_doublet",
     "r_value",

@@ -17,6 +17,7 @@ import json
 import sys
 
 from .counts import (
+    MAX_ORDER,
     count_nearly,
     count_off_diag,
     d_vector,
@@ -25,6 +26,7 @@ from .counts import (
 )
 from .oracle import build_region, enumerate_tilings, oracle_counts, render_svg, render_text
 from .verify import (
+    MAX_N_MAX,
     MIN_N_MAX,
     jsonable,
     scan_asymptotics,
@@ -57,7 +59,8 @@ def _require_positive(n_max: int) -> None:
 
 def _check_count_flags(args) -> None:
     """Refuse missing flags, flag combinations `count` would otherwise
-    ignore, and an out-of-range --k, before anything is computed."""
+    ignore, repeated --kept labels and an out-of-range --k, before anything
+    is computed."""
     given = [flag for flag, value in (("--k", args.k is not None),
                                       ("--all", args.all),
                                       ("--kept", args.kept is not None))
@@ -69,6 +72,10 @@ def _check_count_flags(args) -> None:
         raise ValueError(f"{' and '.join(given)} cannot be combined")
     if args.kept is not None and args.target != "o":
         raise ValueError("--kept applies to target o only")
+    if args.kept is not None:
+        kept = _parse_kept(args.kept)
+        if len(set(kept)) < len(kept):
+            raise ValueError(f"--kept repeats a label: {args.kept}")
     if args.target == "o" and not given:
         raise ValueError("target o needs one of --k, --all, --kept")
     if args.target in ("dpm", "dminus", "dplus") and not given:
@@ -124,6 +131,9 @@ def _print_report_plain(report) -> None:
 
 def _cmd_verify(args) -> int:
     _require_positive(args.n_max)
+    if args.n_max > MAX_N_MAX:
+        raise ValueError(f"--n-max must be at most {MAX_N_MAX}, since the "
+                         f"largest supported order is {MAX_ORDER}")
     run_identities = args.suite in (None, "identities")
     run_rank = args.suite in (None, "rank")
     for wanted, suite, label in ((run_rank, "rank-claim", "rank"),

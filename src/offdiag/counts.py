@@ -18,7 +18,6 @@ from .matrices import matrix_a, matrix_b, matrix_m, pell_vector
 from .paths import delannoy
 from .pfaffian import (
     bordered_skew,
-    deletion_pfaffians,
     leading_deletion_pfaffians,
     leading_pfaffians,
     pfaffian,
@@ -58,14 +57,18 @@ def o_vector(n: int) -> tuple[int, ...]:
     """All single-deletion counts (|O(n; [n] minus k)| for k = 1..n), odd n.
 
     Entry k is the Pfaffian of the odd-order matrix A(n) with row and column
-    k deleted; all n of them come from one bordered condensation
-    (`deletion_pfaffians`).  `_o_vector_direct` computes the same vector as
-    n separate Pfaffians, for verification.
+    k deleted; all n of them are the last rung of one bordered condensation
+    (`leading_deletion_pfaffians`).  That pass never pivots: the leading
+    pivots of A(n) are the tiling counts even_order_full(2t) > 0, and a zero
+    one would raise ArithmeticError rather than give a wrong vector.
+    `_o_vector_direct` computes the same vector as n separate Pfaffians, for
+    verification.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("deletion vector is defined for odd n >= 1")
     _check_order(n)
-    return deletion_pfaffians(matrix_a(n))
+    *_, last = leading_deletion_pfaffians(matrix_a(n))
+    return last
 
 
 def count_nearly(n: int) -> int:

@@ -1,17 +1,20 @@
 """Exact Pfaffians of integer skew-symmetric matrices.
 
 Two independent algorithms are kept public on purpose: a fraction-free
-condensation, which `pfaffian` uses at every order, and a memoized cofactor
+condensation, which every Pfaffian here runs on, and a memoized cofactor
 expansion, kept as the clear verification route.  They cross-check each other
-in the tests and in the verify battery.
+in the tests.
 
-One condensation loop serves every Pfaffian here.  Without pivoting, one
-pass gives every leading order: the pivot after step t is the Pfaffian of
-the leading 2t x 2t block, and a border column carried along gives the
-bordered Pfaffian of each odd leading block (`leading_pfaffians`).  The same
-loop on a symbolically bordered matrix gives every single-deletion Pfaffian
-of an odd-order matrix (`deletion_pfaffians`, and per odd leading block
-`leading_deletion_pfaffians`).
+`_condensation` is the one condensation loop.  Each job has one entry point
+to it:
+
+- `pfaffian`: one Pfaffian, curing zero pivots by a pair search;
+- `leading_pfaffians`: without pivoting, one pass gives every leading order
+  (the pivot after step t is the Pfaffian of the leading 2t x 2t block), and
+  a border column carried along gives the bordered Pfaffian of each odd
+  leading block;
+- `leading_deletion_pfaffians`: the same pass with a symbolic border gives
+  every single-deletion Pfaffian of each odd leading block.
 
 Also here: exact determinants (Bareiss), exact rank over the rationals, and
 the bordered-matrix constructor used by the counting layer.
@@ -135,8 +138,8 @@ def _condensation(a: list[list[int]]):
     that block plus input rows 2t+i and 2t+j (the Pfaffian form of Bareiss's
     leading-minor property), so one pass gives every leading order.  A caller
     may swap rows of the yielded list in place before resuming, as
-    `_condense_all` does to cure zero pivots; a zero (0, 1) entry when the
-    loop resumes raises ArithmeticError.
+    `pfaffian` does to cure zero pivots; a zero (0, 1) entry when the loop
+    resumes raises ArithmeticError.
     """
     prev = 1
     while True:
@@ -148,30 +151,6 @@ def _condensation(a: list[list[int]]):
             raise ArithmeticError("zero pivot in condensation")
         a = _condense(a, prev)
         prev = p
-
-
-def _condense_all(a: list[list[int]]) -> tuple[int, int, list[list[int]]]:
-    """Run `_condensation` to the end, curing zero pivots.
-
-    Before each step the first nonzero skew pair (i, j) is moved to (0, 1),
-    flipping the sign once per actual swap.  Returns (sign, last pivot, rows
-    left).  The sign is 0 when no nonzero pair is left among two or more
-    rows: every perfect matching then uses a zero entry, so the Pfaffian,
-    bordered or not, vanishes.
-    """
-    sign = 1
-    for pivot, rows in _condensation(a):
-        size = len(rows)
-        if size < 2:
-            return sign, pivot, rows
-        pair = next(((i, j) for i in range(size)
-                     for j in range(i + 1, size) if rows[i][j]), None)
-        if pair is None:
-            return 0, pivot, rows
-        for src, dst in zip(pair, (0, 1)):
-            if src != dst:
-                _swap(rows, src, dst)
-                sign = -sign
 
 
 def _bordered_rows(m: SkewMatrix, border) -> list[list[int]]:
@@ -187,44 +166,34 @@ def _unit_border(n: int) -> list[list[int]]:
     return [[int(i == k) for k in range(n)] for i in range(n)]
 
 
-def _deleted(sign: int, c) -> tuple[int, ...]:
-    """Pf(m minus k) = sign * (-1)^k * c[k] from the border vector c."""
-    return tuple(sign * e if k % 2 == 0 else -sign * e
-                 for k, e in enumerate(c))
-
-
-def pfaffian_eliminate(m: SkewMatrix) -> int:
-    """Pfaffian by fraction-free condensation.
+def pfaffian(m: SkewMatrix) -> int:
+    """Exact Pfaffian, by fraction-free condensation.
 
     Each step condenses the two leading rows/columns into the rest via
     new_ij = (p * cur_ij + cur_1i * cur_0j - cur_0i * cur_1j) / p_prev,
     where p is the current (0,1) pivot and p_prev the previous one.  The
     working entries are Pfaffian minors of the input, so every division is
-    exact, and the last pivot is the Pfaffian up to the sign of the swaps
-    that cured zero pivots.
+    exact.  Before each step the first nonzero skew pair (i, j) is moved to
+    (0, 1), flipping the sign once per actual swap; the last pivot times
+    that sign is the Pfaffian.  When no nonzero pair is left among two or
+    more rows, every perfect matching uses a zero entry and the Pfaffian
+    is 0.
     """
     if m.order % 2:
         return 0
-    sign, pivot, _ = _condense_all([list(row) for row in m.rows])
-    return sign * pivot
-
-
-def deletion_pfaffians(m: SkewMatrix) -> tuple[int, ...]:
-    """Every Pfaffian of an odd-order skew matrix with one row and column
-    deleted: entry k (0-based) is Pf of m without row and column k.
-
-    The matrix is bordered with a symbolic column x whose row-i entry starts
-    as the unit coefficient vector e_i, kept as n trailing columns of row i,
-    so the bordered Pfaffian is sum_k (-1)^k x_k Pf(m minus k).  The
-    condensation of `pfaffian_eliminate` runs on it, with pivots from real
-    pairs only; the border vector c of the one real row left gives
-    Pf(m minus k) = sign * (-1)^k * c[k].
-    """
-    n = m.order
-    if n % 2 == 0:
-        raise ValueError("deletion Pfaffians need an odd order")
-    sign, _, rows = _condense_all(_bordered_rows(m, _unit_border(n)))
-    return _deleted(sign, rows[-1][len(rows):])
+    sign = 1
+    for pivot, rows in _condensation([list(row) for row in m.rows]):
+        size = len(rows)
+        if size < 2:
+            return sign * pivot
+        pair = next(((i, j) for i in range(size)
+                     for j in range(i + 1, size) if rows[i][j]), None)
+        if pair is None:
+            return 0
+        for src, dst in zip(pair, (0, 1)):
+            if src != dst:
+                _swap(rows, src, dst)
+                sign = -sign
 
 
 def leading_pfaffians(m: SkewMatrix, border):
@@ -242,21 +211,22 @@ def leading_pfaffians(m: SkewMatrix, border):
 
 
 def leading_deletion_pfaffians(m: SkewMatrix):
-    """`deletion_pfaffians` of every odd leading block of m, from one pass.
+    """Every single-deletion Pfaffian of every odd leading block of m, from
+    one pass.
 
-    Yields, for t = 0, 1, ..., (m.order - 1) // 2, the deletion Pfaffians of
-    the leading (2t+1) x (2t+1) block: before step t+1, working row 0's
-    symbolic border holds them up to the (-1)^k signs.  Raises
-    ArithmeticError on a zero leading pivot, like `leading_pfaffians`.
+    The matrix is bordered with a symbolic column x whose row-i entry starts
+    as the unit coefficient vector e_i, kept as m.order trailing columns of
+    row i, so the bordered Pfaffian of an odd leading block is
+    sum_k (-1)^k x_k Pf(block minus k).  Yields, for t = 0, 1, ...,
+    (m.order - 1) // 2, the tuple whose entry k (0-based) is Pf of the
+    leading (2t+1) x (2t+1) block without row and column k: before step
+    t+1, working row 0's symbolic border holds them up to the (-1)^k signs.
+    Raises ArithmeticError on a zero leading pivot, like `leading_pfaffians`.
     """
     for t, (_, c) in enumerate(leading_pfaffians(m, _unit_border(m.order))):
         if c:
-            yield _deleted(1, c[:2 * t + 1])
-
-
-def pfaffian(m: SkewMatrix) -> int:
-    """Exact Pfaffian, by fraction-free condensation."""
-    return pfaffian_eliminate(m)
+            yield tuple(e if k % 2 == 0 else -e
+                        for k, e in enumerate(c[:2 * t + 1]))
 
 
 def bordered_skew(q: SkewMatrix, column) -> SkewMatrix:

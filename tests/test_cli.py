@@ -87,6 +87,14 @@ def test_count_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "count", "even", "--n", "5")
     assert code == 2
+    # repeated kept labels are refused before computing, not deduplicated
+    code, out, err = run(capsys, "count", "o", "--n", "3", "--kept", "1,1",
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == "error: --kept repeats a label: 1,1\n"
+    # an empty kept set is a valid request: the empty matching, count 1
+    code, out, _ = run(capsys, "count", "o", "--n", "3", "--kept", "")
+    assert (code, out) == (0, "1\n")
 
 
 def test_count_refuses_ignored_flags(capsys):
@@ -255,10 +263,16 @@ def test_oversized_requests_exit_2_up_front(capsys):
                    "the largest supported order is 200\n")
     for argv in (("scan", "asymptotics", "--n-max", "101"),
                  ("scan", "logconcavity", "--n-max", "101"),
-                 ("count", "o", "--n", "201", "--k", "1")):
+                 ("count", "o", "--n", "201", "--k", "1"),
+                 ("verify", "--n-max", "201"),
+                 ("verify", "rank", "--n-max", "201")):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "largest supported order" in err
+    assert err == ("error: --n-max must be at most 200, since the largest "
+                   "supported order is 200\n")
 
 
 def test_scan_command_formats(capsys):

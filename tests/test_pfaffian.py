@@ -7,13 +7,11 @@ import pytest
 from offdiag.pfaffian import (
     SkewMatrix,
     bordered_skew,
-    deletion_pfaffians,
     determinant,
     leading_deletion_pfaffians,
     leading_pfaffians,
     pfaffian,
     pfaffian_cofactor,
-    pfaffian_eliminate,
     principal_submatrix,
     rational_rank,
 )
@@ -74,6 +72,11 @@ def naive_determinant(rows):
     return det
 
 
+# The seed of the random matrices and series that the verify battery used to
+# draw before those generic checks moved here; each test keeps its offset.
+MOVED_SEED = 20260819
+
+
 def random_skew(rng, order, lo=-50, hi=50):
     rows = [[0] * order for _ in range(order)]
     for i in range(order):
@@ -88,7 +91,6 @@ def test_trivial_orders():
     empty = SkewMatrix(())
     assert pfaffian(empty) == 1
     assert pfaffian_cofactor(empty) == 1
-    assert pfaffian_eliminate(empty) == 1
     assert pfaffian(SkewMatrix(((0,),))) == 0
     assert pfaffian(SkewMatrix(((0, 7), (-7, 0)))) == 7
 
@@ -100,16 +102,20 @@ def test_routes_agree_with_matching_expansion():
         m = random_skew(rng, order, -9, 9)
         want = naive_pfaffian(m.rows)
         assert pfaffian_cofactor(m) == want
-        assert pfaffian_eliminate(m) == want
         assert pfaffian(m) == want
 
 
 def test_routes_agree_at_larger_orders():
-    rng = random.Random(103)
-    for _ in range(60):
-        order = rng.randint(9, 14)
-        m = random_skew(rng, order)
-        assert pfaffian_eliminate(m) == pfaffian_cofactor(m) == pfaffian(m)
+    # (seed, count, smallest order, largest order)
+    for seed, count, lo, hi in ((103, 60, 9, 14), (MOVED_SEED, 200, 0, 10)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            order = rng.randint(lo, hi)
+            m = random_skew(rng, order)
+            cofactor = pfaffian_cofactor(m)
+            assert pfaffian(m) == cofactor
+            if order % 2:
+                assert cofactor == 0
 
 
 def test_elimination_handles_zero_pivots():
@@ -117,16 +123,35 @@ def test_elimination_handles_zero_pivots():
     for _ in range(200):
         order = rng.randint(2, 10)
         m = random_skew(rng, order, -1, 1)
-        assert pfaffian_eliminate(m) == pfaffian_cofactor(m)
+        assert pfaffian(m) == pfaffian_cofactor(m)
 
 
 def test_square_is_determinant():
-    rng = random.Random(109)
-    for _ in range(80):
-        order = rng.randint(0, 9)
+    for seed, count, hi in ((109, 80, 9), (MOVED_SEED + 1, 120, 8)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            order = rng.randint(0, hi)
+            m = random_skew(rng, order)
+            pf = pfaffian(m)
+            assert pf * pf == determinant(m.rows) == naive_determinant(m.rows)
+
+
+def test_swapping_two_indices_negates_the_pfaffian():
+    rng = random.Random(MOVED_SEED + 2)
+    nonzero = 0
+    for _ in range(120):
+        order = 2 * rng.randint(1, 5)
         m = random_skew(rng, order)
+        i, j = rng.sample(range(order), 2)
+        perm = list(range(order))
+        perm[i], perm[j] = perm[j], perm[i]
+        swapped = SkewMatrix(
+            tuple(tuple(m.rows[perm[r]][perm[c]] for c in range(order))
+                  for r in range(order)))
         pf = pfaffian(m)
-        assert pf * pf == determinant(m.rows) == naive_determinant(m.rows)
+        assert pfaffian(swapped) == -pf
+        nonzero += pf != 0
+    assert nonzero > 100
 
 
 def test_determinant_matches_naive_on_general_matrices():
@@ -159,23 +184,33 @@ def test_principal_submatrix():
         principal_submatrix(m, (4,))
 
 
+def bordered_cases():
+    yield SkewMatrix(((0, 5, -2), (-5, 0, 7), (2, -7, 0))), [3, -4, 6]
+    rng = random.Random(MOVED_SEED + 3)
+    for _ in range(80):
+        order = 2 * rng.randint(1, 4) + 1
+        m = random_skew(rng, order)
+        yield m, [rng.randint(-50, 50) for _ in range(order)]
+
+
 def test_bordered_skew_layout_and_sign():
-    m = SkewMatrix(((0, 5, -2), (-5, 0, 7), (2, -7, 0)))
-    col = [3, -4, 6]
-    bordered = bordered_skew(m, col)
-    assert bordered.order == 4
-    for i in range(3):
-        assert bordered.rows[i][3] == col[i]
-        assert bordered.rows[3][i] == -col[i]
-    # expansion along the border column
-    want = sum(
-        (-1) ** (k - 1) * col[k - 1]
-        * pfaffian(principal_submatrix(m, [i for i in (1, 2, 3) if i != k]))
-        for k in (1, 2, 3)
-    )
-    assert pfaffian(bordered) == want
-    with pytest.raises(ValueError):
-        bordered_skew(m, col[:2])
+    for m, col in bordered_cases():
+        n = m.order
+        bordered = bordered_skew(m, col)
+        assert bordered.order == n + 1
+        for i in range(n):
+            assert bordered.rows[i][n] == col[i]
+            assert bordered.rows[n][i] == -col[i]
+        # expansion along the border column
+        labels = range(1, n + 1)
+        want = sum(
+            (-1) ** (k - 1) * col[k - 1]
+            * pfaffian(principal_submatrix(m, [i for i in labels if i != k]))
+            for k in labels
+        )
+        assert pfaffian(bordered) == want
+        with pytest.raises(ValueError):
+            bordered_skew(m, col[:-1])
 
 
 def sparse_skew(rng, order, density):
@@ -197,27 +232,34 @@ def deleted_by_cofactor(m):
         for k in labels)
 
 
+def leading(m, order):
+    return principal_submatrix(m, range(1, order + 1))
+
+
 def test_deletion_pfaffians_match_cofactor_on_random_skew():
     rng = random.Random(137)
-    all_zero = mixed = 0
+    raised = read = 0
     for _ in range(1500):
         order = rng.choice((1, 3, 5, 7, 9))
         m = sparse_skew(rng, order, rng.random())
-        got = deletion_pfaffians(m)
-        assert got == deleted_by_cofactor(m)
-        if not any(got):
-            all_zero += 1
-        elif m.order > 1 and m.rows[0][1] == 0:
-            mixed += 1
-    # both the zero-result and the zero-leading-pivot paths were exercised
-    assert all_zero > 100 and mixed > 100
-    # even orders through the same loop: pfaffian_eliminate against the
-    # cofactor route, counting the inputs whose first step needs the pair
-    # search, with row 0 all zero and with row 0 nonzero but a zero (0,1)
+        if all(pfaffian_cofactor(leading(m, 2 * t))
+               for t in range(order // 2 + 1)):
+            *_, got = leading_deletion_pfaffians(m)
+            assert got == deleted_by_cofactor(m)
+            read += 1
+        else:
+            # a zero leading pivot: the ladder stops instead of misreading
+            with pytest.raises(ArithmeticError):
+                list(leading_deletion_pfaffians(m))
+            raised += 1
+    assert raised > 100 and read > 100
+    # even orders through the same loop: pfaffian against the cofactor
+    # route, counting the inputs whose first step needs the pair search,
+    # with row 0 all zero and with row 0 nonzero but a zero (0,1)
     zero_row = swap_in_row = nonzero = 0
     for _ in range(1500):
         m = sparse_skew(rng, rng.choice((2, 4, 6, 8, 10)), rng.random())
-        got = pfaffian_eliminate(m)
+        got = pfaffian(m)
         assert got == pfaffian_cofactor(m)
         nonzero += got != 0
         if not any(m.rows[0]):
@@ -228,19 +270,20 @@ def test_deletion_pfaffians_match_cofactor_on_random_skew():
 
 
 def test_deletion_pfaffians_small_cases():
-    assert deletion_pfaffians(SkewMatrix(((0,),))) == (1,)
-    assert deletion_pfaffians(SkewMatrix([[0] * 5] * 5)) == (0,) * 5
+    assert list(leading_deletion_pfaffians(SkewMatrix(((0,),)))) == [(1,)]
+    assert list(leading_deletion_pfaffians(SkewMatrix(()))) == []
     m = SkewMatrix(((0, 5, -2), (-5, 0, 7), (2, -7, 0)))
-    assert deletion_pfaffians(m) == (7, -2, 5)
-    # zero leading pivot: the pivot comes from the pair (1, 2)
-    m = SkewMatrix(((0, 0, 0), (0, 0, 4), (0, -4, 0)))
-    assert deletion_pfaffians(m) == (4, 0, 0)
-    with pytest.raises(ValueError):
-        deletion_pfaffians(SkewMatrix(((0, 1), (-1, 0))))
-
-
-def leading(m, order):
-    return principal_submatrix(m, range(1, order + 1))
+    assert list(leading_deletion_pfaffians(m)) == [(1,), (7, -2, 5)]
+    # an even order yields its odd leading blocks only
+    assert list(leading_deletion_pfaffians(bordered_skew(m, (1, 1, 1)))) == [
+        (1,), (7, -2, 5)]
+    # zero leading pivots: the first rung is read, then the ladder raises
+    for m in (SkewMatrix([[0] * 5] * 5),
+              SkewMatrix(((0, 0, 0), (0, 0, 4), (0, -4, 0)))):
+        rungs = leading_deletion_pfaffians(m)
+        assert next(rungs) == (1,)
+        with pytest.raises(ArithmeticError):
+            next(rungs)
 
 
 def test_leading_pfaffians_read_every_leading_order():
@@ -281,7 +324,6 @@ def test_zero_leading_pivot_raises_on_the_leading_path():
     with pytest.raises(ArithmeticError):
         list(leading_pfaffians(m, [()] * 4))
     odd = bordered_skew(m, (1, 1, 1, 1))
-    assert deletion_pfaffians(odd) == deleted_by_cofactor(odd)
     with pytest.raises(ArithmeticError):
         list(leading_deletion_pfaffians(odd))
     # the zero pivot may also come later: Pf of the leading 4 x 4 block is 0

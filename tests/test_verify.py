@@ -1,17 +1,20 @@
-import importlib
 import json
 
 import pytest
 
 import offdiag.counts
+import offdiag.oracle
+import offdiag.pfaffian
 import offdiag.verify
 from offdiag.counts import count_nearly
 from offdiag.matrices import matrix_r
 from offdiag.pfaffian import SkewMatrix, pfaffian, rational_rank
 from offdiag.verify import (
     CHECKS,
+    MAX_N_MAX,
     CheckReport,
     CheckResult,
+    _odd_cap,
     _root_offset,
     jsonable,
     scan_asymptotics,
@@ -26,7 +29,7 @@ def test_identity_battery_passes():
     assert report.suite == "identities"
     assert report.passed
     assert report.failures() == ()
-    assert len(report.results) == 36
+    assert len(report.results) == 30
     ids = [r.check for r in report.results]
     assert len(set(ids)) == len(ids)
     for r in report.results:
@@ -48,6 +51,25 @@ def test_suites_refuse_bounds_with_empty_ranges():
     # the check that sets the identity bound covers n = 4 at it
     assert "4 <= n <= 4" in CHECKS["identities"][
         "window-three-term-recurrence"](4).range
+
+
+def test_suites_refuse_bounds_past_the_order_bound(monkeypatch):
+    # n_max = 200 needs o_vector(199) and count_nearly(199), condensations
+    # of order 199 and 200; 201 would need o_vector(201), which is refused,
+    # so both suites refuse it up front
+    assert MAX_N_MAX == offdiag.counts.MAX_ORDER == 200
+    offdiag.counts._check_order(_odd_cap(MAX_N_MAX) + 1)
+    with pytest.raises(ValueError):
+        offdiag.counts._check_order(_odd_cap(MAX_N_MAX + 1))
+
+    def refuse(n_max):
+        raise AssertionError("a check ran before the bound was checked")
+
+    for suite in ("identities", "rank-claim"):
+        monkeypatch.setitem(CHECKS, suite, {"any": refuse})
+    for run in (verify_identities, verify_rank_claim):
+        with pytest.raises(ValueError, match="n_max must be <= 200"):
+            run(MAX_N_MAX + 1)
 
 
 def test_rank_claim_passes():
@@ -106,10 +128,8 @@ def test_asymptotics_scan():
 
 
 def test_scans_run_one_condensation_pass(monkeypatch):
-    # the package exports a function named pfaffian, so fetch the module
-    pfaffian_module = importlib.import_module("offdiag.pfaffian")
     passes = []
-    condensation = pfaffian_module._condensation
+    condensation = offdiag.pfaffian._condensation
 
     def counted(rows):
         passes.append(len(rows))
@@ -118,7 +138,7 @@ def test_scans_run_one_condensation_pass(monkeypatch):
     def refuse(*args):
         raise AssertionError("a scan fell back to per-order work")
 
-    monkeypatch.setattr(pfaffian_module, "_condensation", counted)
+    monkeypatch.setattr(offdiag.pfaffian, "_condensation", counted)
     for module in (offdiag.counts, offdiag.verify):
         for name in ("even_order_full", "count_nearly", "o_vector"):
             if hasattr(module, name):
@@ -225,6 +245,21 @@ def test_corrupted_matrix_entry_yields_fail_with_witness(monkeypatch):
     report = CheckReport(suite="identities", results=(result,))
     assert not report.passed
     json.dumps(report.to_jsonable())
+
+
+def test_identity_battery_walks_the_order_5_tilings_once(monkeypatch):
+    walks = []
+    count_all_tilings = offdiag.oracle.count_all_tilings
+
+    def counted(region):
+        if region.n == 5 and region.kept == frozenset(range(1, 6)):
+            walks.append(region)
+        return count_all_tilings(region)
+
+    for module in (offdiag.oracle, offdiag.verify):
+        monkeypatch.setattr(module, "count_all_tilings", counted)
+    assert verify_identities(12).passed
+    assert len(walks) == 1
 
 
 def test_oracle_check_compares_every_defect_variant(monkeypatch):
