@@ -4,8 +4,9 @@ Subcommands: count (exact tiling counts), verify (identity battery and the
 rank claim), scan (conjecture scans), oracle (exhaustive small-order recount),
 render (draw one tiling as text or SVG).
 
-Exit codes: 0 on success, 1 when a verification or comparison fails, 2 on
-usage errors or out-of-range requests, 3 on an internal error.
+Exit codes: 0 on success (also when the reader of stdout leaves early), 1
+when a verification or comparison fails, 2 on usage errors or out-of-range
+requests, 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .counts import (
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", help="exhaustively recount a small odd order")
     p_oracle.add_argument("--n", type=int, required=True,
-                          help="odd order, at most 5")
+                          help="odd order, at most 7")
     p_oracle.add_argument("--compare", action="store_true",
                           help="also print the matrix-route values and "
                                "check agreement")
@@ -316,10 +318,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early; point stdout at devnull so the
+        # flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

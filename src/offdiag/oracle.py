@@ -15,8 +15,12 @@ symmetric tiling is off-diagonal when its profile is all zero and nearly
 off-diagonal when exactly one cell is nonzero.  Symmetric tilings are built
 directly, a domino and its mirror image at a time, not filtered.
 
-Everything here is exhaustive and meant as an independent ground truth for
-the Pfaffian and path counts, so region sizes are deliberately capped.
+One backtracker places dominoes on the first free square.  The generators
+walk it tiling by tiling (for render and the path checks); the counters
+count its tilings with the same placements, memoized on the occupancy mask
+(a transfer-matrix count), and never walk them.  Everything here is
+exhaustive and meant as an independent ground truth for the Pfaffian and
+path counts, so region sizes are deliberately capped.
 """
 
 from __future__ import annotations
@@ -26,7 +30,11 @@ from dataclasses import dataclass
 Square = tuple[int, int]
 Domino = tuple[Square, Square]
 
+# The generators walk every tiling, so they take regions of at most 64
+# squares (order 5).  The counters' states grow about fourfold per order;
+# order 9 counts all its tilings in under a second on a 2-vCPU VM.
 _MAX_SQUARES = 64
+_MAX_COUNTED_ORDER = 9
 
 
 def span(c: int) -> int:
@@ -69,6 +77,9 @@ def build_region(n: int, kept=None) -> Region:
         raise ValueError("n must be >= 1")
     if kept is None:
         kept = range(1, n + 1)
+    kept = list(kept)
+    if len(set(kept)) < len(kept):
+        raise ValueError(f"kept labels repeat: {sorted(kept)}")
     kept = frozenset(kept)
     for i in kept:
         if not 1 <= i <= n:
@@ -87,15 +98,11 @@ def build_region(n: int, kept=None) -> Region:
     return Region(n=n, kept=kept, squares=frozenset(squares))
 
 
-def _backtrack(region: Region, images):
-    """Yield the region's tilings: the first free square in (a, b) order is
-    covered by images(d) of its rightward, then its upward domino d.  Each
-    square's table holds these placements as (bitmask, dominoes)."""
+def _placement_table(region: Region, images) -> list:
+    """Each square's placements, in (a, b) order: the images(d) of its
+    rightward, then its upward domino d that fit the region, as (bitmask,
+    dominoes)."""
     squares = sorted(region.squares)
-    if len(squares) > _MAX_SQUARES:
-        raise ValueError("region too large for exhaustive enumeration")
-    if len(squares) % 2:
-        return
     bit = {sq: 1 << i for i, sq in enumerate(squares)}
     table = []
     for a, b in squares:
@@ -106,15 +113,37 @@ def _backtrack(region: Region, images):
             if all(sq in bit for sq in covered):
                 placements.append((sum(bit[sq] for sq in covered), dominoes))
         table.append(placements)
-    full = (1 << len(squares)) - 1
+    return table
+
+
+def _first_free(mask: int) -> int:
+    return ((mask + 1) & ~mask).bit_length() - 1
+
+
+def _all_images(d: Domino) -> tuple[Domino, ...]:
+    return (d,)
+
+
+def _mirror_images(d: Domino) -> tuple[Domino, ...]:
+    return tuple({d, mirror_domino(d)})
+
+
+def _backtrack(region: Region, images):
+    """Yield the region's tilings: the first free square in (a, b) order is
+    covered by each of its placements in turn."""
+    if len(region.squares) > _MAX_SQUARES:
+        raise ValueError("region too large for exhaustive enumeration")
+    if len(region.squares) % 2:
+        return
+    table = _placement_table(region, images)
+    full = (1 << len(table)) - 1
     acc = []
 
     def rec(mask):
         if mask == full:
             yield frozenset(acc)
             return
-        i = ((mask + 1) & ~mask).bit_length() - 1
-        for cover, dominoes in table[i]:
+        for cover, dominoes in table[_first_free(mask)]:
             if not mask & cover:
                 acc.extend(dominoes)
                 yield from rec(mask | cover)
@@ -126,7 +155,7 @@ def _backtrack(region: Region, images):
 def enumerate_tilings(region: Region):
     """Yield every domino tiling of the region, one domino placed at a time,
     in the fixed order the render CLI's --index refers to."""
-    yield from _backtrack(region, lambda d: (d,))
+    yield from _backtrack(region, _all_images)
 
 
 def symmetric_tilings(region: Region):
@@ -137,11 +166,49 @@ def symmetric_tilings(region: Region):
     so the first free square is always on the left and the right half never
     branches.
     """
-    yield from _backtrack(region, lambda d: tuple({d, mirror_domino(d)}))
+    yield from _backtrack(region, _mirror_images)
+
+
+def _sweep(table, step, tag) -> dict:
+    """Count _backtrack's tilings without walking them.
+
+    The backtracker always covers the first free square, so the ways to go
+    on from a partial tiling depend on its occupancy mask alone (plus the
+    tag `step` keeps).  States are swept forward in order of their first
+    free square, and states with the same (mask, tag) merge into one count:
+    a transfer-matrix count.  table[i] holds (bitmask, payload) pairs, and
+    step(i, tag, payload) gives the tag after that placement on first free
+    square i, or None to prune it.  Returns {tag: ways} over the tilings.
+    """
+    layers = [{} for _ in range(len(table) + 1)]
+    layers[0][0, tag] = 1
+    for i, placements in enumerate(table):
+        for (mask, tag), ways in layers[i].items():
+            for cover, payload in placements:
+                if mask & cover:
+                    continue
+                after = step(i, tag, payload)
+                if after is None:
+                    continue
+                key = (mask | cover, after)
+                layer = layers[_first_free(key[0])]
+                layer[key] = layer.get(key, 0) + ways
+        layers[i] = None
+    return {tag: ways for (_, tag), ways in layers[-1].items()}
+
+
+def _check_countable(region: Region) -> None:
+    if region.n > _MAX_COUNTED_ORDER:
+        raise ValueError(f"the tiling counters take orders up to "
+                         f"{_MAX_COUNTED_ORDER}, not {region.n}")
 
 
 def count_all_tilings(region: Region) -> int:
-    return sum(1 for _ in enumerate_tilings(region))
+    """Number of domino tilings of the region, memoized on the occupancy
+    mask alone."""
+    _check_countable(region)
+    table = _placement_table(region, _all_images)
+    return sum(_sweep(table, lambda i, tag, dominoes: tag, 0).values())
 
 
 def cell_block(n: int, k: int) -> tuple[Square, ...]:
@@ -168,21 +235,62 @@ class RegionCensus:
     nearly_minus: tuple[int, ...]
 
 
+def _close_cells(cell: int, inside: int, defect, stop: int):
+    """Close cells cell..stop-1, the first with `inside` dominoes inside it
+    and the rest with none.  Returns the one defect so far, () or (cell,
+    sign), or None once a second defect appears."""
+    for k in range(cell, stop):
+        if inside != 1:
+            if defect:
+                return None
+            defect = (k, inside > 1)
+        inside = 0
+    return defect
+
+
 def classify_region_tilings(region: Region) -> RegionCensus:
     """Census of the region's mirror-symmetric tilings by diagonal profile:
-    off-diagonal ones, and nearly off-diagonal ones by defect cell and sign."""
+    off-diagonal ones, and nearly off-diagonal ones by defect cell and sign.
+
+    Counted like count_all_tilings, with a tag of (next unclosed diagonal
+    cell, its inside-domino count so far, the one closed defect or ()).
+    Only squares in column a = -1 start a domino inside a cell, and the
+    backtracker reaches them bottom to top, so a cell is closed once the
+    first free square lies in a later cell; a second defect prunes.
+    """
+    _check_countable(region)
     n = region.n
+    cells = [(b + n + 2) // 2 if a == -1 else 0
+             for a, b in sorted(region.squares)]
+    table = []
+    for k, placements in zip(cells, _placement_table(region, _mirror_images)):
+        block = set(cell_block(n, k)) if k else set()
+        table.append([
+            (cover, sum(1 for s, t in dominoes if s in block and t in block))
+            for cover, dominoes in placements])
+
+    def step(i, tag, inside_added):
+        k = cells[i]
+        if not k:
+            return tag
+        cell, inside, defect = tag
+        if cell < k:
+            defect = _close_cells(cell, inside, defect, k)
+            if defect is None:
+                return None
+            inside = 0
+        return k, inside + inside_added, defect
+
     off_diag = 0
     plus = [0] * n
     minus = [0] * n
-    for tiling in symmetric_tilings(region):
-        defects = [(k, value) for k, value
-                   in enumerate(diagonal_profile(region, tiling)) if value]
-        if not defects:
-            off_diag += 1
-        elif len(defects) == 1:
-            k, value = defects[0]
-            (plus if value > 0 else minus)[k] += 1
+    for (cell, inside, defect), ways in _sweep(table, step, (1, 0, ())).items():
+        defect = _close_cells(cell, inside, defect, n + 1)
+        if defect == ():
+            off_diag += ways
+        elif defect:
+            k, positive = defect
+            (plus if positive else minus)[k - 1] += ways
     return RegionCensus(off_diag=off_diag, nearly_plus=tuple(plus),
                         nearly_minus=tuple(minus))
 
@@ -199,21 +307,21 @@ class OracleCounts:
 
     @property
     def total(self) -> int:
-        """All tilings of the full region; walks every one, on each read."""
+        """All tilings of the full region, counted on each read."""
         return count_all_tilings(build_region(self.n))
 
 
 def oracle_counts(n: int) -> OracleCounts:
-    """Ground-truth counts for odd n <= 5, by exhaustive enumeration.
+    """Ground-truth counts for odd n <= 7, by exhaustive census.
 
     o[k-1] counts the off-diagonally symmetric tilings of the region with
     boundary square k removed; the d vectors count the nearly off-diagonal
-    tilings of the full region by defect cell and defect sign.  These walk
-    the symmetric tilings alone; only `total`, computed when read, walks
-    every tiling.
+    tilings of the full region by defect cell and defect sign.  These count
+    the symmetric tilings alone; `total`, computed when read, counts every
+    tiling.  No tiling is walked.
     """
-    if n < 1 or n % 2 == 0 or n > 5:
-        raise ValueError("oracle is exhaustive; odd n <= 5 only")
+    if n < 1 or n % 2 == 0 or n > 7:
+        raise ValueError("oracle is exhaustive; odd n <= 7 only")
     full = classify_region_tilings(build_region(n))
     o = []
     for k in range(1, n + 1):

@@ -62,7 +62,9 @@ def principal_submatrix(m: SkewMatrix, keep) -> SkewMatrix:
     """Principal submatrix on the 1-based labels in `keep` (any order).
 
     An empty `keep` gives the empty matrix, whose Pfaffian is 1."""
-    idx = sorted(set(keep))
+    idx = sorted(keep)
+    if len(set(idx)) < len(idx):
+        raise ValueError(f"kept labels repeat: {idx}")
     if idx and (idx[0] < 1 or idx[-1] > m.order):
         raise ValueError(f"labels must be within 1..{m.order}")
     idx0 = [k - 1 for k in idx]

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 from offdiag.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -314,9 +318,9 @@ def test_oracle_command(capsys):
 
 
 def test_oracle_guard(capsys):
-    code, _, err = run(capsys, "oracle", "--n", "7")
+    code, _, err = run(capsys, "oracle", "--n", "9")
     assert code == 2
-    assert "odd n <= 5" in err
+    assert "odd n <= 7" in err
 
 
 def test_render_text(capsys):
@@ -335,6 +339,29 @@ def test_render_svg(capsys):
     code, out, _ = run(capsys, "render", "--n", "1", "--format", "svg")
     assert code == 0
     assert ET.fromstring(out).tag.endswith("svg")
+
+
+def test_render_refuses_repeated_kept_labels(capsys):
+    code, out, err = run(capsys, "render", "--n", "3", "--kept", "1,1,2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: kept labels repeat: [1, 1, 2]\n"
+
+
+def test_closed_stdout_pipe_is_not_a_crash():
+    # the reader of stdout is gone before anything is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "offdiag.cli", "render", "--n", "5",
+             "--index", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    assert done.stderr == b""
 
 
 def test_render_index_out_of_range(capsys):

@@ -75,6 +75,8 @@ def test_count_off_diag_subsets():
         count_off_diag(3, (0,))
     with pytest.raises(ValueError):
         count_off_diag(3, (4,))
+    with pytest.raises(ValueError, match="repeat"):
+        count_off_diag(3, (1, 1, 2))
 
 
 def test_count_nearly_fixtures():

@@ -92,13 +92,31 @@ def test_region_shapes():
     assert missing == {boundary_square(3, 2), mirror_square(boundary_square(3, 2))}
     with pytest.raises(ValueError):
         build_region(3, (4,))
+    with pytest.raises(ValueError, match="repeat"):
+        build_region(3, (1, 1, 2))
     with pytest.raises(ValueError):
         build_region(0)
 
 
 def test_total_tiling_counts():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 8):
         assert count_all_tilings(build_region(n)) == 2 ** (n * (n + 1) // 2)
+
+
+def test_count_all_tilings_matches_enumeration():
+    regions = [build_region(n, kept) for n in (1, 2, 3, 4)
+               for kept in all_kept_subsets(n)]
+    regions.append(build_region(5))
+    for region in regions:
+        assert count_all_tilings(region) == sum(
+            1 for _ in enumerate_tilings(region))
+
+
+def test_counters_refuse_orders_above_nine():
+    region = build_region(10)
+    for counter in (count_all_tilings, classify_region_tilings):
+        with pytest.raises(ValueError, match="up to 9"):
+            counter(region)
 
 
 def test_enumeration_guard_on_large_regions():
@@ -178,16 +196,17 @@ def test_even_order_census_matches_matrix_counts():
 
 
 def test_oracle_counts_fixture():
-    oc = oracle_counts(3)
-    assert oc.total == 64
-    assert oc.off_diag_full == 0
-    assert oc.o == o_vector(3)
-    assert oc.d_pm == d_vector("pm", 3)
-    assert oc.d_plus == d_vector("plus", 3)
-    assert oc.d_minus == d_vector("minus", 3)
-    assert oc.nearly_total == count_nearly(3)
+    for n, total in ((3, 64), (7, 2 ** 28)):
+        oc = oracle_counts(n)
+        assert oc.total == total
+        assert oc.off_diag_full == 0
+        assert oc.o == o_vector(n)
+        assert oc.d_pm == d_vector("pm", n)
+        assert oc.d_plus == d_vector("plus", n)
+        assert oc.d_minus == d_vector("minus", n)
+        assert oc.nearly_total == count_nearly(n)
     with pytest.raises(ValueError):
-        oracle_counts(7)
+        oracle_counts(9)
     with pytest.raises(ValueError):
         oracle_counts(2)
 

@@ -182,6 +182,9 @@ def test_principal_submatrix():
         principal_submatrix(m, (0, 1))
     with pytest.raises(ValueError):
         principal_submatrix(m, (4,))
+    # a repeated label is refused, not deduplicated
+    with pytest.raises(ValueError, match="repeat"):
+        principal_submatrix(m, (1, 1, 3))
 
 
 def bordered_cases():
