@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from itertools import islice
 
 from .counts import (
     MAX_ORDER,
@@ -26,7 +27,14 @@ from .counts import (
     even_order_full,
     o_vector,
 )
-from .oracle import build_region, enumerate_tilings, oracle_counts, render_svg, render_text
+from .oracle import (
+    build_region,
+    count_all_tilings,
+    enumerate_tilings,
+    oracle_counts,
+    render_svg,
+    render_text,
+)
 from .verify import (
     MAX_N_MAX,
     MIN_N_MAX,
@@ -39,7 +47,14 @@ from .verify import (
 
 
 def _parse_kept(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    labels = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            labels.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--kept takes comma-separated integer labels, "
+                             f"not {tok.strip()!r}") from None
+    return tuple(labels)
 
 
 def _join(values) -> str:
@@ -231,14 +246,12 @@ def _cmd_oracle(args) -> int:
 def _cmd_render(args) -> int:
     kept = _parse_kept(args.kept) if args.kept is not None else None
     region = build_region(args.n, kept)
-    seen = 0
-    for tiling in enumerate_tilings(region):
-        if seen == args.index:
-            break
-        seen += 1
-    else:
+    tilings = enumerate_tilings(region)  # refuses oversized regions
+    total = count_all_tilings(region)
+    if not 0 <= args.index < total:
         raise ValueError(
-            f"index {args.index} out of range; region has {seen} tilings")
+            f"index {args.index} out of range; region has {total} tilings")
+    tiling = next(islice(tilings, args.index, None))
     if args.format == "svg":
         print(render_svg(region, tiling))
     else:
@@ -289,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", help="exhaustively recount a small odd order")
     p_oracle.add_argument("--n", type=int, required=True,
-                          help="odd order, at most 7")
+                          help="odd order, at most 9")
     p_oracle.add_argument("--compare", action="store_true",
                           help="also print the matrix-route values and "
                                "check agreement")

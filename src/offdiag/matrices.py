@@ -117,9 +117,7 @@ def matrix_r(n: int) -> tuple[tuple[int, ...], ...]:
 
 def g_sequence(count: int) -> tuple[int, ...]:
     """Integer expansion of (1 - y - 3y^2 - y^3) / (1 + y - 3y^2 + y^3)."""
-    return series.integer_coeffs(
-        series.expand_rational((1, -1, -3, -1), (1, 1, -3, 1), count)
-    )
+    return series.expand_rational((1, -1, -3, -1), (1, 1, -3, 1), count)
 
 
 def t_array(nrows: int, ncols: int) -> tuple[tuple[int, ...], ...]:

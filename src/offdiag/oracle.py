@@ -130,11 +130,10 @@ def _mirror_images(d: Domino) -> tuple[Domino, ...]:
 
 def _backtrack(region: Region, images):
     """Yield the region's tilings: the first free square in (a, b) order is
-    covered by each of its placements in turn."""
+    covered by each of its placements in turn.  An oversized region is
+    refused on the call, before the first tiling is asked for."""
     if len(region.squares) > _MAX_SQUARES:
         raise ValueError("region too large for exhaustive enumeration")
-    if len(region.squares) % 2:
-        return
     table = _placement_table(region, images)
     full = (1 << len(table)) - 1
     acc = []
@@ -149,13 +148,13 @@ def _backtrack(region: Region, images):
                 yield from rec(mask | cover)
                 del acc[-len(dominoes):]
 
-    yield from rec(0)
+    return rec(0)
 
 
 def enumerate_tilings(region: Region):
     """Yield every domino tiling of the region, one domino placed at a time,
     in the fixed order the render CLI's --index refers to."""
-    yield from _backtrack(region, _all_images)
+    return _backtrack(region, _all_images)
 
 
 def symmetric_tilings(region: Region):
@@ -166,7 +165,7 @@ def symmetric_tilings(region: Region):
     so the first free square is always on the left and the right half never
     branches.
     """
-    yield from _backtrack(region, _mirror_images)
+    return _backtrack(region, _mirror_images)
 
 
 def _sweep(table, step, tag) -> dict:
@@ -312,7 +311,7 @@ class OracleCounts:
 
 
 def oracle_counts(n: int) -> OracleCounts:
-    """Ground-truth counts for odd n <= 7, by exhaustive census.
+    """Ground-truth counts for odd n <= 9, by exhaustive census.
 
     o[k-1] counts the off-diagonally symmetric tilings of the region with
     boundary square k removed; the d vectors count the nearly off-diagonal
@@ -320,8 +319,9 @@ def oracle_counts(n: int) -> OracleCounts:
     the symmetric tilings alone; `total`, computed when read, counts every
     tiling.  No tiling is walked.
     """
-    if n < 1 or n % 2 == 0 or n > 7:
-        raise ValueError("oracle is exhaustive; odd n <= 7 only")
+    if n < 1 or n % 2 == 0 or n > _MAX_COUNTED_ORDER:
+        raise ValueError(
+            f"oracle is exhaustive; odd n <= {_MAX_COUNTED_ORDER} only")
     full = classify_region_tilings(build_region(n))
     o = []
     for k in range(1, n + 1):

@@ -16,13 +16,14 @@ to it:
 - `leading_deletion_pfaffians`: the same pass with a symbolic border gives
   every single-deletion Pfaffian of each odd leading block.
 
-Also here: exact determinants (Bareiss), exact rank over the rationals, and
-the bordered-matrix constructor used by the counting layer.
+Also here: one fraction-free (Bareiss) elimination, `_echelon`, for both the
+determinant and the rank of an integer matrix, and the bordered-matrix
+constructor used by the counting layer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import index
 
 
 class SkewMatrix:
@@ -241,50 +242,53 @@ def bordered_skew(q: SkewMatrix, column) -> SkewMatrix:
                       + [tuple(-e for e in col) + (0,)])
 
 
-def determinant(rows) -> int:
-    """Exact determinant of an integer matrix (Bareiss condensation)."""
-    a = [list(map(int, row)) for row in rows]
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise ArithmeticError("inexact Bareiss division")
-                a[i][j] = q
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+def _echelon(rows) -> tuple[int, int, int]:
+    """Row echelon elimination of an integer matrix, fraction-free (Bareiss).
 
-
-def rational_rank(rows) -> int:
-    """Exact rank over the rationals, by Fraction Gauss elimination."""
-    a = [[Fraction(e) for e in row] for row in rows]
+    A column with a nonzero entry at or below the current row is a pivot
+    column: that row is swapped up, and each row below becomes
+    (p * row_i - row_i[col] * pivot_row) / p_prev, p being the new pivot and
+    p_prev the last one (1 at the start); other columns are skipped.  The
+    working entries are minors of the input, so every division is exact.
+    Returns (rank, sign of the row swaps, last pivot); for a square matrix
+    of full rank, sign * last pivot is the determinant.
+    """
+    a = [list(map(index, row)) for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    rank = 0
+    rank, sign, prev = 0, 1, 1
     for col in range(ncols):
         if rank == nrows:
             break
         piv = next((i for i in range(rank, nrows) if a[i][col]), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for i in range(rank + 1, nrows):
-            if a[i][col]:
-                f = a[i][col] / a[rank][col]
-                for j in range(col, ncols):
-                    a[i][j] -= f * a[rank][j]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
+        for row in a[rank + 1:]:
+            f = row[col]
+            for j in range(col + 1, ncols):
+                q, r = divmod(p * row[j] - f * top[j], prev)
+                if r:
+                    raise ArithmeticError("inexact Bareiss division")
+                row[j] = q
+        prev = p
         rank += 1
-    return rank
+    return rank, sign, prev
+
+
+def determinant(rows) -> int:
+    """Exact determinant of an integer matrix, from `_echelon`."""
+    rows = tuple(rows)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    rank, sign, pivot = _echelon(rows)
+    return sign * pivot if rank == len(rows) else 0
+
+
+def rational_rank(rows) -> int:
+    """Exact rank over the rationals of an integer matrix, from `_echelon`."""
+    return _echelon(rows)[0]

@@ -167,4 +167,4 @@ def test_cli_entry_points():
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            assert main(["oracle", "--n", "9"]) == 2
+            assert main(["oracle", "--n", "11"]) == 2

@@ -1,9 +1,15 @@
 """The package's public names, pinned: removing or adding one is a
 deliberate edit here."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import offdiag
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC = {
     "CheckReport", "CheckResult", "PathGraph", "SkewMatrix", "bordered_skew",
@@ -25,3 +31,15 @@ def test_public_names_are_pinned():
         assert hasattr(offdiag, name), name
     # the submodule, not a function of the same name shadowing it
     assert isinstance(offdiag.pfaffian, types.ModuleType)
+
+
+def test_import_loads_no_rational_arithmetic():
+    # every exact number in the package is an int
+    code = ("import sys, offdiag, offdiag.cli; "
+            "print(sorted({'fractions', 'decimal', 'numbers'} "
+            "& set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

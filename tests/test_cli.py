@@ -96,6 +96,11 @@ def test_count_usage_errors(capsys):
                          "--format", "json")
     assert (code, out) == (2, "")
     assert err == "error: --kept repeats a label: 1,1\n"
+    # a label that is not an integer gets one clear line
+    code, out, err = run(capsys, "count", "o", "--n", "5", "--kept", "a")
+    assert (code, out) == (2, "")
+    assert err == ("error: --kept takes comma-separated integer labels, "
+                   "not 'a'\n")
     # an empty kept set is a valid request: the empty matching, count 1
     code, out, _ = run(capsys, "count", "o", "--n", "3", "--kept", "")
     assert (code, out) == (0, "1\n")
@@ -318,9 +323,9 @@ def test_oracle_command(capsys):
 
 
 def test_oracle_guard(capsys):
-    code, _, err = run(capsys, "oracle", "--n", "9")
+    code, _, err = run(capsys, "oracle", "--n", "11")
     assert code == 2
-    assert "odd n <= 7" in err
+    assert "odd n <= 9" in err
 
 
 def test_render_text(capsys):
@@ -346,6 +351,10 @@ def test_render_refuses_repeated_kept_labels(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: kept labels repeat: [1, 1, 2]\n"
+    code, out, err = run(capsys, "render", "--n", "3", "--kept", "a")
+    assert (code, out) == (2, "")
+    assert err == ("error: --kept takes comma-separated integer labels, "
+                   "not 'a'\n")
 
 
 def test_closed_stdout_pipe_is_not_a_crash():
@@ -368,6 +377,30 @@ def test_render_index_out_of_range(capsys):
     code, _, err = run(capsys, "render", "--n", "1", "--index", "5")
     assert code == 2
     assert "out of range" in err
+
+
+def test_render_refuses_index_past_the_end_without_walking(capsys,
+                                                            monkeypatch):
+    import offdiag.cli
+
+    walked = []
+    original = offdiag.cli.enumerate_tilings
+
+    def counting(region):
+        for tiling in original(region):
+            walked.append(tiling)
+            yield tiling
+
+    monkeypatch.setattr(offdiag.cli, "enumerate_tilings", counting)
+    code, out, err = run(capsys, "render", "--n", "5", "--index", "40000")
+    assert (code, out) == (2, "")
+    assert err == ("error: index 40000 out of range; "
+                   "region has 32768 tilings\n")
+    assert walked == []
+    # an index in range walks only up to its tiling
+    code, _, _ = run(capsys, "render", "--n", "3", "--index", "7")
+    assert code == 0
+    assert len(walked) == 8
 
 
 def test_render_refuses_negative_index(capsys):

@@ -196,7 +196,7 @@ def test_even_order_census_matches_matrix_counts():
 
 
 def test_oracle_counts_fixture():
-    for n, total in ((3, 64), (7, 2 ** 28)):
+    for n, total in ((3, 64), (7, 2 ** 28), (9, 2 ** 45)):
         oc = oracle_counts(n)
         assert oc.total == total
         assert oc.off_diag_full == 0
@@ -205,8 +205,8 @@ def test_oracle_counts_fixture():
         assert oc.d_plus == d_vector("plus", n)
         assert oc.d_minus == d_vector("minus", n)
         assert oc.nearly_total == count_nearly(n)
-    with pytest.raises(ValueError):
-        oracle_counts(9)
+    with pytest.raises(ValueError, match="odd n <= 9"):
+        oracle_counts(11)
     with pytest.raises(ValueError):
         oracle_counts(2)
 

@@ -345,8 +345,53 @@ def test_rational_rank():
     assert rational_rank(()) == 0
     assert rational_rank(((1, 2), (2, 4))) == 1
     assert rational_rank(((1, 0), (0, 1))) == 2
-    assert rational_rank(((Fraction(1, 2), Fraction(1, 3)),)) == 1
     assert rational_rank(((0, 0, 0),)) == 0
+    # a column with no pivot is skipped, not the end of the elimination
+    assert rational_rank(((0, 1, 0), (0, 2, 0), (0, 0, 3))) == 2
+    # integers only: a rational entry is refused, not truncated
+    with pytest.raises(TypeError):
+        rational_rank(((Fraction(1, 2), Fraction(1, 3)),))
+    with pytest.raises(TypeError):
+        determinant(((Fraction(1, 2),),))
+
+
+def naive_rank(rows):
+    """Rank by Gauss elimination over Fractions."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            factor = m[r][col] / m[rank][col]
+            for c in range(col, len(m[0])):
+                m[r][c] -= factor * m[rank][c]
+        rank += 1
+    return rank
+
+
+def test_rank_matches_naive_on_deficient_matrices():
+    # products of thin random factors, so most are rank-deficient, with a
+    # zero column spliced in at random to exercise the column skip
+    rng = random.Random(137)
+    deficient = 0
+    for _ in range(150):
+        nrows, ncols, inner = (rng.randint(1, 6), rng.randint(1, 6),
+                               rng.randint(0, 4))
+        left = [[rng.randint(-3, 3) for _ in range(inner)]
+                for _ in range(nrows)]
+        right = [[rng.randint(-3, 3) for _ in range(ncols)]
+                 for _ in range(inner)]
+        rows = [[sum(left[i][k] * right[k][j] for k in range(inner))
+                 for j in range(ncols)] for i in range(nrows)]
+        at = rng.randint(0, ncols)
+        rows = [row[:at] + [0] + row[at:] for row in rows]
+        rank = rational_rank(rows)
+        assert rank == naive_rank(rows)
+        deficient += rank < min(nrows, ncols + 1)
+    assert deficient > 100
 
 
 def test_rank_agrees_with_determinant_test():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,10 @@ def test_expand_rational_geometric():
 MOVED_SEED = 20260819
 
 
+def integral(values) -> bool:
+    return all(Fraction(v).denominator == 1 for v in values)
+
+
 def rational_cases():
     """(num, den, order) triples: seed 7, then 120 seeded 12-term cases."""
     rng = random.Random(7)
@@ -32,17 +37,33 @@ def rational_cases():
         yield num, den, 12
 
 
+def reference_expansion(num, den, order):
+    """num/den in Fractions, straight from den * expansion = num."""
+    out = []
+    for k in range(order):
+        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        for i in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[i] * out[k - i]
+        out.append(acc / den[0])
+    return tuple(out)
+
+
 def test_expand_rational_matches_naive_convolution():
+    exact = 0
     for num, den, order in rational_cases():
-        expanded = series.expand_rational(num, den, order)
-        want = tuple(Fraction(num[k]) if k < len(num) else Fraction(0)
-                     for k in range(order))
-        # the defining property: den * expansion agrees with num term by term
-        for k in range(order):
-            acc = sum(Fraction(den[i]) * expanded[k - i]
-                      for i in range(min(k, len(den) - 1) + 1))
-            assert acc == want[k]
-        assert series.multiply(expanded, den, order) == want
+        want = reference_expansion(num, den, order)
+        if integral(want):
+            exact += 1
+            got = series.expand_rational(num, den, order)
+            assert got == want
+            assert all(type(c) is int for c in got)
+            assert series.multiply(got, den, order) == tuple(
+                num[k] if k < len(num) else 0 for k in range(order))
+        else:
+            # a non-integer coefficient is refused, never rounded
+            with pytest.raises(ArithmeticError):
+                series.expand_rational(num, den, order)
+    assert exact == 95  # of 170
 
 
 def test_expand_rational_rejects_zero_constant_denominator():
@@ -52,12 +73,27 @@ def test_expand_rational_rejects_zero_constant_denominator():
         series.expand_rational((1,), (1,), -1)
 
 
+def test_non_integer_coefficients_are_refused():
+    half = Fraction(1, 2)
+    for call in (lambda: series.expand_rational((half,), (1,), 2),
+                 lambda: series.expand_rational((1,), (Fraction(1),), 2),
+                 lambda: series.multiply((1.0,), (1,)),
+                 lambda: series.subtract((half,), (1,)),
+                 lambda: series.sqrt((Fraction(4), 1))):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_add_subtract_multiply_small():
-    a = (Fraction(1), Fraction(2))
-    b = (Fraction(3), Fraction(-1))
-    assert series.subtract(a, b) == (-2, 3)
+    assert series.subtract((1, 2), (3, -1)) == (-2, 3)
     assert series.multiply((1, 1, 1), (1, 1, 1)) == (1, 2, 3)
     assert series.multiply((1, 1), (1, 1), order=4) == (1, 2, 1, 0)
+
+
+def cleared(values):
+    """(scale, ints): the values times the lcm of their denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [int(v * scale) for v in values]
 
 
 def test_multiply_matches_naive_cauchy_product():
@@ -67,11 +103,24 @@ def test_multiply_matches_naive_cauchy_product():
              for _ in range(rng.randint(1, 8))]
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
              for _ in range(rng.randint(1, 8))]
-        got = series.multiply(a, b)
+        with pytest.raises(TypeError):
+            series.multiply(a, b)
+        # the same product over ints, with the denominators cleared
+        (sa, ia), (sb, ib) = cleared(a), cleared(b)
+        got = series.multiply(ia, ib)
         for k in range(len(got)):
             want = sum(a[i] * b[k - i]
                        for i in range(len(a)) if 0 <= k - i < len(b))
-            assert got[k] == want
+            assert got[k] == sa * sb * want
+
+
+def test_multiply_at_full_order():
+    assert series.multiply((1, 1), (1, 1), 3) == (1, 2, 1)
+    cube = (1,)
+    for _ in range(3):
+        cube = series.multiply(cube, (1, 1), len(cube) + 1)
+    assert cube == (1, 3, 3, 1)
+    assert series.multiply((1, -1), (), 0) == ()
 
 
 def root_cases():
@@ -91,16 +140,31 @@ def root_cases():
 
 
 def test_sqrt_round_trip_random():
+    exact = 0
     for root in root_cases():
-        square = series.multiply(root, root, order=len(root))
-        got = series.sqrt(square)
-        assert got == root
-        assert series.multiply(got, got) == square
+        square = tuple(
+            sum(root[i] * root[k - i] for i in range(k + 1))
+            for k in range(len(root)))
+        if not integral(square):
+            with pytest.raises(TypeError):
+                series.sqrt(square)
+            continue
+        square = tuple(int(c) for c in square)
+        if integral(root):
+            exact += 1
+            got = series.sqrt(square)
+            assert got == root
+            assert series.multiply(got, got) == square
+        else:
+            # an integer square whose root is not integral is refused
+            with pytest.raises(ArithmeticError):
+                series.sqrt(square)
+    assert exact == 129  # of 160
 
 
 def test_sqrt_fixture():
     s = series.sqrt(series.expand_rational((1, -6, 1), (1,), 5))
-    assert series.integer_coeffs(s) == (1, -3, -4, -12, -44)
+    assert s == (1, -3, -4, -12, -44)
 
 
 def test_sqrt_rejects_non_square_constant():
@@ -108,21 +172,9 @@ def test_sqrt_rejects_non_square_constant():
         series.sqrt((2, 1))
     with pytest.raises(ValueError):
         series.sqrt((-1, 0))
+    with pytest.raises(ValueError):
+        series.sqrt((0, 1))
     assert series.sqrt(()) == ()  # nothing to take the root of
-
-
-def test_integer_coeffs():
-    assert series.integer_coeffs((Fraction(3), Fraction(-1))) == (3, -1)
-    with pytest.raises(ValueError):
-        series.integer_coeffs((Fraction(1, 2),))
-
-
-def test_poly_multiply_and_power():
-    assert series.poly_multiply((1, 1), (1, 1)) == (1, 2, 1)
-    assert series.poly_power((1, 1), 3) == (1, 3, 3, 1)
-    assert series.poly_power((1, -1), 0) == (1,)
-    with pytest.raises(ValueError):
-        series.poly_power((1, 1), -1)
 
 
 def test_schroeder_numbers():
