@@ -6,15 +6,26 @@ off-diagonally symmetric tilings of the full odd-order region (count_nearly
 and the per-cell d_vector), and off-diagonally symmetric tilings of the full
 even-order region (even_order_full).
 
-The scans need every order up to a bound; `even_and_nearly_counts` and
-`o_vectors` read them all off one condensation pass (`leading_pfaffians`).
+The counts form two ladders, each read off one condensation pass of A(N):
+A(n) is the leading n x n block of A(N) and the doubled Pell column of B(n+1)
+is a prefix of the one for A(N), so by the leading-minor property one pass
+gives every order up to N.  The Pell-bordered pass (`leading_pfaffians`)
+serves even_order_full and count_nearly, the deletion pass
+(`leading_deletion_pfaffians`) serves o_vector and d_vector, and the scans
+`even_and_nearly_counts` and `o_vectors` read the same rungs.  Each ladder
+keeps a per-process memo of the rungs of the largest pass run so far: a
+request at or below it reads a rung, a larger one runs the pass at its own
+order and replaces the memo, so the largest memo is one pass at `MAX_ORDER`.
+`pfaffian` itself serves only count_off_diag and d_entry_bordered, and
+`_o_vector_direct` stays as the verification route.
+
 Every entry point refuses a request whose condensation order exceeds
 `MAX_ORDER` before it builds anything.
 """
 
 from __future__ import annotations
 
-from .matrices import matrix_a, matrix_b, matrix_m, pell_vector
+from .matrices import matrix_a, matrix_m, pell_vector
 from .paths import delannoy
 from .pfaffian import (
     bordered_skew,
@@ -37,6 +48,41 @@ def _check_order(order: int) -> None:
                          f"{MAX_ORDER}")
 
 
+# The rungs of the largest pass of each ladder run so far in this process:
+# entry m - 1 of the first is (even_order_full(2m), count_nearly(2m - 1)),
+# entry t of the second is o_vector(2t + 1).  A pass that raises leaves its
+# memo as it was.
+_even_nearly_rungs: tuple[tuple[int, int], ...] = ()
+_deletion_rungs: tuple[tuple[int, ...], ...] = ()
+
+
+def _even_nearly(m_max: int) -> tuple[tuple[int, int], ...]:
+    """At least m_max rungs of the Pell-bordered ladder, from the memo or
+    from one condensation of A(2 m_max) bordered by the doubled Pell column.
+
+    The pivot after step m is Pf(A(2m)); before step m, working row 0's
+    border entry is Pf(B(2m)), the nearly count of order 2m - 1.
+    """
+    global _even_nearly_rungs
+    if len(_even_nearly_rungs) < m_max:
+        order = 2 * m_max
+        steps = list(leading_pfaffians(matrix_a(order),
+                                       [(h,) for h in pell_vector(order)]))
+        _even_nearly_rungs = tuple((steps[m][0], steps[m - 1][1][0])
+                                   for m in range(1, m_max + 1))
+    return _even_nearly_rungs
+
+
+def _deletions(n: int) -> tuple[tuple[int, ...], ...]:
+    """At least the rungs o_vector(1), o_vector(3), ..., o_vector(n) (odd n),
+    from the memo or from one condensation of A(n) carrying the symbolic
+    deletion border."""
+    global _deletion_rungs
+    if len(_deletion_rungs) < (n + 1) // 2:
+        _deletion_rungs = tuple(leading_deletion_pfaffians(matrix_a(n)))
+    return _deletion_rungs
+
+
 def count_off_diag(n: int, kept=None) -> int:
     """Off-diagonally symmetric tilings of the order-n region that keeps only
     the given boundary labels (all of them by default)."""
@@ -57,26 +103,30 @@ def o_vector(n: int) -> tuple[int, ...]:
     """All single-deletion counts (|O(n; [n] minus k)| for k = 1..n), odd n.
 
     Entry k is the Pfaffian of the odd-order matrix A(n) with row and column
-    k deleted; all n of them are the last rung of one bordered condensation
-    (`leading_deletion_pfaffians`).  That pass never pivots: the leading
-    pivots of A(n) are the tiling counts even_order_full(2t) > 0, and a zero
-    one would raise ArithmeticError rather than give a wrong vector.
-    `_o_vector_direct` computes the same vector as n separate Pfaffians, for
-    verification.
+    k deleted; all n of them are one rung of the deletion ladder
+    (`leading_deletion_pfaffians`), read from the per-process memo of the
+    largest pass so far or from a new pass at order n.  That pass never
+    pivots: the leading pivots of A(n) are the tiling counts
+    even_order_full(2t) > 0, and a zero one would raise ArithmeticError
+    rather than give a wrong vector.  `_o_vector_direct` computes the same
+    vector as n separate Pfaffians, for verification.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("deletion vector is defined for odd n >= 1")
     _check_order(n)
-    *_, last = leading_deletion_pfaffians(matrix_a(n))
-    return last
+    return _deletions(n)[(n - 1) // 2]
 
 
 def count_nearly(n: int) -> int:
-    """Nearly off-diagonally symmetric tilings of the full odd-order region."""
+    """Nearly off-diagonally symmetric tilings of the full odd-order region.
+
+    This is Pf(B(n + 1)), one rung of the Pell-bordered ladder, read from the
+    per-process memo of the largest pass so far or from a new pass at order
+    n + 1."""
     if n < 1 or n % 2 == 0:
         raise ValueError("nearly count is defined for odd n >= 1")
     _check_order(n + 1)
-    return pfaffian(matrix_b(n + 1))
+    return _even_nearly((n + 1) // 2)[(n - 1) // 2][1]
 
 
 def d_vector(variant: str, n: int) -> tuple[int, ...]:
@@ -119,33 +169,30 @@ def d_entry_bordered(variant: str, n: int, k: int) -> int:
 
 
 def even_order_full(n: int) -> int:
-    """Off-diagonally symmetric tilings of the full even-order region."""
+    """Off-diagonally symmetric tilings of the full even-order region.
+
+    This is Pf(A(n)), one rung of the Pell-bordered ladder (a leading pivot
+    of its pass), read from the per-process memo of the largest pass so far
+    or from a new pass at order n."""
     if n < 2 or n % 2:
         raise ValueError("full-region count is defined for even n >= 2")
     _check_order(n)
-    return pfaffian(matrix_a(n))
+    return _even_nearly(n // 2)[n // 2 - 1][0]
 
 
 def even_and_nearly_counts(m_max: int) -> list[tuple[int, int]]:
     """(even_order_full(2m), count_nearly(2m - 1)) for m = 1..m_max, from
-    one condensation of A(2 m_max) bordered by the doubled Pell column.
-
-    The pivot after step m is Pf(A(2m)); before step m, working row 0's
-    border entry is Pf(B(2m)), the nearly count of order 2m - 1.
-    """
+    the Pell-bordered ladder (at most one condensation, of A(2 m_max))."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    order = 2 * m_max
-    _check_order(order)
-    steps = list(leading_pfaffians(matrix_a(order),
-                                   [(h,) for h in pell_vector(order)]))
-    return [(steps[m][0], steps[m - 1][1][0]) for m in range(1, m_max + 1)]
+    _check_order(2 * m_max)
+    return list(_even_nearly(m_max)[:m_max])
 
 
 def o_vectors(n: int) -> list[tuple[int, ...]]:
-    """o_vector(k) for every odd k <= n (odd n), from one condensation of
-    A(n) carrying the symbolic deletion border."""
+    """o_vector(k) for every odd k <= n (odd n), from the deletion ladder
+    (at most one condensation, of A(n))."""
     if n < 1 or n % 2 == 0:
         raise ValueError("deletion vector is defined for odd n >= 1")
     _check_order(n)
-    return list(leading_deletion_pfaffians(matrix_a(n)))
+    return list(_deletions(n)[:(n + 1) // 2])

@@ -32,7 +32,7 @@ class SkewMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -160,7 +160,7 @@ def _bordered_rows(m: SkewMatrix, border) -> list[list[int]]:
     """Working rows: row i of m followed by the border entries border[i]."""
     if len(border) != m.order:
         raise ValueError("border must have one row per matrix row")
-    return [list(row) + [int(e) for e in extra]
+    return [list(row) + list(map(index, extra))
             for row, extra in zip(m.rows, border)]
 
 
@@ -235,7 +235,7 @@ def leading_deletion_pfaffians(m: SkewMatrix):
 def bordered_skew(q: SkewMatrix, column) -> SkewMatrix:
     """The order n+1 skew matrix [[Q, h], [-h^T, 0]] for the border column
     h; for odd n its Pfaffian is sum_k (-1)^(k-1) h_k Pf(Q minus k)."""
-    col = tuple(int(e) for e in column)
+    col = tuple(map(index, column))
     if len(col) != q.order:
         raise ValueError("border column length must match matrix order")
     return SkewMatrix([row + (e,) for row, e in zip(q.rows, col)]

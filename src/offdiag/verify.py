@@ -130,9 +130,11 @@ CHECKS: dict[str, dict] = {"identities": {}, "rank-claim": {}}
 MIN_N_MAX = {"identities": 4, "rank-claim": 3}
 
 # The largest n_max either suite admits.  At n_max the identity suite counts
-# count_nearly(c) (a condensation of order c + 1) and both suites o_vector(c),
-# for the largest odd c <= n_max; above this bound one of them would pass
-# counts.MAX_ORDER and refuse, after every check before it had run.
+# count_nearly(c), a rung of the Pell-bordered ladder whose pass has order
+# c + 1, and both suites o_vector(c), a rung of the deletion ladder whose
+# pass has order c, for the largest odd c <= n_max; above this bound one of
+# them would pass counts.MAX_ORDER and refuse, after every check before it
+# had run.
 MAX_N_MAX = MAX_ORDER - MAX_ORDER % 2
 
 

@@ -1,7 +1,21 @@
 """Collects the acceptance criterion results and prints them as a summary
-section, so the one-line-per-criterion report survives output capture."""
+section, so the one-line-per-criterion report survives output capture, and
+provides the fixture that empties the count ladders' memos."""
+
+import pytest
+
+import offdiag.counts
 
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture
+def empty_ladders(monkeypatch):
+    """Start both per-process count memos empty and restore them afterwards,
+    so a test that fakes `matrix_a` or counts condensation passes neither
+    leaves rungs behind nor reads rungs an earlier test computed."""
+    monkeypatch.setattr(offdiag.counts, "_even_nearly_rungs", ())
+    monkeypatch.setattr(offdiag.counts, "_deletion_rungs", ())
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from offdiag.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -419,3 +421,27 @@ def test_bad_usage_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "count", "widgets", "--n", "3")[0] == 2
     assert run(capsys, "scan", "logconcavity", "--format", "yaml")[0] == 2
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import offdiag.cli
+
+    bad = ["count", "widgets", "--n", "3"]
+    with pytest.raises(SystemExit) as exc:
+        offdiag.cli.build_parser().parse_args(bad)
+    assert exc.value.code == 2
+    fresh = capsys.readouterr().err
+    built = []
+    build = offdiag.cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(offdiag.cli, "_parser", None)
+    monkeypatch.setattr(offdiag.cli, "build_parser", counted)
+    assert run(capsys, "count", "even", "--n", "4") == (0, "12\n", "")
+    assert run(capsys, *bad) == (2, "", fresh)
+    assert run(capsys, "count", "o", "--n", "3", "--k", "2") == (0, "2\n", "")
+    assert built == [1]
+    assert fresh.startswith("usage: offdiag count")

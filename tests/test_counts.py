@@ -1,8 +1,10 @@
+import random
 import time
 
 import pytest
 
 import offdiag.counts
+import offdiag.pfaffian
 from offdiag.counts import (
     MAX_ORDER,
     _o_vector_direct,
@@ -15,7 +17,9 @@ from offdiag.counts import (
     o_vector,
     o_vectors,
 )
+from offdiag.matrices import matrix_a, matrix_b
 from offdiag.paths import delannoy
+from offdiag.pfaffian import SkewMatrix, pfaffian
 
 O_VECTORS = {
     1: (1,),
@@ -159,17 +163,95 @@ def test_ratio_identities():
 
 
 def test_one_pass_ladders_match_per_order_counts():
+    # the per-order counts read the same ladders, so compare the ladders
+    # with per-order Pfaffians (pivoting condensation) and with the n
+    # separate Pfaffians of the direct deletion route
     assert even_and_nearly_counts(21) == [
-        (even_order_full(2 * m), count_nearly(2 * m - 1))
+        (pfaffian(matrix_a(2 * m)), pfaffian(matrix_b(2 * m)))
         for m in range(1, 22)]
-    assert o_vectors(41) == [o_vector(n) for n in range(1, 42, 2)]
+    assert o_vectors(41) == [_o_vector_direct(n) for n in range(1, 42, 2)]
     with pytest.raises(ValueError):
         even_and_nearly_counts(0)
     with pytest.raises(ValueError):
         o_vectors(8)
 
 
-def test_oversized_requests_are_refused_before_building(monkeypatch):
+@pytest.mark.parametrize("arrange", ["descending", "ascending", "shuffled"])
+def test_memo_answers_match_the_independent_routes(arrange, empty_ladders):
+    orders = list(range(1, 24))
+    if arrange == "descending":
+        orders.reverse()
+    elif arrange == "shuffled":
+        random.Random(5).shuffle(orders)
+    for n in orders:
+        if n % 2:
+            assert o_vector(n) == _o_vector_direct(n)
+            assert count_nearly(n) == pfaffian(matrix_b(n + 1))
+        else:
+            assert even_order_full(n) == pfaffian(matrix_a(n))
+
+
+def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
+                                                   empty_ladders):
+    want = (pfaffian(matrix_b(22)), pfaffian(matrix_a(22)))
+    passes = []
+    condensation = offdiag.pfaffian._condensation
+
+    def counted(rows):
+        passes.append(len(rows))
+        return condensation(rows)
+
+    monkeypatch.setattr(offdiag.pfaffian, "_condensation", counted)
+    even_order_full(20)
+    o_vector(19)
+    assert passes == [20, 19]
+    passes.clear()
+    for n in (20, 18, 2, 12):
+        even_order_full(n)
+    for n in (19, 1, 7, 17):
+        count_nearly(n)
+        o_vector(n)
+        d_vector("plus", n)
+    assert len(even_and_nearly_counts(10)) == 10
+    assert len(o_vectors(19)) == 10
+    assert passes == []
+    # a larger request runs one pass at its own order, which serves the rest
+    assert (count_nearly(21), even_order_full(22)) == want
+    assert passes == [22]
+
+
+def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
+                                                    empty_ladders):
+    def memos():
+        return (offdiag.counts._even_nearly_rungs,
+                offdiag.counts._deletion_rungs)
+
+    def zero_pivot(n):
+        return SkewMatrix([[0 if {i, j} == {0, 1} else j - i
+                            for j in range(n)] for i in range(n)])
+
+    even_order_full(10)
+    o_vector(9)
+    before = memos()
+    assert [len(rungs) for rungs in before] == [5, 5]
+    for call in (lambda: even_order_full(MAX_ORDER + 2),
+                 lambda: count_nearly(MAX_ORDER + 1),
+                 lambda: o_vector(MAX_ORDER + 1),
+                 lambda: even_and_nearly_counts(MAX_ORDER),
+                 lambda: o_vectors(MAX_ORDER + 1)):
+        with pytest.raises(ValueError, match="largest supported order"):
+            call()
+    monkeypatch.setattr(offdiag.counts, "matrix_a", zero_pivot)
+    for call in (lambda: even_order_full(12), lambda: count_nearly(11),
+                 lambda: o_vector(11), lambda: even_and_nearly_counts(6),
+                 lambda: o_vectors(11)):
+        with pytest.raises(ArithmeticError):
+            call()
+    assert all(now is was for now, was in zip(memos(), before))
+
+
+def test_oversized_requests_are_refused_before_building(monkeypatch,
+                                                       empty_ladders):
     def refuse(*args):
         raise AssertionError("built a matrix for a refused request")
 

@@ -72,6 +72,14 @@ def test_pell_vector():
         pell_vector(0)
 
 
+def test_smaller_orders_are_leading_blocks_and_prefixes():
+    # the count ladders read every order off one pass of the largest
+    big, pell = matrix_a(40), pell_vector(40)
+    for n in range(1, 41):
+        assert matrix_a(n).rows == tuple(row[:n] for row in big.rows[:n])
+        assert pell_vector(n) == pell[:n]
+
+
 def test_matrix_b_fixture():
     assert matrix_b(4).rows == (
         (0, 2, 2, 2),

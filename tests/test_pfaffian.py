@@ -172,6 +172,20 @@ def test_skew_matrix_validation():
         SkewMatrix(((0, 1), (1, 0)))
 
 
+def test_non_integer_entries_are_refused():
+    # entries go through operator.index: a Fraction or float is refused,
+    # not truncated to an integer
+    with pytest.raises(TypeError):
+        SkewMatrix([[0, Fraction(3, 2)], [Fraction(-3, 2), 0]])
+    with pytest.raises(TypeError):
+        SkewMatrix([[0, 0.9], [-0.9, 0]])
+    with pytest.raises(TypeError):
+        bordered_skew(SkewMatrix([[0]]), [1.7])
+    with pytest.raises(TypeError):
+        next(leading_pfaffians(SkewMatrix([[0]]), [(Fraction(1, 2),)]))
+    assert pfaffian(SkewMatrix([[0, True], [-1, 0]])) == 1
+
+
 def test_principal_submatrix():
     m = SkewMatrix(((0, 1, 2), (-1, 0, 3), (-2, -3, 0)))
     sub = principal_submatrix(m, (1, 3))

@@ -127,7 +127,7 @@ def test_asymptotics_scan():
     assert last["nearly_gap"] < ref["nearly_gap"]
 
 
-def test_scans_run_one_condensation_pass(monkeypatch):
+def test_scans_run_one_condensation_pass(monkeypatch, empty_ladders):
     passes = []
     condensation = offdiag.pfaffian._condensation
 
@@ -150,7 +150,7 @@ def test_scans_run_one_condensation_pass(monkeypatch):
     assert passes == [49]
 
 
-def test_scans_raise_on_a_zero_leading_pivot(monkeypatch):
+def test_scans_raise_on_a_zero_leading_pivot(monkeypatch, empty_ladders):
     # a skew matrix whose (0, 1) pivot is 0 though its Pfaffian is not; the
     # scans' one pass never swaps, so it must stop rather than misread orders
     def zero_pivot(n):
