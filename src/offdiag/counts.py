@@ -9,13 +9,16 @@ even-order region (even_order_full).
 The counts form two ladders, each read off one condensation pass of A(N):
 A(n) is the leading n x n block of A(N) and the doubled Pell column of B(n+1)
 is a prefix of the one for A(N), so by the leading-minor property one pass
-gives every order up to N.  The Pell-bordered pass (`leading_pfaffians`)
-serves even_order_full and count_nearly, the deletion pass
-(`leading_deletion_pfaffians`) serves o_vector and d_vector, and the scans
+gives every order up to N.  The Pell-bordered pass serves even_order_full
+and count_nearly, the deletion pass (the symbolic border of
+`leading_deletion_pfaffians`) serves o_vector and d_vector, and the scans
 `even_and_nearly_counts` and `o_vectors` read the same rungs.  Each ladder
-keeps a per-process memo of the rungs of the largest pass run so far: a
-request at or below it reads a rung, a larger one runs the pass at its own
-order and replaces the memo, so the largest memo is one pass at `MAX_ORDER`.
+keeps a per-process memo of the pass of the largest order asked so far and
+its rungs: a request at or below that order reads a rung, a larger one
+resumes the pass to its own order (`_LeadingPass`).  No entry is condensed
+twice, so however the requests arrive the memo does at most the work of one
+pass at the largest order asked; both ladders read the rows they add off one
+build of A kept at a power-of-two order (`_a_rows`).
 `pfaffian` itself serves only count_off_diag and d_entry_bordered, and
 `_o_vector_direct` stays as the verification route.
 
@@ -28,9 +31,10 @@ from __future__ import annotations
 from .matrices import matrix_a, matrix_m, pell_vector
 from .paths import delannoy
 from .pfaffian import (
+    _deletion_rung,
+    _LeadingPass,
+    _unit_border,
     bordered_skew,
-    leading_deletion_pfaffians,
-    leading_pfaffians,
     pfaffian,
     principal_submatrix,
 )
@@ -48,39 +52,70 @@ def _check_order(order: int) -> None:
                          f"{MAX_ORDER}")
 
 
-# The rungs of the largest pass of each ladder run so far in this process:
-# entry m - 1 of the first is (even_order_full(2m), count_nearly(2m - 1)),
-# entry t of the second is o_vector(2t + 1).  A pass that raises leaves its
+# Each ladder's per-process memo: the pass of the largest order asked so far
+# (resumable, see `_LeadingPass`) and the rungs read off it.  Entry m - 1 of
+# the first ladder's rungs is (even_order_full(2m), count_nearly(2m - 1)),
+# entry t of the second's is o_vector(2t + 1).  A pass that raises leaves its
 # memo as it was.
-_even_nearly_rungs: tuple[tuple[int, int], ...] = ()
-_deletion_rungs: tuple[tuple[int, ...], ...] = ()
+_even_nearly_memo: tuple[_LeadingPass, tuple[tuple[int, int], ...]] = (
+    _LeadingPass(), ())
+_deletion_memo: tuple[_LeadingPass, tuple[tuple[int, ...], ...]] = (
+    _LeadingPass(), ())
+
+# The upper triangle of the largest A built for the ladders so far (row i
+# holds a_ij for j > i), of a power-of-two order at most MAX_ORDER.  A grown
+# ladder reads its added rows off it, so the matrices built cost about one
+# build at the largest order asked, however the requests arrive.
+_a_upper: tuple[tuple[int, ...], ...] = ()
+
+
+def _a_rows(start: int, stop: int) -> list[tuple[int, ...]]:
+    """Rows start..stop-1 of matrix_a(stop), read off `_a_upper`."""
+    global _a_upper
+    if len(_a_upper) < stop:
+        a = matrix_a(min(1 << (stop - 1).bit_length(), MAX_ORDER))
+        _a_upper = tuple(row[i + 1:] for i, row in enumerate(a.rows))
+    upper = _a_upper
+    return [tuple(-upper[j][i - j - 1] for j in range(i)) + (0,)
+            + upper[i][:stop - i - 1] for i in range(start, stop)]
 
 
 def _even_nearly(m_max: int) -> tuple[tuple[int, int], ...]:
     """At least m_max rungs of the Pell-bordered ladder, from the memo or
-    from one condensation of A(2 m_max) bordered by the doubled Pell column.
+    from its pass resumed to A(2 m_max) bordered by the doubled Pell column.
 
     The pivot after step m is Pf(A(2m)); before step m, working row 0's
     border entry is Pf(B(2m)), the nearly count of order 2m - 1.
     """
-    global _even_nearly_rungs
-    if len(_even_nearly_rungs) < m_max:
+    global _even_nearly_memo
+    done, rungs = _even_nearly_memo
+    if len(rungs) < m_max:
         order = 2 * m_max
-        steps = list(leading_pfaffians(matrix_a(order),
-                                       [(h,) for h in pell_vector(order)]))
-        _even_nearly_rungs = tuple((steps[m][0], steps[m - 1][1][0])
-                                   for m in range(1, m_max + 1))
-    return _even_nearly_rungs
+        pell = pell_vector(order)[done.order:]
+        grown, steps = done.resume(_a_rows(done.order, order),
+                                   [(h,) for h in pell])
+        # steps[i] is step len(rungs) + i
+        rungs += tuple((steps[i][0], steps[i - 1][1][0])
+                       for i in range(1, len(steps)))
+        _even_nearly_memo = grown, rungs
+    return rungs
 
 
 def _deletions(n: int) -> tuple[tuple[int, ...], ...]:
     """At least the rungs o_vector(1), o_vector(3), ..., o_vector(n) (odd n),
-    from the memo or from one condensation of A(n) carrying the symbolic
+    from the memo or from its pass resumed to A(n) carrying the symbolic
     deletion border."""
-    global _deletion_rungs
-    if len(_deletion_rungs) < (n + 1) // 2:
-        _deletion_rungs = tuple(leading_deletion_pfaffians(matrix_a(n)))
-    return _deletion_rungs
+    global _deletion_memo
+    done, rungs = _deletion_memo
+    if len(rungs) < (n + 1) // 2:
+        grown, steps = done.resume(_a_rows(done.order, n),
+                                   _unit_border(n, done.order))
+        # a resumed pass yields its last rung again first
+        rungs += tuple(_deletion_rung(t, c) for t, (_, c)
+                       in enumerate(steps, len(done.steps))
+                       if c and t >= len(rungs))
+        _deletion_memo = grown, rungs
+    return rungs
 
 
 def count_off_diag(n: int, kept=None) -> int:
@@ -104,12 +139,12 @@ def o_vector(n: int) -> tuple[int, ...]:
 
     Entry k is the Pfaffian of the odd-order matrix A(n) with row and column
     k deleted; all n of them are one rung of the deletion ladder
-    (`leading_deletion_pfaffians`), read from the per-process memo of the
-    largest pass so far or from a new pass at order n.  That pass never
-    pivots: the leading pivots of A(n) are the tiling counts
-    even_order_full(2t) > 0, and a zero one would raise ArithmeticError
-    rather than give a wrong vector.  `_o_vector_direct` computes the same
-    vector as n separate Pfaffians, for verification.
+    (`leading_deletion_pfaffians`), read from the per-process memo or from
+    its pass resumed to order n.  That pass never pivots: the leading pivots
+    of A(n) are the tiling counts even_order_full(2t) > 0, and a zero one
+    would raise ArithmeticError rather than give a wrong vector.
+    `_o_vector_direct` computes the same vector as n separate Pfaffians, for
+    verification.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("deletion vector is defined for odd n >= 1")
@@ -121,8 +156,7 @@ def count_nearly(n: int) -> int:
     """Nearly off-diagonally symmetric tilings of the full odd-order region.
 
     This is Pf(B(n + 1)), one rung of the Pell-bordered ladder, read from the
-    per-process memo of the largest pass so far or from a new pass at order
-    n + 1."""
+    per-process memo or from its pass resumed to order n + 1."""
     if n < 1 or n % 2 == 0:
         raise ValueError("nearly count is defined for odd n >= 1")
     _check_order(n + 1)
@@ -172,8 +206,8 @@ def even_order_full(n: int) -> int:
     """Off-diagonally symmetric tilings of the full even-order region.
 
     This is Pf(A(n)), one rung of the Pell-bordered ladder (a leading pivot
-    of its pass), read from the per-process memo of the largest pass so far
-    or from a new pass at order n."""
+    of its pass), read from the per-process memo or from its pass resumed to
+    order n."""
     if n < 2 or n % 2:
         raise ValueError("full-region count is defined for even n >= 2")
     _check_order(n)

@@ -14,7 +14,9 @@ to it:
   a border column carried along gives the bordered Pfaffian of each odd
   leading block;
 - `leading_deletion_pfaffians`: the same pass with a symbolic border gives
-  every single-deletion Pfaffian of each odd leading block.
+  every single-deletion Pfaffian of each odd leading block;
+- `_LeadingPass`: the same pass kept after it ends, so that a larger input
+  of the same ladder resumes it instead of starting again.
 
 Also here: one fraction-free (Bareiss) elimination, `_echelon`, for both the
 determinant and the rank of an integer matrix, and the bordered-matrix
@@ -107,21 +109,28 @@ def _condense(a: list[list[int]], prev: int) -> list[list[int]]:
 
     Columns at or past len(a) are border columns; the same formula carries
     them along."""
-    p = a[0][1]
     top, second = a[0], a[1]
     nxt = []
     for i in range(2, len(a)):
-        row_i = a[i]
-        ui, vi = top[i], second[i]
         new_row = [-nxt[j][i - 2] for j in range(i - 2)]
         new_row.append(0)
-        for j in range(i + 1, len(row_i)):
-            q, r = divmod(p * row_i[j] + vi * top[j] - ui * second[j], prev)
-            if r:
-                raise ArithmeticError("inexact division; input not skew?")
-            new_row.append(q)
+        _condense_row(top, second, a[i], top[i], second[i], i + 1, len(a[i]),
+                      prev, new_row)
         nxt.append(new_row)
     return nxt
+
+
+def _condense_row(top, second, row, ui, vi, start, stop, prev, out) -> None:
+    """Append to `out` entries start..stop-1 of one working row after a
+    condensation step with pivot rows `top` and `second`, where ui = a_0i
+    and vi = a_1i are the pivot rows' entries in this row's column (the
+    formula of `_condense`)."""
+    p = top[1]
+    for j in range(start, stop):
+        q, r = divmod(p * row[j] + vi * top[j] - ui * second[j], prev)
+        if r:
+            raise ArithmeticError("inexact division; input not skew?")
+        out.append(q)
 
 
 def _swap(a: list[list[int]], i: int, j: int) -> None:
@@ -131,11 +140,12 @@ def _swap(a: list[list[int]], i: int, j: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
-def _condensation(a: list[list[int]]):
+def _condensation(a: list[list[int]], prev: int = 1):
     """The one condensation loop: condense the working rows `a` two at a
     time, never pivoting, until at most one row is left.
 
-    Yields (pivot, rows) before the first step and after each step.  With no
+    Yields (pivot, rows) before the first step and after each step; `prev`
+    is the pivot before the first step (1, unless a pass is resumed).  With no
     swaps, the pivot after step t is the Pfaffian of the leading 2t x 2t block
     of the input (1 for t = 0), and working entry (i, j) is the Pfaffian of
     that block plus input rows 2t+i and 2t+j (the Pfaffian form of Bareiss's
@@ -144,7 +154,6 @@ def _condensation(a: list[list[int]]):
     `pfaffian` does to cure zero pivots; a zero (0, 1) entry when the loop
     resumes raises ArithmeticError.
     """
-    prev = 1
     while True:
         yield prev, a
         if len(a) < 2:
@@ -164,9 +173,10 @@ def _bordered_rows(m: SkewMatrix, border) -> list[list[int]]:
             for row, extra in zip(m.rows, border)]
 
 
-def _unit_border(n: int) -> list[list[int]]:
-    """The symbolic border column x: row i starts as the unit vector e_i."""
-    return [[int(i == k) for k in range(n)] for i in range(n)]
+def _unit_border(n: int, start: int = 0) -> list[list[int]]:
+    """Rows start..n-1 of the symbolic border column x of an order-n matrix:
+    row i starts as the unit vector e_i."""
+    return [[int(i == k) for k in range(n)] for i in range(start, n)]
 
 
 def pfaffian(m: SkewMatrix) -> int:
@@ -228,8 +238,101 @@ def leading_deletion_pfaffians(m: SkewMatrix):
     """
     for t, (_, c) in enumerate(leading_pfaffians(m, _unit_border(m.order))):
         if c:
-            yield tuple(e if k % 2 == 0 else -e
-                        for k, e in enumerate(c[:2 * t + 1]))
+            yield _deletion_rung(t, c)
+
+
+def _deletion_rung(t: int, c) -> tuple[int, ...]:
+    """The single-deletion Pfaffians of the leading (2t+1) x (2t+1) block,
+    from working row 0's symbolic border entries `c` before step t+1."""
+    return tuple(e if k % 2 == 0 else -e for k, e in enumerate(c[:2 * t + 1]))
+
+
+class _LeadingPass:
+    """A leading-order pass (`leading_pfaffians`) run to its end, kept so
+    that the pass over a larger input of the same ladder resumes it.
+
+    It holds the input order and border width absorbed, each step's divisor
+    and pivot rows, the working rows left (fewer than two) and the last
+    pivot.  `resume`
+    carries the rows a larger input adds through the stored steps and then
+    runs the steps they allow.  No entry is condensed twice, and the rows
+    already held skip the border columns that are added (they stay zero),
+    so passes at orders N1 < N2 < ... do at most the work of one pass at
+    the last order, however the input grows.  A _LeadingPass is never
+    changed; `resume` returns a new one, so a pass that raises leaves the
+    old one as it was.
+    """
+
+    __slots__ = ("order", "width", "steps", "rows", "pivot")
+
+    def __init__(self):
+        self.order = self.width = 0
+        self.steps: tuple[tuple[int, list[int], list[int]], ...] = ()
+        self.rows: list[list[int]] = []
+        self.pivot = 1
+
+    def resume(self, rows, border):
+        """(the pass over this pass's input grown by `rows`, the steps it
+        adds).
+
+        `rows` are the rows the larger input adds, each as long as its new
+        order, so the larger input's leading block is this pass's input;
+        `border` lists their border entries, as many for each row, and the
+        earlier rows' border entries are taken as theirs padded with zeros
+        (border columns may be added, not removed).  The steps are what
+        `leading_pfaffians` yields over the larger input for
+        t = len(self.steps), len(self.steps) + 1, ...: a resumed pass starts
+        by yielding its current step again, with the added rows in working
+        row 0's border.  A zero leading pivot raises ArithmeticError.
+        """
+        order = self.order + len(rows)
+        if len(border) != len(rows):
+            raise ValueError("border must have one row per added row")
+        if any(len(row) != order for row in rows):
+            raise ValueError(f"each added row must have {order} entries")
+        width = len(border[0]) if border else self.width
+        if width < self.width or any(len(e) != width for e in border):
+            raise ValueError("added border rows must have one length, at "
+                             f"least the pass's {self.width}")
+        added = [list(map(index, row)) + list(map(index, extra))
+                 for row, extra in zip(rows, border)]
+        # each stored pivot row gains the added columns, read off the added
+        # rows by skew symmetry, and zeros in the added border columns
+        steps, left = [], self.order
+        for prev, top, second in self.steps:
+            pad = [0] * (width - (len(top) - left))
+            col0 = [-row[0] for row in added]
+            col1 = [-row[1] for row in added]
+            top = top[:left] + col0 + top[left:] + pad
+            second = second[:left] + col1 + second[left:] + pad
+            steps.append((prev, top, second))
+            # as in `_condense`, each added row computes the entries right
+            # of its own column and takes the added ones left of it by skew
+            # symmetry: the old columns come first, then the added ones
+            nxt = []
+            for k, (row, ui, vi) in enumerate(zip(added, col0, col1)):
+                new_row = []
+                _condense_row(top, second, row, ui, vi, 2, left, prev,
+                              new_row)
+                new_row += [-nxt[c][left - 2 + k] for c in range(k)]
+                new_row.append(0)
+                _condense_row(top, second, row, ui, vi, left + k + 1,
+                              len(row), prev, new_row)
+                nxt.append(new_row)
+            added = nxt
+            left -= 2
+        rows = [row[:left] + [-new[i] for new in added] + row[left:]
+                + [0] * (width - (len(row) - left))
+                for i, row in enumerate(self.rows)] + added
+        yielded = []
+        for pivot, rows in _condensation(rows, self.pivot):
+            if len(rows) >= 2:
+                steps.append((pivot, rows[0], rows[1]))
+            yielded.append((pivot, tuple(rows[0][len(rows):]) if rows else ()))
+        grown = _LeadingPass()
+        grown.order, grown.width, grown.steps = order, width, tuple(steps)
+        grown.rows, grown.pivot = rows, pivot
+        return grown, yielded
 
 
 def bordered_skew(q: SkewMatrix, column) -> SkewMatrix:

@@ -5,17 +5,21 @@ provides the fixture that empties the count ladders' memos."""
 import pytest
 
 import offdiag.counts
+import offdiag.pfaffian
 
 ACCEPTANCE_LINES = []
 
 
 @pytest.fixture
 def empty_ladders(monkeypatch):
-    """Start both per-process count memos empty and restore them afterwards,
-    so a test that fakes `matrix_a` or counts condensation passes neither
-    leaves rungs behind nor reads rungs an earlier test computed."""
-    monkeypatch.setattr(offdiag.counts, "_even_nearly_rungs", ())
-    monkeypatch.setattr(offdiag.counts, "_deletion_rungs", ())
+    """Start both per-process count memos, and the A their rows are read
+    off, empty and restore them afterwards, so a test that fakes `matrix_a`
+    or counts condensation passes neither leaves rungs behind nor reads
+    rungs an earlier test computed."""
+    for name in ("_even_nearly_memo", "_deletion_memo"):
+        monkeypatch.setattr(offdiag.counts, name,
+                            (offdiag.pfaffian._LeadingPass(), ()))
+    monkeypatch.setattr(offdiag.counts, "_a_upper", ())
 
 
 def pytest_terminal_summary(terminalreporter):

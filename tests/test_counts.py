@@ -197,9 +197,9 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
     passes = []
     condensation = offdiag.pfaffian._condensation
 
-    def counted(rows):
+    def counted(rows, *rest):
         passes.append(len(rows))
-        return condensation(rows)
+        return condensation(rows, *rest)
 
     monkeypatch.setattr(offdiag.pfaffian, "_condensation", counted)
     even_order_full(20)
@@ -215,25 +215,59 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
     assert len(even_and_nearly_counts(10)) == 10
     assert len(o_vectors(19)) == 10
     assert passes == []
-    # a larger request runs one pass at its own order, which serves the rest
+    # a larger request resumes the pass: only the two rows it adds are
+    # condensed past the stored steps, and that serves the rest
     assert (count_nearly(21), even_order_full(22)) == want
-    assert passes == [22]
+    assert passes == [2]
+
+
+def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):
+    # a larger request resumes the ladder's pass, so however the orders
+    # arrive no entry is condensed twice: no order of the requests costs
+    # more than one pass at the largest order (the first, descending)
+    condensed = []
+    condense_row = offdiag.pfaffian._condense_row
+
+    def counted(top, second, row, ui, vi, start, stop, prev, out):
+        condensed.append(stop - start)
+        condense_row(top, second, row, ui, vi, start, stop, prev, out)
+
+    monkeypatch.setattr(offdiag.pfaffian, "_condense_row", counted)
+    shuffled = list(range(1, 32))
+    random.Random(7).shuffle(shuffled)
+    totals = []
+    for orders in (range(31, 0, -1), range(1, 32), shuffled):
+        for name in ("_even_nearly_memo", "_deletion_memo"):
+            monkeypatch.setattr(offdiag.counts, name,
+                                (offdiag.pfaffian._LeadingPass(), ()))
+        condensed.clear()
+        for n in orders:
+            if n % 2:
+                o_vector(n)
+                count_nearly(n)
+            else:
+                even_order_full(n)
+        totals.append(sum(condensed))
+    assert max(totals) == totals[0], totals
 
 
 def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
                                                     empty_ladders):
     def memos():
-        return (offdiag.counts._even_nearly_rungs,
-                offdiag.counts._deletion_rungs)
+        return (offdiag.counts._even_nearly_memo,
+                offdiag.counts._deletion_memo)
 
-    def zero_pivot(n):
-        return SkewMatrix([[0 if {i, j} == {0, 1} else j - i
-                            for j in range(n)] for i in range(n)])
+    def zero_added_rows(n):
+        # a resumed pass reads only the rows a request adds past the memo
+        # (orders 10 and 9 here); zero ones make its next pivot zero
+        return SkewMatrix([[a if max(i, j) < 9 else 0
+                            for j, a in enumerate(row)]
+                           for i, row in enumerate(matrix_a(n).rows)])
 
     even_order_full(10)
     o_vector(9)
     before = memos()
-    assert [len(rungs) for rungs in before] == [5, 5]
+    assert [len(rungs) for _, rungs in before] == [5, 5]
     for call in (lambda: even_order_full(MAX_ORDER + 2),
                  lambda: count_nearly(MAX_ORDER + 1),
                  lambda: o_vector(MAX_ORDER + 1),
@@ -241,7 +275,8 @@ def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
                  lambda: o_vectors(MAX_ORDER + 1)):
         with pytest.raises(ValueError, match="largest supported order"):
             call()
-    monkeypatch.setattr(offdiag.counts, "matrix_a", zero_pivot)
+    monkeypatch.setattr(offdiag.counts, "matrix_a", zero_added_rows)
+    monkeypatch.setattr(offdiag.counts, "_a_upper", ())
     for call in (lambda: even_order_full(12), lambda: count_nearly(11),
                  lambda: o_vector(11), lambda: even_and_nearly_counts(6),
                  lambda: o_vectors(11)):

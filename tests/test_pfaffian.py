@@ -6,6 +6,8 @@ import pytest
 
 from offdiag.pfaffian import (
     SkewMatrix,
+    _LeadingPass,
+    _unit_border,
     bordered_skew,
     determinant,
     leading_deletion_pfaffians,
@@ -331,6 +333,49 @@ def test_leading_pfaffians_read_every_leading_order():
     assert raised > 10
     with pytest.raises(ValueError):
         list(leading_pfaffians(SkewMatrix(((0, 1), (-1, 0))), [(1,)]))
+
+
+def test_resumed_pass_matches_one_fresh_pass():
+    # a pass grown through any sequence of leading blocks yields, at each
+    # size, the steps one fresh pass over that block yields past the steps
+    # already run; the border keeps its width or gains columns (unit border)
+    rng = random.Random(143)
+    resumed = raised = 0
+    for _ in range(300):
+        order = rng.randint(0, 11)
+        m = random_skew(rng, order, -3, 3)
+        column = [(rng.randint(-9, 9),) for _ in range(order)]
+        sizes = sorted(rng.sample(range(order), rng.randint(0, order)))
+        for border in (lambda k: column[:k], _unit_border):
+            done = _LeadingPass()
+            for k in sizes + [order]:
+                block = leading(m, k)
+                added = (block.rows[done.order:], border(k)[done.order:])
+                try:
+                    want = list(leading_pfaffians(block, border(k)))
+                except ArithmeticError:
+                    # a zero pivot among the added rows: the old pass stays
+                    kept = (done.order, done.steps, done.rows, done.pivot)
+                    snapshot = repr(kept)
+                    with pytest.raises(ArithmeticError):
+                        done.resume(*added)
+                    assert repr(kept) == snapshot
+                    raised += 1
+                    break
+                grown, got = done.resume(*added)
+                assert got == want[len(done.steps):]
+                assert grown.order == k and len(grown.steps) == k // 2
+                resumed += len(done.steps) > 0
+                done = grown
+    assert resumed > 100 and raised > 10
+    two, _ = _LeadingPass().resume(((0, 1), (-1, 0)), [(), ()])
+    with pytest.raises(ValueError):
+        two.resume([(1, 2)], [()])          # a row of the wrong length
+    with pytest.raises(ValueError):
+        two.resume([(-1, -2, 0)], [])       # no border row for it
+    wide, _ = _LeadingPass().resume(((0, 1), (-1, 0)), [(1, 2), (3, 4)])
+    with pytest.raises(ValueError):
+        wide.resume([(-1, -2, 0)], [(5,)])  # a border column removed
 
 
 def test_zero_leading_pivot_raises_on_the_leading_path():
