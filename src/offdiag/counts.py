@@ -11,22 +11,26 @@ A(n) is the leading n x n block of A(N) and the doubled Pell column of B(n+1)
 is a prefix of the one for A(N), so by the leading-minor property one pass
 gives every order up to N.  The Pell-bordered pass serves even_order_full
 and count_nearly, the deletion pass (the symbolic border of
-`leading_deletion_pfaffians`) serves o_vector and d_vector, and the scans
-`even_and_nearly_counts` and `o_vectors` read the same rungs.  Each ladder
-keeps a per-process memo of the pass of the largest order asked so far and
-its rungs: a request at or below that order reads a rung, a larger one
-resumes the pass to its own order (`_LeadingPass`).  No entry is condensed
-twice, so however the requests arrive the memo does at most the work of one
-pass at the largest order asked; both ladders read the rows they add off one
-build of A kept at a power-of-two order (`_a_rows`).
+`pfaffian._unit_border`, read by `pfaffian._deletion_rung`) serves o_vector
+and d_vector, and the scans `even_and_nearly_counts` and `o_vectors` read
+the same rungs.  Both are passes of `pfaffian._LeadingPass`, the one
+leading-order pass.  Each ladder keeps a per-process memo of the pass of the
+largest order asked so far and its rungs: a request at or below that order
+reads a rung, a larger one resumes the pass to its own order.  No entry is
+condensed twice, so however the requests arrive the memo does at most the
+work of one pass at the largest order asked; both ladders read the rows they
+add off one build of A kept at a power-of-two order (`_a_rows`).
 `pfaffian` itself serves only count_off_diag and d_entry_bordered, and
 `_o_vector_direct` stays as the verification route.
 
-Every entry point refuses a request whose condensation order exceeds
-`MAX_ORDER` before it builds anything.
+Every entry point takes its order through `operator.index` (a float order
+raises TypeError) and refuses a request whose condensation order exceeds
+`MAX_ORDER`, both before it builds anything.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .matrices import matrix_a, matrix_m, pell_vector
 from .paths import delannoy
@@ -39,9 +43,12 @@ from .pfaffian import (
     principal_submatrix,
 )
 
-# The largest condensation order any count builds.  One condensation costs
-# about 0.3 s at order 100, 3 s at 150 and 17 s at 200 on a 2-vCPU VM; 200
-# admits scans to --n-max 100 and every single count to n = 199.
+# The largest condensation order any count builds; 200 admits scans to
+# --n-max 100 and every single count to n = 199.  On a 2-vCPU VM a cold
+# Pell-bordered pass (even_order_full, count_nearly) costs about 0.3 s at
+# order 100, 3 s at 150 and 17 s at 200, and a cold deletion pass (o_vector,
+# d_vector), whose symbolic border adds n columns to each row, about 14 s at
+# order 149 and 84 s at 199.
 MAX_ORDER = 200
 
 
@@ -121,6 +128,7 @@ def _deletions(n: int) -> tuple[tuple[int, ...], ...]:
 def count_off_diag(n: int, kept=None) -> int:
     """Off-diagonally symmetric tilings of the order-n region that keeps only
     the given boundary labels (all of them by default)."""
+    n = index(n)
     _check_order(n)
     a = matrix_a(n)
     return pfaffian(a if kept is None else principal_submatrix(a, kept))
@@ -138,14 +146,16 @@ def o_vector(n: int) -> tuple[int, ...]:
     """All single-deletion counts (|O(n; [n] minus k)| for k = 1..n), odd n.
 
     Entry k is the Pfaffian of the odd-order matrix A(n) with row and column
-    k deleted; all n of them are one rung of the deletion ladder
-    (`leading_deletion_pfaffians`), read from the per-process memo or from
-    its pass resumed to order n.  That pass never pivots: the leading pivots
-    of A(n) are the tiling counts even_order_full(2t) > 0, and a zero one
-    would raise ArithmeticError rather than give a wrong vector.
+    k deleted; all n of them are one rung of the deletion ladder (a
+    `_LeadingPass` with the symbolic border of `_unit_border`), read from
+    the per-process memo or from its pass resumed to order n.  That pass
+    never pivots: the leading pivots of A(n) are the tiling counts
+    even_order_full(2t) > 0, and a zero one would raise ArithmeticError
+    rather than give a wrong vector.
     `_o_vector_direct` computes the same vector as n separate Pfaffians, for
     verification.
     """
+    n = index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("deletion vector is defined for odd n >= 1")
     _check_order(n)
@@ -157,6 +167,7 @@ def count_nearly(n: int) -> int:
 
     This is Pf(B(n + 1)), one rung of the Pell-bordered ladder, read from the
     per-process memo or from its pass resumed to order n + 1."""
+    n = index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("nearly count is defined for odd n >= 1")
     _check_order(n + 1)
@@ -169,6 +180,7 @@ def d_vector(variant: str, n: int) -> tuple[int, ...]:
 
     variant "plus" counts doubled cells, "minus" empty cells, "pm" both.
     """
+    n = index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("defect vector is defined for odd n >= 1")
     return _defect_vector(variant, n, o_vector(n))
@@ -182,6 +194,7 @@ def _defect_vector(variant: str, n: int, o) -> tuple[int, ...]:
 
 def d_entry_bordered(variant: str, n: int, k: int) -> int:
     """Same defect count by the second route: a single bordered Pfaffian."""
+    n, k = index(n), index(k)
     if n < 1 or n % 2 == 0:
         raise ValueError("defect count is defined for odd n >= 1")
     if not 1 <= k <= n:
@@ -208,6 +221,7 @@ def even_order_full(n: int) -> int:
     This is Pf(A(n)), one rung of the Pell-bordered ladder (a leading pivot
     of its pass), read from the per-process memo or from its pass resumed to
     order n."""
+    n = index(n)
     if n < 2 or n % 2:
         raise ValueError("full-region count is defined for even n >= 2")
     _check_order(n)
@@ -217,6 +231,7 @@ def even_order_full(n: int) -> int:
 def even_and_nearly_counts(m_max: int) -> list[tuple[int, int]]:
     """(even_order_full(2m), count_nearly(2m - 1)) for m = 1..m_max, from
     the Pell-bordered ladder (at most one condensation, of A(2 m_max))."""
+    m_max = index(m_max)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     _check_order(2 * m_max)
@@ -226,6 +241,7 @@ def even_and_nearly_counts(m_max: int) -> list[tuple[int, int]]:
 def o_vectors(n: int) -> list[tuple[int, ...]]:
     """o_vector(k) for every odd k <= n (odd n), from the deletion ladder
     (at most one condensation, of A(n))."""
+    n = index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("deletion vector is defined for odd n >= 1")
     _check_order(n)

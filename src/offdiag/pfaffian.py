@@ -5,18 +5,17 @@ condensation, which every Pfaffian here runs on, and a memoized cofactor
 expansion, kept as the clear verification route.  They cross-check each other
 in the tests.
 
-`_condensation` is the one condensation loop.  Each job has one entry point
-to it:
+`_condensation` is the one condensation loop, and `_condense_rows` its one
+step.  Each job has one entry point to it:
 
 - `pfaffian`: one Pfaffian, curing zero pivots by a pair search;
-- `leading_pfaffians`: without pivoting, one pass gives every leading order
-  (the pivot after step t is the Pfaffian of the leading 2t x 2t block), and
-  a border column carried along gives the bordered Pfaffian of each odd
-  leading block;
-- `leading_deletion_pfaffians`: the same pass with a symbolic border gives
-  every single-deletion Pfaffian of each odd leading block;
-- `_LeadingPass`: the same pass kept after it ends, so that a larger input
-  of the same ladder resumes it instead of starting again.
+- `_LeadingPass`: without pivoting, one pass gives every leading order (the
+  pivot after step t is the Pfaffian of the leading 2t x 2t block), and a
+  border carried along gives the bordered Pfaffians of each odd leading
+  block (with a symbolic border, every single-deletion Pfaffian of it).  The
+  pass is kept after it ends, so that a larger input of the same ladder
+  resumes it instead of starting again; a fresh pass is
+  `_LeadingPass().resume(m.rows, border)`.
 
 Also here: one fraction-free (Bareiss) elimination, `_echelon`, for both the
 determinant and the rank of an integer matrix, and the bordered-matrix
@@ -102,19 +101,25 @@ def pfaffian_cofactor(m: SkewMatrix) -> int:
     return pf(tuple(range(m.order)))
 
 
-def _condense(a: list[list[int]], prev: int) -> list[list[int]]:
-    """One condensation step on the working rows `a` with a nonzero (0,1)
-    pivot: new_ij = (p * a_ij + a_1i * a_0j - a_0i * a_1j) / prev for
-    i, j >= 2, where p = a_01 and prev is the previous step's pivot.
+def _condense_rows(top, second, rows, left, prev) -> list[list[int]]:
+    """One condensation step on the working rows `rows`, sitting at columns
+    left, left+1, ..., with pivot rows `top` and `second`:
+    new_ij = (p * a_ij + a_1i * a_0j - a_0i * a_1j) / prev for i, j >= 2,
+    where p = a_01 and prev is the previous step's pivot.
 
-    Columns at or past len(a) are border columns; the same formula carries
-    them along."""
-    top, second = a[0], a[1]
+    Each row computes its entries in columns 2..left-1 and right of its own
+    column, and takes those in the columns of the rows before it by skew
+    symmetry.  Columns past the matrix's are border columns; the same
+    formula carries them along."""
     nxt = []
-    for i in range(2, len(a)):
-        new_row = [-nxt[j][i - 2] for j in range(i - 2)]
+    for k, row in enumerate(rows):
+        i = left + k
+        new_row = []
+        _condense_row(top, second, row, top[i], second[i], 2, left, prev,
+                      new_row)
+        new_row += [-nxt[c][i - 2] for c in range(k)]
         new_row.append(0)
-        _condense_row(top, second, a[i], top[i], second[i], i + 1, len(a[i]),
+        _condense_row(top, second, row, top[i], second[i], i + 1, len(row),
                       prev, new_row)
         nxt.append(new_row)
     return nxt
@@ -124,7 +129,7 @@ def _condense_row(top, second, row, ui, vi, start, stop, prev, out) -> None:
     """Append to `out` entries start..stop-1 of one working row after a
     condensation step with pivot rows `top` and `second`, where ui = a_0i
     and vi = a_1i are the pivot rows' entries in this row's column (the
-    formula of `_condense`)."""
+    formula of `_condense_rows`)."""
     p = top[1]
     for j in range(start, stop):
         q, r = divmod(p * row[j] + vi * top[j] - ui * second[j], prev)
@@ -161,16 +166,8 @@ def _condensation(a: list[list[int]], prev: int = 1):
         p = a[0][1]
         if not p:
             raise ArithmeticError("zero pivot in condensation")
-        a = _condense(a, prev)
+        a = _condense_rows(a[0], a[1], a[2:], 2, prev)
         prev = p
-
-
-def _bordered_rows(m: SkewMatrix, border) -> list[list[int]]:
-    """Working rows: row i of m followed by the border entries border[i]."""
-    if len(border) != m.order:
-        raise ValueError("border must have one row per matrix row")
-    return [list(row) + list(map(index, extra))
-            for row, extra in zip(m.rows, border)]
 
 
 def _unit_border(n: int, start: int = 0) -> list[list[int]]:
@@ -209,58 +206,32 @@ def pfaffian(m: SkewMatrix) -> int:
                 sign = -sign
 
 
-def leading_pfaffians(m: SkewMatrix, border):
-    """Every leading order of m from one condensation pass, without pivoting.
-
-    `border[i]` lists the border entries of row i (one per border column h).
-    Yields, for t = 0, 1, ..., m.order // 2, the pair (Pf of the leading
-    2t x 2t block of m, working row 0's border entries after t steps); entry
-    h of the latter is the Pfaffian of the leading (2t+1) x (2t+1) block
-    bordered by column h, and the tuple is empty once no row is left.  This
-    path never swaps: a zero leading pivot raises ArithmeticError.
-    """
-    for pivot, rows in _condensation(_bordered_rows(m, border)):
-        yield pivot, tuple(rows[0][len(rows):]) if rows else ()
-
-
-def leading_deletion_pfaffians(m: SkewMatrix):
-    """Every single-deletion Pfaffian of every odd leading block of m, from
-    one pass.
-
-    The matrix is bordered with a symbolic column x whose row-i entry starts
-    as the unit coefficient vector e_i, kept as m.order trailing columns of
-    row i, so the bordered Pfaffian of an odd leading block is
-    sum_k (-1)^k x_k Pf(block minus k).  Yields, for t = 0, 1, ...,
-    (m.order - 1) // 2, the tuple whose entry k (0-based) is Pf of the
-    leading (2t+1) x (2t+1) block without row and column k: before step
-    t+1, working row 0's symbolic border holds them up to the (-1)^k signs.
-    Raises ArithmeticError on a zero leading pivot, like `leading_pfaffians`.
-    """
-    for t, (_, c) in enumerate(leading_pfaffians(m, _unit_border(m.order))):
-        if c:
-            yield _deletion_rung(t, c)
-
-
 def _deletion_rung(t: int, c) -> tuple[int, ...]:
     """The single-deletion Pfaffians of the leading (2t+1) x (2t+1) block,
-    from working row 0's symbolic border entries `c` before step t+1."""
+    from working row 0's symbolic border entries `c` before step t+1.
+
+    With the symbolic border of `_unit_border`, the bordered Pfaffian of an
+    odd leading block is sum_k (-1)^k x_k Pf(block minus k) (0-based k), so
+    entry k of `c` is Pf(block minus k) up to that sign."""
     return tuple(e if k % 2 == 0 else -e for k, e in enumerate(c[:2 * t + 1]))
 
 
 class _LeadingPass:
-    """A leading-order pass (`leading_pfaffians`) run to its end, kept so
-    that the pass over a larger input of the same ladder resumes it.
+    """A leading-order pass of `_condensation`, never pivoting, run to its
+    end and kept so that the pass over a larger input of the same ladder
+    resumes it.
 
     It holds the input order and border width absorbed, each step's divisor
     and pivot rows, the working rows left (fewer than two) and the last
-    pivot.  `resume`
-    carries the rows a larger input adds through the stored steps and then
-    runs the steps they allow.  No entry is condensed twice, and the rows
-    already held skip the border columns that are added (they stay zero),
-    so passes at orders N1 < N2 < ... do at most the work of one pass at
-    the last order, however the input grows.  A _LeadingPass is never
-    changed; `resume` returns a new one, so a pass that raises leaves the
-    old one as it was.
+    pivot.  `_LeadingPass()` is the pass over the empty input, so a fresh
+    pass over m with border `border` is `_LeadingPass().resume(m.rows,
+    border)`.  `resume` carries the rows a larger input adds through the
+    stored steps and then runs the steps they allow.  No entry is condensed
+    twice, and the rows already held skip the border columns that are added
+    (they stay zero), so passes at orders N1 < N2 < ... do at most the work
+    of one pass at the last order, however the input grows.  A _LeadingPass
+    is never changed; `resume` returns a new one, so a pass that raises
+    leaves the old one as it was.
     """
 
     __slots__ = ("order", "width", "steps", "rows", "pivot")
@@ -279,10 +250,13 @@ class _LeadingPass:
         order, so the larger input's leading block is this pass's input;
         `border` lists their border entries, as many for each row, and the
         earlier rows' border entries are taken as theirs padded with zeros
-        (border columns may be added, not removed).  The steps are what
-        `leading_pfaffians` yields over the larger input for
-        t = len(self.steps), len(self.steps) + 1, ...: a resumed pass starts
-        by yielding its current step again, with the added rows in working
+        (border columns may be added, not removed).  Step t of the larger
+        input is the pair (Pf of its leading 2t x 2t block, working row 0's
+        border entries after t steps); entry h of the latter is the Pfaffian
+        of the leading (2t+1) x (2t+1) block bordered by column h, and the
+        tuple is empty once no row is left.  The steps returned are those
+        for t = len(self.steps), len(self.steps) + 1, ...: a resumed pass
+        starts with its current step again, with the added rows in working
         row 0's border.  A zero leading pivot raises ArithmeticError.
         """
         order = self.order + len(rows)
@@ -297,29 +271,16 @@ class _LeadingPass:
         added = [list(map(index, row)) + list(map(index, extra))
                  for row, extra in zip(rows, border)]
         # each stored pivot row gains the added columns, read off the added
-        # rows by skew symmetry, and zeros in the added border columns
+        # rows by skew symmetry, and zeros in the added border columns; the
+        # added rows then sit at columns left, left+1, ... of the step
         steps, left = [], self.order
         for prev, top, second in self.steps:
             pad = [0] * (width - (len(top) - left))
-            col0 = [-row[0] for row in added]
-            col1 = [-row[1] for row in added]
-            top = top[:left] + col0 + top[left:] + pad
-            second = second[:left] + col1 + second[left:] + pad
+            top = top[:left] + [-row[0] for row in added] + top[left:] + pad
+            second = (second[:left] + [-row[1] for row in added]
+                      + second[left:] + pad)
             steps.append((prev, top, second))
-            # as in `_condense`, each added row computes the entries right
-            # of its own column and takes the added ones left of it by skew
-            # symmetry: the old columns come first, then the added ones
-            nxt = []
-            for k, (row, ui, vi) in enumerate(zip(added, col0, col1)):
-                new_row = []
-                _condense_row(top, second, row, ui, vi, 2, left, prev,
-                              new_row)
-                new_row += [-nxt[c][left - 2 + k] for c in range(k)]
-                new_row.append(0)
-                _condense_row(top, second, row, ui, vi, left + k + 1,
-                              len(row), prev, new_row)
-                nxt.append(new_row)
-            added = nxt
+            added = _condense_rows(top, second, added, left, prev)
             left -= 2
         rows = [row[:left] + [-new[i] for new in added] + row[left:]
                 + [0] * (width - (len(row) - left))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 from . import series
 from .counts import (
@@ -150,6 +151,7 @@ def _registered(suite: str, check_id: str):
 
 
 def _run_suite(suite: str, n_max: int) -> CheckReport:
+    n_max = index(n_max)
     if n_max < MIN_N_MAX[suite]:
         raise ValueError(f"n_max must be >= {MIN_N_MAX[suite]}")
     if n_max > MAX_N_MAX:
@@ -804,6 +806,7 @@ def scan_log_concavity(n_max: int = 35):
     whether the per-cell defect vector is unimodal (reported only; it is
     expected not to be).
     """
+    n_max = index(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = []
@@ -837,8 +840,10 @@ def scan_log_concavity(n_max: int = 35):
 
 
 # Bits of the exact root brackets behind gap-shrinks-past-calibration.  For
-# n_max <= 60 every gap past m = 5 differs from the m = 5 gap by at least
-# 0.0035, far above 2^-20; the two roots at order ~100 cost ~20 ms.
+# every m = 6..100 (all the scans admit) each gap differs from the m = 5 gap
+# by at least 3 685 units of 2^-20 (the least at m = 6), far above the
+# brackets' 2 units, so every verdict is decided; the two roots cost ~20 ms
+# at order ~100 and ~0.2 s at order ~200 on a 2-vCPU VM.
 _ROOT_BITS = 20
 
 
@@ -881,6 +886,7 @@ def scan_asymptotics(n_max: int = 35):
     shrunk relative to m=5, decided from exact rational brackets on the
     roots.  Every count comes from one condensation pass.
     """
+    n_max = index(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     root2 = math.sqrt(2)

@@ -300,6 +300,30 @@ def test_oversized_requests_are_refused_before_building(monkeypatch,
     assert MAX_ORDER == 200
 
 
+def test_float_orders_are_refused_before_building(monkeypatch,
+                                                  empty_ladders):
+    # orders go through operator.index, so a float order raises TypeError
+    # before any matrix is built or either memo changes; a bool is an index
+    assert o_vector(True) == O_VECTORS[1]
+
+    def refuse(*args):
+        raise AssertionError("built a matrix for a float order")
+
+    monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
+    before = (offdiag.counts._even_nearly_memo, offdiag.counts._deletion_memo)
+    for call in (lambda: o_vector(3.0), lambda: d_vector("pm", 3.0),
+                 lambda: o_vectors(3.0), lambda: even_order_full(4.0),
+                 lambda: count_nearly(3.0),
+                 lambda: even_and_nearly_counts(2.0),
+                 lambda: count_off_diag(3.0),
+                 lambda: d_entry_bordered("pm", 3.0, 1),
+                 lambda: d_entry_bordered("pm", 3, 1.0)):
+        with pytest.raises(TypeError):
+            call()
+    assert (offdiag.counts._even_nearly_memo,
+            offdiag.counts._deletion_memo) == before
+
+
 def test_order_bound_admits_exactly_max_order(monkeypatch):
     monkeypatch.setattr(offdiag.counts, "MAX_ORDER", 8)
     assert count_nearly(7) == 21632            # order 8

@@ -6,12 +6,11 @@ import pytest
 
 from offdiag.pfaffian import (
     SkewMatrix,
+    _deletion_rung,
     _LeadingPass,
     _unit_border,
     bordered_skew,
     determinant,
-    leading_deletion_pfaffians,
-    leading_pfaffians,
     pfaffian,
     pfaffian_cofactor,
     principal_submatrix,
@@ -184,7 +183,7 @@ def test_non_integer_entries_are_refused():
     with pytest.raises(TypeError):
         bordered_skew(SkewMatrix([[0]]), [1.7])
     with pytest.raises(TypeError):
-        next(leading_pfaffians(SkewMatrix([[0]]), [(Fraction(1, 2),)]))
+        leading_steps(SkewMatrix([[0]]), [(Fraction(1, 2),)])
     assert pfaffian(SkewMatrix([[0, True], [-1, 0]])) == 1
 
 
@@ -255,6 +254,18 @@ def leading(m, order):
     return principal_submatrix(m, range(1, order + 1))
 
 
+def leading_steps(m, border):
+    """Every step of one fresh leading-order pass over m with `border`."""
+    return _LeadingPass().resume(m.rows, border)[1]
+
+
+def deletion_rungs(m):
+    """The single-deletion Pfaffians of every odd leading block of m, from
+    one fresh pass with the symbolic border."""
+    steps = leading_steps(m, _unit_border(m.order))
+    return [_deletion_rung(t, c) for t, (_, c) in enumerate(steps) if c]
+
+
 def test_deletion_pfaffians_match_cofactor_on_random_skew():
     rng = random.Random(137)
     raised = read = 0
@@ -263,13 +274,13 @@ def test_deletion_pfaffians_match_cofactor_on_random_skew():
         m = sparse_skew(rng, order, rng.random())
         if all(pfaffian_cofactor(leading(m, 2 * t))
                for t in range(order // 2 + 1)):
-            *_, got = leading_deletion_pfaffians(m)
+            *_, got = deletion_rungs(m)
             assert got == deleted_by_cofactor(m)
             read += 1
         else:
             # a zero leading pivot: the ladder stops instead of misreading
             with pytest.raises(ArithmeticError):
-                list(leading_deletion_pfaffians(m))
+                deletion_rungs(m)
             raised += 1
     assert raised > 100 and read > 100
     # even orders through the same loop: pfaffian against the cofactor
@@ -289,20 +300,18 @@ def test_deletion_pfaffians_match_cofactor_on_random_skew():
 
 
 def test_deletion_pfaffians_small_cases():
-    assert list(leading_deletion_pfaffians(SkewMatrix(((0,),)))) == [(1,)]
-    assert list(leading_deletion_pfaffians(SkewMatrix(()))) == []
+    assert deletion_rungs(SkewMatrix(((0,),))) == [(1,)]
+    assert deletion_rungs(SkewMatrix(())) == []
     m = SkewMatrix(((0, 5, -2), (-5, 0, 7), (2, -7, 0)))
-    assert list(leading_deletion_pfaffians(m)) == [(1,), (7, -2, 5)]
-    # an even order yields its odd leading blocks only
-    assert list(leading_deletion_pfaffians(bordered_skew(m, (1, 1, 1)))) == [
-        (1,), (7, -2, 5)]
-    # zero leading pivots: the first rung is read, then the ladder raises
+    assert deletion_rungs(m) == [(1,), (7, -2, 5)]
+    # an even order gives its odd leading blocks only
+    assert deletion_rungs(bordered_skew(m, (1, 1, 1))) == [(1,), (7, -2, 5)]
+    # zero leading pivots: the first rung is read, a longer pass raises
     for m in (SkewMatrix([[0] * 5] * 5),
               SkewMatrix(((0, 0, 0), (0, 0, 4), (0, -4, 0)))):
-        rungs = leading_deletion_pfaffians(m)
-        assert next(rungs) == (1,)
+        assert deletion_rungs(leading(m, 1)) == [(1,)]
         with pytest.raises(ArithmeticError):
-            next(rungs)
+            deletion_rungs(m)
 
 
 def test_leading_pfaffians_read_every_leading_order():
@@ -319,20 +328,20 @@ def test_leading_pfaffians_read_every_leading_order():
             # a zero leading pivot: no swap, no fallback
             raised += 1
             with pytest.raises(ArithmeticError):
-                list(leading_pfaffians(m, border))
+                leading_steps(m, border)
             continue
-        got = list(leading_pfaffians(m, border))
+        got = leading_steps(m, border)
         assert [p for p, _ in got] == pivots
         odd = [leading(m, k) for k in range(1, order + 1, 2)]
         assert [row0 for _, row0 in got] == [
             tuple(pfaffian_cofactor(bordered_skew(block, col[:block.order]))
                   for col in cols)
             for block in odd] + [()] * (order % 2 == 0)
-        assert list(leading_deletion_pfaffians(m)) == [
+        assert deletion_rungs(m) == [
             deleted_by_cofactor(block) for block in odd]
     assert raised > 10
     with pytest.raises(ValueError):
-        list(leading_pfaffians(SkewMatrix(((0, 1), (-1, 0))), [(1,)]))
+        leading_steps(SkewMatrix(((0, 1), (-1, 0))), [(1,)])
 
 
 def test_resumed_pass_matches_one_fresh_pass():
@@ -352,7 +361,7 @@ def test_resumed_pass_matches_one_fresh_pass():
                 block = leading(m, k)
                 added = (block.rows[done.order:], border(k)[done.order:])
                 try:
-                    want = list(leading_pfaffians(block, border(k)))
+                    want = leading_steps(block, border(k))
                 except ArithmeticError:
                     # a zero pivot among the added rows: the old pass stays
                     kept = (done.order, done.steps, done.rows, done.pivot)
@@ -384,20 +393,20 @@ def test_zero_leading_pivot_raises_on_the_leading_path():
                     (-2, -1, -5, 0)))
     assert pfaffian(m) == naive_pfaffian(m.rows) == 5
     with pytest.raises(ArithmeticError):
-        list(leading_pfaffians(m, [()] * 4))
+        leading_steps(m, [()] * 4)
     odd = bordered_skew(m, (1, 1, 1, 1))
     with pytest.raises(ArithmeticError):
-        list(leading_deletion_pfaffians(odd))
+        deletion_rungs(odd)
     # the zero pivot may also come later: Pf of the leading 4 x 4 block is 0
     m = SkewMatrix(((0, 1, 1, 0, 0, 1), (-1, 0, -1, 1, -1, 0),
                     (-1, 1, 0, 1, 0, 0), (0, -1, -1, 0, 1, 0),
                     (0, 1, 0, -1, 0, 0), (-1, 0, 0, 0, 0, 0)))
     assert pfaffian_cofactor(leading(m, 4)) == 0
     assert pfaffian(m) == pfaffian_cofactor(m) == -2
-    steps = leading_pfaffians(m, [()] * 6)
-    assert [next(steps)[0], next(steps)[0]] == [1, 1]
+    # two steps run on the leading 3 x 3 block; the third needs Pf = 0
+    assert [p for p, _ in leading_steps(leading(m, 3), [()] * 3)] == [1, 1]
     with pytest.raises(ArithmeticError):
-        next(steps)
+        leading_steps(m, [()] * 6)
 
 
 def test_rational_rank():

@@ -1,7 +1,9 @@
-"""The README's examples, run as tests: the library block as doctests and
-the `offdiag count` lines against the values in their comments."""
+"""The README's examples, run as tests: the library block as doctests, the
+`offdiag count` lines against the values in their comments, and every
+module attribute it names against the package."""
 
 import doctest
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -26,3 +28,11 @@ def test_readme_examples(capsys):
         want = comment.split()[0].rstrip(",")
         assert main(shlex.split(command)) == 0, command
         assert capsys.readouterr().out == want + "\n", command
+
+
+def test_readme_names_resolve():
+    names = re.findall(r"\boffdiag\.(\w+)\.(\w+)", README)
+    assert len(names) >= 5
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"offdiag.{module}"), name), (
+            f"README names offdiag.{module}.{name}, which does not exist")

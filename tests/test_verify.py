@@ -72,6 +72,20 @@ def test_suites_refuse_bounds_past_the_order_bound(monkeypatch):
             run(MAX_N_MAX + 1)
 
 
+def test_float_bounds_are_refused_before_any_check(monkeypatch,
+                                                   empty_ladders):
+    def refuse(*args):
+        raise AssertionError("ran work for a float bound")
+
+    for suite in ("identities", "rank-claim"):
+        monkeypatch.setitem(CHECKS, suite, {"any": refuse})
+    monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
+    for run, n_max in ((verify_identities, 5.0), (verify_rank_claim, 5.0),
+                       (scan_log_concavity, 2.0), (scan_asymptotics, 2.0)):
+        with pytest.raises(TypeError):
+            run(n_max)
+
+
 def test_rank_claim_passes():
     report = verify_rank_claim(13)
     assert report.suite == "rank-claim"
