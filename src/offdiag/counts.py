@@ -14,12 +14,13 @@ and count_nearly, the deletion pass (the symbolic border of
 `pfaffian._unit_border`, read by `pfaffian._deletion_rung`) serves o_vector
 and d_vector, and the scans `even_and_nearly_counts` and `o_vectors` read
 the same rungs.  Both are passes of `pfaffian._LeadingPass`, the one
-leading-order pass.  Each ladder keeps a per-process memo of the pass of the
-largest order asked so far and its rungs: a request at or below that order
-reads a rung, a larger one resumes the pass to its own order.  No entry is
-condensed twice, so however the requests arrive the memo does at most the
-work of one pass at the largest order asked; both ladders read the rows they
-add off one build of A kept at a power-of-two order (`_a_rows`).
+leading-order pass, and each ladder's per-process memo is its pass of the
+largest order asked so far: a request at or below that order reads its rung
+off the steps the pass stores (`_LeadingPass.rung`), a larger one resumes
+the pass to its own order.  No entry is condensed twice, so however the
+requests arrive the memo does at most the work of one pass at the largest
+order asked; both ladders read the rows they add off one build of A kept at
+a power-of-two order (`_a_rows`).
 `pfaffian` itself serves only count_off_diag and d_entry_bordered, and
 `_o_vector_direct` stays as the verification route.
 
@@ -30,10 +31,9 @@ raises TypeError) and refuses a request whose condensation order exceeds
 
 from __future__ import annotations
 
-from operator import index
+from operator import index, mul, neg
 
-from .matrices import matrix_a, matrix_m, pell_vector
-from .paths import delannoy
+from .matrices import defect_weights, matrix_a, pell_vector
 from .pfaffian import (
     _deletion_rung,
     _LeadingPass,
@@ -60,14 +60,12 @@ def _check_order(order: int) -> None:
 
 
 # Each ladder's per-process memo: the pass of the largest order asked so far
-# (resumable, see `_LeadingPass`) and the rungs read off it.  Entry m - 1 of
-# the first ladder's rungs is (even_order_full(2m), count_nearly(2m - 1)),
-# entry t of the second's is o_vector(2t + 1).  A pass that raises leaves its
-# memo as it was.
-_even_nearly_memo: tuple[_LeadingPass, tuple[tuple[int, int], ...]] = (
-    _LeadingPass(), ())
-_deletion_memo: tuple[_LeadingPass, tuple[tuple[int, ...], ...]] = (
-    _LeadingPass(), ())
+# (resumable, see `_LeadingPass`), whose rungs are the counts.  Rung m of the
+# first ladder's pass gives even_order_full(2m) and rung m - 1
+# count_nearly(2m - 1); rung t of the second's gives o_vector(2t + 1).  A
+# pass that raises leaves its memo as it was.
+_even_nearly_pass = _LeadingPass()
+_deletion_pass = _LeadingPass()
 
 # The upper triangle of the largest A built for the ladders so far (row i
 # holds a_ij for j > i), of a power-of-two order at most MAX_ORDER.  A grown
@@ -87,42 +85,33 @@ def _a_rows(start: int, stop: int) -> list[tuple[int, ...]]:
             + upper[i][:stop - i - 1] for i in range(start, stop)]
 
 
-def _even_nearly(m_max: int) -> tuple[tuple[int, int], ...]:
-    """At least m_max rungs of the Pell-bordered ladder, from the memo or
-    from its pass resumed to A(2 m_max) bordered by the doubled Pell column.
+def _even_nearly(m: int) -> _LeadingPass:
+    """The Pell-bordered ladder's pass over at least A(2m) bordered by the
+    doubled Pell column: the memo, or its pass resumed to order 2m.
 
-    The pivot after step m is Pf(A(2m)); before step m, working row 0's
-    border entry is Pf(B(2m)), the nearly count of order 2m - 1.
+    Rung m gives Pf(A(2m)); rung m - 1's border entry is Pf(B(2m)), the
+    nearly count of order 2m - 1.
     """
-    global _even_nearly_memo
-    done, rungs = _even_nearly_memo
-    if len(rungs) < m_max:
-        order = 2 * m_max
-        pell = pell_vector(order)[done.order:]
-        grown, steps = done.resume(_a_rows(done.order, order),
-                                   [(h,) for h in pell])
-        # steps[i] is step len(rungs) + i
-        rungs += tuple((steps[i][0], steps[i - 1][1][0])
-                       for i in range(1, len(steps)))
-        _even_nearly_memo = grown, rungs
-    return rungs
+    global _even_nearly_pass
+    done = _even_nearly_pass
+    if done.order < 2 * m:
+        pell = pell_vector(2 * m)[done.order:]
+        done = _even_nearly_pass = done.resume(
+            _a_rows(done.order, 2 * m), [(h,) for h in pell])
+    return done
 
 
-def _deletions(n: int) -> tuple[tuple[int, ...], ...]:
-    """At least the rungs o_vector(1), o_vector(3), ..., o_vector(n) (odd n),
-    from the memo or from its pass resumed to A(n) carrying the symbolic
-    deletion border."""
-    global _deletion_memo
-    done, rungs = _deletion_memo
-    if len(rungs) < (n + 1) // 2:
-        grown, steps = done.resume(_a_rows(done.order, n),
-                                   _unit_border(n, done.order))
-        # a resumed pass yields its last rung again first
-        rungs += tuple(_deletion_rung(t, c) for t, (_, c)
-                       in enumerate(steps, len(done.steps))
-                       if c and t >= len(rungs))
-        _deletion_memo = grown, rungs
-    return rungs
+def _deletions(n: int) -> _LeadingPass:
+    """The deletion ladder's pass over at least A(n) (odd n) carrying the
+    symbolic deletion border: the memo, or its pass resumed to order n.
+
+    Rung t, read by `_deletion_rung`, gives o_vector(2t + 1)."""
+    global _deletion_pass
+    done = _deletion_pass
+    if done.order < n:
+        done = _deletion_pass = done.resume(_a_rows(done.order, n),
+                                            _unit_border(n, done.order))
+    return done
 
 
 def count_off_diag(n: int, kept=None) -> int:
@@ -146,12 +135,12 @@ def o_vector(n: int) -> tuple[int, ...]:
     """All single-deletion counts (|O(n; [n] minus k)| for k = 1..n), odd n.
 
     Entry k is the Pfaffian of the odd-order matrix A(n) with row and column
-    k deleted; all n of them are one rung of the deletion ladder (a
-    `_LeadingPass` with the symbolic border of `_unit_border`), read from
-    the per-process memo or from its pass resumed to order n.  That pass
-    never pivots: the leading pivots of A(n) are the tiling counts
-    even_order_full(2t) > 0, and a zero one would raise ArithmeticError
-    rather than give a wrong vector.
+    k deleted; all n of them are rung (n - 1) / 2 of the deletion ladder's
+    pass (a `_LeadingPass` with the symbolic border of `_unit_border`, read
+    by `_deletion_rung`), the per-process memo or that pass resumed to order
+    n.  That pass never pivots: the leading pivots of A(n) are the tiling
+    counts even_order_full(2t) > 0, and a zero one would raise
+    ArithmeticError rather than give a wrong vector.
     `_o_vector_direct` computes the same vector as n separate Pfaffians, for
     verification.
     """
@@ -159,7 +148,8 @@ def o_vector(n: int) -> tuple[int, ...]:
     if n < 1 or n % 2 == 0:
         raise ValueError("deletion vector is defined for odd n >= 1")
     _check_order(n)
-    return _deletions(n)[(n - 1) // 2]
+    t = (n - 1) // 2
+    return _deletion_rung(t, _deletions(n).rung(t)[1])
 
 
 def count_nearly(n: int) -> int:
@@ -171,7 +161,7 @@ def count_nearly(n: int) -> int:
     if n < 1 or n % 2 == 0:
         raise ValueError("nearly count is defined for odd n >= 1")
     _check_order(n + 1)
-    return _even_nearly((n + 1) // 2)[(n - 1) // 2][1]
+    return _even_nearly((n + 1) // 2).rung((n - 1) // 2)[1][0]
 
 
 def d_vector(variant: str, n: int) -> tuple[int, ...]:
@@ -187,9 +177,12 @@ def d_vector(variant: str, n: int) -> tuple[int, ...]:
 
 
 def _defect_vector(variant: str, n: int, o) -> tuple[int, ...]:
-    """`d_vector` from an already computed deletion vector o = o_vector(n)."""
-    m = matrix_m(variant, n)
-    return tuple(sum(row[l] * o[l] for l in range(n)) for row in m)
+    """`d_vector` from an already computed deletion vector o = o_vector(n):
+    entry k is sum_l (-1)^(l-1) w_l o_l over cell k's `defect_weights`."""
+    signed = list(o)
+    signed[1::2] = map(neg, signed[1::2])
+    return tuple(sum(map(mul, defect_weights(variant, n, k), signed))
+                 for k in range(1, n + 1))
 
 
 def d_entry_bordered(variant: str, n: int, k: int) -> int:
@@ -202,17 +195,7 @@ def d_entry_bordered(variant: str, n: int, k: int) -> int:
     if variant not in ("pm", "minus", "plus"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_order(n + 1)
-
-    def column(kind):
-        if kind == "pm":
-            return [2 * delannoy(i - k, k - 1) for i in range(1, n + 1)]
-        return [2 * delannoy(i - k - 1, k - 1) for i in range(1, n + 1)]
-
-    if variant == "plus":
-        col = [p - m for p, m in zip(column("pm"), column("minus"))]
-    else:
-        col = column(variant)
-    return pfaffian(bordered_skew(matrix_a(n), col))
+    return pfaffian(bordered_skew(matrix_a(n), defect_weights(variant, n, k)))
 
 
 def even_order_full(n: int) -> int:
@@ -225,7 +208,7 @@ def even_order_full(n: int) -> int:
     if n < 2 or n % 2:
         raise ValueError("full-region count is defined for even n >= 2")
     _check_order(n)
-    return _even_nearly(n // 2)[n // 2 - 1][0]
+    return _even_nearly(n // 2).rung(n // 2)[0]
 
 
 def even_and_nearly_counts(m_max: int) -> list[tuple[int, int]]:
@@ -235,7 +218,9 @@ def even_and_nearly_counts(m_max: int) -> list[tuple[int, int]]:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     _check_order(2 * m_max)
-    return list(_even_nearly(m_max)[:m_max])
+    done = _even_nearly(m_max)
+    return [(done.rung(m)[0], done.rung(m - 1)[1][0])
+            for m in range(1, m_max + 1)]
 
 
 def o_vectors(n: int) -> list[tuple[int, ...]]:
@@ -245,4 +230,5 @@ def o_vectors(n: int) -> list[tuple[int, ...]]:
     if n < 1 or n % 2 == 0:
         raise ValueError("deletion vector is defined for odd n >= 1")
     _check_order(n)
-    return list(_deletions(n)[:(n + 1) // 2])
+    done = _deletions(n)
+    return [_deletion_rung(t, done.rung(t)[1]) for t in range((n + 1) // 2)]

@@ -60,31 +60,37 @@ def matrix_b(order: int) -> SkewMatrix:
     return bordered_skew(matrix_a(order - 1), pell_vector(order - 1))
 
 
+def defect_weights(variant: str, n: int, k: int) -> tuple[int, ...]:
+    """The unsigned Delannoy weights of diagonal cell k against the deletion
+    counts l = 1..n: variant "pm" weighs l by 2*delannoy(l-k, k-1), "minus"
+    by 2*delannoy(l-1-k, k-1), the "pm" weight of l - 1; "plus" is their
+    difference.  They form row k of `matrix_m` and the border column of
+    `counts.d_entry_bordered`."""
+    if variant not in ("pm", "minus", "plus"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if not 1 <= k <= n:
+        raise ValueError(f"cell index must be within 1..{n}")
+    # delannoy(l-k, k-1) is 0 for l < k
+    pm = [0] * (k - 1) + [2 * delannoy(j, k - 1) for j in range(n - k + 1)]
+    if variant == "pm":
+        return tuple(pm)
+    minus = [0] + pm[:-1]
+    if variant == "minus":
+        return tuple(minus)
+    return tuple(p - m for p, m in zip(pm, minus))
+
+
 def matrix_m(variant: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Delannoy-weighted matrix mapping the deletion-count vector to defect
-    counts per diagonal cell.
-
-    variant "pm" weighs cell k by 2*delannoy(l-k, k-1), "minus" by
-    2*delannoy(l-1-k, k-1); "plus" is their difference.
+    counts per diagonal cell: row k is `defect_weights(variant, n, k)` with
+    the sign (-1)^(l-1) on column l.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if variant not in ("pm", "minus", "plus"):
-        raise ValueError(f"unknown variant {variant!r}")
-    rows = []
-    for k in range(1, n + 1):
-        row = []
-        for l in range(1, n + 1):
-            sign = (-1) ** (l - 1)
-            if variant == "pm":
-                val = 2 * delannoy(l - k, k - 1)
-            elif variant == "minus":
-                val = 2 * delannoy(l - 1 - k, k - 1)
-            else:
-                val = 2 * (delannoy(l - k, k - 1) - delannoy(l - 1 - k, k - 1))
-            row.append(sign * val)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(w if l % 2 == 0 else -w
+              for l, w in enumerate(defect_weights(variant, n, k)))
+        for k in range(1, n + 1))
 
 
 def r_value(n: int, i: int, j: int) -> int:

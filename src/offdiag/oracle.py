@@ -26,6 +26,7 @@ path counts, so region sizes are deliberately capped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 Square = tuple[int, int]
 Domino = tuple[Square, Square]
@@ -72,12 +73,12 @@ class Region:
 
 def build_region(n: int, kept=None) -> Region:
     """The order-n diamond, minus the boundary squares (and their mirrors)
-    whose labels are not kept."""
+    whose labels are not kept; labels go through `operator.index`."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if kept is None:
         kept = range(1, n + 1)
-    kept = list(kept)
+    kept = list(map(index, kept))
     if len(set(kept)) < len(kept):
         raise ValueError(f"kept labels repeat: {sorted(kept)}")
     kept = frozenset(kept)

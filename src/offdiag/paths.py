@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 
 FULL = "full"
 REDUCED = "reduced"
@@ -42,7 +43,11 @@ def delannoy(p: int, q: int) -> int:
     through (p, q), that of the Jacobi polynomials P_q^(0, p-q) at -3:
         2pq(s-2) D(p,q) = (s-1)(3s(s-2) + (p-q)^2) D(p-1,q-1)
                           - 2(p-1)(q-1)s D(p-2,q-2),   s = p + q.
+
+    p and q go through `operator.index`, so a float raises TypeError and the
+    cache, which takes 2.0 and 2 for one key, never holds a float value.
     """
+    p, q = index(p), index(q)
     if p < 0 or q < 0:
         return 0
     if p == 0 or q == 0:

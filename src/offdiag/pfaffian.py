@@ -5,16 +5,17 @@ condensation, which every Pfaffian here runs on, and a memoized cofactor
 expansion, kept as the clear verification route.  They cross-check each other
 in the tests.
 
-`_condensation` is the one condensation loop, and `_condense_rows` its one
-step.  Each job has one entry point to it:
+`_condense_rows` is the one condensation step.  Each job has one loop over
+it:
 
 - `pfaffian`: one Pfaffian, curing zero pivots by a pair search;
 - `_LeadingPass`: without pivoting, one pass gives every leading order (the
   pivot after step t is the Pfaffian of the leading 2t x 2t block), and a
   border carried along gives the bordered Pfaffians of each odd leading
-  block (with a symbolic border, every single-deletion Pfaffian of it).  The
-  pass is kept after it ends, so that a larger input of the same ladder
-  resumes it instead of starting again; a fresh pass is
+  block (with a symbolic border, every single-deletion Pfaffian of it);
+  `rung(t)` reads both off the steps the pass stores.  The pass is kept
+  after it ends, so that a larger input of the same ladder resumes it
+  instead of starting again; a fresh pass is
   `_LeadingPass().resume(m.rows, border)`.
 
 Also here: one fraction-free (Bareiss) elimination, `_echelon`, for both the
@@ -24,7 +25,7 @@ constructor used by the counting layer.
 
 from __future__ import annotations
 
-from operator import index
+from operator import index, neg
 
 
 class SkewMatrix:
@@ -61,10 +62,11 @@ class SkewMatrix:
 
 
 def principal_submatrix(m: SkewMatrix, keep) -> SkewMatrix:
-    """Principal submatrix on the 1-based labels in `keep` (any order).
+    """Principal submatrix on the 1-based labels in `keep` (any order),
+    taken through `operator.index`.
 
     An empty `keep` gives the empty matrix, whose Pfaffian is 1."""
-    idx = sorted(keep)
+    idx = sorted(map(index, keep))
     if len(set(idx)) < len(idx):
         raise ValueError(f"kept labels repeat: {idx}")
     if idx and (idx[0] < 1 or idx[-1] > m.order):
@@ -145,31 +147,6 @@ def _swap(a: list[list[int]], i: int, j: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
-def _condensation(a: list[list[int]], prev: int = 1):
-    """The one condensation loop: condense the working rows `a` two at a
-    time, never pivoting, until at most one row is left.
-
-    Yields (pivot, rows) before the first step and after each step; `prev`
-    is the pivot before the first step (1, unless a pass is resumed).  With no
-    swaps, the pivot after step t is the Pfaffian of the leading 2t x 2t block
-    of the input (1 for t = 0), and working entry (i, j) is the Pfaffian of
-    that block plus input rows 2t+i and 2t+j (the Pfaffian form of Bareiss's
-    leading-minor property), so one pass gives every leading order.  A caller
-    may swap rows of the yielded list in place before resuming, as
-    `pfaffian` does to cure zero pivots; a zero (0, 1) entry when the loop
-    resumes raises ArithmeticError.
-    """
-    while True:
-        yield prev, a
-        if len(a) < 2:
-            return
-        p = a[0][1]
-        if not p:
-            raise ArithmeticError("zero pivot in condensation")
-        a = _condense_rows(a[0], a[1], a[2:], 2, prev)
-        prev = p
-
-
 def _unit_border(n: int, start: int = 0) -> list[list[int]]:
     """Rows start..n-1 of the symbolic border column x of an order-n matrix:
     row i starts as the unit vector e_i."""
@@ -191,47 +168,60 @@ def pfaffian(m: SkewMatrix) -> int:
     """
     if m.order % 2:
         return 0
-    sign = 1
-    for pivot, rows in _condensation([list(row) for row in m.rows]):
-        size = len(rows)
-        if size < 2:
-            return sign * pivot
+    a = [list(row) for row in m.rows]
+    sign = prev = 1
+    while a:
+        size = len(a)
         pair = next(((i, j) for i in range(size)
-                     for j in range(i + 1, size) if rows[i][j]), None)
+                     for j in range(i + 1, size) if a[i][j]), None)
         if pair is None:
             return 0
         for src, dst in zip(pair, (0, 1)):
             if src != dst:
-                _swap(rows, src, dst)
+                _swap(a, src, dst)
                 sign = -sign
+        a, prev = _condense_rows(a[0], a[1], a[2:], 2, prev), a[0][1]
+    return sign * prev
 
 
 def _deletion_rung(t: int, c) -> tuple[int, ...]:
     """The single-deletion Pfaffians of the leading (2t+1) x (2t+1) block,
-    from working row 0's symbolic border entries `c` before step t+1.
+    from working row 0's symbolic border entries `c` after t steps (rung t
+    of a `_LeadingPass`).
 
     With the symbolic border of `_unit_border`, the bordered Pfaffian of an
     odd leading block is sum_k (-1)^k x_k Pf(block minus k) (0-based k), so
     entry k of `c` is Pf(block minus k) up to that sign."""
-    return tuple(e if k % 2 == 0 else -e for k, e in enumerate(c[:2 * t + 1]))
+    c = list(c[:2 * t + 1])
+    c[1::2] = map(neg, c[1::2])
+    return tuple(c)
 
 
 class _LeadingPass:
-    """A leading-order pass of `_condensation`, never pivoting, run to its
-    end and kept so that the pass over a larger input of the same ladder
-    resumes it.
+    """A leading-order condensation pass, never pivoting, run to its end and
+    kept: it is the memo of every rung it passed, and the pass over a larger
+    input of the same ladder resumes it.
+
+    Without swaps, the pivot after step t is the Pfaffian of the leading
+    2t x 2t block of the input (1 for t = 0), and working entry (i, j) is the
+    Pfaffian of that block plus input rows 2t+i and 2t+j (the Pfaffian form
+    of Bareiss's leading-minor property).  Columns past the input's are
+    border columns, which the same step carries along, so working row 0's
+    entry in border column h is the Pfaffian of the leading (2t+1) x (2t+1)
+    block bordered by column h.  `rung(t)` reads both.
 
     It holds the input order and border width absorbed, each step's divisor
-    and pivot rows, the working rows left (fewer than two) and the last
-    pivot.  `_LeadingPass()` is the pass over the empty input, so a fresh
-    pass over m with border `border` is `_LeadingPass().resume(m.rows,
-    border)`.  `resume` carries the rows a larger input adds through the
-    stored steps and then runs the steps they allow.  No entry is condensed
-    twice, and the rows already held skip the border columns that are added
-    (they stay zero), so passes at orders N1 < N2 < ... do at most the work
-    of one pass at the last order, however the input grows.  A _LeadingPass
-    is never changed; `resume` returns a new one, so a pass that raises
-    leaves the old one as it was.
+    and pivot rows (step t holds the pivot and working rows 0 and 1 after t
+    steps), the working rows left (fewer than two) and the last pivot.
+    `_LeadingPass()` is the pass over the empty input, so a fresh pass over m
+    with border `border` is `_LeadingPass().resume(m.rows, border)`.
+    `resume` carries the rows a larger input adds through the stored steps
+    and then runs the steps they allow.  No entry is condensed twice, and the
+    rows already held skip the border columns that are added (they stay
+    zero), so passes at orders N1 < N2 < ... do at most the work of one pass
+    at the last order, however the input grows.  A _LeadingPass is never
+    changed; `resume` returns a new one, so a pass that raises leaves the
+    old one as it was.
     """
 
     __slots__ = ("order", "width", "steps", "rows", "pivot")
@@ -242,22 +232,28 @@ class _LeadingPass:
         self.rows: list[list[int]] = []
         self.pivot = 1
 
-    def resume(self, rows, border):
-        """(the pass over this pass's input grown by `rows`, the steps it
-        adds).
+    def rung(self, t: int) -> tuple[int, tuple[int, ...]]:
+        """(Pf of the input's leading 2t x 2t block, working row 0's border
+        entries after t steps) for 0 <= t <= len(self.steps); the border
+        entries are empty once no row is left."""
+        if not 0 <= t <= len(self.steps):
+            raise IndexError(f"a pass of {len(self.steps)} steps has no "
+                             f"rung {t}")
+        if t < len(self.steps):
+            pivot, row, _ = self.steps[t]
+        else:
+            pivot, row = self.pivot, self.rows[0] if self.rows else []
+        return pivot, tuple(row[len(row) - self.width:])
+
+    def resume(self, rows, border) -> _LeadingPass:
+        """The pass over this pass's input grown by `rows`.
 
         `rows` are the rows the larger input adds, each as long as its new
         order, so the larger input's leading block is this pass's input;
         `border` lists their border entries, as many for each row, and the
         earlier rows' border entries are taken as theirs padded with zeros
-        (border columns may be added, not removed).  Step t of the larger
-        input is the pair (Pf of its leading 2t x 2t block, working row 0's
-        border entries after t steps); entry h of the latter is the Pfaffian
-        of the leading (2t+1) x (2t+1) block bordered by column h, and the
-        tuple is empty once no row is left.  The steps returned are those
-        for t = len(self.steps), len(self.steps) + 1, ...: a resumed pass
-        starts with its current step again, with the added rows in working
-        row 0's border.  A zero leading pivot raises ArithmeticError.
+        (border columns may be added, not removed).  A zero leading pivot
+        raises ArithmeticError.
         """
         order = self.order + len(rows)
         if len(border) != len(rows):
@@ -285,15 +281,18 @@ class _LeadingPass:
         rows = [row[:left] + [-new[i] for new in added] + row[left:]
                 + [0] * (width - (len(row) - left))
                 for i, row in enumerate(self.rows)] + added
-        yielded = []
-        for pivot, rows in _condensation(rows, self.pivot):
-            if len(rows) >= 2:
-                steps.append((pivot, rows[0], rows[1]))
-            yielded.append((pivot, tuple(rows[0][len(rows):]) if rows else ()))
+        pivot = self.pivot
+        while len(rows) >= 2:
+            p = rows[0][1]
+            if not p:
+                raise ArithmeticError("zero pivot in condensation")
+            steps.append((pivot, rows[0], rows[1]))
+            rows, pivot = _condense_rows(rows[0], rows[1], rows[2:], 2,
+                                         pivot), p
         grown = _LeadingPass()
         grown.order, grown.width, grown.steps = order, width, tuple(steps)
         grown.rows, grown.pivot = rows, pivot
-        return grown, yielded
+        return grown
 
 
 def bordered_skew(q: SkewMatrix, column) -> SkewMatrix:

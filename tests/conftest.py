@@ -12,13 +12,13 @@ ACCEPTANCE_LINES = []
 
 @pytest.fixture
 def empty_ladders(monkeypatch):
-    """Start both per-process count memos, and the A their rows are read
-    off, empty and restore them afterwards, so a test that fakes `matrix_a`
-    or counts condensation passes neither leaves rungs behind nor reads
-    rungs an earlier test computed."""
-    for name in ("_even_nearly_memo", "_deletion_memo"):
+    """Start both per-process count memos (the ladders' passes), and the A
+    their rows are read off, empty and restore them afterwards, so a test
+    that fakes `matrix_a` or counts condensation passes neither leaves rungs
+    behind nor reads rungs an earlier test computed."""
+    for name in ("_even_nearly_pass", "_deletion_pass"):
         monkeypatch.setattr(offdiag.counts, name,
-                            (offdiag.pfaffian._LeadingPass(), ()))
+                            offdiag.pfaffian._LeadingPass())
     monkeypatch.setattr(offdiag.counts, "_a_upper", ())
 
 

@@ -195,13 +195,13 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
                                                    empty_ladders):
     want = (pfaffian(matrix_b(22)), pfaffian(matrix_a(22)))
     passes = []
-    condensation = offdiag.pfaffian._condensation
+    resume = offdiag.pfaffian._LeadingPass.resume
 
-    def counted(rows, *rest):
+    def counted(done, rows, border):
         passes.append(len(rows))
-        return condensation(rows, *rest)
+        return resume(done, rows, border)
 
-    monkeypatch.setattr(offdiag.pfaffian, "_condensation", counted)
+    monkeypatch.setattr(offdiag.pfaffian._LeadingPass, "resume", counted)
     even_order_full(20)
     o_vector(19)
     assert passes == [20, 19]
@@ -237,9 +237,9 @@ def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):
     random.Random(7).shuffle(shuffled)
     totals = []
     for orders in (range(31, 0, -1), range(1, 32), shuffled):
-        for name in ("_even_nearly_memo", "_deletion_memo"):
+        for name in ("_even_nearly_pass", "_deletion_pass"):
             monkeypatch.setattr(offdiag.counts, name,
-                                (offdiag.pfaffian._LeadingPass(), ()))
+                                offdiag.pfaffian._LeadingPass())
         condensed.clear()
         for n in orders:
             if n % 2:
@@ -254,8 +254,8 @@ def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):
 def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
                                                     empty_ladders):
     def memos():
-        return (offdiag.counts._even_nearly_memo,
-                offdiag.counts._deletion_memo)
+        return (offdiag.counts._even_nearly_pass,
+                offdiag.counts._deletion_pass)
 
     def zero_added_rows(n):
         # a resumed pass reads only the rows a request adds past the memo
@@ -267,7 +267,7 @@ def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
     even_order_full(10)
     o_vector(9)
     before = memos()
-    assert [len(rungs) for _, rungs in before] == [5, 5]
+    assert [done.order for done in before] == [10, 9]
     for call in (lambda: even_order_full(MAX_ORDER + 2),
                  lambda: count_nearly(MAX_ORDER + 1),
                  lambda: o_vector(MAX_ORDER + 1),
@@ -310,7 +310,7 @@ def test_float_orders_are_refused_before_building(monkeypatch,
         raise AssertionError("built a matrix for a float order")
 
     monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
-    before = (offdiag.counts._even_nearly_memo, offdiag.counts._deletion_memo)
+    before = (offdiag.counts._even_nearly_pass, offdiag.counts._deletion_pass)
     for call in (lambda: o_vector(3.0), lambda: d_vector("pm", 3.0),
                  lambda: o_vectors(3.0), lambda: even_order_full(4.0),
                  lambda: count_nearly(3.0),
@@ -320,8 +320,8 @@ def test_float_orders_are_refused_before_building(monkeypatch,
                  lambda: d_entry_bordered("pm", 3, 1.0)):
         with pytest.raises(TypeError):
             call()
-    assert (offdiag.counts._even_nearly_memo,
-            offdiag.counts._deletion_memo) == before
+    assert (offdiag.counts._even_nearly_pass,
+            offdiag.counts._deletion_pass) == before
 
 
 def test_order_bound_admits_exactly_max_order(monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
 from offdiag.matrices import (
+    defect_weights,
     g_sequence,
     matrix_a,
     matrix_b,
@@ -10,6 +11,7 @@ from offdiag.matrices import (
     r_value,
     t_array,
 )
+from offdiag.paths import delannoy
 from offdiag.pfaffian import pfaffian
 
 FIRST_ROW_TABLE = (
@@ -107,6 +109,24 @@ def test_matrix_m_fixtures():
                 assert plus[i][j] == pm[i][j] - minus[i][j]
     with pytest.raises(ValueError):
         matrix_m("both", 3)
+
+
+def test_defect_weights_are_the_delannoy_columns():
+    # one place writes the weights; check them against the formulas
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            pm = tuple(2 * delannoy(l - k, k - 1) for l in range(1, n + 1))
+            minus = tuple(2 * delannoy(l - 1 - k, k - 1)
+                          for l in range(1, n + 1))
+            assert defect_weights("pm", n, k) == pm
+            assert defect_weights("minus", n, k) == minus
+            assert defect_weights("plus", n, k) == tuple(
+                p - m for p, m in zip(pm, minus))
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="cell index"):
+            defect_weights("pm", 3, k)
+    with pytest.raises(ValueError, match="unknown variant"):
+        defect_weights("both", 3, 1)
 
 
 def test_first_row_values_match_table():

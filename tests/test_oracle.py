@@ -98,6 +98,15 @@ def test_region_shapes():
         build_region(0)
 
 
+def test_non_integer_labels_are_refused():
+    # labels go through operator.index: 1.5 is no label, and 2.0 is not
+    # taken for 2
+    for kept in ([1.5], [1, 2.0]):
+        with pytest.raises(TypeError):
+            build_region(3, kept)
+    assert build_region(3, [True, 3]) == build_region(3, [1, 3])
+
+
 def test_total_tiling_counts():
     for n in (1, 2, 3, 4, 8):
         assert count_all_tilings(build_region(n)) == 2 ** (n * (n + 1) // 2)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,34 @@ def test_delannoy_cold_cache_deep_arguments():
         assert delannoy(2000, 1500) == delannoy_closed_form(2000, 1500)
     finally:
         delannoy.cache_clear()
+
+
+FLOAT_THEN_COUNT = """
+import offdiag, offdiag.cli
+try:
+    offdiag.delannoy(3.0, 3)
+except TypeError:
+    print("refused")
+print(offdiag.d_vector("pm", 5))
+offdiag.cli.main(["count", "dpm", "--n", "5", "--all", "--format", "json"])
+"""
+
+
+def test_float_arguments_never_enter_the_delannoy_cache():
+    # lru_cache takes (3.0, 3) and (3, 3) for one key, so a float cached
+    # there would turn later counts into floats; a fresh process keeps such
+    # a poisoned cache away from the other tests
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", FLOAT_THEN_COUNT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "refused",
+        "(24, 96, 72, 96, 24)",
+        '{"target": "dpm", "n": 5, "values": '
+        '["24", "96", "72", "96", "24"]}',
+    ]
 
 
 def test_graph_structure():

@@ -202,6 +202,16 @@ def test_principal_submatrix():
         principal_submatrix(m, (1, 1, 3))
 
 
+def test_principal_submatrix_refuses_non_integer_labels():
+    # labels go through operator.index, so a float label is refused up
+    # front rather than failing as a tuple index
+    m = SkewMatrix(((0, 1, 2), (-1, 0, 3), (-2, -3, 0)))
+    for keep in ((1.0, 2.0), (1, 2.5)):
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            principal_submatrix(m, keep)
+    assert principal_submatrix(m, (True, 3)) == principal_submatrix(m, (1, 3))
+
+
 def bordered_cases():
     yield SkewMatrix(((0, 5, -2), (-5, 0, 7), (2, -7, 0))), [3, -4, 6]
     rng = random.Random(MOVED_SEED + 3)
@@ -254,9 +264,14 @@ def leading(m, order):
     return principal_submatrix(m, range(1, order + 1))
 
 
+def rungs(done):
+    """Every rung of the pass `done`."""
+    return [done.rung(t) for t in range(len(done.steps) + 1)]
+
+
 def leading_steps(m, border):
-    """Every step of one fresh leading-order pass over m with `border`."""
-    return _LeadingPass().resume(m.rows, border)[1]
+    """Every rung of one fresh leading-order pass over m with `border`."""
+    return rungs(_LeadingPass().resume(m.rows, border))
 
 
 def deletion_rungs(m):
@@ -345,9 +360,9 @@ def test_leading_pfaffians_read_every_leading_order():
 
 
 def test_resumed_pass_matches_one_fresh_pass():
-    # a pass grown through any sequence of leading blocks yields, at each
-    # size, the steps one fresh pass over that block yields past the steps
-    # already run; the border keeps its width or gains columns (unit border)
+    # a pass grown through any sequence of leading blocks reads, at each
+    # size, every rung one fresh pass over that block reads; the border
+    # keeps its width or gains columns (unit border)
     rng = random.Random(143)
     resumed = raised = 0
     for _ in range(300):
@@ -371,20 +386,23 @@ def test_resumed_pass_matches_one_fresh_pass():
                     assert repr(kept) == snapshot
                     raised += 1
                     break
-                grown, got = done.resume(*added)
-                assert got == want[len(done.steps):]
+                grown = done.resume(*added)
+                assert rungs(grown) == want
                 assert grown.order == k and len(grown.steps) == k // 2
                 resumed += len(done.steps) > 0
                 done = grown
     assert resumed > 100 and raised > 10
-    two, _ = _LeadingPass().resume(((0, 1), (-1, 0)), [(), ()])
+    two = _LeadingPass().resume(((0, 1), (-1, 0)), [(), ()])
     with pytest.raises(ValueError):
         two.resume([(1, 2)], [()])          # a row of the wrong length
     with pytest.raises(ValueError):
         two.resume([(-1, -2, 0)], [])       # no border row for it
-    wide, _ = _LeadingPass().resume(((0, 1), (-1, 0)), [(1, 2), (3, 4)])
+    wide = _LeadingPass().resume(((0, 1), (-1, 0)), [(1, 2), (3, 4)])
     with pytest.raises(ValueError):
         wide.resume([(-1, -2, 0)], [(5,)])  # a border column removed
+    for t in (-1, 2):
+        with pytest.raises(IndexError):
+            wide.rung(t)                    # a pass of one step has rungs 0, 1
 
 
 def test_zero_leading_pivot_raises_on_the_leading_path():

@@ -143,16 +143,16 @@ def test_asymptotics_scan():
 
 def test_scans_run_one_condensation_pass(monkeypatch, empty_ladders):
     passes = []
-    condensation = offdiag.pfaffian._condensation
+    resume = offdiag.pfaffian._LeadingPass.resume
 
-    def counted(rows, *rest):
+    def counted(done, rows, border):
         passes.append(len(rows))
-        return condensation(rows, *rest)
+        return resume(done, rows, border)
 
     def refuse(*args):
         raise AssertionError("a scan fell back to per-order work")
 
-    monkeypatch.setattr(offdiag.pfaffian, "_condensation", counted)
+    monkeypatch.setattr(offdiag.pfaffian._LeadingPass, "resume", counted)
     for module in (offdiag.counts, offdiag.verify):
         for name in ("even_order_full", "count_nearly", "o_vector"):
             if hasattr(module, name):
