@@ -21,6 +21,7 @@ from itertools import islice
 
 from .counts import (
     MAX_ORDER,
+    _defect_cells,
     count_nearly,
     count_off_diag,
     d_vector,
@@ -113,13 +114,13 @@ def _cmd_count(args) -> int:
     elif target in ("d", "even"):
         count = count_nearly if target == "d" else even_order_full
         payload["value"] = str(count(n))
-    else:
+    elif args.all:
         vec = o_vector(n) if target == "o" else d_vector(target[1:], n)
-        if args.all:
-            payload["values"] = [str(v) for v in vec]
-        else:
-            payload["k"] = args.k
-            payload["value"] = str(vec[args.k - 1])
+        payload["values"] = [str(v) for v in vec]
+    else:
+        payload["k"] = args.k
+        payload["value"] = str(o_vector(n)[args.k - 1] if target == "o" else
+                               _defect_cells(target[1:], n, [args.k])[0])
     if args.format == "json":
         print(json.dumps(payload))
     elif args.format == "csv":

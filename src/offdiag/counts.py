@@ -12,15 +12,16 @@ is a prefix of the one for A(N), so by the leading-minor property one pass
 gives every order up to N.  The Pell-bordered pass serves even_order_full
 and count_nearly, the deletion pass (the symbolic border of
 `pfaffian._unit_border`, read by `pfaffian._deletion_rung`) serves o_vector
-and d_vector, and the scans `even_and_nearly_counts` and `o_vectors` read
-the same rungs.  Both are passes of `pfaffian._LeadingPass`, the one
-leading-order pass, and each ladder's per-process memo is its pass of the
-largest order asked so far: a request at or below that order reads its rung
-off the steps the pass stores (`_LeadingPass.rung`), a larger one resumes
-the pass to its own order.  No entry is condensed twice, so however the
-requests arrive the memo does at most the work of one pass at the largest
-order asked; both ladders read the rows they add off one build of A kept at
-a power-of-two order (`_a_rows`).
+and, through it, d_vector.  Both are passes of `pfaffian._LeadingPass`, the
+one leading-order pass, and each ladder's per-process memo is its pass of
+the largest order asked so far: a request at or below that order reads its
+rung off the steps the pass stores (`_LeadingPass.rung`), a larger one
+resumes the pass to its own order.  No entry is condensed twice, so however
+the requests arrive the memo does at most the work of one pass at the
+largest order asked; both ladders read the rows they add off one build of A
+kept at a power-of-two order (`_a_rows`).  A scan asks for its largest order
+first, which resumes the ladder once, and then reads every order's rung
+through these same functions.
 `pfaffian` itself serves only count_off_diag and d_entry_bordered, and
 `_o_vector_direct` stays as the verification route.
 
@@ -170,19 +171,20 @@ def d_vector(variant: str, n: int) -> tuple[int, ...]:
 
     variant "plus" counts doubled cells, "minus" empty cells, "pm" both.
     """
+    return _defect_cells(variant, n, range(1, index(n) + 1))
+
+
+def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
+    """Entries k in `cells` of d_vector(variant, n): entry k is
+    sum_l (-1)^(l-1) w_l o_l over cell k's `defect_weights` w and
+    o = o_vector(n), so one cell costs n Delannoy weights."""
     n = index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("defect vector is defined for odd n >= 1")
-    return _defect_vector(variant, n, o_vector(n))
-
-
-def _defect_vector(variant: str, n: int, o) -> tuple[int, ...]:
-    """`d_vector` from an already computed deletion vector o = o_vector(n):
-    entry k is sum_l (-1)^(l-1) w_l o_l over cell k's `defect_weights`."""
-    signed = list(o)
+    signed = list(o_vector(n))
     signed[1::2] = map(neg, signed[1::2])
     return tuple(sum(map(mul, defect_weights(variant, n, k), signed))
-                 for k in range(1, n + 1))
+                 for k in cells)
 
 
 def d_entry_bordered(variant: str, n: int, k: int) -> int:
@@ -209,26 +211,3 @@ def even_order_full(n: int) -> int:
         raise ValueError("full-region count is defined for even n >= 2")
     _check_order(n)
     return _even_nearly(n // 2).rung(n // 2)[0]
-
-
-def even_and_nearly_counts(m_max: int) -> list[tuple[int, int]]:
-    """(even_order_full(2m), count_nearly(2m - 1)) for m = 1..m_max, from
-    the Pell-bordered ladder (at most one condensation, of A(2 m_max))."""
-    m_max = index(m_max)
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    _check_order(2 * m_max)
-    done = _even_nearly(m_max)
-    return [(done.rung(m)[0], done.rung(m - 1)[1][0])
-            for m in range(1, m_max + 1)]
-
-
-def o_vectors(n: int) -> list[tuple[int, ...]]:
-    """o_vector(k) for every odd k <= n (odd n), from the deletion ladder
-    (at most one condensation, of A(n))."""
-    n = index(n)
-    if n < 1 or n % 2 == 0:
-        raise ValueError("deletion vector is defined for odd n >= 1")
-    _check_order(n)
-    done = _deletions(n)
-    return [_deletion_rung(t, done.rung(t)[1]) for t in range((n + 1) // 2)]

@@ -34,7 +34,7 @@ Point = tuple[int, int]
 _WARM_STRIDE = 64
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def delannoy(p: int, q: int) -> int:
     """Delannoy number: monotone (E, N, NE) paths from (0,0) to (p,q),
     equal to sum_k C(p,k) C(q,k) 2^k.
@@ -44,8 +44,9 @@ def delannoy(p: int, q: int) -> int:
         2pq(s-2) D(p,q) = (s-1)(3s(s-2) + (p-q)^2) D(p-1,q-1)
                           - 2(p-1)(q-1)s D(p-2,q-2),   s = p + q.
 
-    p and q go through `operator.index`, so a float raises TypeError and the
-    cache, which takes 2.0 and 2 for one key, never holds a float value.
+    p and q go through `operator.index`, so a float raises TypeError, and the
+    cache is typed, so (3.0, 3) is a key of its own: a float is refused
+    whether or not the equal int key is cached, and never enters the cache.
     """
     p, q = index(p), index(q)
     if p < 0 or q < 0:

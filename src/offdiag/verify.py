@@ -20,14 +20,12 @@ from operator import index
 from . import series
 from .counts import (
     MAX_ORDER,
-    _defect_vector,
     _o_vector_direct,
     count_nearly,
     d_entry_bordered,
     d_vector,
-    even_and_nearly_counts,
+    even_order_full,
     o_vector,
-    o_vectors,
 )
 from .matrices import (
     matrix_a,
@@ -489,7 +487,7 @@ def _check_deletion_ratios(n_max: int):
         o = o_vector(n)
         if o[1] != (n - 2) * o[0]:
             failures.append({"n": n, "first": o[0], "second": o[1]})
-        d = _defect_vector("pm", n, o)
+        d = d_vector("pm", n)
         if d[1] != (n - 1) * d[0]:
             failures.append({"n": n, "d-first": d[0], "d-second": d[1]})
     return f"odd orders 3..{cap}", failures
@@ -525,10 +523,9 @@ def _check_nearly_total(n_max: int):
     failures = []
     for n in range(1, cap + 1, 2):
         total = count_nearly(n)
-        o = o_vector(n)
-        pm = _defect_vector("pm", n, o)
-        plus = _defect_vector("plus", n, o)
-        minus = _defect_vector("minus", n, o)
+        pm = d_vector("pm", n)
+        plus = d_vector("plus", n)
+        minus = d_vector("minus", n)
         if total != sum(pm):
             failures.append({"n": n, "bordered": total, "by-cell": sum(pm)})
         if any(pm[k] != plus[k] + minus[k] for k in range(n)):
@@ -610,10 +607,9 @@ def _check_nearly_families(n_max: int):
                                  "odd-permutation-families": odd_perms})
             per_cell.append((signed_family_count(lo_fams),
                              signed_family_count(hi_fams)))
-        o = o_vector(n)
-        pm = _defect_vector("pm", n, o)
-        plus = _defect_vector("plus", n, o)
-        minus = _defect_vector("minus", n, o)
+        pm = d_vector("pm", n)
+        plus = d_vector("plus", n)
+        minus = d_vector("minus", n)
         for k in range(n):
             lo, hi = per_cell[k]
             if lo + hi != pm[k] or 2 * lo != plus[k] or hi - lo != minus[k]:
@@ -634,7 +630,7 @@ def _check_oracle_small(n_max: int):
             failures.append({"n": n, "oracle": oc.o, "matrix": o})
         for variant, got in (("pm", oc.d_pm), ("plus", oc.d_plus),
                              ("minus", oc.d_minus)):
-            want = _defect_vector(variant, n, o)
+            want = d_vector(variant, n)
             if got != want:
                 failures.append({"n": n, "variant": variant, "oracle": got,
                                  "matrix": want})
@@ -812,8 +808,12 @@ def scan_log_concavity(n_max: int = 35):
     rows = []
     lc_failures = []
     non_unimodal = []
-    for m, o in enumerate(o_vectors(2 * n_max - 1), start=1):
+    # the largest order first: it refuses an oversized scan before any work
+    # and resumes the deletion ladder once, so each order below is a rung read
+    o_vector(2 * n_max - 1)
+    for m in range(1, n_max + 1):
         order = 2 * m - 1
+        o = o_vector(order)
         log_concave = True
         for k in range(1, order - 1):
             if o[k] * o[k] < o[k - 1] * o[k + 1]:
@@ -821,7 +821,7 @@ def scan_log_concavity(n_max: int = 35):
                 lc_failures.append({"order": order, "k": k + 1,
                                     "triple": (o[k - 1], o[k], o[k + 1])})
                 break
-        pm_unimodal = _is_unimodal(_defect_vector("pm", order, o))
+        pm_unimodal = _is_unimodal(d_vector("pm", order))
         if not pm_unimodal:
             non_unimodal.append(order)
         rows.append({"order": order, "log_concave": log_concave,
@@ -884,14 +884,18 @@ def scan_asymptotics(n_max: int = 35):
     Returns (report, rows).  Roots and gaps are advisory floats; the checks
     are the exact base case and, past the calibration point, that the gap has
     shrunk relative to m=5, decided from exact rational brackets on the
-    roots.  Every count comes from one condensation pass.
+    roots.  The largest order is asked for first, which resumes the
+    Pell-bordered ladder once; every count is then a rung read.
     """
     n_max = index(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     root2 = math.sqrt(2)
     rows = []
-    counts = even_and_nearly_counts(n_max)
+    # the largest order first: it refuses an oversized scan before any work
+    even_order_full(2 * n_max)
+    counts = [(even_order_full(2 * m), count_nearly(2 * m - 1))
+              for m in range(1, n_max + 1)]
     for m, (even_count, nearly_count) in enumerate(counts, start=1):
         even_order = 2 * m
         odd_order = 2 * m - 1

@@ -134,11 +134,29 @@ def test_count_checks_k_before_computing(capsys, monkeypatch):
 
     monkeypatch.setattr(offdiag.cli, "o_vector", refuse)
     monkeypatch.setattr(offdiag.cli, "d_vector", refuse)
+    monkeypatch.setattr(offdiag.cli, "_defect_cells", refuse)
     for target in ("o", "dpm"):
         for k in ("0", "10"):
             code, _, err = run(capsys, "count", target, "--n", "9", "--k", k)
             assert code == 2
             assert "cell index must be within 1..9" in err
+
+
+def test_count_one_cell_reads_one_cells_weights(capsys, monkeypatch):
+    import offdiag.counts
+
+    want = offdiag.counts.d_vector("pm", 31)[6]
+    calls = []
+    weights = offdiag.counts.defect_weights
+
+    def counted(*args):
+        calls.append(args)
+        return weights(*args)
+
+    monkeypatch.setattr(offdiag.counts, "defect_weights", counted)
+    code, out, _ = run(capsys, "count", "dpm", "--n", "31", "--k", "7")
+    assert (code, out) == (0, f"{want}\n")
+    assert calls == [("pm", 31, 7)]
 
 
 def test_verify_command(capsys):

@@ -12,10 +12,8 @@ from offdiag.counts import (
     count_off_diag,
     d_entry_bordered,
     d_vector,
-    even_and_nearly_counts,
     even_order_full,
     o_vector,
-    o_vectors,
 )
 from offdiag.matrices import matrix_a, matrix_b
 from offdiag.paths import delannoy
@@ -163,17 +161,21 @@ def test_ratio_identities():
 
 
 def test_one_pass_ladders_match_per_order_counts():
-    # the per-order counts read the same ladders, so compare the ladders
-    # with per-order Pfaffians (pivoting condensation) and with the n
-    # separate Pfaffians of the direct deletion route
-    assert even_and_nearly_counts(21) == [
-        (pfaffian(matrix_a(2 * m)), pfaffian(matrix_b(2 * m)))
-        for m in range(1, 22)]
-    assert o_vectors(41) == [_o_vector_direct(n) for n in range(1, 42, 2)]
+    # ask for the largest orders first, as the scans do, so the lower orders
+    # are rung reads of one grown pass; compare every rung with per-order
+    # Pfaffians (pivoting condensation) and with the n separate Pfaffians of
+    # the direct deletion route
+    even_order_full(42)
+    o_vector(41)
+    for m in range(1, 22):
+        assert even_order_full(2 * m) == pfaffian(matrix_a(2 * m))
+        assert count_nearly(2 * m - 1) == pfaffian(matrix_b(2 * m))
+    for n in range(1, 42, 2):
+        assert o_vector(n) == _o_vector_direct(n)
     with pytest.raises(ValueError):
-        even_and_nearly_counts(0)
+        even_order_full(0)
     with pytest.raises(ValueError):
-        o_vectors(8)
+        o_vector(8)
 
 
 @pytest.mark.parametrize("arrange", ["descending", "ascending", "shuffled"])
@@ -212,8 +214,10 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
         count_nearly(n)
         o_vector(n)
         d_vector("plus", n)
-    assert len(even_and_nearly_counts(10)) == 10
-    assert len(o_vectors(19)) == 10
+    for m in range(1, 11):  # every rung a scan to m = 10 reads
+        even_order_full(2 * m)
+        count_nearly(2 * m - 1)
+        o_vector(2 * m - 1)
     assert passes == []
     # a larger request resumes the pass: only the two rows it adds are
     # condensed past the stored steps, and that serves the rest
@@ -270,16 +274,13 @@ def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
     assert [done.order for done in before] == [10, 9]
     for call in (lambda: even_order_full(MAX_ORDER + 2),
                  lambda: count_nearly(MAX_ORDER + 1),
-                 lambda: o_vector(MAX_ORDER + 1),
-                 lambda: even_and_nearly_counts(MAX_ORDER),
-                 lambda: o_vectors(MAX_ORDER + 1)):
+                 lambda: o_vector(MAX_ORDER + 1)):
         with pytest.raises(ValueError, match="largest supported order"):
             call()
     monkeypatch.setattr(offdiag.counts, "matrix_a", zero_added_rows)
     monkeypatch.setattr(offdiag.counts, "_a_upper", ())
     for call in (lambda: even_order_full(12), lambda: count_nearly(11),
-                 lambda: o_vector(11), lambda: even_and_nearly_counts(6),
-                 lambda: o_vectors(11)):
+                 lambda: o_vector(11)):
         with pytest.raises(ArithmeticError):
             call()
     assert all(now is was for now, was in zip(memos(), before))
@@ -312,9 +313,7 @@ def test_float_orders_are_refused_before_building(monkeypatch,
     monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
     before = (offdiag.counts._even_nearly_pass, offdiag.counts._deletion_pass)
     for call in (lambda: o_vector(3.0), lambda: d_vector("pm", 3.0),
-                 lambda: o_vectors(3.0), lambda: even_order_full(4.0),
-                 lambda: count_nearly(3.0),
-                 lambda: even_and_nearly_counts(2.0),
+                 lambda: even_order_full(4.0), lambda: count_nearly(3.0),
                  lambda: count_off_diag(3.0),
                  lambda: d_entry_bordered("pm", 3.0, 1),
                  lambda: d_entry_bordered("pm", 3, 1.0)):
@@ -330,12 +329,9 @@ def test_order_bound_admits_exactly_max_order(monkeypatch):
     assert even_order_full(8) == 30992
     assert d_entry_bordered("pm", 7, 1) == 624
     assert o_vector(7) == O_VECTORS[7]
-    assert len(even_and_nearly_counts(4)) == 4
     assert count_off_diag(8) == 30992
     for call in (lambda: count_nearly(9), lambda: even_order_full(10),
                  lambda: d_entry_bordered("pm", 9, 1), lambda: o_vector(9),
-                 lambda: d_vector("pm", 9), lambda: o_vectors(9),
-                 lambda: even_and_nearly_counts(5),
-                 lambda: count_off_diag(9)):
+                 lambda: d_vector("pm", 9), lambda: count_off_diag(9)):
         with pytest.raises(ValueError, match="largest supported order is 8"):
             call()

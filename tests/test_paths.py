@@ -74,13 +74,19 @@ except TypeError:
     print("refused")
 print(offdiag.d_vector("pm", 5))
 offdiag.cli.main(["count", "dpm", "--n", "5", "--all", "--format", "json"])
+assert offdiag.delannoy(3, 3) == 63
+try:
+    offdiag.delannoy(3.0, 3)
+except TypeError:
+    print("refused when warm")
 """
 
 
 def test_float_arguments_never_enter_the_delannoy_cache():
-    # lru_cache takes (3.0, 3) and (3, 3) for one key, so a float cached
-    # there would turn later counts into floats; a fresh process keeps such
-    # a poisoned cache away from the other tests
+    # an untyped lru_cache takes (3.0, 3) and (3, 3) for one key, so a float
+    # cached there would turn later counts into floats, and a float asked
+    # after the int would be answered from the cache; a fresh process keeps
+    # such a cache away from the other tests
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run([sys.executable, "-c", FLOAT_THEN_COUNT], env=env,
@@ -91,6 +97,7 @@ def test_float_arguments_never_enter_the_delannoy_cache():
         "(24, 96, 72, 96, 24)",
         '{"target": "dpm", "n": 5, "values": '
         '["24", "96", "72", "96", "24"]}',
+        "refused when warm",
     ]
 
 

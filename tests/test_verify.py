@@ -149,14 +149,14 @@ def test_scans_run_one_condensation_pass(monkeypatch, empty_ladders):
         passes.append(len(rows))
         return resume(done, rows, border)
 
-    def refuse(*args):
-        raise AssertionError("a scan fell back to per-order work")
-
+    # each scan asks for its largest order first, so an oversized scan is
+    # refused before any resume, and the ladder is resumed once and every
+    # other order is a rung read
     monkeypatch.setattr(offdiag.pfaffian._LeadingPass, "resume", counted)
-    for module in (offdiag.counts, offdiag.verify):
-        for name in ("even_order_full", "count_nearly", "o_vector"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    for scan in (scan_asymptotics, scan_log_concavity):
+        with pytest.raises(ValueError, match="largest supported order"):
+            scan(101)
+    assert passes == []
     assert scan_asymptotics(50)[0].passed
     assert passes == [100]
     passes.clear()
