@@ -12,7 +12,6 @@ requests, 3 on an internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -27,23 +26,6 @@ from .counts import (
     d_vector,
     even_order_full,
     o_vector,
-)
-from .oracle import (
-    build_region,
-    count_all_tilings,
-    enumerate_tilings,
-    oracle_counts,
-    render_svg,
-    render_text,
-)
-from .verify import (
-    MAX_N_MAX,
-    MIN_N_MAX,
-    jsonable,
-    scan_asymptotics,
-    scan_log_concavity,
-    verify_identities,
-    verify_rank_claim,
 )
 
 
@@ -63,6 +45,8 @@ def _join(values) -> str:
 
 
 def _write_csv(fields, rows) -> None:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(fields))
     writer.writeheader()
@@ -140,6 +124,8 @@ def _cmd_count(args) -> int:
 
 
 def _print_report_plain(report) -> None:
+    from .verify import jsonable
+
     for r in report.results:
         print(f"{r.status:4s}  {r.check}  [{r.range}]")
         if r.witness is not None and r.status == "FAIL":
@@ -148,6 +134,9 @@ def _print_report_plain(report) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import (MAX_N_MAX, MIN_N_MAX, verify_identities,
+                         verify_rank_claim)
+
     _require_positive(args.n_max)
     if args.n_max > MAX_N_MAX:
         raise ValueError(f"--n-max must be at most {MAX_N_MAX}, since the "
@@ -178,6 +167,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .verify import scan_asymptotics, scan_log_concavity
+
     _require_positive(args.n_max)
     if args.kind == "logconcavity":
         report, rows = scan_log_concavity(args.n_max)
@@ -207,6 +198,8 @@ _ORACLE_FIELDS = (
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import oracle_counts
+
     counts = oracle_counts(args.n)
     n = counts.n
 
@@ -245,9 +238,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .oracle import (_MAX_WALKED_ORDER, build_region, count_all_tilings,
+                         enumerate_tilings, render_svg, render_text)
+
     kept = _parse_kept(args.kept) if args.kept is not None else None
+    if args.n > _MAX_WALKED_ORDER:  # refused before the region is built
+        raise ValueError("region too large for exhaustive enumeration")
     region = build_region(args.n, kept)
-    tilings = enumerate_tilings(region)  # refuses oversized regions
+    tilings = enumerate_tilings(region)
     total = count_all_tilings(region)
     if not 0 <= args.index < total:
         raise ValueError(

@@ -26,6 +26,7 @@ path counts, so region sizes are deliberately capped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from operator import index
 
 Square = tuple[int, int]
@@ -36,6 +37,10 @@ Domino = tuple[Square, Square]
 # order 9 counts all its tilings in under a second on a 2-vCPU VM.
 _MAX_SQUARES = 64
 _MAX_COUNTED_ORDER = 9
+# The smallest order-n region, every label deleted, has 2n^2 squares, so no
+# order above this one fits the generators' cap; the render CLI refuses it
+# before building the region, which takes O(n^2) time and memory.
+_MAX_WALKED_ORDER = isqrt(_MAX_SQUARES // 2)
 
 
 def span(c: int) -> int:

@@ -18,7 +18,7 @@ doublet kernel Q, and explicit enumeration of vertex-disjoint path families
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from operator import index
@@ -131,19 +131,16 @@ def q_doublet(g: PathGraph, a: Point, b: Point) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(namedtuple("PathFamily", "ends paths connection sign")):
     """One vertex-disjoint path family.
 
     paths[s] runs from starts[connection[s] - 1] to ends[s]; connection is
     the slot -> start assignment as 1-based indices and sign its permutation
-    sign.
+    sign.  A named tuple, not a dataclass, so importing this module does not
+    load `dataclasses`.
     """
 
-    ends: tuple[Point, ...]
-    paths: tuple[tuple[Point, ...], ...]
-    connection: tuple[int, ...]
-    sign: int
+    __slots__ = ()
 
 
 def _perm_sign(perm) -> int:

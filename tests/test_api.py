@@ -31,6 +31,9 @@ def test_public_names_are_pinned():
         assert hasattr(offdiag, name), name
     # the submodule, not a function of the same name shadowing it
     assert isinstance(offdiag.pfaffian, types.ModuleType)
+    # the lazily loaded submodules are registered like imported ones
+    for name in ("verify", "oracle"):
+        assert sys.modules[f"offdiag.{name}"] is getattr(offdiag, name)
 
 
 def test_import_loads_no_rational_arithmetic():
@@ -43,3 +46,28 @@ def test_import_loads_no_rational_arithmetic():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_count_loads_no_dataclasses_or_csv():
+    # verify and oracle load on first use; a count needs neither, nor the
+    # dataclasses and csv modules they (and csv output) bring in
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import offdiag, offdiag.cli",
+        "out = io.StringIO()",
+        "with contextlib.redirect_stdout(out):",
+        "    assert offdiag.cli.main(['count', 'o', '--n', '5', '--k', '2'])"
+        " == 0",
+        "print(sorted({'dataclasses', 'csv'} & set(sys.modules)))",
+        "with contextlib.redirect_stdout(out):",
+        "    assert offdiag.cli.main(['scan', 'asymptotics', '--n-max', '3'])"
+        " == 0",
+        "from offdiag import verify_identities",
+        "print(verify_identities is offdiag.verify.verify_identities)",
+        "print(out.getvalue().splitlines()[0])",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\nTrue\n36\n"

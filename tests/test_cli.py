@@ -218,13 +218,13 @@ def test_verify_rejects_nonpositive_n_max(capsys):
 
 
 def test_verify_refuses_rank_bound_below_3(capsys, monkeypatch):
-    import offdiag.cli
+    import offdiag.verify
 
     def refuse(n_max):
         raise AssertionError("a suite ran before --n-max was checked")
 
-    monkeypatch.setattr(offdiag.cli, "verify_identities", refuse)
-    monkeypatch.setattr(offdiag.cli, "verify_rank_claim", refuse)
+    monkeypatch.setattr(offdiag.verify, "verify_identities", refuse)
+    monkeypatch.setattr(offdiag.verify, "verify_rank_claim", refuse)
     for argv in (("rank", "--n-max", "1"), ("--n-max", "2")):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2, argv
@@ -233,13 +233,13 @@ def test_verify_refuses_rank_bound_below_3(capsys, monkeypatch):
 
 
 def test_verify_refuses_identity_bound_below_4(capsys, monkeypatch):
-    import offdiag.cli
+    import offdiag.verify
 
     def refuse(n_max):
         raise AssertionError("a suite ran before --n-max was checked")
 
-    monkeypatch.setattr(offdiag.cli, "verify_identities", refuse)
-    monkeypatch.setattr(offdiag.cli, "verify_rank_claim", refuse)
+    monkeypatch.setattr(offdiag.verify, "verify_identities", refuse)
+    monkeypatch.setattr(offdiag.verify, "verify_rank_claim", refuse)
     for argv in (("identities", "--n-max", "3"), ("--n-max", "3"),
                  ("identities", "--n-max", "1")):
         code, out, err = run(capsys, "verify", *argv)
@@ -302,6 +302,14 @@ def test_oversized_requests_exit_2_up_front(capsys):
         assert err.count("\n") == 1 and "largest supported order" in err
     assert err == ("error: --n-max must be at most 200, since the largest "
                    "supported order is 200\n")
+    # the smallest order-6 region (every label deleted) has 72 squares, past
+    # the 64-square cap; an order-100000 region would take minutes to build
+    for argv in (("--n", "6", "--kept", ""), ("--n", "100000")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "render", *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert (code, out) == (2, "")
+        assert err == "error: region too large for exhaustive enumeration\n"
 
 
 def test_scan_command_formats(capsys):
@@ -401,17 +409,17 @@ def test_render_index_out_of_range(capsys):
 
 def test_render_refuses_index_past_the_end_without_walking(capsys,
                                                             monkeypatch):
-    import offdiag.cli
+    import offdiag.oracle
 
     walked = []
-    original = offdiag.cli.enumerate_tilings
+    original = offdiag.oracle.enumerate_tilings
 
     def counting(region):
         for tiling in original(region):
             walked.append(tiling)
             yield tiling
 
-    monkeypatch.setattr(offdiag.cli, "enumerate_tilings", counting)
+    monkeypatch.setattr(offdiag.oracle, "enumerate_tilings", counting)
     code, out, err = run(capsys, "render", "--n", "5", "--index", "40000")
     assert (code, out) == (2, "")
     assert err == ("error: index 40000 out of range; "
