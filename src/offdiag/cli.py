@@ -18,6 +18,7 @@ import os
 import sys
 from itertools import islice
 
+from . import oracle, verify
 from .counts import (
     MAX_ORDER,
     _defect_cells,
@@ -124,35 +125,31 @@ def _cmd_count(args) -> int:
 
 
 def _print_report_plain(report) -> None:
-    from .verify import jsonable
-
     for r in report.results:
         print(f"{r.status:4s}  {r.check}  [{r.range}]")
         if r.witness is not None and r.status == "FAIL":
-            print(f"      witness: {jsonable(r.witness)}")
+            print(f"      witness: {verify.jsonable(r.witness)}")
     print(f"{report.suite}: {'PASS' if report.passed else 'FAIL'}")
 
 
 def _cmd_verify(args) -> int:
-    from .verify import (MAX_N_MAX, MIN_N_MAX, verify_identities,
-                         verify_rank_claim)
-
     _require_positive(args.n_max)
-    if args.n_max > MAX_N_MAX:
-        raise ValueError(f"--n-max must be at most {MAX_N_MAX}, since the "
-                         f"largest supported order is {MAX_ORDER}")
+    if args.n_max > verify.MAX_N_MAX:
+        raise ValueError(f"--n-max must be at most {verify.MAX_N_MAX}, "
+                         f"since the largest supported order is {MAX_ORDER}")
     run_identities = args.suite in (None, "identities")
     run_rank = args.suite in (None, "rank")
     for wanted, suite, label in ((run_rank, "rank-claim", "rank"),
                                  (run_identities, "identities", "identity")):
-        if wanted and args.n_max < MIN_N_MAX[suite]:
-            raise ValueError(f"--n-max must be at least {MIN_N_MAX[suite]} "
-                             f"for the {label} suite")
+        if wanted and args.n_max < verify.MIN_N_MAX[suite]:
+            raise ValueError("--n-max must be at least "
+                             f"{verify.MIN_N_MAX[suite]} for the {label} "
+                             "suite")
     reports = []
     if run_identities:
-        reports.append(verify_identities(args.n_max))
+        reports.append(verify.verify_identities(args.n_max))
     if run_rank:
-        reports.append(verify_rank_claim(args.n_max))
+        reports.append(verify.verify_rank_claim(args.n_max))
     passed = all(r.passed for r in reports)
     if args.format == "json":
         print(json.dumps({
@@ -167,13 +164,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .verify import scan_asymptotics, scan_log_concavity
-
     _require_positive(args.n_max)
     if args.kind == "logconcavity":
-        report, rows = scan_log_concavity(args.n_max)
+        report, rows = verify.scan_log_concavity(args.n_max)
     else:
-        report, rows = scan_asymptotics(args.n_max)
+        report, rows = verify.scan_asymptotics(args.n_max)
     if args.format == "json":
         print(json.dumps({"report": report.to_jsonable(), "rows": rows}))
     elif args.format == "csv":
@@ -198,9 +193,7 @@ _ORACLE_FIELDS = (
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import oracle_counts
-
-    counts = oracle_counts(args.n)
+    counts = oracle.oracle_counts(args.n)
     n = counts.n
 
     def text(value):
@@ -238,23 +231,18 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .oracle import (_MAX_WALKED_ORDER, build_region, count_all_tilings,
-                         enumerate_tilings, render_svg, render_text)
-
     kept = _parse_kept(args.kept) if args.kept is not None else None
-    if args.n > _MAX_WALKED_ORDER:  # refused before the region is built
-        raise ValueError("region too large for exhaustive enumeration")
-    region = build_region(args.n, kept)
-    tilings = enumerate_tilings(region)
-    total = count_all_tilings(region)
+    region = oracle.build_region(args.n, kept)
+    tilings = oracle.enumerate_tilings(region)  # refuses oversized regions
+    total = oracle.count_all_tilings(region)
     if not 0 <= args.index < total:
         raise ValueError(
             f"index {args.index} out of range; region has {total} tilings")
     tiling = next(islice(tilings, args.index, None))
     if args.format == "svg":
-        print(render_svg(region, tiling))
+        print(oracle.render_svg(region, tiling))
     else:
-        print(render_text(region, tiling))
+        print(oracle.render_text(region, tiling))
     return 0
 
 

@@ -177,14 +177,17 @@ def d_vector(variant: str, n: int) -> tuple[int, ...]:
 def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
     """Entries k in `cells` of d_vector(variant, n): entry k is
     sum_l (-1)^(l-1) w_l o_l over cell k's `defect_weights` w and
-    o = o_vector(n), so one cell costs n Delannoy weights."""
+    o = o_vector(n), so one cell costs n Delannoy weights.  The weights
+    are built first, so a bad variant or cell is refused before the
+    deletion pass runs."""
     n = index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("defect vector is defined for odd n >= 1")
+    _check_order(n)
+    weights = [defect_weights(variant, n, k) for k in cells]
     signed = list(o_vector(n))
     signed[1::2] = map(neg, signed[1::2])
-    return tuple(sum(map(mul, defect_weights(variant, n, k), signed))
-                 for k in cells)
+    return tuple(sum(map(mul, w, signed)) for w in weights)
 
 
 def d_entry_bordered(variant: str, n: int, k: int) -> int:
@@ -192,12 +195,9 @@ def d_entry_bordered(variant: str, n: int, k: int) -> int:
     n, k = index(n), index(k)
     if n < 1 or n % 2 == 0:
         raise ValueError("defect count is defined for odd n >= 1")
-    if not 1 <= k <= n:
-        raise ValueError(f"cell index must be within 1..{n}")
-    if variant not in ("pm", "minus", "plus"):
-        raise ValueError(f"unknown variant {variant!r}")
     _check_order(n + 1)
-    return pfaffian(bordered_skew(matrix_a(n), defect_weights(variant, n, k)))
+    weights = defect_weights(variant, n, k)
+    return pfaffian(bordered_skew(matrix_a(n), weights))
 
 
 def even_order_full(n: int) -> int:

@@ -25,8 +25,7 @@ path counts, so region sizes are deliberately capped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isqrt
+from collections import namedtuple
 from operator import index
 
 Square = tuple[int, int]
@@ -37,10 +36,6 @@ Domino = tuple[Square, Square]
 # order 9 counts all its tilings in under a second on a 2-vCPU VM.
 _MAX_SQUARES = 64
 _MAX_COUNTED_ORDER = 9
-# The smallest order-n region, every label deleted, has 2n^2 squares, so no
-# order above this one fits the generators' cap; the render CLI refuses it
-# before building the region, which takes O(n^2) time and memory.
-_MAX_WALKED_ORDER = isqrt(_MAX_SQUARES // 2)
 
 
 def span(c: int) -> int:
@@ -69,18 +64,22 @@ def boundary_square(n: int, i: int) -> Square:
     return (-i, i - n - 1)
 
 
-@dataclass(frozen=True)
-class Region:
-    n: int
-    kept: frozenset
-    squares: frozenset
+class Region(namedtuple("Region", "n kept squares")):
+    """The order n and the frozensets of kept labels and of squares."""
+
+    __slots__ = ()
 
 
 def build_region(n: int, kept=None) -> Region:
     """The order-n diamond, minus the boundary squares (and their mirrors)
-    whose labels are not kept; labels go through `operator.index`."""
+    whose labels are not kept; labels go through `operator.index`.  No
+    consumer takes an order above _MAX_COUNTED_ORDER, so a larger n is
+    refused before a square is built: the build is O(n^2) in time and
+    memory."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _MAX_COUNTED_ORDER:
+        raise ValueError("region too large for exhaustive enumeration")
     if kept is None:
         kept = range(1, n + 1)
     kept = list(map(index, kept))
@@ -233,11 +232,12 @@ def diagonal_profile(region: Region, tiling) -> tuple[int, ...]:
     return tuple(profile)
 
 
-@dataclass(frozen=True)
-class RegionCensus:
-    off_diag: int
-    nearly_plus: tuple[int, ...]
-    nearly_minus: tuple[int, ...]
+class RegionCensus(namedtuple("RegionCensus",
+                               "off_diag nearly_plus nearly_minus")):
+    """The off-diagonal count, and the nearly off-diagonal counts by defect
+    cell for a doubled (plus) and an empty (minus) cell."""
+
+    __slots__ = ()
 
 
 def _close_cells(cell: int, inside: int, defect, stop: int):
@@ -300,15 +300,12 @@ def classify_region_tilings(region: Region) -> RegionCensus:
                         nearly_minus=tuple(minus))
 
 
-@dataclass(frozen=True)
-class OracleCounts:
-    n: int
-    off_diag_full: int
-    o: tuple[int, ...]
-    d_plus: tuple[int, ...]
-    d_minus: tuple[int, ...]
-    d_pm: tuple[int, ...]
-    nearly_total: int
+class OracleCounts(namedtuple("OracleCounts", "n off_diag_full o d_plus "
+                                             "d_minus d_pm nearly_total")):
+    """`oracle_counts(n)`: ints n, off_diag_full and nearly_total, and the
+    per-label or per-cell tuples o, d_plus, d_minus and d_pm."""
+
+    __slots__ = ()
 
     @property
     def total(self) -> int:

@@ -136,8 +136,7 @@ class PathFamily(namedtuple("PathFamily", "ends paths connection sign")):
 
     paths[s] runs from starts[connection[s] - 1] to ends[s]; connection is
     the slot -> start assignment as 1-based indices and sign its permutation
-    sign.  A named tuple, not a dataclass, so importing this module does not
-    load `dataclasses`.
+    sign.  A named tuple, the package's one record idiom.
     """
 
     __slots__ = ()

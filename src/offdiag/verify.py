@@ -14,7 +14,7 @@ the unit tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index
 
 from . import series
@@ -57,22 +57,22 @@ from .pfaffian import pfaffian, principal_submatrix, rational_rank
 _JSON_INT_LIMIT = 1 << 53
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    range: str
-    status: str
-    witness: dict | None = None
+class CheckResult(namedtuple("CheckResult", "check range status witness",
+                             defaults=(None,))):
+    """One check's outcome: its id, the range it covered, "PASS" or "FAIL",
+    and for a failure a witness dict (None otherwise)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.status == "PASS"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    suite: str
-    results: tuple[CheckResult, ...]
+class CheckReport(namedtuple("CheckReport", "suite results")):
+    """A suite's name and its CheckResults, in the order they ran."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

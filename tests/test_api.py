@@ -31,7 +31,7 @@ def test_public_names_are_pinned():
         assert hasattr(offdiag, name), name
     # the submodule, not a function of the same name shadowing it
     assert isinstance(offdiag.pfaffian, types.ModuleType)
-    # the lazily loaded submodules are registered like imported ones
+    # the submodules re-exported from are the ones registered
     for name in ("verify", "oracle"):
         assert sys.modules[f"offdiag.{name}"] is getattr(offdiag, name)
 
@@ -49,8 +49,8 @@ def test_import_loads_no_rational_arithmetic():
 
 
 def test_count_loads_no_dataclasses_or_csv():
-    # verify and oracle load on first use; a count needs neither, nor the
-    # dataclasses and csv modules they (and csv output) bring in
+    # no module of the package loads dataclasses, and csv loads only for
+    # --format csv
     code = "\n".join([
         "import contextlib, io, sys",
         "import offdiag, offdiag.cli",
@@ -71,3 +71,22 @@ def test_count_loads_no_dataclasses_or_csv():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\nTrue\n36\n"
+
+
+def test_no_command_loads_dataclasses():
+    # every record in the package is a named tuple
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import offdiag.cli",
+        "argvs = (['verify', '--n-max', '4'],",
+        "         ['scan', 'logconcavity', '--n-max', '3'],",
+        "         ['oracle', '--n', '3', '--compare'])",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [offdiag.cli.main(argv) for argv in argvs]",
+        "print(codes, 'dataclasses' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0] False\n"

@@ -301,6 +301,25 @@ def test_oversized_requests_are_refused_before_building(monkeypatch,
     assert MAX_ORDER == 200
 
 
+def test_bad_variants_and_cells_are_refused_before_building(monkeypatch,
+                                                            empty_ladders):
+    # checked in the order parity, condensation order, variant, cell, all
+    # before the deletion pass or the bordered Pfaffian builds a matrix
+    def refuse(*args):
+        raise AssertionError("built a matrix for a refused request")
+
+    monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
+    for call in (lambda: d_vector("bogus", 101),
+                 lambda: d_entry_bordered("bogus", 101, 102)):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            call()
+    for call in (lambda: offdiag.counts._defect_cells("pm", 101, [102]),
+                 lambda: d_entry_bordered("pm", 101, 102)):
+        with pytest.raises(ValueError, match=r"within 1\.\.101"):
+            call()
+    assert offdiag.counts._deletion_pass.order == 0
+
+
 def test_float_orders_are_refused_before_building(monkeypatch,
                                                   empty_ladders):
     # orders go through operator.index, so a float order raises TypeError

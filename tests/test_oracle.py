@@ -4,6 +4,7 @@ import pytest
 
 from offdiag.counts import count_nearly, d_vector, even_order_full, o_vector
 from offdiag.oracle import (
+    Region,
     boundary_square,
     build_region,
     cell_block,
@@ -18,6 +19,7 @@ from offdiag.oracle import (
     paths_to_tiling,
     render_svg,
     render_text,
+    span,
     symmetric_tilings,
     tiling_to_paths,
 )
@@ -122,7 +124,12 @@ def test_count_all_tilings_matches_enumeration():
 
 
 def test_counters_refuse_orders_above_nine():
-    region = build_region(10)
+    # build_region refuses order 10 itself, so the region is built by hand
+    with pytest.raises(ValueError, match="region too large"):
+        build_region(10)
+    squares = frozenset((a, b) for a in range(-10, 10) for b in range(-10, 10)
+                        if span(a) + span(b) <= 11)
+    region = Region(10, frozenset(range(1, 11)), squares)
     for counter in (count_all_tilings, classify_region_tilings):
         with pytest.raises(ValueError, match="up to 9"):
             counter(region)

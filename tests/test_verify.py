@@ -277,8 +277,6 @@ def test_identity_battery_walks_the_order_5_tilings_once(monkeypatch):
 
 
 def test_oracle_check_compares_every_defect_variant(monkeypatch):
-    from dataclasses import replace
-
     from offdiag import verify as verify_mod
     from offdiag.oracle import oracle_counts
 
@@ -287,7 +285,7 @@ def test_oracle_check_compares_every_defect_variant(monkeypatch):
         def corrupted(n, field=field):
             counts = oracle_counts(n)
             vec = getattr(counts, field)
-            return replace(counts, **{field: (vec[0] + 1,) + vec[1:]})
+            return counts._replace(**{field: (vec[0] + 1,) + vec[1:]})
 
         monkeypatch.setattr(verify_mod, "oracle_counts", corrupted)
         result = check(1)
