@@ -6,22 +6,20 @@ off-diagonally symmetric tilings of the full odd-order region (count_nearly
 and the per-cell d_vector), and off-diagonally symmetric tilings of the full
 even-order region (even_order_full).
 
-The counts form two ladders, each read off one condensation pass of A(N):
-A(n) is the leading n x n block of A(N) and the doubled Pell column of B(n+1)
-is a prefix of the one for A(N), so by the leading-minor property one pass
-gives every order up to N.  The Pell-bordered pass serves even_order_full
-and count_nearly, the deletion pass (the symbolic border of
-`pfaffian._unit_border`, read by `pfaffian._deletion_rung`) serves o_vector
-and, through it, d_vector.  Both are passes of `pfaffian._LeadingPass`, the
-one leading-order pass, and each ladder's per-process memo is its pass of
-the largest order asked so far: a request at or below that order reads its
-rung off the steps the pass stores (`_LeadingPass.rung`), a larger one
-resumes the pass to its own order.  No entry is condensed twice, so however
-the requests arrive the memo does at most the work of one pass at the
-largest order asked; both ladders read the rows they add off one build of A
-kept at a power-of-two order (`_a_rows`).  A scan asks for its largest order
-first, which resumes the ladder once, and then reads every order's rung
-through these same functions.
+Every count is read off one condensation ladder: the pass of
+`pfaffian._LeadingPass` over A(N) bordered by the doubled Pell column.  A(n)
+is the leading n x n block of A(N) and the doubled Pell column of B(n+1) is
+a prefix of the one for A(N), so by the leading-minor property one pass
+gives every order up to N: its pivots give even_order_full, its border
+entries count_nearly, and `pfaffian._deletion_vector` back-substitutes
+through its stored steps for o_vector and, through it, d_vector.  The
+ladder's per-process memo is its pass of the largest order asked so far: a
+request at or below that order reads the stored steps, a larger one resumes
+the pass to its own order, so however the requests arrive the memo does at
+most the work of one pass at the largest order asked.  The pass's rows and
+count_off_diag's matrices are read off one build of A (`_a_entries`), and
+each deletion vector is kept once read (`_o_vectors`).  A scan asks for its
+largest order first, which resumes the ladder once.
 `pfaffian` itself serves only count_off_diag and d_entry_bordered, and
 `_o_vector_direct` stays as the verification route.
 
@@ -36,9 +34,10 @@ from operator import index, mul, neg
 
 from .matrices import defect_weights, matrix_a, pell_vector
 from .pfaffian import (
-    _deletion_rung,
+    SkewMatrix,
+    _deletion_vector,
+    _kept_indices,
     _LeadingPass,
-    _unit_border,
     bordered_skew,
     pfaffian,
     principal_submatrix,
@@ -46,10 +45,10 @@ from .pfaffian import (
 
 # The largest condensation order any count builds; 200 admits scans to
 # --n-max 100 and every single count to n = 199.  On a 2-vCPU VM a cold
-# Pell-bordered pass (even_order_full, count_nearly) costs about 0.3 s at
-# order 100, 3 s at 150 and 17 s at 200, and a cold deletion pass (o_vector,
-# d_vector), whose symbolic border adds n columns to each row, about 14 s at
-# order 149 and 84 s at 199.
+# pass costs about 0.3 s at order 100, 3 s at 150 and 17 s at 200; a cold
+# o_vector(n) or d_vector(n) is the pass of order n + 1 plus one
+# back-substitution, about 17 s at n = 199 (0.5 s of it the
+# back-substitution).
 MAX_ORDER = 200
 
 
@@ -60,58 +59,45 @@ def _check_order(order: int) -> None:
                          f"{MAX_ORDER}")
 
 
-# Each ladder's per-process memo: the pass of the largest order asked so far
-# (resumable, see `_LeadingPass`), whose rungs are the counts.  Rung m of the
-# first ladder's pass gives even_order_full(2m) and rung m - 1
-# count_nearly(2m - 1); rung t of the second's gives o_vector(2t + 1).  A
-# pass that raises leaves its memo as it was.
+# The ladder's per-process memo: the pass of the largest order asked so far
+# (resumable, see `_LeadingPass`), whose rungs are the counts.  Rung m gives
+# even_order_full(2m), rung m - 1 count_nearly(2m - 1), and the steps before
+# rung m o_vector(2m - 1).  A pass that raises leaves its memo as it was.
 _even_nearly_pass = _LeadingPass()
-_deletion_pass = _LeadingPass()
 
-# The upper triangle of the largest A built for the ladders so far (row i
-# holds a_ij for j > i), of a power-of-two order at most MAX_ORDER.  A grown
-# ladder reads its added rows off it, so the matrices built cost about one
-# build at the largest order asked, however the requests arrive.
+# The deletion vectors read off the ladder so far, keyed by order; a scan
+# asks for each order twice (directly and through d_vector).
+_o_vectors: dict[int, tuple[int, ...]] = {}
+
+# The upper triangle of the largest A built so far (row i holds a_ij for
+# j > i), of a power-of-two order at most MAX_ORDER.  The ladder's added rows
+# and count_off_diag's matrices are read off it, so the matrices built cost
+# about one build at the largest order asked, however the requests arrive.
 _a_upper: tuple[tuple[int, ...], ...] = ()
 
 
-def _a_rows(start: int, stop: int) -> list[tuple[int, ...]]:
-    """Rows start..stop-1 of matrix_a(stop), read off `_a_upper`."""
+def _a_entries(order: int, rows, cols) -> list[tuple[int, ...]]:
+    """The rows x cols block (0-based) of matrix_a(order), off `_a_upper`."""
     global _a_upper
-    if len(_a_upper) < stop:
-        a = matrix_a(min(1 << (stop - 1).bit_length(), MAX_ORDER))
+    if len(_a_upper) < order:
+        a = matrix_a(min(1 << (order - 1).bit_length(), MAX_ORDER))
         _a_upper = tuple(row[i + 1:] for i, row in enumerate(a.rows))
     upper = _a_upper
-    return [tuple(-upper[j][i - j - 1] for j in range(i)) + (0,)
-            + upper[i][:stop - i - 1] for i in range(start, stop)]
+    return [tuple(upper[i][j - i - 1] if j > i else
+                  -upper[j][i - j - 1] if j < i else 0 for j in cols)
+            for i in rows]
 
 
 def _even_nearly(m: int) -> _LeadingPass:
-    """The Pell-bordered ladder's pass over at least A(2m) bordered by the
-    doubled Pell column: the memo, or its pass resumed to order 2m.
-
-    Rung m gives Pf(A(2m)); rung m - 1's border entry is Pf(B(2m)), the
-    nearly count of order 2m - 1.
-    """
+    """The ladder's pass over at least A(2m) bordered by the doubled Pell
+    column: the memo, or its pass resumed to order 2m."""
     global _even_nearly_pass
     done = _even_nearly_pass
     if done.order < 2 * m:
         pell = pell_vector(2 * m)[done.order:]
         done = _even_nearly_pass = done.resume(
-            _a_rows(done.order, 2 * m), [(h,) for h in pell])
-    return done
-
-
-def _deletions(n: int) -> _LeadingPass:
-    """The deletion ladder's pass over at least A(n) (odd n) carrying the
-    symbolic deletion border: the memo, or its pass resumed to order n.
-
-    Rung t, read by `_deletion_rung`, gives o_vector(2t + 1)."""
-    global _deletion_pass
-    done = _deletion_pass
-    if done.order < n:
-        done = _deletion_pass = done.resume(_a_rows(done.order, n),
-                                            _unit_border(n, done.order))
+            _a_entries(2 * m, range(done.order, 2 * m), range(2 * m)),
+            [(h,) for h in pell])
     return done
 
 
@@ -119,9 +105,11 @@ def count_off_diag(n: int, kept=None) -> int:
     """Off-diagonally symmetric tilings of the order-n region that keeps only
     the given boundary labels (all of them by default)."""
     n = index(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _check_order(n)
-    a = matrix_a(n)
-    return pfaffian(a if kept is None else principal_submatrix(a, kept))
+    idx = range(n) if kept is None else _kept_indices(kept, n)
+    return pfaffian(SkewMatrix(_a_entries(n, idx, idx)))
 
 
 def _o_vector_direct(n: int) -> tuple[int, ...]:
@@ -136,10 +124,10 @@ def o_vector(n: int) -> tuple[int, ...]:
     """All single-deletion counts (|O(n; [n] minus k)| for k = 1..n), odd n.
 
     Entry k is the Pfaffian of the odd-order matrix A(n) with row and column
-    k deleted; all n of them are rung (n - 1) / 2 of the deletion ladder's
-    pass (a `_LeadingPass` with the symbolic border of `_unit_border`, read
-    by `_deletion_rung`), the per-process memo or that pass resumed to order
-    n.  That pass never pivots: the leading pivots of A(n) are the tiling
+    k deleted; all n of them are back-substituted by `_deletion_vector`
+    through the steps of the ladder's pass over A(n + 1), the per-process
+    memo or that pass resumed to order n + 1, and kept in `_o_vectors`.
+    That pass never pivots: the leading pivots of A(n) are the tiling
     counts even_order_full(2t) > 0, and a zero one would raise
     ArithmeticError rather than give a wrong vector.
     `_o_vector_direct` computes the same vector as n separate Pfaffians, for
@@ -148,9 +136,11 @@ def o_vector(n: int) -> tuple[int, ...]:
     n = index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("deletion vector is defined for odd n >= 1")
-    _check_order(n)
-    t = (n - 1) // 2
-    return _deletion_rung(t, _deletions(n).rung(t)[1])
+    _check_order(n + 1)
+    got = _o_vectors.get(n)
+    if got is None:
+        got = _o_vectors[n] = _deletion_vector(_even_nearly((n + 1) // 2), n)
+    return got
 
 
 def count_nearly(n: int) -> int:
@@ -179,11 +169,11 @@ def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
     sum_l (-1)^(l-1) w_l o_l over cell k's `defect_weights` w and
     o = o_vector(n), so one cell costs n Delannoy weights.  The weights
     are built first, so a bad variant or cell is refused before the
-    deletion pass runs."""
+    ladder is resumed."""
     n = index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("defect vector is defined for odd n >= 1")
-    _check_order(n)
+    _check_order(n + 1)
     weights = [defect_weights(variant, n, k) for k in cells]
     signed = list(o_vector(n))
     signed[1::2] = map(neg, signed[1::2])

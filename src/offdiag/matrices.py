@@ -11,6 +11,7 @@ two independent routes to the same numbers and get cross-checked in verify.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from .pfaffian import SkewMatrix, bordered_skew
 from .paths import FULL, PathGraph, delannoy, q_doublet
@@ -96,6 +97,7 @@ def matrix_m(variant: str, n: int) -> tuple[tuple[int, ...], ...]:
 def r_value(n: int, i: int, j: int) -> int:
     """Unsigned entry r_{i,j}: the doublet kernel paired between the j-th
     bottom source and the i-th wall point of the full staircase graph."""
+    n, i, j = index(n), index(i), index(j)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices must lie in 1..n")
     g = _full_graph(n)

@@ -29,9 +29,9 @@ REDUCED = "reduced"
 Point = tuple[int, int]
 
 
-# A cold call first fills the diagonal this many steps further down, so no
-# call recurses deeper than about _WARM_STRIDE + min(p, q) / _WARM_STRIDE.
-_WARM_STRIDE = 64
+# The Delannoy numbers computed so far, one list per diagonal: _DIAGONALS[d]
+# holds D(m, m + d) for m = 0, 1, ...
+_DIAGONALS: dict[int, list[int]] = {}
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -39,8 +39,9 @@ def delannoy(p: int, q: int) -> int:
     """Delannoy number: monotone (E, N, NE) paths from (0,0) to (p,q),
     equal to sum_k C(p,k) C(q,k) 2^k.
 
-    A cache miss is one step of the three-term recurrence along the diagonal
-    through (p, q), that of the Jacobi polynomials P_q^(0, p-q) at -3:
+    A cache miss extends the diagonal through (p, q) in `_DIAGONALS`, in a
+    loop from its largest point so far, by the three-term recurrence along
+    it, that of the Jacobi polynomials P_q^(0, p-q) at -3:
         2pq(s-2) D(p,q) = (s-1)(3s(s-2) + (p-q)^2) D(p-1,q-1)
                           - 2(p-1)(q-1)s D(p-2,q-2),   s = p + q.
 
@@ -51,16 +52,14 @@ def delannoy(p: int, q: int) -> int:
     p, q = index(p), index(q)
     if p < 0 or q < 0:
         return 0
-    if p == 0 or q == 0:
-        return 1
-    if p == 1 or q == 1:
-        return 2 * (p + q) - 1
-    if min(p, q) > _WARM_STRIDE:
-        delannoy(p - _WARM_STRIDE, q - _WARM_STRIDE)
-    s = p + q
-    num = ((s - 1) * (3 * s * (s - 2) + (p - q) ** 2) * delannoy(p - 1, q - 1)
-           - 2 * (p - 1) * (q - 1) * s * delannoy(p - 2, q - 2))
-    return num // (2 * p * q * (s - 2))
+    m, d = min(p, q), abs(p - q)
+    diagonal = _DIAGONALS.setdefault(d, [1, 2 * d + 3])
+    for k in range(len(diagonal), m + 1):
+        s = 2 * k + d
+        diagonal.append(((s - 1) * (3 * s * (s - 2) + d * d) * diagonal[-1]
+                         - 2 * (k - 1) * (k + d - 1) * s * diagonal[-2])
+                        // (2 * k * (k + d) * (s - 2)))
+    return diagonal[m]
 
 
 class PathGraph:

@@ -12,8 +12,8 @@ it:
 - `_LeadingPass`: without pivoting, one pass gives every leading order (the
   pivot after step t is the Pfaffian of the leading 2t x 2t block), and a
   border carried along gives the bordered Pfaffians of each odd leading
-  block (with a symbolic border, every single-deletion Pfaffian of it);
-  `rung(t)` reads both off the steps the pass stores.  The pass is kept
+  block; `rung(t)` reads both off the steps the pass stores, and
+  `_deletion_vector` back-substitutes through them.  The pass is kept
   after it ends, so that a larger input of the same ladder resumes it
   instead of starting again; a fresh pass is
   `_LeadingPass().resume(m.rows, border)`.
@@ -25,7 +25,7 @@ constructor used by the counting layer.
 
 from __future__ import annotations
 
-from operator import index, neg
+from operator import index, mul, neg
 
 
 class SkewMatrix:
@@ -66,13 +66,19 @@ def principal_submatrix(m: SkewMatrix, keep) -> SkewMatrix:
     taken through `operator.index`.
 
     An empty `keep` gives the empty matrix, whose Pfaffian is 1."""
+    idx0 = _kept_indices(keep, m.order)
+    return SkewMatrix(tuple(tuple(m.rows[i][j] for j in idx0) for i in idx0))
+
+
+def _kept_indices(keep, order: int) -> list[int]:
+    """The sorted 0-based indices of the labels `keep` of principal_submatrix
+    for a matrix of the given order, refusing repeated or outside labels."""
     idx = sorted(map(index, keep))
     if len(set(idx)) < len(idx):
         raise ValueError(f"kept labels repeat: {idx}")
-    if idx and (idx[0] < 1 or idx[-1] > m.order):
-        raise ValueError(f"labels must be within 1..{m.order}")
-    idx0 = [k - 1 for k in idx]
-    return SkewMatrix(tuple(tuple(m.rows[i][j] for j in idx0) for i in idx0))
+    if idx and (idx[0] < 1 or idx[-1] > order):
+        raise ValueError(f"labels must be within 1..{order}")
+    return [k - 1 for k in idx]
 
 
 def pfaffian_cofactor(m: SkewMatrix) -> int:
@@ -147,12 +153,6 @@ def _swap(a: list[list[int]], i: int, j: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
-def _unit_border(n: int, start: int = 0) -> list[list[int]]:
-    """Rows start..n-1 of the symbolic border column x of an order-n matrix:
-    row i starts as the unit vector e_i."""
-    return [[int(i == k) for k in range(n)] for i in range(start, n)]
-
-
 def pfaffian(m: SkewMatrix) -> int:
     """Exact Pfaffian, by fraction-free condensation.
 
@@ -184,19 +184,6 @@ def pfaffian(m: SkewMatrix) -> int:
     return sign * prev
 
 
-def _deletion_rung(t: int, c) -> tuple[int, ...]:
-    """The single-deletion Pfaffians of the leading (2t+1) x (2t+1) block,
-    from working row 0's symbolic border entries `c` after t steps (rung t
-    of a `_LeadingPass`).
-
-    With the symbolic border of `_unit_border`, the bordered Pfaffian of an
-    odd leading block is sum_k (-1)^k x_k Pf(block minus k) (0-based k), so
-    entry k of `c` is Pf(block minus k) up to that sign."""
-    c = list(c[:2 * t + 1])
-    c[1::2] = map(neg, c[1::2])
-    return tuple(c)
-
-
 class _LeadingPass:
     """A leading-order condensation pass, never pivoting, run to its end and
     kept: it is the memo of every rung it passed, and the pass over a larger
@@ -208,7 +195,8 @@ class _LeadingPass:
     of Bareiss's leading-minor property).  Columns past the input's are
     border columns, which the same step carries along, so working row 0's
     entry in border column h is the Pfaffian of the leading (2t+1) x (2t+1)
-    block bordered by column h.  `rung(t)` reads both.
+    block bordered by column h.  `rung(t)` reads both; `_deletion_vector`
+    reads the single-deletion Pfaffians off the stored steps.
 
     It holds the input order and border width absorbed, each step's divisor
     and pivot rows (step t holds the pivot and working rows 0 and 1 after t
@@ -216,10 +204,9 @@ class _LeadingPass:
     `_LeadingPass()` is the pass over the empty input, so a fresh pass over m
     with border `border` is `_LeadingPass().resume(m.rows, border)`.
     `resume` carries the rows a larger input adds through the stored steps
-    and then runs the steps they allow.  No entry is condensed twice, and the
-    rows already held skip the border columns that are added (they stay
-    zero), so passes at orders N1 < N2 < ... do at most the work of one pass
-    at the last order, however the input grows.  A _LeadingPass is never
+    and then runs the steps they allow.  No entry is condensed twice, so
+    passes at orders N1 < N2 < ... do at most the work of one pass at the
+    last order, however the input grows.  A _LeadingPass is never
     changed; `resume` returns a new one, so a pass that raises leaves the
     old one as it was.
     """
@@ -250,36 +237,30 @@ class _LeadingPass:
 
         `rows` are the rows the larger input adds, each as long as its new
         order, so the larger input's leading block is this pass's input;
-        `border` lists their border entries, as many for each row, and the
-        earlier rows' border entries are taken as theirs padded with zeros
-        (border columns may be added, not removed).  A zero leading pivot
-        raises ArithmeticError.
+        `border` lists their border entries, as many for each row as the
+        pass's first resume gave.  A zero leading pivot raises
+        ArithmeticError.
         """
         order = self.order + len(rows)
         if len(border) != len(rows):
             raise ValueError("border must have one row per added row")
         if any(len(row) != order for row in rows):
             raise ValueError(f"each added row must have {order} entries")
-        width = len(border[0]) if border else self.width
-        if width < self.width or any(len(e) != width for e in border):
-            raise ValueError("added border rows must have one length, at "
-                             f"least the pass's {self.width}")
+        width = len(border[0]) if border and not self.order else self.width
+        if any(len(e) != width for e in border):
+            raise ValueError(f"each border row must have {width} entries")
         added = [list(map(index, row)) + list(map(index, extra))
                  for row, extra in zip(rows, border)]
-        # each stored pivot row gains the added columns, read off the added
-        # rows by skew symmetry, and zeros in the added border columns; the
+        # each stored pivot row gains the added columns by skew symmetry; the
         # added rows then sit at columns left, left+1, ... of the step
         steps, left = [], self.order
         for prev, top, second in self.steps:
-            pad = [0] * (width - (len(top) - left))
-            top = top[:left] + [-row[0] for row in added] + top[left:] + pad
-            second = (second[:left] + [-row[1] for row in added]
-                      + second[left:] + pad)
+            top = top[:left] + [-row[0] for row in added] + top[left:]
+            second = second[:left] + [-row[1] for row in added] + second[left:]
             steps.append((prev, top, second))
             added = _condense_rows(top, second, added, left, prev)
             left -= 2
         rows = [row[:left] + [-new[i] for new in added] + row[left:]
-                + [0] * (width - (len(row) - left))
                 for i, row in enumerate(self.rows)] + added
         pivot = self.pivot
         while len(rows) >= 2:
@@ -293,6 +274,35 @@ class _LeadingPass:
         grown.order, grown.width, grown.steps = order, width, tuple(steps)
         grown.rows, grown.pivot = rows, pivot
         return grown
+
+
+def _deletion_vector(done: _LeadingPass, n: int) -> tuple[int, ...]:
+    """Pf(block minus k), k = 1..n, of the leading n x n block of the input
+    of `done` (odd n <= done.order), back-substituted through its steps.
+
+    With n = 2t + 1, x_k = (-1)^k Pf(block minus k) (0-based k) spans the
+    block's kernel, as rung t's pivot (the leading 2t x 2t Pfaffian) is
+    nonzero, and x_{n-1} is that pivot.  Step s's pivot rows are rows of the
+    Schur complement of the leading 2s x 2s block scaled by its Pfaffian,
+    so orthogonal to x past column 2s; with p = top[1], for s = t-1 .. 0,
+        x_{2s+1} = -sum_{j>=2} top[j] x_{2s+j} / p,
+        x_{2s}   =  sum_{j>=2} second[j] x_{2s+j} / p   (2s + j < n).
+    The x_k are integers, so an inexact division raises ArithmeticError.
+    """
+    if n % 2 == 0 or not 0 < n <= done.order:
+        raise ValueError(f"no odd leading block of order {n} in the pass")
+    t = n // 2
+    x = [0] * (n - 1) + [done.rung(t)[0]]
+    for s in range(t - 1, -1, -1):
+        _, top, second = done.steps[s]
+        p, tail, stop = top[1], x[2 * s + 2:], n - 2 * s
+        for k, num in ((2 * s + 1, -sum(map(mul, top[2:stop], tail))),
+                       (2 * s, sum(map(mul, second[2:stop], tail)))):
+            x[k], r = divmod(num, p)
+            if r:
+                raise ArithmeticError("inexact division; input not skew?")
+    x[1::2] = map(neg, x[1::2])
+    return tuple(x)
 
 
 def bordered_skew(q: SkewMatrix, column) -> SkewMatrix:

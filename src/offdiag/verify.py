@@ -129,11 +129,10 @@ CHECKS: dict[str, dict] = {"identities": {}, "rank-claim": {}}
 MIN_N_MAX = {"identities": 4, "rank-claim": 3}
 
 # The largest n_max either suite admits.  At n_max the identity suite counts
-# count_nearly(c), a rung of the Pell-bordered ladder whose pass has order
-# c + 1, and both suites o_vector(c), a rung of the deletion ladder whose
-# pass has order c, for the largest odd c <= n_max; above this bound one of
-# them would pass counts.MAX_ORDER and refuse, after every check before it
-# had run.
+# count_nearly(c), and both suites o_vector(c), each read off the ladder's
+# pass of order c + 1, for the largest odd c <= n_max; above this bound they
+# would pass counts.MAX_ORDER and refuse, after every check before them had
+# run.
 MAX_N_MAX = MAX_ORDER - MAX_ORDER % 2
 
 
@@ -809,7 +808,7 @@ def scan_log_concavity(n_max: int = 35):
     lc_failures = []
     non_unimodal = []
     # the largest order first: it refuses an oversized scan before any work
-    # and resumes the deletion ladder once, so each order below is a rung read
+    # and resumes the ladder once, so each order below is read off its steps
     o_vector(2 * n_max - 1)
     for m in range(1, n_max + 1):
         order = 2 * m - 1

@@ -1,6 +1,6 @@
 """Collects the acceptance criterion results and prints them as a summary
 section, so the one-line-per-criterion report survives output capture, and
-provides the fixture that empties the count ladders' memos."""
+provides the fixture that empties the count ladder's memos."""
 
 import pytest
 
@@ -12,13 +12,14 @@ ACCEPTANCE_LINES = []
 
 @pytest.fixture
 def empty_ladders(monkeypatch):
-    """Start both per-process count memos (the ladders' passes), and the A
-    their rows are read off, empty and restore them afterwards, so a test
-    that fakes `matrix_a` or counts condensation passes neither leaves rungs
-    behind nor reads rungs an earlier test computed."""
-    for name in ("_even_nearly_pass", "_deletion_pass"):
-        monkeypatch.setattr(offdiag.counts, name,
-                            offdiag.pfaffian._LeadingPass())
+    """Start the per-process count memos (the ladder's pass and the
+    deletion vectors read off it), and the A its rows are read off, empty
+    and restore them afterwards, so a test that fakes `matrix_a` or counts
+    condensation passes neither leaves rungs behind nor reads rungs an
+    earlier test computed."""
+    monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
+                        offdiag.pfaffian._LeadingPass())
+    monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
     monkeypatch.setattr(offdiag.counts, "_a_upper", ())
 
 

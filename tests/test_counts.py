@@ -17,7 +17,7 @@ from offdiag.counts import (
 )
 from offdiag.matrices import matrix_a, matrix_b
 from offdiag.paths import delannoy
-from offdiag.pfaffian import SkewMatrix, pfaffian
+from offdiag.pfaffian import SkewMatrix, pfaffian, principal_submatrix
 
 O_VECTORS = {
     1: (1,),
@@ -73,12 +73,35 @@ def test_count_off_diag_subsets():
     for k in range(1, 6):
         kept = tuple(i for i in range(1, 6) if i != k)
         assert count_off_diag(5, kept) == O_VECTORS[5][k - 1]
-    with pytest.raises(ValueError):
-        count_off_diag(3, (0,))
-    with pytest.raises(ValueError):
-        count_off_diag(3, (4,))
-    with pytest.raises(ValueError, match="repeat"):
-        count_off_diag(3, (1, 1, 2))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            count_off_diag(n)
+    for kept in ((0,), (4,)):
+        with pytest.raises(ValueError, match=r"labels must be within 1\.\.3"):
+            count_off_diag(3, kept)
+    with pytest.raises(ValueError, match=r"kept labels repeat: \[1, 1, 2\]"):
+        count_off_diag(3, (2, 1, 1))
+
+
+def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
+    # every kept set at every order up to 16 is a principal block of the
+    # one A(16) the process builds, and gives the Pfaffian of the
+    # principal submatrix of A(n)
+    built = []
+    build = offdiag.counts.matrix_a
+
+    def counted(n):
+        built.append(n)
+        return build(n)
+
+    monkeypatch.setattr(offdiag.counts, "matrix_a", counted)
+    rng = random.Random(11)
+    for n in range(16, 0, -1):
+        kept = rng.sample(range(1, n + 1), rng.randint(0, n))
+        assert count_off_diag(n, kept) == pfaffian(
+            principal_submatrix(matrix_a(n), kept))
+        assert count_off_diag(n) == pfaffian(matrix_a(n))
+    assert built == [16]
 
 
 def test_count_nearly_fixtures():
@@ -196,18 +219,27 @@ def test_memo_answers_match_the_independent_routes(arrange, empty_ladders):
 def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
                                                    empty_ladders):
     want = (pfaffian(matrix_b(22)), pfaffian(matrix_a(22)))
-    passes = []
+    passes, substituted = [], []
     resume = offdiag.pfaffian._LeadingPass.resume
+    read = offdiag.counts._deletion_vector
 
     def counted(done, rows, border):
         passes.append(len(rows))
         return resume(done, rows, border)
 
+    def counted_read(done, n):
+        substituted.append(n)
+        return read(done, n)
+
     monkeypatch.setattr(offdiag.pfaffian._LeadingPass, "resume", counted)
+    monkeypatch.setattr(offdiag.counts, "_deletion_vector", counted_read)
+    # one ladder: o_vector(19) is read off the pass over A(20) that
+    # even_order_full(20) ran, and a repeated one off the vector memo
     even_order_full(20)
-    o_vector(19)
-    assert passes == [20, 19]
+    assert o_vector(19) == o_vector(19)
+    assert passes == [20] and substituted == [19]
     passes.clear()
+    substituted.clear()
     for n in (20, 18, 2, 12):
         even_order_full(n)
     for n in (19, 1, 7, 17):
@@ -219,10 +251,13 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
         count_nearly(2 * m - 1)
         o_vector(2 * m - 1)
     assert passes == []
+    # each order's vector is back-substituted once, when first asked
+    assert sorted(substituted) == list(range(1, 18, 2))
     # a larger request resumes the pass: only the two rows it adds are
     # condensed past the stored steps, and that serves the rest
     assert (count_nearly(21), even_order_full(22)) == want
-    assert passes == [2]
+    assert o_vector(21) == _o_vector_direct(21)
+    assert passes == [2] and substituted[-1] == 21
 
 
 def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):
@@ -241,9 +276,9 @@ def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):
     random.Random(7).shuffle(shuffled)
     totals = []
     for orders in (range(31, 0, -1), range(1, 32), shuffled):
-        for name in ("_even_nearly_pass", "_deletion_pass"):
-            monkeypatch.setattr(offdiag.counts, name,
-                                offdiag.pfaffian._LeadingPass())
+        monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
+                            offdiag.pfaffian._LeadingPass())
+        monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
         condensed.clear()
         for n in orders:
             if n % 2:
@@ -259,31 +294,33 @@ def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
                                                     empty_ladders):
     def memos():
         return (offdiag.counts._even_nearly_pass,
-                offdiag.counts._deletion_pass)
+                dict(offdiag.counts._o_vectors))
 
     def zero_added_rows(n):
         # a resumed pass reads only the rows a request adds past the memo
-        # (orders 10 and 9 here); zero ones make its next pivot zero
-        return SkewMatrix([[a if max(i, j) < 9 else 0
+        # (order 10 here); zero ones make its next pivot zero
+        return SkewMatrix([[a if max(i, j) < 10 else 0
                             for j, a in enumerate(row)]
                            for i, row in enumerate(matrix_a(n).rows)])
 
     even_order_full(10)
     o_vector(9)
     before = memos()
-    assert [done.order for done in before] == [10, 9]
+    assert before[0].order == 10 and list(before[1]) == [9]
     for call in (lambda: even_order_full(MAX_ORDER + 2),
                  lambda: count_nearly(MAX_ORDER + 1),
-                 lambda: o_vector(MAX_ORDER + 1)):
+                 lambda: o_vector(MAX_ORDER + 1),
+                 lambda: d_vector("pm", MAX_ORDER + 1)):
         with pytest.raises(ValueError, match="largest supported order"):
             call()
     monkeypatch.setattr(offdiag.counts, "matrix_a", zero_added_rows)
     monkeypatch.setattr(offdiag.counts, "_a_upper", ())
     for call in (lambda: even_order_full(12), lambda: count_nearly(11),
-                 lambda: o_vector(11)):
+                 lambda: o_vector(11), lambda: d_vector("pm", 11)):
         with pytest.raises(ArithmeticError):
             call()
-    assert all(now is was for now, was in zip(memos(), before))
+    now = memos()
+    assert now[0] is before[0] and now[1] == before[1]
 
 
 def test_oversized_requests_are_refused_before_building(monkeypatch,
@@ -304,7 +341,7 @@ def test_oversized_requests_are_refused_before_building(monkeypatch,
 def test_bad_variants_and_cells_are_refused_before_building(monkeypatch,
                                                             empty_ladders):
     # checked in the order parity, condensation order, variant, cell, all
-    # before the deletion pass or the bordered Pfaffian builds a matrix
+    # before the ladder or the bordered Pfaffian builds a matrix
     def refuse(*args):
         raise AssertionError("built a matrix for a refused request")
 
@@ -317,7 +354,8 @@ def test_bad_variants_and_cells_are_refused_before_building(monkeypatch,
                  lambda: d_entry_bordered("pm", 101, 102)):
         with pytest.raises(ValueError, match=r"within 1\.\.101"):
             call()
-    assert offdiag.counts._deletion_pass.order == 0
+    assert offdiag.counts._even_nearly_pass.order == 0
+    assert offdiag.counts._o_vectors == {}
 
 
 def test_float_orders_are_refused_before_building(monkeypatch,
@@ -330,7 +368,7 @@ def test_float_orders_are_refused_before_building(monkeypatch,
         raise AssertionError("built a matrix for a float order")
 
     monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
-    before = (offdiag.counts._even_nearly_pass, offdiag.counts._deletion_pass)
+    before = (offdiag.counts._even_nearly_pass, dict(offdiag.counts._o_vectors))
     for call in (lambda: o_vector(3.0), lambda: d_vector("pm", 3.0),
                  lambda: even_order_full(4.0), lambda: count_nearly(3.0),
                  lambda: count_off_diag(3.0),
@@ -339,7 +377,7 @@ def test_float_orders_are_refused_before_building(monkeypatch,
         with pytest.raises(TypeError):
             call()
     assert (offdiag.counts._even_nearly_pass,
-            offdiag.counts._deletion_pass) == before
+            offdiag.counts._o_vectors) == before
 
 
 def test_order_bound_admits_exactly_max_order(monkeypatch):

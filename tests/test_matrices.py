@@ -134,6 +134,17 @@ def test_first_row_values_match_table():
         assert tuple(r_value(n, 1, j) for j in range(1, n + 1)) == row
 
 
+def test_r_value_refuses_floats():
+    # r_value(3, 1.0, 2) used to index the path kernel's dicts and return 2
+    assert r_value(3, 1, 2) == 2
+    for args in ((3, 1.0, 2), (3, 1, 2.0), (3.0, 1, 2)):
+        with pytest.raises(TypeError):
+            r_value(*args)
+    for args in ((3, 0, 2), (3, 1, 4)):
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.n"):
+            r_value(*args)
+
+
 def test_matrix_r_fixtures():
     assert matrix_r(2) == ((-1, 0), (0, 1))
     assert matrix_r(3) == ((1, -2, 2), (0, -1, 2), (0, 0, 1))

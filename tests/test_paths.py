@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import offdiag.paths
 from offdiag.matrices import matrix_a
 from offdiag.paths import (
     FULL,
@@ -56,13 +58,21 @@ def test_delannoy_matches_closed_form_and_recurrence():
                                           + delannoy(p - 1, q - 1))
 
 
-def test_delannoy_cold_cache_deep_arguments():
-    # a cold cache must not recurse p + q deep (RecursionError at ~1000)
+def test_delannoy_cold_cache_deep_arguments(monkeypatch):
+    # a cold call extends the diagonal through (p, q) in a loop, so even a
+    # recursion limit 50 frames above the caller's depth leaves room for it
+    monkeypatch.setattr(offdiag.paths, "_DIAGONALS", {})
     delannoy.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
     try:
         assert delannoy(1200, 1200) == delannoy_closed_form(1200, 1200)
         assert delannoy(2000, 1500) == delannoy_closed_form(2000, 1500)
+        assert delannoy(5000, 5000) == (delannoy(4999, 5000)
+                                        + delannoy(5000, 4999)
+                                        + delannoy(4999, 4999))
     finally:
+        sys.setrecursionlimit(limit)
         delannoy.cache_clear()
 
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from offdiag.matrices import matrix_a
 from offdiag.pfaffian import (
     SkewMatrix,
-    _deletion_rung,
+    _deletion_vector,
     _LeadingPass,
-    _unit_border,
     bordered_skew,
     determinant,
     pfaffian,
@@ -275,10 +275,10 @@ def leading_steps(m, border):
 
 
 def deletion_rungs(m):
-    """The single-deletion Pfaffians of every odd leading block of m, from
-    one fresh pass with the symbolic border."""
-    steps = leading_steps(m, _unit_border(m.order))
-    return [_deletion_rung(t, c) for t, (_, c) in enumerate(steps) if c]
+    """The single-deletion Pfaffians of every odd leading block of m, read
+    by back-substitution off one fresh pass over m."""
+    done = _LeadingPass().resume(m.rows, [()] * m.order)
+    return [_deletion_vector(done, k) for k in range(1, m.order + 1, 2)]
 
 
 def test_deletion_pfaffians_match_cofactor_on_random_skew():
@@ -327,6 +327,25 @@ def test_deletion_pfaffians_small_cases():
         assert deletion_rungs(leading(m, 1)) == [(1,)]
         with pytest.raises(ArithmeticError):
             deletion_rungs(m)
+    # only odd leading blocks of the pass's input have a deletion vector
+    done = _LeadingPass().resume(((0, 5, -2), (-5, 0, 7), (2, -7, 0)),
+                                 [()] * 3)
+    for n in (0, 2, 5):
+        with pytest.raises(ValueError):
+            _deletion_vector(done, n)
+
+
+def test_corrupted_step_makes_the_back_substitution_raise():
+    # every division of the back-substitution is exact on a true pass; a
+    # stored step changed so that one is not (here working entry (0, 2)
+    # after one step, whose pivot is 12) raises rather than give a vector
+    a = matrix_a(8)
+    done = _LeadingPass().resume(a.rows, [()] * 8)
+    assert _deletion_vector(done, 7) == (312, 1560, 3640, 4472, 3640, 1560,
+                                         312)
+    done.steps[1][1][2] += 1
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        _deletion_vector(done, 7)
 
 
 def test_leading_pfaffians_read_every_leading_order():
@@ -361,36 +380,37 @@ def test_leading_pfaffians_read_every_leading_order():
 
 def test_resumed_pass_matches_one_fresh_pass():
     # a pass grown through any sequence of leading blocks reads, at each
-    # size, every rung one fresh pass over that block reads; the border
-    # keeps its width or gains columns (unit border)
+    # size, every rung and every deletion vector one fresh pass over that
+    # block reads; the border keeps the width of the first resume
     rng = random.Random(143)
     resumed = raised = 0
-    for _ in range(300):
+    for _ in range(600):
         order = rng.randint(0, 11)
         m = random_skew(rng, order, -3, 3)
         column = [(rng.randint(-9, 9),) for _ in range(order)]
         sizes = sorted(rng.sample(range(order), rng.randint(0, order)))
-        for border in (lambda k: column[:k], _unit_border):
-            done = _LeadingPass()
-            for k in sizes + [order]:
-                block = leading(m, k)
-                added = (block.rows[done.order:], border(k)[done.order:])
-                try:
-                    want = leading_steps(block, border(k))
-                except ArithmeticError:
-                    # a zero pivot among the added rows: the old pass stays
-                    kept = (done.order, done.steps, done.rows, done.pivot)
-                    snapshot = repr(kept)
-                    with pytest.raises(ArithmeticError):
-                        done.resume(*added)
-                    assert repr(kept) == snapshot
-                    raised += 1
-                    break
-                grown = done.resume(*added)
-                assert rungs(grown) == want
-                assert grown.order == k and len(grown.steps) == k // 2
-                resumed += len(done.steps) > 0
-                done = grown
+        done = _LeadingPass()
+        for k in sizes + [order]:
+            block = leading(m, k)
+            added = (block.rows[done.order:], column[done.order:k])
+            try:
+                fresh = _LeadingPass().resume(block.rows, column[:k])
+            except ArithmeticError:
+                # a zero pivot among the added rows: the old pass stays
+                kept = (done.order, done.steps, done.rows, done.pivot)
+                snapshot = repr(kept)
+                with pytest.raises(ArithmeticError):
+                    done.resume(*added)
+                assert repr(kept) == snapshot
+                raised += 1
+                break
+            grown = done.resume(*added)
+            assert rungs(grown) == rungs(fresh)
+            assert [_deletion_vector(grown, j) for j in range(1, k + 1, 2)] \
+                == [_deletion_vector(fresh, j) for j in range(1, k + 1, 2)]
+            assert grown.order == k and len(grown.steps) == k // 2
+            resumed += len(done.steps) > 0
+            done = grown
     assert resumed > 100 and raised > 10
     two = _LeadingPass().resume(((0, 1), (-1, 0)), [(), ()])
     with pytest.raises(ValueError):
@@ -400,6 +420,9 @@ def test_resumed_pass_matches_one_fresh_pass():
     wide = _LeadingPass().resume(((0, 1), (-1, 0)), [(1, 2), (3, 4)])
     with pytest.raises(ValueError):
         wide.resume([(-1, -2, 0)], [(5,)])  # a border column removed
+    with pytest.raises(ValueError):
+        wide.resume([(-1, -2, 0)], [(5, 6, 7)])  # a border column added
+    assert wide.resume([(-1, -2, 0)], [(5, 6)]).width == 2
     for t in (-1, 2):
         with pytest.raises(IndexError):
             wide.rung(t)                    # a pass of one step has rungs 0, 1

@@ -151,32 +151,35 @@ def test_scans_run_one_condensation_pass(monkeypatch, empty_ladders):
 
     # each scan asks for its largest order first, so an oversized scan is
     # refused before any resume, and the ladder is resumed once and every
-    # other order is a rung read
+    # other order is a rung read; both scans read the one ladder, so the
+    # second resumes the first's pass by the rows it adds
     monkeypatch.setattr(offdiag.pfaffian._LeadingPass, "resume", counted)
     for scan in (scan_asymptotics, scan_log_concavity):
         with pytest.raises(ValueError, match="largest supported order"):
             scan(101)
     assert passes == []
-    assert scan_asymptotics(50)[0].passed
-    assert passes == [100]
-    passes.clear()
     assert scan_log_concavity(25)[0].passed
-    assert passes == [49]
+    assert passes == [50]
+    passes.clear()
+    assert scan_asymptotics(50)[0].passed
+    assert passes == [50]
 
 
 def test_scans_raise_on_a_zero_leading_pivot(monkeypatch, empty_ladders):
     # a skew matrix whose (0, 1) pivot is 0 though its Pfaffian is not; the
-    # scans' one pass never swaps, so it must stop rather than misread orders
+    # scans' one pass never swaps, so it must stop rather than misread
+    # orders, and leave the ladder and the vector memo as they were
     def zero_pivot(n):
         return SkewMatrix([[0 if {i, j} == {0, 1} else j - i
                             for j in range(n)] for i in range(n)])
 
     assert pfaffian(zero_pivot(4)) == -1
     monkeypatch.setattr(offdiag.counts, "matrix_a", zero_pivot)
-    with pytest.raises(ArithmeticError):
-        scan_asymptotics(3)
-    with pytest.raises(ArithmeticError):
-        scan_log_concavity(3)
+    for scan in (scan_asymptotics, scan_log_concavity):
+        with pytest.raises(ArithmeticError):
+            scan(3)
+        assert offdiag.counts._even_nearly_pass.order == 0
+        assert offdiag.counts._o_vectors == {}
 
 
 def test_gap_check_is_exact_across_the_sqrt2_crossing():
