@@ -17,22 +17,23 @@ ladder's per-process memo is its pass of the largest order asked so far: a
 request at or below that order reads the stored steps, a larger one resumes
 the pass to its own order, so however the requests arrive the memo does at
 most the work of one pass at the largest order asked.  The pass's rows and
-count_off_diag's matrices are read off one build of A (`_a_entries`), and
-each deletion vector is kept once read (`_o_vectors`).  A scan asks for its
+count_off_diag's matrices are blocks of A (`matrices._a_block`), and each
+deletion vector is kept once read (`_o_vectors`).  A scan asks for its
 largest order first, which resumes the ladder once.
 `pfaffian` itself serves only count_off_diag and d_entry_bordered, and
 `_o_vector_direct` stays as the verification route.
 
 Every entry point takes its order through `operator.index` (a float order
 raises TypeError) and refuses a request whose condensation order exceeds
-`MAX_ORDER`, both before it builds anything.
+`matrices.MAX_ORDER`, both before it builds anything.
 """
 
 from __future__ import annotations
 
 from operator import index, mul, neg
 
-from .matrices import defect_weights, matrix_a, pell_vector
+from .matrices import (MAX_ORDER, _a_block, defect_weights, matrix_a,
+                       pell_vector)
 from .pfaffian import (
     SkewMatrix,
     _deletion_vector,
@@ -40,16 +41,7 @@ from .pfaffian import (
     _LeadingPass,
     bordered_skew,
     pfaffian,
-    principal_submatrix,
 )
-
-# The largest condensation order any count builds; 200 admits scans to
-# --n-max 100 and every single count to n = 199.  On a 2-vCPU VM a cold
-# pass costs about 0.3 s at order 100, 3 s at 150 and 17 s at 200; a cold
-# o_vector(n) or d_vector(n) is the pass of order n + 1 plus one
-# back-substitution, about 17 s at n = 199 (0.5 s of it the
-# back-substitution).
-MAX_ORDER = 200
 
 
 def _check_order(order: int) -> None:
@@ -69,24 +61,6 @@ _even_nearly_pass = _LeadingPass()
 # asks for each order twice (directly and through d_vector).
 _o_vectors: dict[int, tuple[int, ...]] = {}
 
-# The upper triangle of the largest A built so far (row i holds a_ij for
-# j > i), of a power-of-two order at most MAX_ORDER.  The ladder's added rows
-# and count_off_diag's matrices are read off it, so the matrices built cost
-# about one build at the largest order asked, however the requests arrive.
-_a_upper: tuple[tuple[int, ...], ...] = ()
-
-
-def _a_entries(order: int, rows, cols) -> list[tuple[int, ...]]:
-    """The rows x cols block (0-based) of matrix_a(order), off `_a_upper`."""
-    global _a_upper
-    if len(_a_upper) < order:
-        a = matrix_a(min(1 << (order - 1).bit_length(), MAX_ORDER))
-        _a_upper = tuple(row[i + 1:] for i, row in enumerate(a.rows))
-    upper = _a_upper
-    return [tuple(upper[i][j - i - 1] if j > i else
-                  -upper[j][i - j - 1] if j < i else 0 for j in cols)
-            for i in rows]
-
 
 def _even_nearly(m: int) -> _LeadingPass:
     """The ladder's pass over at least A(2m) bordered by the doubled Pell
@@ -96,8 +70,7 @@ def _even_nearly(m: int) -> _LeadingPass:
     if done.order < 2 * m:
         pell = pell_vector(2 * m)[done.order:]
         done = _even_nearly_pass = done.resume(
-            _a_entries(2 * m, range(done.order, 2 * m), range(2 * m)),
-            [(h,) for h in pell])
+            _a_block(range(done.order, 2 * m), range(2 * m)), pell)
     return done
 
 
@@ -109,15 +82,12 @@ def count_off_diag(n: int, kept=None) -> int:
         raise ValueError("n must be >= 1")
     _check_order(n)
     idx = range(n) if kept is None else _kept_indices(kept, n)
-    return pfaffian(SkewMatrix(_a_entries(n, idx, idx)))
+    return pfaffian(SkewMatrix(_a_block(idx, idx)))
 
 
 def _o_vector_direct(n: int) -> tuple[int, ...]:
-    a = matrix_a(n)
-    return tuple(
-        pfaffian(principal_submatrix(a, [i for i in range(1, n + 1) if i != k]))
-        for k in range(1, n + 1)
-    )
+    return tuple(count_off_diag(n, [i for i in range(1, n + 1) if i != k])
+                 for k in range(1, n + 1))
 
 
 def o_vector(n: int) -> tuple[int, ...]:
@@ -129,7 +99,8 @@ def o_vector(n: int) -> tuple[int, ...]:
     memo or that pass resumed to order n + 1, and kept in `_o_vectors`.
     That pass never pivots: the leading pivots of A(n) are the tiling
     counts even_order_full(2t) > 0, and a zero one would raise
-    ArithmeticError rather than give a wrong vector.
+    ArithmeticError rather than give a wrong vector.  So does a vector that
+    fails A(n)'s last row, the one row the back-substitution never reads.
     `_o_vector_direct` computes the same vector as n separate Pfaffians, for
     verification.
     """
@@ -139,7 +110,13 @@ def o_vector(n: int) -> tuple[int, ...]:
     _check_order(n + 1)
     got = _o_vectors.get(n)
     if got is None:
-        got = _o_vectors[n] = _deletion_vector(_even_nearly((n + 1) // 2), n)
+        got = _deletion_vector(_even_nearly((n + 1) // 2), n)
+        (last,) = _a_block([n - 1], range(n))
+        if sum(map(mul, last[::2], got[::2])) != sum(map(mul, last[1::2],
+                                                         got[1::2])):
+            raise ArithmeticError(f"deletion vector of order {n} is off "
+                                  f"the last row of A({n})")
+        _o_vectors[n] = got
     return got
 
 
@@ -152,7 +129,7 @@ def count_nearly(n: int) -> int:
     if n < 1 or n % 2 == 0:
         raise ValueError("nearly count is defined for odd n >= 1")
     _check_order(n + 1)
-    return _even_nearly((n + 1) // 2).rung((n - 1) // 2)[1][0]
+    return _even_nearly((n + 1) // 2).rung((n - 1) // 2)[1]
 
 
 def d_vector(variant: str, n: int) -> tuple[int, ...]:

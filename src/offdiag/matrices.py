@@ -1,11 +1,11 @@
 """Builders for the structured integer matrices behind the tiling counts.
 
-Everything is exact and small enough to keep as tuples of ints.  The
-skew-symmetric recurrence matrix drives the off-diagonal counts via its
+Everything is exact and kept as tuples of ints; each matrix has one builder.
+The skew-symmetric recurrence matrix A drives the off-diagonal counts via its
 Pfaffian; its bordered companion counts the nearly off-diagonal tilings; the
 Delannoy-weighted rectangular matrices turn count vectors into per-cell
-defect counts; the involutive triangular matrix and the recurrence array are
-two independent routes to the same numbers and get cross-checked in verify.
+defect counts; the involutive triangular matrix R is built from the
+recurrence array, and verify checks it against the path kernel (`r_value`).
 """
 
 from __future__ import annotations
@@ -18,33 +18,53 @@ from .paths import FULL, PathGraph, delannoy, q_doublet
 from . import series
 
 
+# The largest order of A built, so of any count's condensation; 200 admits
+# scans to --n-max 100 and every count to n = 199.  On a 2-vCPU VM a cold
+# pass takes about 0.3 s at order 100, 3 s at 150 and 17 s at 200.
+MAX_ORDER = 200
+
+# A's one memo, grown only to the largest order asked: column j holds a_ij
+# for i < j (0-based), built from column j - 1 by the recurrence.
+_A_COLUMNS: list[tuple[int, ...]] = []
+
+
+def _a_block(rows, cols) -> list[tuple[int, ...]]:
+    """The rows x cols block (0-based) of A, off `_A_COLUMNS` grown first
+    to the largest index asked; an order past MAX_ORDER is refused."""
+    rows, cols = list(rows), list(cols)
+    order = max(rows + cols, default=-1) + 1
+    if order > MAX_ORDER:
+        raise ValueError(f"A is built up to order {MAX_ORDER}; this needs "
+                         f"order {order}")
+    a = _A_COLUMNS
+    while len(a) < order:
+        prev, j = a[-1] if a else (), len(a)
+        col = [2] if j else []
+        for i in range(1, j):
+            col.append(col[i - 1] + prev[i - 1]
+                       + (prev[i] if i < j - 1 else 2 * (-1) ** i))
+        a.append(tuple(col))
+    return [tuple(a[j][i] if i < j else -a[i][j] if j < i else 0
+                  for j in cols) for i in rows]
+
+
 def matrix_a(n: int) -> SkewMatrix:
     """Skew matrix of the three-term recurrence with alternating correction.
 
     Upper triangle (1-based): first row is all 2s; below that,
     a[i][j] = a[i-1][j] + a[i][j-1] + a[i-1][j-1] away from the diagonal and
     a[i][i+1] = a[i-1][i+1] + a[i-1][i] + 2*(-1)^(i-1) next to it.
+    Orders above MAX_ORDER are refused.
     """
+    n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if i == 1:
-                a[i][j] = 2
-            elif j == i + 1:
-                a[i][j] = a[i - 1][j] + a[i - 1][j - 1] + 2 * (-1) ** (i - 1)
-            else:
-                a[i][j] = a[i - 1][j] + a[i][j - 1] + a[i - 1][j - 1]
-    rows = tuple(
-        tuple(a[i][j] if i < j else -a[j][i] for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-    return SkewMatrix(rows)
+    return SkewMatrix(_a_block(range(n), range(n)))
 
 
 def pell_vector(n: int) -> tuple[int, ...]:
     """Doubled Pell numbers 2, 4, 10, 24, 58, ... (each = 2*prev + prev2)."""
+    n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     f = [2, 4]
@@ -56,6 +76,7 @@ def pell_vector(n: int) -> tuple[int, ...]:
 def matrix_b(order: int) -> SkewMatrix:
     """The recurrence matrix of one smaller order, bordered by the doubled
     Pell column; its Pfaffian counts the nearly off-diagonal tilings."""
+    order = index(order)
     if order < 2 or order % 2:
         raise ValueError("order must be even and >= 2")
     return bordered_skew(matrix_a(order - 1), pell_vector(order - 1))
@@ -114,11 +135,16 @@ def matrix_r(n: int) -> tuple[tuple[int, ...], ...]:
 
     It is upper triangular with unit diagonal (up to sign) and squares to the
     identity; applied to an odd-order deletion-count vector it reverses it.
+    Built from row n of `t_array`: (i, j) is (-1)^(n+j) t[n-1][j-i] for
+    j >= i.  `r_value`, the path kernel, is the verification route.
     """
+    n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
+    t = t_array(n, n)[n - 1]
     return tuple(
-        tuple((-1) ** (n + j) * r_value(n, i, j) for j in range(1, n + 1))
+        tuple(0 if j < i else -t[j - i] if (n + j) % 2 else t[j - i]
+              for j in range(1, n + 1))
         for i in range(1, n + 1)
     )
 

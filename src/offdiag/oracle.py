@@ -76,6 +76,7 @@ def build_region(n: int, kept=None) -> Region:
     consumer takes an order above _MAX_COUNTED_ORDER, so a larger n is
     refused before a square is built: the build is O(n^2) in time and
     memory."""
+    n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _MAX_COUNTED_ORDER:
@@ -322,6 +323,7 @@ def oracle_counts(n: int) -> OracleCounts:
     the symmetric tilings alone; `total`, computed when read, counts every
     tiling.  No tiling is walked.
     """
+    n = index(n)
     if n < 1 or n % 2 == 0 or n > _MAX_COUNTED_ORDER:
         raise ValueError(
             f"oracle is exhaustive; odd n <= {_MAX_COUNTED_ORDER} only")

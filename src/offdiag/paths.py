@@ -66,6 +66,7 @@ class PathGraph:
     """The staircase digraph of a given size, with its labeled points."""
 
     def __init__(self, n: int, variant: str = FULL):
+        n = index(n)
         if n < 1:
             raise ValueError("n must be >= 1")
         if variant not in (FULL, REDUCED):

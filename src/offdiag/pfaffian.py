@@ -11,12 +11,12 @@ it:
 - `pfaffian`: one Pfaffian, curing zero pivots by a pair search;
 - `_LeadingPass`: without pivoting, one pass gives every leading order (the
   pivot after step t is the Pfaffian of the leading 2t x 2t block), and a
-  border carried along gives the bordered Pfaffians of each odd leading
-  block; `rung(t)` reads both off the steps the pass stores, and
+  border column carried along gives the bordered Pfaffian of each odd
+  leading block; `rung(t)` reads both off the steps the pass stores, and
   `_deletion_vector` back-substitutes through them.  The pass is kept
   after it ends, so that a larger input of the same ladder resumes it
   instead of starting again; a fresh pass is
-  `_LeadingPass().resume(m.rows, border)`.
+  `_LeadingPass().resume(m.rows, column)`.
 
 Also here: one fraction-free (Bareiss) elimination, `_echelon`, for both the
 determinant and the rank of an integer matrix, and the bordered-matrix
@@ -192,17 +192,17 @@ class _LeadingPass:
     Without swaps, the pivot after step t is the Pfaffian of the leading
     2t x 2t block of the input (1 for t = 0), and working entry (i, j) is the
     Pfaffian of that block plus input rows 2t+i and 2t+j (the Pfaffian form
-    of Bareiss's leading-minor property).  Columns past the input's are
-    border columns, which the same step carries along, so working row 0's
-    entry in border column h is the Pfaffian of the leading (2t+1) x (2t+1)
-    block bordered by column h.  `rung(t)` reads both; `_deletion_vector`
-    reads the single-deletion Pfaffians off the stored steps.
+    of Bareiss's leading-minor property).  One column past the input's is
+    the border column h, which the same step carries along, so working row
+    0's last entry is the Pfaffian of the leading (2t+1) x (2t+1) block
+    bordered by h.  `rung(t)` reads both; `_deletion_vector` reads the
+    single-deletion Pfaffians off the stored steps.
 
-    It holds the input order and border width absorbed, each step's divisor
-    and pivot rows (step t holds the pivot and working rows 0 and 1 after t
-    steps), the working rows left (fewer than two) and the last pivot.
+    It holds the input order absorbed, each step's divisor and pivot rows
+    (step t holds the pivot and working rows 0 and 1 after t steps), the
+    working rows left (fewer than two) and the last pivot.
     `_LeadingPass()` is the pass over the empty input, so a fresh pass over m
-    with border `border` is `_LeadingPass().resume(m.rows, border)`.
+    with border column h is `_LeadingPass().resume(m.rows, h)`.
     `resume` carries the rows a larger input adds through the stored steps
     and then runs the steps they allow.  No entry is condensed twice, so
     passes at orders N1 < N2 < ... do at most the work of one pass at the
@@ -211,46 +211,40 @@ class _LeadingPass:
     old one as it was.
     """
 
-    __slots__ = ("order", "width", "steps", "rows", "pivot")
+    __slots__ = ("order", "steps", "rows", "pivot")
 
     def __init__(self):
-        self.order = self.width = 0
+        self.order = 0
         self.steps: tuple[tuple[int, list[int], list[int]], ...] = ()
         self.rows: list[list[int]] = []
         self.pivot = 1
 
-    def rung(self, t: int) -> tuple[int, tuple[int, ...]]:
+    def rung(self, t: int) -> tuple[int, int | None]:
         """(Pf of the input's leading 2t x 2t block, working row 0's border
-        entries after t steps) for 0 <= t <= len(self.steps); the border
-        entries are empty once no row is left."""
+        entry after t steps) for 0 <= t <= len(self.steps); the border
+        entry is None once no row is left."""
         if not 0 <= t <= len(self.steps):
             raise IndexError(f"a pass of {len(self.steps)} steps has no "
                              f"rung {t}")
         if t < len(self.steps):
-            pivot, row, _ = self.steps[t]
-        else:
-            pivot, row = self.pivot, self.rows[0] if self.rows else []
-        return pivot, tuple(row[len(row) - self.width:])
+            return self.steps[t][0], self.steps[t][1][-1]
+        return self.pivot, self.rows[0][-1] if self.rows else None
 
-    def resume(self, rows, border) -> _LeadingPass:
+    def resume(self, rows, column) -> _LeadingPass:
         """The pass over this pass's input grown by `rows`.
 
         `rows` are the rows the larger input adds, each as long as its new
         order, so the larger input's leading block is this pass's input;
-        `border` lists their border entries, as many for each row as the
-        pass's first resume gave.  A zero leading pivot raises
-        ArithmeticError.
+        `column` holds their border entries, one int per added row.  A zero
+        leading pivot raises ArithmeticError.
         """
         order = self.order + len(rows)
-        if len(border) != len(rows):
-            raise ValueError("border must have one row per added row")
+        if len(column) != len(rows):
+            raise ValueError("column must have one entry per added row")
         if any(len(row) != order for row in rows):
             raise ValueError(f"each added row must have {order} entries")
-        width = len(border[0]) if border and not self.order else self.width
-        if any(len(e) != width for e in border):
-            raise ValueError(f"each border row must have {width} entries")
-        added = [list(map(index, row)) + list(map(index, extra))
-                 for row, extra in zip(rows, border)]
+        added = [list(map(index, row)) + [index(h)]
+                 for row, h in zip(rows, column)]
         # each stored pivot row gains the added columns by skew symmetry; the
         # added rows then sit at columns left, left+1, ... of the step
         steps, left = [], self.order
@@ -271,7 +265,7 @@ class _LeadingPass:
             rows, pivot = _condense_rows(rows[0], rows[1], rows[2:], 2,
                                          pivot), p
         grown = _LeadingPass()
-        grown.order, grown.width, grown.steps = order, width, tuple(steps)
+        grown.order, grown.steps = order, tuple(steps)
         grown.rows, grown.pivot = rows, pivot
         return grown
 

@@ -301,17 +301,16 @@ def _check_r_structure(n_max: int):
     cap = min(n_max, 12)
     failures = []
     for n in range(1, cap + 1):
+        # the structure is read off the path kernel, and matrix_r, built
+        # from one t_array row by it, must equal the signed kernel
         rows = matrix_r(n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                signed = rows[i - 1][j - 1]
-                if j < i and signed != 0:
-                    failures.append({"n": n, "i": i, "j": j, "below": signed})
-                if j == i and signed != (-1) ** (n + i):
-                    failures.append({"n": n, "i": i, "diag": signed})
-                if j > i and r_value(n, i, j) != r_value(n, 1, j - i + 1):
-                    failures.append({"n": n, "i": i, "j": j,
-                                     "translation": r_value(n, i, j)})
+                kernel, signed = r_value(n, i, j), rows[i - 1][j - 1]
+                want = r_value(n, 1, j - i + 1) if j > i else int(j == i)
+                if kernel != want or signed != (-1) ** (n + j) * kernel:
+                    failures.append({"n": n, "i": i, "j": j, "kernel": kernel,
+                                     "structure": want, "matrix": signed})
     for n in range(3, cap + 1):
         for j in range(2, n):
             lhs = r_value(n, 1, j)

@@ -1,10 +1,12 @@
 """Collects the acceptance criterion results and prints them as a summary
 section, so the one-line-per-criterion report survives output capture, and
-provides the fixture that empties the count ladder's memos."""
+provides the fixtures that empty the count ladder's memos and forbid
+reads of A."""
 
 import pytest
 
 import offdiag.counts
+import offdiag.matrices
 import offdiag.pfaffian
 
 ACCEPTANCE_LINES = []
@@ -13,14 +15,27 @@ ACCEPTANCE_LINES = []
 @pytest.fixture
 def empty_ladders(monkeypatch):
     """Start the per-process count memos (the ladder's pass and the
-    deletion vectors read off it), and the A its rows are read off, empty
-    and restore them afterwards, so a test that fakes `matrix_a` or counts
-    condensation passes neither leaves rungs behind nor reads rungs an
-    earlier test computed."""
+    deletion vectors read off it), and the column memo of A its rows are
+    read off, empty and restore them afterwards, so a test that fakes
+    `_a_block` or counts condensation passes or columns of A neither leaves
+    rungs behind nor reads rungs an earlier test computed."""
     monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
                         offdiag.pfaffian._LeadingPass())
     monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
-    monkeypatch.setattr(offdiag.counts, "_a_upper", ())
+    monkeypatch.setattr(offdiag.matrices, "_A_COLUMNS", [])
+
+
+@pytest.fixture
+def forbid_a(monkeypatch):
+    """A function that, once called, makes every read of A fail the test:
+    the counts and `matrix_a` read A only through `matrices._a_block`."""
+    def refuse(*args):
+        raise AssertionError("read A for a request that should be refused")
+
+    def arm():
+        for module in (offdiag.counts, offdiag.matrices):
+            monkeypatch.setattr(module, "_a_block", refuse)
+    return arm
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -4,8 +4,11 @@ deliberate edit here."""
 import os
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
+
+import pytest
 
 import offdiag
 
@@ -90,3 +93,58 @@ def test_no_command_loads_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0, 0] False\n"
+
+
+# Each public callable that takes an order, called with that order alone.
+ORDER_TAKING = {
+    "PathGraph": offdiag.PathGraph,
+    "build_region": offdiag.build_region,
+    "count_nearly": offdiag.count_nearly,
+    "count_off_diag": offdiag.count_off_diag,
+    "d_entry_bordered": lambda n: offdiag.d_entry_bordered("pm", n, 1),
+    "d_vector": lambda n: offdiag.d_vector("pm", n),
+    "even_order_full": offdiag.even_order_full,
+    "matrix_a": offdiag.matrix_a,
+    "matrix_b": offdiag.matrix_b,
+    "matrix_m": lambda n: offdiag.matrix_m("pm", n),
+    "matrix_r": offdiag.matrix_r,
+    "o_vector": offdiag.o_vector,
+    "oracle_counts": offdiag.oracle_counts,
+    "pell_vector": offdiag.pell_vector,
+    "r_value": lambda n: offdiag.r_value(n, 1, 1),
+    "scan_asymptotics": offdiag.scan_asymptotics,
+    "scan_log_concavity": offdiag.scan_log_concavity,
+    "t_array": lambda n: offdiag.t_array(n, n),
+    "verify_identities": offdiag.verify_identities,
+    "verify_rank_claim": offdiag.verify_rank_claim,
+}
+# Callables that take an integer for which 0 is in range.
+INDEX_TAKING = {
+    "delannoy": lambda k: offdiag.delannoy(k, k),
+    "g_sequence": offdiag.g_sequence,
+}
+NO_ORDER = {
+    "CheckReport", "CheckResult", "SkewMatrix", "bordered_skew",
+    "determinant", "enumerate_families", "pfaffian_cofactor",
+    "principal_submatrix", "q_doublet", "rational_rank", "render_svg",
+    "render_text", "__version__",
+}
+
+
+def test_orders_are_refused_before_any_work():
+    # every public order is taken through operator.index and checked
+    # first: a float raises TypeError and order 0 ValueError, at once even
+    # where the float stands for an order far past every limit
+    assert set(ORDER_TAKING) | set(INDEX_TAKING) | NO_ORDER == PUBLIC
+    for call in ORDER_TAKING.values():
+        for order in (3.0, 4.0, 30001.0, 3e4):
+            start = time.perf_counter()
+            with pytest.raises(TypeError):
+                call(order)
+            assert time.perf_counter() - start < 0.05
+        with pytest.raises(ValueError):
+            call(0)
+    for call in INDEX_TAKING.values():
+        for value in (3.0, 3e4):
+            with pytest.raises(TypeError):
+                call(value)

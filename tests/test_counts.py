@@ -4,6 +4,7 @@ import time
 import pytest
 
 import offdiag.counts
+import offdiag.matrices
 import offdiag.pfaffian
 from offdiag.counts import (
     MAX_ORDER,
@@ -17,7 +18,7 @@ from offdiag.counts import (
 )
 from offdiag.matrices import matrix_a, matrix_b
 from offdiag.paths import delannoy
-from offdiag.pfaffian import SkewMatrix, pfaffian, principal_submatrix
+from offdiag.pfaffian import pfaffian, principal_submatrix
 
 O_VECTORS = {
     1: (1,),
@@ -84,24 +85,49 @@ def test_count_off_diag_subsets():
 
 
 def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
-    # every kept set at every order up to 16 is a principal block of the
-    # one A(16) the process builds, and gives the Pfaffian of the
-    # principal submatrix of A(n)
-    built = []
-    build = offdiag.counts.matrix_a
+    # every kept set at every order up to 16 is one principal block of the
+    # column memo of A, grown once to order 16, and gives the Pfaffian of
+    # the principal submatrix of A(n)
+    blocks = []
+    block = offdiag.counts._a_block
 
-    def counted(n):
-        built.append(n)
-        return build(n)
+    def counted(rows, cols):
+        blocks.append(len(offdiag.matrices._A_COLUMNS))
+        return block(rows, cols)
 
-    monkeypatch.setattr(offdiag.counts, "matrix_a", counted)
+    monkeypatch.setattr(offdiag.counts, "_a_block", counted)
     rng = random.Random(11)
     for n in range(16, 0, -1):
         kept = rng.sample(range(1, n + 1), rng.randint(0, n))
         assert count_off_diag(n, kept) == pfaffian(
             principal_submatrix(matrix_a(n), kept))
         assert count_off_diag(n) == pfaffian(matrix_a(n))
-    assert built == [16]
+    assert blocks == [0] + [16] * 31
+    assert len(offdiag.matrices._A_COLUMNS) == 16
+
+
+def test_requests_grow_the_columns_of_a_once(empty_ladders):
+    # whatever mix of requests arrives, the column memo of A grows only to
+    # the largest order of A asked, and a column once built is never rebuilt
+    rng = random.Random(23)
+    requests = []  # (count, its order argument, the order of A it reads)
+    for _ in range(8):
+        n = 2 * rng.randint(0, 12) + 1
+        m, k = 2 * rng.randint(1, 12), rng.randint(1, 26)
+        requests += [(o_vector, n, n + 1), (count_nearly, n, n + 1),
+                     (even_order_full, m, m), (count_off_diag, k, k),
+                     (matrix_a, k, k),
+                     (lambda n: d_entry_bordered("pm", n, 1), n, n)]
+    rng.shuffle(requests)
+    columns = offdiag.matrices._A_COLUMNS
+    built, largest = [], 0
+    for call, n, order in requests:
+        call(n)
+        largest = max(largest, order)
+        assert len(columns) == largest
+        assert all(old is new for old, new in zip(built, columns))
+        built = list(columns)
+    assert columns is offdiag.matrices._A_COLUMNS and largest == 26
 
 
 def test_count_nearly_fixtures():
@@ -296,12 +322,14 @@ def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
         return (offdiag.counts._even_nearly_pass,
                 dict(offdiag.counts._o_vectors))
 
-    def zero_added_rows(n):
+    block = offdiag.counts._a_block
+
+    def zero_added_rows(rows, cols):
         # a resumed pass reads only the rows a request adds past the memo
         # (order 10 here); zero ones make its next pivot zero
-        return SkewMatrix([[a if max(i, j) < 10 else 0
-                            for j, a in enumerate(row)]
-                           for i, row in enumerate(matrix_a(n).rows)])
+        rows, cols = list(rows), list(cols)
+        return [tuple(a if max(i, j) < 10 else 0 for j, a in zip(cols, row))
+                for i, row in zip(rows, block(rows, cols))]
 
     even_order_full(10)
     o_vector(9)
@@ -313,8 +341,8 @@ def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
                  lambda: d_vector("pm", MAX_ORDER + 1)):
         with pytest.raises(ValueError, match="largest supported order"):
             call()
-    monkeypatch.setattr(offdiag.counts, "matrix_a", zero_added_rows)
-    monkeypatch.setattr(offdiag.counts, "_a_upper", ())
+    assert len(offdiag.matrices._A_COLUMNS) == 10
+    monkeypatch.setattr(offdiag.counts, "_a_block", zero_added_rows)
     for call in (lambda: even_order_full(12), lambda: count_nearly(11),
                  lambda: o_vector(11), lambda: d_vector("pm", 11)):
         with pytest.raises(ArithmeticError):
@@ -323,13 +351,10 @@ def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
     assert now[0] is before[0] and now[1] == before[1]
 
 
-def test_oversized_requests_are_refused_before_building(monkeypatch,
-                                                       empty_ladders):
-    def refuse(*args):
-        raise AssertionError("built a matrix for a refused request")
-
+def test_oversized_requests_are_refused_before_building(empty_ladders,
+                                                       forbid_a):
     cached = delannoy.cache_info().currsize
-    monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
+    forbid_a()
     start = time.perf_counter()
     with pytest.raises(ValueError, match="order 2402; the largest supported"):
         d_entry_bordered("pm", 2401, 1200)
@@ -338,14 +363,11 @@ def test_oversized_requests_are_refused_before_building(monkeypatch,
     assert MAX_ORDER == 200
 
 
-def test_bad_variants_and_cells_are_refused_before_building(monkeypatch,
-                                                            empty_ladders):
+def test_bad_variants_and_cells_are_refused_before_building(empty_ladders,
+                                                            forbid_a):
     # checked in the order parity, condensation order, variant, cell, all
-    # before the ladder or the bordered Pfaffian builds a matrix
-    def refuse(*args):
-        raise AssertionError("built a matrix for a refused request")
-
-    monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
+    # before the ladder or the bordered Pfaffian reads A
+    forbid_a()
     for call in (lambda: d_vector("bogus", 101),
                  lambda: d_entry_bordered("bogus", 101, 102)):
         with pytest.raises(ValueError, match="unknown variant 'bogus'"):
@@ -358,16 +380,11 @@ def test_bad_variants_and_cells_are_refused_before_building(monkeypatch,
     assert offdiag.counts._o_vectors == {}
 
 
-def test_float_orders_are_refused_before_building(monkeypatch,
-                                                  empty_ladders):
+def test_float_orders_are_refused_before_building(empty_ladders, forbid_a):
     # orders go through operator.index, so a float order raises TypeError
-    # before any matrix is built or either memo changes; a bool is an index
+    # before A is read or either memo changes; a bool is an index
     assert o_vector(True) == O_VECTORS[1]
-
-    def refuse(*args):
-        raise AssertionError("built a matrix for a float order")
-
-    monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
+    forbid_a()
     before = (offdiag.counts._even_nearly_pass, dict(offdiag.counts._o_vectors))
     for call in (lambda: o_vector(3.0), lambda: d_vector("pm", 3.0),
                  lambda: even_order_full(4.0), lambda: count_nearly(3.0),
@@ -392,3 +409,36 @@ def test_order_bound_admits_exactly_max_order(monkeypatch):
                  lambda: d_vector("pm", 9), lambda: count_off_diag(9)):
         with pytest.raises(ValueError, match="largest supported order is 8"):
             call()
+
+
+def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
+                                                            empty_ladders):
+    # move one entry of a stored pivot row of the ladder's pass over A(8)
+    # by one and read order 7: the back-substitution raises on an inexact
+    # division, o_vector's check against the last row of A(7), which the
+    # back-substitution never reads, raises on a vector off the kernel, or
+    # the entry was not read and the vector is the true one
+    even_order_full(8)
+    done = offdiag.counts._even_nearly_pass
+    raised = kept = 0
+    for delta in (1, -1):
+        for s, step in enumerate(done.steps):
+            for r in (1, 2):
+                for c in range(len(step[r])):
+                    bad = offdiag.pfaffian._LeadingPass()
+                    bad.order, bad.rows, bad.pivot = (done.order, done.rows,
+                                                      done.pivot)
+                    bad.steps = tuple((p, list(top), list(second))
+                                      for p, top, second in done.steps)
+                    bad.steps[s][r][c] += delta
+                    monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
+                                        bad)
+                    monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
+                    try:
+                        got = o_vector(7)
+                    except ArithmeticError:
+                        raised += 1
+                    else:
+                        assert got == O_VECTORS[7], (delta, s, r, c)
+                        kept += 1
+    assert raised + kept == 2 * 48 and raised == 2 * 21

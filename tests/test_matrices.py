@@ -1,6 +1,10 @@
+import time
+
 import pytest
 
+import offdiag.matrices
 from offdiag.matrices import (
+    MAX_ORDER,
     defect_weights,
     g_sequence,
     matrix_a,
@@ -65,6 +69,43 @@ def test_matrix_a_pfaffians():
         matrix_a(0)
 
 
+def recurrence_table(n):
+    """The rows of A(n), from its recurrence on one (n+1) x (n+1) table."""
+    a = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if i == 1:
+                a[i][j] = 2
+            elif j == i + 1:
+                a[i][j] = a[i - 1][j] + a[i - 1][j - 1] + 2 * (-1) ** (i - 1)
+            else:
+                a[i][j] = a[i - 1][j] + a[i][j - 1] + a[i - 1][j - 1]
+    return tuple(
+        tuple(a[i][j] if i < j else -a[j][i] for j in range(1, n + 1))
+        for i in range(1, n + 1))
+
+
+def test_matrix_a_matches_its_recurrence_table(empty_ladders):
+    # the column memo, grown from empty in any order, against the table
+    for n in (7, 1, 40, 23, 2):
+        assert matrix_a(n).rows == recurrence_table(n)
+    assert len(offdiag.matrices._A_COLUMNS) == 40
+
+
+def test_matrix_a_refuses_orders_past_max_order():
+    # refused before a column is built: matrix_a(2000) used to run 7 s
+    built = len(offdiag.matrices._A_COLUMNS)
+    start = time.perf_counter()
+    for call in (lambda: matrix_a(2000), lambda: matrix_a(MAX_ORDER + 1),
+                 lambda: matrix_b(MAX_ORDER + 2)):
+        with pytest.raises(ValueError, match=f"A is built up to order "
+                                             f"{MAX_ORDER}; this needs"):
+            call()
+    assert time.perf_counter() - start < 0.05
+    assert len(offdiag.matrices._A_COLUMNS) == built
+    assert matrix_a(MAX_ORDER).order == MAX_ORDER
+
+
 def test_pell_vector():
     assert pell_vector(6) == (2, 4, 10, 24, 58, 140)
     pell = pell_vector(20)
@@ -72,6 +113,12 @@ def test_pell_vector():
         assert pell[i] == 2 * pell[i - 1] + pell[i - 2]
     with pytest.raises(ValueError):
         pell_vector(0)
+    # the order is an index before the loop runs: 3e4 used to compute for
+    # 0.1 s before it raised
+    start = time.perf_counter()
+    with pytest.raises(TypeError):
+        pell_vector(3e4)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_smaller_orders_are_leading_blocks_and_prefixes():
@@ -155,6 +202,14 @@ def test_matrix_r_fixtures():
         (0, 0, 0, -1, 6),
         (0, 0, 0, 0, 1),
     )
+
+
+def test_matrix_r_is_the_signed_kernel():
+    # matrix_r is built from one t_array row; r_value is the path kernel
+    for n in range(1, 22):
+        assert matrix_r(n) == tuple(
+            tuple((-1) ** (n + j) * r_value(n, i, j) for j in range(1, n + 1))
+            for i in range(1, n + 1)), n
 
 
 def test_matrix_r_is_involution():

@@ -269,15 +269,17 @@ def rungs(done):
     return [done.rung(t) for t in range(len(done.steps) + 1)]
 
 
-def leading_steps(m, border):
-    """Every rung of one fresh leading-order pass over m with `border`."""
-    return rungs(_LeadingPass().resume(m.rows, border))
+def leading_steps(m, column):
+    """Every rung of one fresh leading-order pass over m bordered by
+    `column`."""
+    return rungs(_LeadingPass().resume(m.rows, column))
 
 
 def deletion_rungs(m):
     """The single-deletion Pfaffians of every odd leading block of m, read
-    by back-substitution off one fresh pass over m."""
-    done = _LeadingPass().resume(m.rows, [()] * m.order)
+    by back-substitution off one fresh pass over m, bordered by a zero
+    column, which the back-substitution never reads."""
+    done = _LeadingPass().resume(m.rows, [0] * m.order)
     return [_deletion_vector(done, k) for k in range(1, m.order + 1, 2)]
 
 
@@ -329,7 +331,7 @@ def test_deletion_pfaffians_small_cases():
             deletion_rungs(m)
     # only odd leading blocks of the pass's input have a deletion vector
     done = _LeadingPass().resume(((0, 5, -2), (-5, 0, 7), (2, -7, 0)),
-                                 [()] * 3)
+                                 [0] * 3)
     for n in (0, 2, 5):
         with pytest.raises(ValueError):
             _deletion_vector(done, n)
@@ -340,7 +342,7 @@ def test_corrupted_step_makes_the_back_substitution_raise():
     # stored step changed so that one is not (here working entry (0, 2)
     # after one step, whose pivot is 12) raises rather than give a vector
     a = matrix_a(8)
-    done = _LeadingPass().resume(a.rows, [()] * 8)
+    done = _LeadingPass().resume(a.rows, [0] * 8)
     assert _deletion_vector(done, 7) == (312, 1560, 3640, 4472, 3640, 1560,
                                          312)
     done.steps[1][1][2] += 1
@@ -354,40 +356,38 @@ def test_leading_pfaffians_read_every_leading_order():
     for _ in range(300):
         order = rng.randint(0, 9)
         m = random_skew(rng, order, -4, 4)
-        cols = [[rng.randint(-9, 9) for _ in range(order)] for _ in range(2)]
-        border = list(zip(*cols)) if order else []
+        column = [rng.randint(-9, 9) for _ in range(order)]
         pivots = [pfaffian_cofactor(leading(m, 2 * t))
                   for t in range(order // 2 + 1)]
         if not all(pivots):
             # a zero leading pivot: no swap, no fallback
             raised += 1
             with pytest.raises(ArithmeticError):
-                leading_steps(m, border)
+                leading_steps(m, column)
             continue
-        got = leading_steps(m, border)
+        got = leading_steps(m, column)
         assert [p for p, _ in got] == pivots
         odd = [leading(m, k) for k in range(1, order + 1, 2)]
-        assert [row0 for _, row0 in got] == [
-            tuple(pfaffian_cofactor(bordered_skew(block, col[:block.order]))
-                  for col in cols)
-            for block in odd] + [()] * (order % 2 == 0)
+        assert [entry for _, entry in got] == [
+            pfaffian_cofactor(bordered_skew(block, column[:block.order]))
+            for block in odd] + [None] * (order % 2 == 0)
         assert deletion_rungs(m) == [
             deleted_by_cofactor(block) for block in odd]
     assert raised > 10
     with pytest.raises(ValueError):
-        leading_steps(SkewMatrix(((0, 1), (-1, 0))), [(1,)])
+        leading_steps(SkewMatrix(((0, 1), (-1, 0))), [1])
 
 
 def test_resumed_pass_matches_one_fresh_pass():
     # a pass grown through any sequence of leading blocks reads, at each
     # size, every rung and every deletion vector one fresh pass over that
-    # block reads; the border keeps the width of the first resume
+    # block reads
     rng = random.Random(143)
     resumed = raised = 0
     for _ in range(600):
         order = rng.randint(0, 11)
         m = random_skew(rng, order, -3, 3)
-        column = [(rng.randint(-9, 9),) for _ in range(order)]
+        column = [rng.randint(-9, 9) for _ in range(order)]
         sizes = sorted(rng.sample(range(order), rng.randint(0, order)))
         done = _LeadingPass()
         for k in sizes + [order]:
@@ -412,20 +412,18 @@ def test_resumed_pass_matches_one_fresh_pass():
             resumed += len(done.steps) > 0
             done = grown
     assert resumed > 100 and raised > 10
-    two = _LeadingPass().resume(((0, 1), (-1, 0)), [(), ()])
+    two = _LeadingPass().resume(((0, 1), (-1, 0)), [3, 4])
     with pytest.raises(ValueError):
-        two.resume([(1, 2)], [()])          # a row of the wrong length
+        two.resume([(1, 2)], [0])           # a row of the wrong length
     with pytest.raises(ValueError):
-        two.resume([(-1, -2, 0)], [])       # no border row for it
-    wide = _LeadingPass().resume(((0, 1), (-1, 0)), [(1, 2), (3, 4)])
-    with pytest.raises(ValueError):
-        wide.resume([(-1, -2, 0)], [(5,)])  # a border column removed
-    with pytest.raises(ValueError):
-        wide.resume([(-1, -2, 0)], [(5, 6, 7)])  # a border column added
-    assert wide.resume([(-1, -2, 0)], [(5, 6)]).width == 2
+        two.resume([(-1, -2, 0)], [])       # no border entry for it
+    with pytest.raises(TypeError):
+        two.resume([(-1, -2, 0)], [(5,)])   # a border entry is one int
+    # rung 1's border entry: h_1 a_23 - h_2 a_13 + h_3 a_12 (1-based)
+    assert two.resume([(-1, -2, 0)], [5]).rung(1) == (1, 3 * 2 - 4 + 5)
     for t in (-1, 2):
         with pytest.raises(IndexError):
-            wide.rung(t)                    # a pass of one step has rungs 0, 1
+            two.rung(t)                     # a pass of one step has rungs 0, 1
 
 
 def test_zero_leading_pivot_raises_on_the_leading_path():
@@ -434,7 +432,7 @@ def test_zero_leading_pivot_raises_on_the_leading_path():
                     (-2, -1, -5, 0)))
     assert pfaffian(m) == naive_pfaffian(m.rows) == 5
     with pytest.raises(ArithmeticError):
-        leading_steps(m, [()] * 4)
+        leading_steps(m, [0] * 4)
     odd = bordered_skew(m, (1, 1, 1, 1))
     with pytest.raises(ArithmeticError):
         deletion_rungs(odd)
@@ -445,9 +443,9 @@ def test_zero_leading_pivot_raises_on_the_leading_path():
     assert pfaffian_cofactor(leading(m, 4)) == 0
     assert pfaffian(m) == pfaffian_cofactor(m) == -2
     # two steps run on the leading 3 x 3 block; the third needs Pf = 0
-    assert [p for p, _ in leading_steps(leading(m, 3), [()] * 3)] == [1, 1]
+    assert [p for p, _ in leading_steps(leading(m, 3), [0] * 3)] == [1, 1]
     with pytest.raises(ArithmeticError):
-        leading_steps(m, [()] * 6)
+        leading_steps(m, [0] * 6)
 
 
 def test_rational_rank():

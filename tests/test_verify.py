@@ -73,13 +73,13 @@ def test_suites_refuse_bounds_past_the_order_bound(monkeypatch):
 
 
 def test_float_bounds_are_refused_before_any_check(monkeypatch,
-                                                   empty_ladders):
+                                                   empty_ladders, forbid_a):
     def refuse(*args):
         raise AssertionError("ran work for a float bound")
 
     for suite in ("identities", "rank-claim"):
         monkeypatch.setitem(CHECKS, suite, {"any": refuse})
-    monkeypatch.setattr(offdiag.counts, "matrix_a", refuse)
+    forbid_a()
     for run, n_max in ((verify_identities, 5.0), (verify_rank_claim, 5.0),
                        (scan_log_concavity, 2.0), (scan_asymptotics, 2.0)):
         with pytest.raises(TypeError):
@@ -169,12 +169,12 @@ def test_scans_raise_on_a_zero_leading_pivot(monkeypatch, empty_ladders):
     # a skew matrix whose (0, 1) pivot is 0 though its Pfaffian is not; the
     # scans' one pass never swaps, so it must stop rather than misread
     # orders, and leave the ladder and the vector memo as they were
-    def zero_pivot(n):
-        return SkewMatrix([[0 if {i, j} == {0, 1} else j - i
-                            for j in range(n)] for i in range(n)])
+    def zero_pivot(rows, cols):
+        return [tuple(0 if {i, j} == {0, 1} else j - i for j in cols)
+                for i in rows]
 
-    assert pfaffian(zero_pivot(4)) == -1
-    monkeypatch.setattr(offdiag.counts, "matrix_a", zero_pivot)
+    assert pfaffian(SkewMatrix(zero_pivot(range(4), range(4)))) == -1
+    monkeypatch.setattr(offdiag.counts, "_a_block", zero_pivot)
     for scan in (scan_asymptotics, scan_log_concavity):
         with pytest.raises(ArithmeticError):
             scan(3)
@@ -262,6 +262,26 @@ def test_corrupted_matrix_entry_yields_fail_with_witness(monkeypatch):
     report = CheckReport(suite="identities", results=(result,))
     assert not report.passed
     json.dumps(report.to_jsonable())
+
+
+def test_r_structure_check_reads_the_kernel_not_matrix_r(monkeypatch):
+    # matrix_r is built from the structure r-matrix-structure checks, so
+    # the check reads that structure off the path kernel and compares
+    # matrix_r with the signed kernel: one wrong entry of matrix_r fails it
+    from offdiag import verify as verify_mod
+
+    def corrupted(n):
+        rows = [list(row) for row in matrix_r(n)]
+        if n == 4:
+            rows[3][0] = 1           # below the diagonal
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(verify_mod, "matrix_r", corrupted)
+    result = CHECKS["identities"]["r-matrix-structure"](12)
+    assert result.status == "FAIL"
+    assert result.witness["failures"] == 1
+    assert result.witness["first"] == {"n": 4, "i": 4, "j": 1, "kernel": 0,
+                                       "structure": 0, "matrix": 1}
 
 
 def test_identity_battery_walks_the_order_5_tilings_once(monkeypatch):
