@@ -180,21 +180,24 @@ def _cmd_scan(args) -> int:
     return 0 if report.passed else 1
 
 
-# (label, OracleCounts field, matrix route or None) for `oracle` output.
-_ORACLE_FIELDS = (
-    ("total tilings", "total", None),
-    ("off-diagonal, no deletion", "off_diag_full", None),
-    ("deletion counts", "o", o_vector),
-    ("defect pm", "d_pm", lambda n: d_vector("pm", n)),
-    ("defect plus", "d_plus", lambda n: d_vector("plus", n)),
-    ("defect minus", "d_minus", lambda n: d_vector("minus", n)),
-    ("nearly total", "nearly_total", count_nearly),
-)
+# `oracle` output labels by OracleCounts field, in print order; the fields
+# --compare recomputes, and their matrix routes, are verify's.
+_ORACLE_LABELS = {
+    "total": "total tilings",
+    "off_diag_full": "off-diagonal, no deletion",
+    "o": "deletion counts",
+    "d_pm": "defect pm",
+    "d_plus": "defect plus",
+    "d_minus": "defect minus",
+    "nearly_total": "nearly total",
+}
 
 
 def _cmd_oracle(args) -> int:
     counts = oracle.oracle_counts(args.n)
     n = counts.n
+    # each field read once: `total` recounts the tilings on every read
+    values = {field: getattr(counts, field) for field in _ORACLE_LABELS}
 
     def text(value):
         return _join(value) if isinstance(value, tuple) else str(value)
@@ -206,20 +209,18 @@ def _cmd_oracle(args) -> int:
 
     lines = [("n", str(n))]
     payload = {"n": n}
-    for label, field, _ in _ORACLE_FIELDS:
-        lines.append((label, text(getattr(counts, field))))
-        payload[field] = strings(getattr(counts, field))
+    for field, label in _ORACLE_LABELS.items():
+        lines.append((label, text(values[field])))
+        payload[field] = strings(values[field])
     agree = True
     if args.compare:
-        routed = [(label, field, route(n))
-                  for label, field, route in _ORACLE_FIELDS if route]
-        agree = counts.off_diag_full == 0 and all(
-            getattr(counts, field) == value for _, field, value in routed)
-        payload["matrix"] = {field: strings(value)
-                             for _, field, value in routed}
+        routed = [(field, route(n)) for field, route in verify._ORACLE_ROUTES]
+        agree = values["off_diag_full"] == 0 and all(
+            values[field] == value for field, value in routed)
+        payload["matrix"] = {field: strings(value) for field, value in routed}
         payload["agree"] = agree
-        lines += [(f"matrix {label}", text(value))
-                  for label, _, value in routed]
+        lines += [(f"matrix {_ORACLE_LABELS[field]}", text(value))
+                  for field, value in routed]
         lines.append(("agreement", "yes" if agree else "NO"))
     if args.format == "json":
         print(json.dumps(payload))

@@ -1,9 +1,11 @@
 """Cross-verification battery and numeric conjecture scans.
 
 Every check compares two independently computed exact quantities and reports
-PASS or FAIL with a witness for the first disagreement.  Floats appear only
-in the advisory columns of the asymptotic scan rows; no tolerance is ever
-applied to a correctness decision.
+PASS or FAIL with a witness for the first disagreement.  A statement that
+holds by construction of what it reads, or restates another check on part of
+its range, cannot FAIL, so it is not registered.  Floats appear only in the
+advisory columns of the asymptotic scan rows; no tolerance is ever applied to
+a correctness decision.
 
 Each check is declared once, by suite and id, in `CHECKS`; the suite runners
 and the tests run it from there.  The checks are the paper's claims and the
@@ -284,18 +286,6 @@ def _check_corner_kernel(n_max: int):
     return f"full graphs 2 <= n <= {cap}", failures
 
 
-@_registered("identities", "wall-kernel-linear-value")
-def _check_wall_kernel_linear(n_max: int):
-    cap = min(n_max, 8)
-    failures = []
-    for n in range(3, cap + 1):
-        g = PathGraph(n, FULL)
-        got = q_doublet(g, g.u[2], g.w[1])
-        if got != 2 * n - 4:
-            failures.append({"n": n, "got": got, "want": 2 * n - 4})
-    return f"full graphs 3 <= n <= {cap}", failures
-
-
 @_registered("identities", "r-matrix-structure")
 def _check_r_structure(n_max: int):
     cap = min(n_max, 12)
@@ -311,30 +301,7 @@ def _check_r_structure(n_max: int):
                 if kernel != want or signed != (-1) ** (n + j) * kernel:
                     failures.append({"n": n, "i": i, "j": j, "kernel": kernel,
                                      "structure": want, "matrix": signed})
-    for n in range(3, cap + 1):
-        for j in range(2, n):
-            lhs = r_value(n, 1, j)
-            rhs = (r_value(n, 1, j - 1) + r_value(n - 1, 1, j)
-                   + r_value(n - 1, 1, j - 1))
-            if lhs != rhs:
-                failures.append({"n": n, "j": j, "recurrence": (lhs, rhs)})
-    return (f"triangularity, shift invariance, first-row recurrence, "
-            f"n <= {cap}", failures)
-
-
-@_registered("identities", "r-matrix-involution")
-def _check_r_involution(n_max: int):
-    cap = min(n_max, 12)
-    failures = []
-    for n in range(1, cap + 1):
-        rows = matrix_r(n)
-        for i in range(n):
-            for j in range(n):
-                entry = sum(rows[i][k] * rows[k][j] for k in range(n))
-                if entry != (1 if i == j else 0):
-                    failures.append({"n": n, "i": i + 1, "j": j + 1,
-                                     "entry": entry})
-    return f"matrix squares, n <= {cap}", failures
+    return f"triangularity, shift invariance, n <= {cap}", failures
 
 
 @_registered("identities", "r-matrix-reverses-deletion-vector")
@@ -370,19 +337,6 @@ def _check_r_first_row_closed_forms(n_max: int):
     return f"linear, square and cubic values, n <= {cap}", failures
 
 
-@_registered("identities", "t-array-matches-kernel-rows")
-def _check_t_matches_r(n_max: int):
-    cap = min(n_max, 12)
-    arr = t_array(cap, cap)
-    failures = []
-    for n in range(1, cap + 1):
-        for j in range(1, n + 1):
-            if arr[n - 1][j - 1] != r_value(n, 1, j):
-                failures.append({"n": n, "j": j, "array": arr[n - 1][j - 1],
-                                 "kernel": r_value(n, 1, j)})
-    return f"rows n <= {cap} against first-row kernel values", failures
-
-
 @_registered("identities", "t-array-row-generating-function")
 def _check_t_row_generating_function(_n_max: int):
     cols = 30
@@ -413,20 +367,6 @@ def _check_t_alternating_convolution(_n_max: int):
             if acc != (1 if j == 1 else 0):
                 failures.append({"n": n, "j": j, "sum": acc})
     return "rows and columns <= 30", failures
-
-
-@_registered("identities", "t-row-series-inverse-pair")
-def _check_t_series_inverse_pair(_n_max: int):
-    order = 24
-    arr = t_array(20, order)
-    one = (1,) + (0,) * (order - 1)
-    failures = []
-    for n in range(1, 21):
-        row = arr[n - 1]
-        neg = tuple(c if i % 2 == 0 else -c for i, c in enumerate(row))
-        if series.multiply(row, neg) != one:
-            failures.append({"n": n})
-    return "row series times sign-flipped row series, n <= 20", failures
 
 
 @_registered("identities", "diagonal-closed-form")
@@ -520,14 +460,9 @@ def _check_nearly_total(n_max: int):
     cap = _odd_cap(n_max)
     failures = []
     for n in range(1, cap + 1, 2):
-        total = count_nearly(n)
-        pm = d_vector("pm", n)
-        plus = d_vector("plus", n)
-        minus = d_vector("minus", n)
-        if total != sum(pm):
-            failures.append({"n": n, "bordered": total, "by-cell": sum(pm)})
-        if any(pm[k] != plus[k] + minus[k] for k in range(n)):
-            failures.append({"n": n, "pm": pm, "plus": plus, "minus": minus})
+        total, by_cell = count_nearly(n), sum(d_vector("pm", n))
+        if total != by_cell:
+            failures.append({"n": n, "bordered": total, "by-cell": by_cell})
     return f"odd orders <= {cap}", failures
 
 
@@ -617,24 +552,28 @@ def _check_nearly_families(n_max: int):
     return f"full graphs, odd n <= {cap}", failures
 
 
+# Each OracleCounts field the matrix routes also compute, with its route, for
+# oracle-agrees-small and `offdiag oracle --compare`.
+_ORACLE_ROUTES = (
+    ("o", o_vector),
+    ("d_pm", lambda n: d_vector("pm", n)),
+    ("d_plus", lambda n: d_vector("plus", n)),
+    ("d_minus", lambda n: d_vector("minus", n)),
+    ("nearly_total", count_nearly),
+)
+
+
 @_registered("identities", "oracle-agrees-small")
 def _check_oracle_small(n_max: int):
     cap = min(_odd_cap(n_max), 5)
     failures = []
     for n in range(1, cap + 1, 2):
         oc = oracle_counts(n)
-        o = o_vector(n)
-        if oc.o != o:
-            failures.append({"n": n, "oracle": oc.o, "matrix": o})
-        for variant, got in (("pm", oc.d_pm), ("plus", oc.d_plus),
-                             ("minus", oc.d_minus)):
-            want = d_vector(variant, n)
+        for field, route in _ORACLE_ROUTES:
+            got, want = getattr(oc, field), route(n)
             if got != want:
-                failures.append({"n": n, "variant": variant, "oracle": got,
+                failures.append({"n": n, "field": field, "oracle": got,
                                  "matrix": want})
-        if oc.nearly_total != count_nearly(n):
-            failures.append({"n": n, "oracle": oc.nearly_total,
-                             "matrix": count_nearly(n)})
         if oc.off_diag_full != 0:
             failures.append({"n": n, "full-region": oc.off_diag_full})
     return f"exhaustive regions, odd n <= {cap}", failures
@@ -716,22 +655,6 @@ def _adjusted_left_block(order: int) -> list[list[int]]:
     return block
 
 
-@_registered("rank-claim", "reversal-difference-antisymmetry")
-def _check_reversal_antisymmetry(n_max: int):
-    cap = _odd_cap(n_max)
-    failures = []
-    for order in range(3, cap + 1, 2):
-        x = _reversal_difference(order)
-        for i in range(order):
-            for j in range(order):
-                if x[i][j] != -x[i][order - 1 - j]:
-                    failures.append({"order": order, "i": i + 1, "j": j + 1})
-        mid = (order - 1) // 2
-        if any(x[i][mid] for i in range(order)):
-            failures.append({"order": order, "middle-column": "nonzero"})
-    return f"odd orders 3..{cap}", failures
-
-
 @_registered("rank-claim", "reversal-difference-rank")
 def _check_reversal_rank(n_max: int):
     cap = _odd_cap(n_max)
@@ -741,21 +664,6 @@ def _check_reversal_rank(n_max: int):
         rank = rational_rank(_adjusted_left_block(order))
         if rank != want:
             failures.append({"order": order, "rank": rank, "want": want})
-    return f"odd orders 3..{cap}", failures
-
-
-@_registered("rank-claim", "reversal-difference-staircase")
-def _check_reversal_staircase(n_max: int):
-    cap = _odd_cap(n_max)
-    failures = []
-    for order in range(3, cap + 1, 2):
-        block = _adjusted_left_block(order)
-        for j in range(1, (order + 1) // 2):
-            want = 2 if j % 2 else 0
-            got = block[order - j][j - 1]
-            if got != want:
-                failures.append({"order": order, "j": j, "got": got,
-                                 "want": want})
     return f"odd orders 3..{cap}", failures
 
 
@@ -774,9 +682,11 @@ def _check_reversal_annihilates(n_max: int):
 
 
 def verify_rank_claim(n_max: int = 21) -> CheckReport:
-    """Structure of the reversal-difference matrix at odd orders <= n_max:
-    mirror antisymmetry, the exact rank drop of its left block, the
-    staircase values, and that it annihilates the deletion-count vector."""
+    """The rank claim at odd orders <= n_max, in two checks on the reversal
+    difference x[i][j] = r[i][order-1-j] - r[i][j] of R = `matrix_r(order)`:
+    its left block, adjusted by the identity and the anti-identity
+    (`_adjusted_left_block`), has full column rank (order - 1)/2, and x
+    annihilates the deletion-count vector `o_vector(order)`."""
     return _run_suite("rank-claim", n_max)
 
 

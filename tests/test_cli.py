@@ -9,6 +9,9 @@ import pytest
 
 from offdiag.cli import main
 
+# A golden file is regenerated from a checkout with
+#   PYTHONPATH=src python -m offdiag.cli <argv of its assert_golden call> \
+#       > tests/golden/<name>
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -348,6 +351,26 @@ def test_oracle_command(capsys):
     assert payload["agree"] is True
     assert payload["o"] == ["2", "2", "2"]
     assert payload["matrix"]["nearly_total"] == "16"
+
+
+def test_oracle_counts_the_tilings_once(capsys, monkeypatch):
+    # OracleCounts.total recounts on every read; the command reads it once
+    import offdiag.oracle
+
+    calls = []
+    count_all_tilings = offdiag.oracle.count_all_tilings
+
+    def counted(region):
+        calls.append(region.n)
+        return count_all_tilings(region)
+
+    monkeypatch.setattr(offdiag.oracle, "count_all_tilings", counted)
+    for fmt in ("plain", "json"):
+        code, out, _ = run(capsys, "oracle", "--n", "7", "--format", fmt)
+        assert code == 0
+        assert str(2 ** 28) in out
+        assert calls == [7]
+        calls.clear()
 
 
 def test_oracle_guard(capsys):

@@ -29,7 +29,7 @@ def test_identity_battery_passes():
     assert report.suite == "identities"
     assert report.passed
     assert report.failures() == ()
-    assert len(report.results) == 30
+    assert len(report.results) == 26
     ids = [r.check for r in report.results]
     assert len(set(ids)) == len(ids)
     for r in report.results:
@@ -284,6 +284,48 @@ def test_r_structure_check_reads_the_kernel_not_matrix_r(monkeypatch):
                                        "structure": 0, "matrix": 1}
 
 
+def test_a_wrong_t_array_entry_fails_structure_and_convolution(monkeypatch):
+    # one wrong entry in row 5 of t_array, read by matrix_r and by the
+    # convolution check alike: r-matrix-structure sees matrix_r(5) differ
+    # from the signed kernel, and t-array-alternating-convolution sees
+    # T(z) T(-z) != 1, the statement matrix_r's involution rests on
+    import offdiag.matrices
+
+    t_array = offdiag.matrices.t_array
+
+    def corrupted(nrows, ncols):
+        arr = [list(row) for row in t_array(nrows, ncols)]
+        if nrows >= 5 and ncols >= 3:
+            arr[4][2] += 1
+        return tuple(tuple(row) for row in arr)
+
+    for module in (offdiag.matrices, offdiag.verify):
+        monkeypatch.setattr(module, "t_array", corrupted)
+    structure = CHECKS["identities"]["r-matrix-structure"](12)
+    assert structure.status == "FAIL"
+    assert structure.witness == {
+        "failures": 3,
+        "first": {"n": 5, "i": 1, "j": 3, "kernel": 18, "structure": 18,
+                  "matrix": 19}}
+    convolution = CHECKS["identities"]["t-array-alternating-convolution"](12)
+    assert convolution.status == "FAIL"
+    assert convolution.witness["first"] == {"n": 5, "j": 3, "sum": 2}
+
+
+def test_a_wrong_linear_kernel_value_fails_the_closed_forms(monkeypatch):
+    # r_value(n, 1, 2), the wall kernel's linear value, is 2n - 4
+    r_value = offdiag.verify.r_value
+
+    def corrupted(n, i, j):
+        return r_value(n, i, j) + ((n, i, j) == (7, 1, 2))
+
+    monkeypatch.setattr(offdiag.verify, "r_value", corrupted)
+    result = CHECKS["identities"]["r-matrix-first-row-closed-forms"](12)
+    assert result.status == "FAIL"
+    assert result.witness == {"failures": 1,
+                              "first": {"n": 7, "j": 2, "got": 11}}
+
+
 def test_identity_battery_walks_the_order_5_tilings_once(monkeypatch):
     walks = []
     count_all_tilings = offdiag.oracle.count_all_tilings
@@ -313,7 +355,7 @@ def test_oracle_check_compares_every_defect_variant(monkeypatch):
         monkeypatch.setattr(verify_mod, "oracle_counts", corrupted)
         result = check(1)
         assert not result.ok
-        assert result.witness["first"]["variant"] == field[2:]
+        assert result.witness["first"]["field"] == field
 
 
 def test_jsonable_conversions():
