@@ -196,7 +196,6 @@ _ORACLE_LABELS = {
 def _cmd_oracle(args) -> int:
     counts = oracle.oracle_counts(args.n)
     n = counts.n
-    # each field read once: `total` recounts the tilings on every read
     values = {field: getattr(counts, field) for field in _ORACLE_LABELS}
 
     def text(value):

@@ -10,11 +10,10 @@ recurrence array, and verify checks it against the path kernel (`r_value`).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import index
 
 from .pfaffian import SkewMatrix, bordered_skew
-from .paths import FULL, PathGraph, delannoy, q_doublet
+from .paths import FULL, delannoy, q_doublet, staircase
 from . import series
 
 
@@ -126,13 +125,8 @@ def r_value(n: int, i: int, j: int) -> int:
     n, i, j = index(n), index(i), index(j)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices must lie in 1..n")
-    g = _full_graph(n)
+    g = staircase(n, FULL)
     return q_doublet(g, g.u[j], g.w[i])
-
-
-@lru_cache(maxsize=None)
-def _full_graph(n: int) -> PathGraph:
-    return PathGraph(n, FULL)
 
 
 def matrix_r(n: int) -> tuple[tuple[int, ...], ...]:

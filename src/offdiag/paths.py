@@ -14,6 +14,16 @@ The "full" variant keeps the bottom row (and with it v_1 = u_1); "reduced"
 drops it, so doublets start at index 2.  Path counts, the antisymmetric
 doublet kernel Q, and explicit enumeration of vertex-disjoint path families
 (with the permutation sign bookkeeping of the Pfaffian method) all live here.
+
+`staircase(n, variant)` is the one graph memo, so each graph is built once,
+and each graph fills its tables on first use and keeps them: the path counts
+out of a source (a DP over a topological order kept with the graph), the
+counts onto the doublets' lower and upper points that `q_doublet` pairs, and
+every path between two points, walked once with its vertex mask.  The family
+search filters those path lists by disjointness against the mask of the
+vertices taken so far, and enters a branch only while every later end slot
+can still be reached.  A point off the graph makes `q_doublet` and
+`enumerate_families` raise ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
-from operator import index
+from operator import index, mul
 
 FULL = "full"
 REDUCED = "reduced"
@@ -63,7 +73,9 @@ def delannoy(p: int, q: int) -> int:
 
 
 class PathGraph:
-    """The staircase digraph of a given size, with its labeled points."""
+    """The staircase digraph of a given size, with its labeled points and
+    the tables read off it, each filled on first use (see the module
+    docstring); `staircase` keeps one per (n, variant)."""
 
     def __init__(self, n: int, variant: str = FULL):
         n = index(n)
@@ -88,6 +100,10 @@ class PathGraph:
                 if q in verts
             )
         self.out = out
+        # every step raises x + y, so this order is topological; a vertex's
+        # rank in it is also its bit in the vertex masks of `_path_list`
+        self._order = tuple(sorted(verts, key=lambda p: (p[0] + p[1], p[0])))
+        self._rank = {p: r for r, p in enumerate(self._order)}
         self.x = {i: (-i, 0) for i in range(1, n + 1)}
         self.w = {i: (-n, i - 1) for i in range(1, n + 1)}
         self.u = {j: (-j, -1) for j in range(1, n + 1)} if variant == FULL else {}
@@ -102,33 +118,87 @@ class PathGraph:
             ((-j, j - 2), (-j, j - 1)) for j in self.doublet_indices
         )
         self._counts: dict[Point, dict[Point, int]] = {}
+        self._doublet_counts: dict[Point, tuple[tuple[int, ...], ...]] = {}
+        self._paths: dict[tuple[Point, Point], list[tuple[int, tuple]]] = {}
+
+    def _check_point(self, p: Point) -> None:
+        if p not in self._rank:
+            raise ValueError(f"point {p} is not on the {self.variant} "
+                             f"staircase graph of size {self.n}")
 
     def path_counts(self, src: Point) -> dict[Point, int]:
         """All path counts out of src, by forward DP in topological order."""
         got = self._counts.get(src)
         if got is not None:
             return got
-        counts = {src: 1} if src in self.vertices else {}
-        for p in sorted(self.vertices, key=lambda p: (p[0] + p[1], p[0])):
-            c = counts.get(p)
-            if not c:
-                continue
-            for q in self.out[p]:
-                counts[q] = counts.get(q, 0) + c
+        counts = {}
+        rank = self._rank.get(src)
+        if rank is not None:
+            counts[src] = 1
+            out = self.out
+            for p in self._order[rank:]:
+                c = counts.get(p)
+                if not c:
+                    continue
+                for q in out[p]:
+                    counts[q] = counts.get(q, 0) + c
         self._counts[src] = counts
         return counts
 
     def count_paths(self, a: Point, b: Point) -> int:
         return self.path_counts(a).get(b, 0)
 
+    def doublet_counts(self, src: Point) -> tuple[tuple[int, ...], ...]:
+        """The path counts out of src onto each doublet's lower point and
+        onto its upper point, as two tuples in doublet order."""
+        got = self._doublet_counts.get(src)
+        if got is None:
+            self._check_point(src)
+            counts = self.path_counts(src)
+            got = (tuple(counts.get(vm, 0) for vm, _ in self.doublets),
+                   tuple(counts.get(vp, 0) for _, vp in self.doublets))
+            self._doublet_counts[src] = got
+        return got
+
+    def _path_list(self, a: Point, b: Point) -> list[tuple[int, tuple]]:
+        """Every path a -> b, as (vertex mask, vertex tuple) pairs in
+        depth-first order with the out-neighbours taken in sorted order.
+        a and b must be on the graph."""
+        got = self._paths.get((a, b))
+        if got is not None:
+            return got
+        found = []
+        out, rank = self.out, self._rank
+        bx, by = b
+
+        def walk(p, acc, mask):
+            if p == b:
+                found.append((mask, acc))
+                return
+            for q in out[p]:
+                if q[0] <= bx and q[1] <= by:
+                    walk(q, acc + (q,), mask | 1 << rank[q])
+
+        if a[0] <= bx and a[1] <= by:
+            walk(a, (a,), 1 << rank[a])
+        self._paths[a, b] = found
+        return found
+
+
+@lru_cache(maxsize=None, typed=True)
+def staircase(n: int, variant: str) -> PathGraph:
+    """The one PathGraph of size n and variant, built on the first call,
+    so that its tables are filled once for every caller.  The cache is
+    typed, so a float n reaches PathGraph, which refuses it."""
+    return PathGraph(n, variant)
+
 
 def q_doublet(g: PathGraph, a: Point, b: Point) -> int:
-    """Antisymmetric kernel: sum over doublets of the 2x2 path-count minor."""
-    ca, cb = g.path_counts(a), g.path_counts(b)
-    total = 0
-    for vm, vp in g.doublets:
-        total += ca.get(vm, 0) * cb.get(vp, 0) - ca.get(vp, 0) * cb.get(vm, 0)
-    return total
+    """Antisymmetric kernel: sum over doublets of the 2x2 path-count minor.
+    A point off the graph raises ValueError."""
+    lo_a, hi_a = g.doublet_counts(a)
+    lo_b, hi_b = g.doublet_counts(b)
+    return sum(map(mul, lo_a, hi_b)) - sum(map(mul, hi_a, lo_b))
 
 
 class PathFamily(namedtuple("PathFamily", "ends paths connection sign")):
@@ -151,22 +221,12 @@ def _perm_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
-def _paths_into(g: PathGraph, a: Point, b: Point, occupied):
-    """Yield every path a -> b (as a vertex tuple) avoiding `occupied`."""
-    if a not in g.vertices or b not in g.vertices or a in occupied:
-        return
-    if a[0] > b[0] or a[1] > b[1]:
-        return
-
-    def walk(p, acc):
-        if p == b:
-            yield acc
-            return
-        for q in g.out[p]:
-            if q not in occupied and q[0] <= b[0] and q[1] <= b[1]:
-                yield from walk(q, acc + (q,))
-
-    yield from walk(a, (a,))
+def _paths_into(g: PathGraph, a: Point, b: Point, occupied: int):
+    """Yield every path a -> b, as (vertex mask, vertex tuple), that avoids
+    the vertices in the mask `occupied`, in the order of `_path_list`."""
+    for mask, path in g._path_list(a, b):
+        if not mask & occupied:
+            yield mask, path
 
 
 def enumerate_families(g: PathGraph, starts, fixed_ends=()):
@@ -176,12 +236,14 @@ def enumerate_families(g: PathGraph, starts, fixed_ends=()):
     in ascending staircase order, taken as whole doublets.  Every
     assignment of starts to slots contributes one PathFamily per disjoint
     realization, carrying the permutation sign.  Exhaustive, hence refused
-    for n > 8.
+    for n > 8; a start or fixed end off the graph raises ValueError.
     """
     if g.n > 8:
         raise ValueError("family enumeration is exponential; n > 8 refused")
     starts = tuple(starts)
     fixed = tuple(fixed_ends)
+    for p in starts + fixed:
+        g._check_point(p)
     r, m = len(starts), len(fixed)
     if m > r:
         raise ValueError("more fixed ends than starts")
@@ -203,7 +265,19 @@ def enumerate_families(g: PathGraph, starts, fixed_ends=()):
 
 
 def _assign(g, starts, ends, out):
+    """Append to `out` every family onto `ends`: slot by slot, each unused
+    start and each of its paths into the slot's end that avoids the paths
+    taken so far.  A branch is entered only if every later slot keeps a
+    path from some start that avoids them (a used start's paths all meet
+    it), so only branches without a family are cut and the families come
+    in the order of the full search."""
     r = len(starts)
+    into = [[mask for a in starts for mask, _ in g._path_list(a, b)]
+            for b in ends]
+
+    def open_slots(slot, occupied):
+        return all(any(not mask & occupied for mask in masks)
+                   for masks in into[slot:])
 
     def rec(slot, used, occupied, paths, perm):
         if slot == r:
@@ -214,11 +288,13 @@ def _assign(g, starts, ends, out):
         for s in range(r):
             if used >> s & 1:
                 continue
-            for path in _paths_into(g, starts[s], target, occupied):
-                rec(slot + 1, used | 1 << s, occupied | set(path),
-                    paths + [path], perm + [s + 1])
+            for mask, path in _paths_into(g, starts[s], target, occupied):
+                if open_slots(slot + 1, occupied | mask):
+                    rec(slot + 1, used | 1 << s, occupied | mask,
+                        paths + [path], perm + [s + 1])
 
-    rec(0, 0, frozenset(), [], [])
+    if open_slots(0, 0):
+        rec(0, 0, 0, [], [])
 
 
 def signed_family_count(families) -> int:

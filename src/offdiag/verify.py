@@ -48,11 +48,11 @@ from .oracle import (
 from .paths import (
     FULL,
     REDUCED,
-    PathGraph,
     delannoy,
     enumerate_families,
     q_doublet,
     signed_family_count,
+    staircase,
 )
 from .pfaffian import pfaffian, principal_submatrix, rational_rank
 
@@ -182,7 +182,7 @@ def _check_kernel_matches_recurrence(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(1, cap + 1):
-        g = PathGraph(n, FULL)
+        g = staircase(n, FULL)
         a = matrix_a(n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -198,7 +198,7 @@ def _check_path_count_closed_forms(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(1, cap + 1):
-        g = PathGraph(n, FULL)
+        g = staircase(n, FULL)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 even = g.count_paths(g.x[i], g.v[2 * j])
@@ -225,7 +225,7 @@ def _check_translation_invariance(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(2, cap + 1):
-        g = PathGraph(n, REDUCED)
+        g = staircase(n, REDUCED)
         verts = sorted(g.vertices)
         for a in verts:
             for b in verts:
@@ -242,7 +242,7 @@ def _check_wall_shift(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(2, cap + 1):
-        g = PathGraph(n, REDUCED)
+        g = staircase(n, REDUCED)
         for i in range(1, n):
             for j in range(1, n):
                 lhs = q_doublet(g, g.x[i], g.w[j])
@@ -260,8 +260,8 @@ def _check_three_term_window(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(4, cap + 1):
-        g = PathGraph(n, REDUCED)
-        h = PathGraph(n - 1, REDUCED)
+        g = staircase(n, REDUCED)
+        h = staircase(n - 1, REDUCED)
         for i in range(3, n):
             lhs = q_doublet(g, g.x[i], g.w[2])
             rhs = (q_doublet(h, h.x[i], h.w[2])
@@ -277,7 +277,7 @@ def _check_corner_kernel(n_max: int):
     cap = min(n_max, 8)
     failures = []
     for n in range(2, cap + 1):
-        g = PathGraph(n, FULL)
+        g = staircase(n, FULL)
         lhs = q_doublet(g, g.u[n], g.w[1])
         pair = q_doublet(g, g.u[n - 1], g.u[n])
         rhs = pair // 2 + (-1) ** (n - 1)
@@ -489,7 +489,7 @@ def _check_family_enumeration(n_max: int):
     cap = min(n_max, 4)
     failures = []
     for n in range(1, cap + 1):
-        g = PathGraph(n, FULL)
+        g = staircase(n, FULL)
         a = matrix_a(n)
         for size in range(0, n + 1):
             for labels in combinations(range(1, n + 1), size):
@@ -510,7 +510,7 @@ def _check_family_enumeration(n_max: int):
                                      "families": signed, "kernel": kernel})
     pair_cap = min(n_max, 5)
     for n in range(1, pair_cap + 1):
-        g = PathGraph(n, FULL)
+        g = staircase(n, FULL)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 fams = enumerate_families(g, (g.u[i], g.u[j]))
@@ -527,7 +527,7 @@ def _check_nearly_families(n_max: int):
     cap = min(_odd_cap(n_max), 5)
     failures = []
     for n in range(1, cap + 1, 2):
-        g = PathGraph(n, FULL)
+        g = staircase(n, FULL)
         starts = [g.u[i] for i in range(1, n + 1)]
         per_cell = []
         for k in range(1, n + 1):
@@ -615,7 +615,7 @@ def _check_diagonal_doublet_law(n_max: int):
     failures = []
     for n in range(1, cap + 1):
         region = build_region(n)
-        g = PathGraph(n, FULL)
+        g = staircase(n, FULL)
         for index, tiling in enumerate(symmetric_tilings(region)):
             profile = diagonal_profile(region, tiling)
             ends = {path[-1]

@@ -1,12 +1,14 @@
 """Collects the acceptance criterion results and prints them as a summary
 section, so the one-line-per-criterion report survives output capture, and
-provides the fixtures that empty the count ladder's memos and forbid
-reads of A."""
+provides the fixtures that empty the count ladder's memos, empty the graph
+and tiling-total memos, and forbid reads of A."""
 
 import pytest
 
 import offdiag.counts
 import offdiag.matrices
+import offdiag.oracle
+import offdiag.paths
 import offdiag.pfaffian
 
 ACCEPTANCE_LINES = []
@@ -23,6 +25,20 @@ def empty_ladders(monkeypatch):
                         offdiag.pfaffian._LeadingPass())
     monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
     monkeypatch.setattr(offdiag.matrices, "_A_COLUMNS", [])
+
+
+@pytest.fixture
+def empty_memos():
+    """Empty the graph memo (`paths.staircase`) and the memo of full-region
+    tiling counts behind `OracleCounts.total` before and after the test, so
+    a test that counts graph builds or tiling counts sees only its own and
+    leaves none behind."""
+    memos = (offdiag.paths.staircase, offdiag.oracle._full_region_total)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture

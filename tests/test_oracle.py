@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import offdiag.oracle
 from offdiag.counts import count_nearly, d_vector, even_order_full, o_vector
 from offdiag.oracle import (
     Region,
@@ -225,6 +226,23 @@ def test_oracle_counts_fixture():
         oracle_counts(11)
     with pytest.raises(ValueError):
         oracle_counts(2)
+
+
+def test_total_counts_the_tilings_once_per_order(monkeypatch, empty_memos):
+    calls = []
+    count_all_tilings = offdiag.oracle.count_all_tilings
+
+    def counted(region):
+        calls.append(region.n)
+        return count_all_tilings(region)
+
+    monkeypatch.setattr(offdiag.oracle, "count_all_tilings", counted)
+    oc = oracle_counts(5)
+    assert (oc.total, oc.total) == (2 ** 15, 2 ** 15)
+    assert oracle_counts(5).total == 2 ** 15
+    assert calls == [5]
+    assert oracle_counts(3).total == 2 ** 6
+    assert calls == [5, 3]
 
 
 def test_deleted_region_counts_match_o_vector():

@@ -2,6 +2,7 @@ import inspect
 import os
 import subprocess
 import sys
+from itertools import combinations, permutations, product
 from math import comb
 from pathlib import Path
 
@@ -12,11 +13,13 @@ from offdiag.matrices import matrix_a
 from offdiag.paths import (
     FULL,
     REDUCED,
+    PathFamily,
     PathGraph,
     delannoy,
     enumerate_families,
     q_doublet,
     signed_family_count,
+    staircase,
 )
 
 
@@ -229,3 +232,118 @@ def test_enumeration_size_guard():
     g = PathGraph(9, FULL)
     with pytest.raises(ValueError):
         enumerate_families(g, (g.u[1],))
+
+
+def test_staircase_keeps_one_graph_per_size_and_variant(empty_memos):
+    g = staircase(3, FULL)
+    assert staircase(3, FULL) is g
+    assert staircase(3, REDUCED) is not g
+    assert (g.n, g.variant) == (3, FULL)
+    with pytest.raises(TypeError):
+        staircase(3.0, FULL)
+
+
+def test_doublet_kernel_matches_the_minor_sum_over_count_dicts():
+    for variant in (FULL, REDUCED):
+        for n in range(1, 6):
+            g = PathGraph(n, variant)
+            for a in g.vertices:
+                ca = g.path_counts(a)
+                for b in g.vertices:
+                    cb = g.path_counts(b)
+                    want = sum(ca.get(vm, 0) * cb.get(vp, 0)
+                               - ca.get(vp, 0) * cb.get(vm, 0)
+                               for vm, vp in g.doublets)
+                    assert q_doublet(g, a, b) == want
+
+
+def test_points_off_the_graph_are_refused():
+    g = PathGraph(3, FULL)
+    with pytest.raises(ValueError, match=r"\(99, 99\)"):
+        enumerate_families(g, [(99, 99)])
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        enumerate_families(g, (g.u[1],), fixed_ends=((0, 0),))
+    with pytest.raises(ValueError, match=r"\(99, 99\)"):
+        q_doublet(g, (99, 99), g.u[1])
+    with pytest.raises(ValueError, match=r"\(-4, 0\)"):
+        q_doublet(g, g.u[1], (-4, 0))
+    r = PathGraph(3, REDUCED)
+    with pytest.raises(ValueError, match=r"\(-1, -1\)"):
+        q_doublet(r, (-1, -1), r.x[1])
+    with pytest.raises(ValueError, match=r"\(-2, -1\)"):
+        enumerate_families(r, (r.x[1], (-2, -1)))
+
+
+def brute_paths(g, a, b, memo):
+    """Every path a -> b as a vertex tuple, by recursion over g.out."""
+    if (a, b) not in memo:
+        memo[a, b] = [(a,)] if a == b else [
+            (a,) + rest
+            for q in g.out[a] for rest in brute_paths(g, q, b, memo)]
+    return memo[a, b]
+
+
+def reference_families(g, starts, fixed, memo):
+    """The families of `enumerate_families`, by brute force: every choice
+    of free doublets, every assignment of starts to the end slots, and
+    every product of their path lists, kept when vertex-disjoint."""
+    r, free = len(starts), len(starts) - len(fixed)
+    found = []
+    if free % 2:
+        return found
+    for chosen in combinations(g.doublets, free // 2):
+        ends = fixed + tuple(p for d in chosen for p in d)
+        if len(set(ends)) < len(ends):
+            continue
+        for perm in permutations(range(r)):
+            inversions = sum(perm[i] > perm[j]
+                             for i, j in combinations(range(r), 2))
+            lists = [brute_paths(g, starts[s], end, memo)
+                     for s, end in zip(perm, ends)]
+            for paths in product(*lists):
+                points = [p for path in paths for p in path]
+                if len(points) == len(set(points)):
+                    found.append(PathFamily(
+                        ends=ends, paths=paths,
+                        connection=tuple(s + 1 for s in perm),
+                        sign=(-1) ** inversions))
+    return found
+
+
+def test_family_enumeration_matches_brute_force():
+    for variant in (FULL, REDUCED):
+        for n in range(1, 5):
+            g = PathGraph(n, variant)
+            sources = list((g.u if variant == FULL else g.x).values())
+            memo = {}
+            for size in range(n + 1):
+                for starts in combinations(sources, size):
+                    for fixed in [()] + [(p,) for p in g.v.values()]:
+                        if len(fixed) > size:
+                            continue
+                        got = enumerate_families(g, starts, fixed_ends=fixed)
+                        want = reference_families(g, starts, fixed, memo)
+                        assert sorted(got) == sorted(want)
+
+
+def test_family_order_is_pinned():
+    # free ends in doublet order, then starts by index and paths in
+    # depth-first order, slot by slot
+    g = PathGraph(4, FULL)
+    fams = enumerate_families(g, (g.u[4], (-3, 1)))
+    assert fams == (
+        PathFamily(ends=((-2, 0), (-2, 1)),
+                   paths=(((-4, -1), (-4, 0), (-3, 0), (-2, 0)),
+                          ((-3, 1), (-2, 1))),
+                   connection=(1, 2), sign=1),
+        PathFamily(ends=((-2, 0), (-2, 1)),
+                   paths=(((-4, -1), (-3, 0), (-2, 0)), ((-3, 1), (-2, 1))),
+                   connection=(1, 2), sign=1),
+        PathFamily(ends=((-3, 1), (-3, 2)),
+                   paths=(((-3, 1),),
+                          ((-4, -1), (-4, 0), (-4, 1), (-4, 2), (-3, 2))),
+                   connection=(2, 1), sign=-1),
+        PathFamily(ends=((-3, 1), (-3, 2)),
+                   paths=(((-3, 1),), ((-4, -1), (-4, 0), (-4, 1), (-3, 2))),
+                   connection=(2, 1), sign=-1),
+    )

@@ -8,6 +8,7 @@ import offdiag.pfaffian
 import offdiag.verify
 from offdiag.counts import count_nearly
 from offdiag.matrices import matrix_r
+from offdiag.paths import FULL, REDUCED, PathGraph
 from offdiag.pfaffian import SkewMatrix, pfaffian, rational_rank
 from offdiag.verify import (
     CHECKS,
@@ -35,6 +36,20 @@ def test_identity_battery_passes():
     for r in report.results:
         assert r.status == "PASS"
         assert r.range
+
+
+def test_identity_battery_builds_each_graph_once(monkeypatch, empty_memos):
+    built = []
+    init = PathGraph.__init__
+
+    def spy(self, n, variant=FULL):
+        built.append((n, variant))
+        init(self, n, variant)
+
+    monkeypatch.setattr(PathGraph, "__init__", spy)
+    assert verify_identities(12).passed
+    assert {variant for _, variant in built} == {FULL, REDUCED}
+    assert len(built) == len(set(built))
 
 
 def test_identity_battery_rejects_bad_bound():
