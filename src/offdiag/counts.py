@@ -51,6 +51,16 @@ def _check_order(order: int) -> None:
                          f"{MAX_ORDER}")
 
 
+def _odd_order(n: int, noun: str) -> int:
+    """n as an int, refused unless it is odd and >= 1 and its ladder pass,
+    of order n + 1, is within MAX_ORDER; `noun` names the count refused."""
+    n = index(n)
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"{noun} is defined for odd n >= 1")
+    _check_order(n + 1)
+    return n
+
+
 # The ladder's per-process memo: the pass of the largest order asked so far
 # (resumable, see `_LeadingPass`), whose rungs are the counts.  Rung m gives
 # even_order_full(2m), rung m - 1 count_nearly(2m - 1), and the steps before
@@ -104,10 +114,7 @@ def o_vector(n: int) -> tuple[int, ...]:
     `_o_vector_direct` computes the same vector as n separate Pfaffians, for
     verification.
     """
-    n = index(n)
-    if n < 1 or n % 2 == 0:
-        raise ValueError("deletion vector is defined for odd n >= 1")
-    _check_order(n + 1)
+    n = _odd_order(n, "deletion vector")
     got = _o_vectors.get(n)
     if got is None:
         got = _deletion_vector(_even_nearly((n + 1) // 2), n)
@@ -125,10 +132,7 @@ def count_nearly(n: int) -> int:
 
     This is Pf(B(n + 1)), one rung of the Pell-bordered ladder, read from the
     per-process memo or from its pass resumed to order n + 1."""
-    n = index(n)
-    if n < 1 or n % 2 == 0:
-        raise ValueError("nearly count is defined for odd n >= 1")
-    _check_order(n + 1)
+    n = _odd_order(n, "nearly count")
     return _even_nearly((n + 1) // 2).rung((n - 1) // 2)[1]
 
 
@@ -147,10 +151,7 @@ def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
     o = o_vector(n), so one cell costs n Delannoy weights.  The weights
     are built first, so a bad variant or cell is refused before the
     ladder is resumed."""
-    n = index(n)
-    if n < 1 or n % 2 == 0:
-        raise ValueError("defect vector is defined for odd n >= 1")
-    _check_order(n + 1)
+    n = _odd_order(n, "defect vector")
     weights = [defect_weights(variant, n, k) for k in cells]
     signed = list(o_vector(n))
     signed[1::2] = map(neg, signed[1::2])
@@ -160,9 +161,7 @@ def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
 def d_entry_bordered(variant: str, n: int, k: int) -> int:
     """Same defect count by the second route: a single bordered Pfaffian."""
     n, k = index(n), index(k)
-    if n < 1 or n % 2 == 0:
-        raise ValueError("defect count is defined for odd n >= 1")
-    _check_order(n + 1)
+    _odd_order(n, "defect count")
     weights = defect_weights(variant, n, k)
     return pfaffian(bordered_skew(matrix_a(n), weights))
 

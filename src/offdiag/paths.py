@@ -22,8 +22,9 @@ counts onto the doublets' lower and upper points that `q_doublet` pairs, and
 every path between two points, walked once with its vertex mask.  The family
 search filters those path lists by disjointness against the mask of the
 vertices taken so far, and enters a branch only while every later end slot
-can still be reached.  A point off the graph makes `q_doublet` and
-`enumerate_families` raise ValueError.
+can still be reached.  A point off the graph makes `q_doublet`,
+`enumerate_families` and, as a source, `path_counts` and `count_paths`
+raise ValueError.
 """
 
 from __future__ import annotations
@@ -127,21 +128,20 @@ class PathGraph:
                              f"staircase graph of size {self.n}")
 
     def path_counts(self, src: Point) -> dict[Point, int]:
-        """All path counts out of src, by forward DP in topological order."""
+        """All path counts out of src, by forward DP in topological order.
+        A source off the graph raises ValueError."""
         got = self._counts.get(src)
         if got is not None:
             return got
-        counts = {}
-        rank = self._rank.get(src)
-        if rank is not None:
-            counts[src] = 1
-            out = self.out
-            for p in self._order[rank:]:
-                c = counts.get(p)
-                if not c:
-                    continue
-                for q in out[p]:
-                    counts[q] = counts.get(q, 0) + c
+        self._check_point(src)
+        counts = {src: 1}
+        out = self.out
+        for p in self._order[self._rank[src]:]:
+            c = counts.get(p)
+            if not c:
+                continue
+            for q in out[p]:
+                counts[q] = counts.get(q, 0) + c
         self._counts[src] = counts
         return counts
 
@@ -153,7 +153,6 @@ class PathGraph:
         onto its upper point, as two tuples in doublet order."""
         got = self._doublet_counts.get(src)
         if got is None:
-            self._check_point(src)
             counts = self.path_counts(src)
             got = (tuple(counts.get(vm, 0) for vm, _ in self.doublets),
                    tuple(counts.get(vp, 0) for _, vp in self.doublets))

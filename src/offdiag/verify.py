@@ -2,10 +2,11 @@
 
 Every check compares two independently computed exact quantities and reports
 PASS or FAIL with a witness for the first disagreement.  A statement that
-holds by construction of what it reads, or restates another check on part of
-its range, cannot FAIL, so it is not registered.  Floats appear only in the
-advisory columns of the asymptotic scan rows; no tolerance is ever applied to
-a correctness decision.
+holds by construction of what it reads, restates another check on part of
+its range, or compares a linear combination of what another check compares,
+can never be the only one to FAIL, so it is not registered.  Floats appear
+only in the advisory columns of the asymptotic scan rows; no tolerance is
+ever applied to a correctness decision.
 
 Each check is declared once, by suite and id, in `CHECKS`; the suite runners
 and the tests run it from there.  The checks are the paper's claims and the
@@ -131,10 +132,11 @@ CHECKS: dict[str, dict] = {"identities": {}, "rank-claim": {}}
 MIN_N_MAX = {"identities": 4, "rank-claim": 3}
 
 # The largest n_max either suite admits.  At n_max the identity suite counts
-# count_nearly(c), and both suites o_vector(c), each read off the ladder's
-# pass of order c + 1, for the largest odd c <= n_max; above this bound they
-# would pass counts.MAX_ORDER and refuse, after every check before them had
-# run.
+# count_nearly(c) and o_vector(c), each read off the ladder's pass of order
+# c + 1, for the largest odd c <= n_max; above this bound they would pass
+# counts.MAX_ORDER and refuse, after every check before them had run.  The
+# rank suite reads no count; it shares the bound, so both suites, and
+# `verify`, admit the same n_max.
 MAX_N_MAX = MAX_ORDER - MAX_ORDER % 2
 
 
@@ -471,7 +473,9 @@ def _check_defect_routes(n_max: int):
     cap = min(_odd_cap(n_max), 21)
     failures = []
     for n in range(1, cap + 1, 2):
-        for variant in ("pm", "minus", "plus"):
+        # the plus weights are pm - minus and both routes are linear in
+        # the weights, so a plus entry cannot disagree on its own
+        for variant in ("pm", "minus"):
             vec = d_vector(variant, n)
             for k in range(1, n + 1):
                 direct = d_entry_bordered(variant, n, k)
@@ -479,7 +483,8 @@ def _check_defect_routes(n_max: int):
                     failures.append({"n": n, "variant": variant, "k": k,
                                      "bordered": direct,
                                      "matrix": vec[k - 1]})
-    return f"odd orders <= {cap}, all cells and variants", failures
+    return (f"odd orders <= {cap}, all cells, pm and minus variants",
+            failures)
 
 
 @_registered("identities", "family-enumeration-matches-pfaffians")
@@ -541,14 +546,13 @@ def _check_nearly_families(n_max: int):
             per_cell.append((signed_family_count(lo_fams),
                              signed_family_count(hi_fams)))
         pm = d_vector("pm", n)
-        plus = d_vector("plus", n)
         minus = d_vector("minus", n)
         for k in range(n):
             lo, hi = per_cell[k]
-            if lo + hi != pm[k] or 2 * lo != plus[k] or hi - lo != minus[k]:
+            if lo + hi != pm[k] or hi - lo != minus[k]:
                 failures.append({"n": n, "k": k + 1, "lower-end": lo,
                                  "upper-end": hi, "pm": pm[k],
-                                 "plus": plus[k], "minus": minus[k]})
+                                 "minus": minus[k]})
     return f"full graphs, odd n <= {cap}", failures
 
 
@@ -636,19 +640,13 @@ def verify_identities(n_max: int = 12) -> CheckReport:
 
 # --- rank claim --------------------------------------------------------------
 
-def _reversal_difference(order: int) -> list[list[int]]:
-    rows = matrix_r(order)
-    return [
-        [rows[i][order - 1 - j] - rows[i][j] for j in range(order)]
-        for i in range(order)
-    ]
-
-
 def _adjusted_left_block(order: int) -> list[list[int]]:
-    """The left half - 1 columns of the reversal difference, less the
+    """The left half - 1 columns of the reversal difference
+    x[i][j] = r[i][order-1-j] - r[i][j] of R = `matrix_r(order)`, less the
     identity on top and plus the anti-identity just below the middle row."""
     half = (order + 1) // 2
-    block = [row[: half - 1] for row in _reversal_difference(order)]
+    block = [[row[order - 1 - j] - row[j] for j in range(half - 1)]
+             for row in matrix_r(order)]
     for r in range(half - 1):
         block[r][r] -= 1
         block[half + r][half - 2 - r] += 1
@@ -667,26 +665,15 @@ def _check_reversal_rank(n_max: int):
     return f"odd orders 3..{cap}", failures
 
 
-@_registered("rank-claim", "reversal-difference-annihilates-counts")
-def _check_reversal_annihilates(n_max: int):
-    cap = _odd_cap(n_max)
-    failures = []
-    for order in range(3, cap + 1, 2):
-        x = _reversal_difference(order)
-        o = o_vector(order)
-        image = [sum(x[i][j] * o[j] for j in range(order))
-                 for i in range(order)]
-        if any(image):
-            failures.append({"order": order, "image": image})
-    return f"odd orders 3..{cap}", failures
-
-
 def verify_rank_claim(n_max: int = 21) -> CheckReport:
-    """The rank claim at odd orders <= n_max, in two checks on the reversal
+    """The rank claim at odd orders <= n_max, in one check on the reversal
     difference x[i][j] = r[i][order-1-j] - r[i][j] of R = `matrix_r(order)`:
     its left block, adjusted by the identity and the anti-identity
-    (`_adjusted_left_block`), has full column rank (order - 1)/2, and x
-    annihilates the deletion-count vector `o_vector(order)`."""
+    (`_adjusted_left_block`), has full column rank (order - 1)/2.  That x
+    annihilates the deletion-count vector is not a check of its own: R is
+    upper triangular with a +-1 diagonal, so it holds exactly when the
+    vector is a palindrome, which deletion-vector-palindrome checks.  The
+    suite reads no count."""
     return _run_suite("rank-claim", n_max)
 
 
@@ -705,9 +692,10 @@ def _is_unimodal(vec) -> bool:
 def scan_log_concavity(n_max: int = 35):
     """Exact conjecture scan over odd orders 2m-1 for m <= n_max.
 
-    Returns (report, rows); each row records whether the deletion-count
-    vector is log-concave (conjectured, checked by cross-multiplication) and
-    whether the per-cell defect vector is unimodal (reported only; it is
+    Returns (report, rows).  The report's one check is that every
+    deletion-count vector is log-concave (conjectured, decided by exact
+    cross-multiplication); each row records that verdict and whether the
+    per-cell defect vector is unimodal, which is not a check (it is
     expected not to be).
     """
     n_max = index(n_max)
@@ -715,7 +703,6 @@ def scan_log_concavity(n_max: int = 35):
         raise ValueError("n_max must be >= 1")
     rows = []
     lc_failures = []
-    non_unimodal = []
     # the largest order first: it refuses an oversized scan before any work
     # and resumes the ladder once, so each order below is read off its steps
     o_vector(2 * n_max - 1)
@@ -729,22 +716,12 @@ def scan_log_concavity(n_max: int = 35):
                 lc_failures.append({"order": order, "k": k + 1,
                                     "triple": (o[k - 1], o[k], o[k + 1])})
                 break
-        pm_unimodal = _is_unimodal(d_vector("pm", order))
-        if not pm_unimodal:
-            non_unimodal.append(order)
         rows.append({"order": order, "log_concave": log_concave,
-                     "pm_unimodal": pm_unimodal})
-    results = (
-        _check("deletion-vector-log-concavity",
-               f"odd orders <= {2 * n_max - 1}, exact cross-multiplication",
-               lc_failures),
-        CheckResult(check="defect-vector-unimodality-report",
-                    range=f"odd orders <= {2 * n_max - 1}, informational",
-                    status="PASS",
-                    witness={"non_unimodal_orders": non_unimodal[:10],
-                             "non_unimodal_count": len(non_unimodal)}),
-    )
-    return CheckReport(suite="log-concavity", results=results), rows
+                     "pm_unimodal": _is_unimodal(d_vector("pm", order))})
+    result = _check("deletion-vector-log-concavity",
+                    f"odd orders <= {2 * n_max - 1}, exact "
+                    "cross-multiplication", lc_failures)
+    return CheckReport(suite="log-concavity", results=(result,)), rows
 
 
 # Bits of the exact root brackets behind gap-shrinks-past-calibration.  For

@@ -272,6 +272,12 @@ def test_points_off_the_graph_are_refused():
         q_doublet(r, (-1, -1), r.x[1])
     with pytest.raises(ValueError, match=r"\(-2, -1\)"):
         enumerate_families(r, (r.x[1], (-2, -1)))
+    for graph, src in ((g, (99, 99)), (r, (-1, -1))):
+        with pytest.raises(ValueError, match=r"not on the"):
+            graph.path_counts(src)
+        with pytest.raises(ValueError, match=r"not on the"):
+            graph.count_paths(src, graph.x[1])
+        assert src not in graph._counts
 
 
 def brute_paths(g, a, b, memo):

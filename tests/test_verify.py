@@ -15,6 +15,7 @@ from offdiag.verify import (
     MAX_N_MAX,
     CheckReport,
     CheckResult,
+    _adjusted_left_block,
     _odd_cap,
     _root_offset,
     jsonable,
@@ -125,7 +126,17 @@ def test_reversal_difference_fixture():
     block[3][1] += 1
     block[4][0] += 1
     assert block == [[16, -24], [30, -18], [18, -6], [6, 0], [2, 0]]
+    assert _adjusted_left_block(5) == block
     assert rational_rank(block) == 2
+
+
+def test_rank_claim_reads_no_count(empty_ladders, forbid_a):
+    # the rank suite reads R alone: with the ladder empty and A forbidden,
+    # a count read would raise
+    forbid_a()
+    report = verify_rank_claim(21)
+    assert report.passed
+    assert [r.check for r in report.results] == ["reversal-difference-rank"]
 
 
 def test_log_concavity_scan():
@@ -133,11 +144,10 @@ def test_log_concavity_scan():
     assert report.passed
     assert [row["order"] for row in rows] == [1, 3, 5, 7, 9, 11]
     assert all(row["log_concave"] for row in rows)
-    assert rows[0]["pm_unimodal"] and rows[1]["pm_unimodal"]
-    assert not any(row["pm_unimodal"] for row in rows[2:])
-    gate, informational = report.results
+    assert [row["order"] for row in rows
+            if not row["pm_unimodal"]] == [5, 7, 9, 11]
+    (gate,) = report.results
     assert gate.check == "deletion-vector-log-concavity"
-    assert informational.witness["non_unimodal_count"] == 4
     with pytest.raises(ValueError):
         scan_log_concavity(0)
 
@@ -371,6 +381,37 @@ def test_oracle_check_compares_every_defect_variant(monkeypatch):
         result = check(1)
         assert not result.ok
         assert result.witness["first"]["field"] == field
+
+
+def test_a_non_palindromic_deletion_vector_fails_the_palindrome(monkeypatch):
+    # deletion-vector-palindrome is the one line that reads J o = o
+    o_vector = offdiag.verify.o_vector
+
+    def corrupted(n):
+        o = o_vector(n)
+        return (o[0] + 1,) + o[1:] if n == 7 else o
+
+    monkeypatch.setattr(offdiag.verify, "o_vector", corrupted)
+    result = CHECKS["identities"]["deletion-vector-palindrome"](12)
+    assert result.status == "FAIL"
+    assert result.witness["failures"] == 1
+    assert result.witness["first"]["n"] == 7
+
+
+def test_a_wrong_plus_vector_fails_the_oracle_check(monkeypatch):
+    # the plus variant is compared with the oracle, not against the other
+    # matrix route, whose plus weights are pm - minus
+    d_vector = offdiag.verify.d_vector
+
+    def corrupted(variant, n):
+        vec = d_vector(variant, n)
+        return (vec[0] + 1,) + vec[1:] if variant == "plus" else vec
+
+    monkeypatch.setattr(offdiag.verify, "d_vector", corrupted)
+    result = CHECKS["identities"]["oracle-agrees-small"](5)
+    assert result.status == "FAIL"
+    assert {"n": 1, "field": "d_plus"}.items() <= result.witness[
+        "first"].items()
 
 
 def test_jsonable_conversions():
