@@ -19,7 +19,6 @@ from .matrices import (
     g_sequence,
     matrix_a,
     matrix_b,
-    matrix_m,
     matrix_r,
     pell_vector,
     r_value,
@@ -64,7 +63,6 @@ __all__ = [
     "g_sequence",
     "matrix_a",
     "matrix_b",
-    "matrix_m",
     "matrix_r",
     "o_vector",
     "oracle_counts",

@@ -3,8 +3,8 @@
 Everything is exact and kept as tuples of ints; each matrix has one builder.
 The skew-symmetric recurrence matrix A drives the off-diagonal counts via its
 Pfaffian; its bordered companion counts the nearly off-diagonal tilings; the
-Delannoy-weighted rectangular matrices turn count vectors into per-cell
-defect counts; the involutive triangular matrix R is built from the
+Delannoy weights of each diagonal cell turn the deletion counts into
+per-cell defect counts; the involutive triangular matrix R is built from the
 recurrence array, and verify checks it against the path kernel (`r_value`).
 """
 
@@ -90,7 +90,8 @@ def defect_weights(variant: str, n: int, k: int) -> tuple[int, ...]:
     """The unsigned Delannoy weights of diagonal cell k against the deletion
     counts l = 1..n: variant "pm" weighs l by 2*delannoy(l-k, k-1), "minus"
     by 2*delannoy(l-1-k, k-1), the "pm" weight of l - 1; "plus" is their
-    difference.  They form row k of `matrix_m` and the border column of
+    difference.  Signed (-1)^(l-1), they are row k of the paper's Delannoy
+    matrix equation (`counts._defect_cells`) and the border column of
     `counts.d_entry_bordered`."""
     if variant not in ("pm", "minus", "plus"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -104,19 +105,6 @@ def defect_weights(variant: str, n: int, k: int) -> tuple[int, ...]:
     if variant == "minus":
         return tuple(minus)
     return tuple(p - m for p, m in zip(pm, minus))
-
-
-def matrix_m(variant: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Delannoy-weighted matrix mapping the deletion-count vector to defect
-    counts per diagonal cell: row k is `defect_weights(variant, n, k)` with
-    the sign (-1)^(l-1) on column l.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return tuple(
-        tuple(w if l % 2 == 0 else -w
-              for l, w in enumerate(defect_weights(variant, n, k)))
-        for k in range(1, n + 1))
 
 
 def r_value(n: int, i: int, j: int) -> int:

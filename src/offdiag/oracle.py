@@ -26,7 +26,6 @@ path counts, so region sizes are deliberately capped.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from operator import index
 
 Square = tuple[int, int]
@@ -311,15 +310,8 @@ class OracleCounts(namedtuple("OracleCounts", "n off_diag_full o d_plus "
 
     @property
     def total(self) -> int:
-        """All tilings of the full region, counted on the first read at its
-        order and kept: a later read, from any OracleCounts of that order,
-        is free."""
-        return _full_region_total(self.n)
-
-
-@lru_cache(maxsize=None)
-def _full_region_total(n: int) -> int:
-    return count_all_tilings(build_region(n))
+        """All tilings of the full region, counted anew on each read."""
+        return count_all_tilings(build_region(self.n))
 
 
 def oracle_counts(n: int) -> OracleCounts:
@@ -328,8 +320,8 @@ def oracle_counts(n: int) -> OracleCounts:
     o[k-1] counts the off-diagonally symmetric tilings of the region with
     boundary square k removed; the d vectors count the nearly off-diagonal
     tilings of the full region by defect cell and defect sign.  These count
-    the symmetric tilings alone; `total`, counted on its first read at
-    each order, counts every tiling.  No tiling is walked.
+    the symmetric tilings alone; `total`, counted on each read, counts
+    every tiling.  No tiling is walked.
     """
     n = index(n)
     if n < 1 or n % 2 == 0 or n > _MAX_COUNTED_ORDER:

@@ -23,8 +23,8 @@ every path between two points, walked once with its vertex mask.  The family
 search filters those path lists by disjointness against the mask of the
 vertices taken so far, and enters a branch only while every later end slot
 can still be reached.  A point off the graph makes `q_doublet`,
-`enumerate_families` and, as a source, `path_counts` and `count_paths`
-raise ValueError.
+`enumerate_families`, `count_paths` and, as a source, `path_counts` raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -146,6 +146,9 @@ class PathGraph:
         return counts
 
     def count_paths(self, a: Point, b: Point) -> int:
+        """The number of paths a -> b.  A point off the graph raises
+        ValueError."""
+        self._check_point(b)
         return self.path_counts(a).get(b, 0)
 
     def doublet_counts(self, src: Point) -> tuple[tuple[int, ...], ...]:
@@ -220,14 +223,6 @@ def _perm_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
-def _paths_into(g: PathGraph, a: Point, b: Point, occupied: int):
-    """Yield every path a -> b, as (vertex mask, vertex tuple), that avoids
-    the vertices in the mask `occupied`, in the order of `_path_list`."""
-    for mask, path in g._path_list(a, b):
-        if not mask & occupied:
-            yield mask, path
-
-
 def enumerate_families(g: PathGraph, starts, fixed_ends=()):
     """All vertex-disjoint path families from `starts` onto admissible ends.
 
@@ -287,8 +282,9 @@ def _assign(g, starts, ends, out):
         for s in range(r):
             if used >> s & 1:
                 continue
-            for mask, path in _paths_into(g, starts[s], target, occupied):
-                if open_slots(slot + 1, occupied | mask):
+            for mask, path in g._path_list(starts[s], target):
+                free = not mask & occupied
+                if free and open_slots(slot + 1, occupied | mask):
                     rec(slot + 1, used | 1 << s, occupied | mask,
                         paths + [path], perm + [s + 1])
 

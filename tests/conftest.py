@@ -1,13 +1,12 @@
 """Collects the acceptance criterion results and prints them as a summary
 section, so the one-line-per-criterion report survives output capture, and
 provides the fixtures that empty the count ladder's memos, empty the graph
-and tiling-total memos, and forbid reads of A."""
+memo, and forbid reads of A."""
 
 import pytest
 
 import offdiag.counts
 import offdiag.matrices
-import offdiag.oracle
 import offdiag.paths
 import offdiag.pfaffian
 
@@ -29,16 +28,12 @@ def empty_ladders(monkeypatch):
 
 @pytest.fixture
 def empty_memos():
-    """Empty the graph memo (`paths.staircase`) and the memo of full-region
-    tiling counts behind `OracleCounts.total` before and after the test, so
-    a test that counts graph builds or tiling counts sees only its own and
-    leaves none behind."""
-    memos = (offdiag.paths.staircase, offdiag.oracle._full_region_total)
-    for memo in memos:
-        memo.cache_clear()
+    """Empty the graph memo (`paths.staircase`) before and after the test,
+    so a test that counts graph builds sees only its own and leaves none
+    behind."""
+    offdiag.paths.staircase.cache_clear()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    offdiag.paths.staircase.cache_clear()
 
 
 @pytest.fixture

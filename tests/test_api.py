@@ -18,12 +18,11 @@ PUBLIC = {
     "CheckReport", "CheckResult", "PathGraph", "SkewMatrix", "bordered_skew",
     "build_region", "count_nearly", "count_off_diag", "d_entry_bordered",
     "d_vector", "delannoy", "determinant", "enumerate_families",
-    "even_order_full", "g_sequence", "matrix_a", "matrix_b", "matrix_m",
-    "matrix_r", "o_vector", "oracle_counts", "pell_vector",
-    "pfaffian_cofactor", "principal_submatrix", "q_doublet", "r_value",
-    "rational_rank", "render_svg", "render_text", "scan_asymptotics",
-    "scan_log_concavity", "t_array", "verify_identities",
-    "verify_rank_claim", "__version__",
+    "even_order_full", "g_sequence", "matrix_a", "matrix_b", "matrix_r",
+    "o_vector", "oracle_counts", "pell_vector", "pfaffian_cofactor",
+    "principal_submatrix", "q_doublet", "r_value", "rational_rank",
+    "render_svg", "render_text", "scan_asymptotics", "scan_log_concavity",
+    "t_array", "verify_identities", "verify_rank_claim", "__version__",
 }
 
 
@@ -106,7 +105,6 @@ ORDER_TAKING = {
     "even_order_full": offdiag.even_order_full,
     "matrix_a": offdiag.matrix_a,
     "matrix_b": offdiag.matrix_b,
-    "matrix_m": lambda n: offdiag.matrix_m("pm", n),
     "matrix_r": offdiag.matrix_r,
     "o_vector": offdiag.o_vector,
     "oracle_counts": offdiag.oracle_counts,

@@ -9,7 +9,6 @@ from offdiag.matrices import (
     g_sequence,
     matrix_a,
     matrix_b,
-    matrix_m,
     matrix_r,
     pell_vector,
     r_value,
@@ -144,18 +143,19 @@ def test_matrix_b_fixture():
         matrix_b(0)
 
 
-def test_matrix_m_fixtures():
-    assert matrix_m("pm", 3) == ((2, -2, 2), (0, -2, 6), (0, 0, 2))
-    assert matrix_m("minus", 3) == ((0, -2, 2), (0, 0, 2), (0, 0, 0))
+def test_defect_weights_fixtures():
+    rows = {variant: [defect_weights(variant, 3, k) for k in (1, 2, 3)]
+            for variant in ("pm", "minus")}
+    assert rows["pm"] == [(2, 2, 2), (0, 2, 6), (0, 0, 2)]
+    assert rows["minus"] == [(0, 2, 2), (0, 0, 2), (0, 0, 0)]
     for n in (1, 3, 5, 7):
-        pm = matrix_m("pm", n)
-        minus = matrix_m("minus", n)
-        plus = matrix_m("plus", n)
-        for i in range(n):
-            for j in range(n):
-                assert plus[i][j] == pm[i][j] - minus[i][j]
+        for k in range(1, n + 1):
+            pm = defect_weights("pm", n, k)
+            minus = defect_weights("minus", n, k)
+            assert defect_weights("plus", n, k) == tuple(
+                p - m for p, m in zip(pm, minus))
     with pytest.raises(ValueError):
-        matrix_m("both", 3)
+        defect_weights("both", 3, 1)
 
 
 def test_defect_weights_are_the_delannoy_columns():

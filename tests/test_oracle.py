@@ -1,9 +1,16 @@
 import xml.etree.ElementTree as ET
+from itertools import combinations
 
 import pytest
 
 import offdiag.oracle
-from offdiag.counts import count_nearly, d_vector, even_order_full, o_vector
+from offdiag.counts import (
+    count_nearly,
+    count_off_diag,
+    d_vector,
+    even_order_full,
+    o_vector,
+)
 from offdiag.oracle import (
     Region,
     boundary_square,
@@ -228,7 +235,9 @@ def test_oracle_counts_fixture():
         oracle_counts(2)
 
 
-def test_total_counts_the_tilings_once_per_order(monkeypatch, empty_memos):
+def test_total_counts_the_tilings_on_each_read(monkeypatch):
+    # oracle_counts counts only the symmetric tilings; `total` counts
+    # every tiling of the full region anew on each read
     calls = []
     count_all_tilings = offdiag.oracle.count_all_tilings
 
@@ -238,11 +247,9 @@ def test_total_counts_the_tilings_once_per_order(monkeypatch, empty_memos):
 
     monkeypatch.setattr(offdiag.oracle, "count_all_tilings", counted)
     oc = oracle_counts(5)
+    assert calls == []
     assert (oc.total, oc.total) == (2 ** 15, 2 ** 15)
-    assert oracle_counts(5).total == 2 ** 15
-    assert calls == [5]
-    assert oracle_counts(3).total == 2 ** 6
-    assert calls == [5, 3]
+    assert calls == [5, 5]
 
 
 def test_deleted_region_counts_match_o_vector():
@@ -251,6 +258,18 @@ def test_deleted_region_counts_match_o_vector():
             region = build_region(n, set(range(1, n + 1)) - {k})
             census = classify_region_tilings(region)
             assert census.off_diag == o_vector(n)[k - 1]
+
+
+def test_every_kept_set_matches_its_pfaffian():
+    # all 126 kept label sets at n <= 6, the empty one included
+    checked = 0
+    for n in range(1, 7):
+        for size in range(n + 1):
+            for kept in combinations(range(1, n + 1), size):
+                census = classify_region_tilings(build_region(n, kept))
+                assert census.off_diag == count_off_diag(n, kept), (n, kept)
+                checked += 1
+    assert checked == 126
 
 
 def test_cell_block_layout():

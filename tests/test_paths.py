@@ -278,6 +278,10 @@ def test_points_off_the_graph_are_refused():
         with pytest.raises(ValueError, match=r"not on the"):
             graph.count_paths(src, graph.x[1])
         assert src not in graph._counts
+    with pytest.raises(ValueError, match=r"\(99, 99\)"):
+        staircase(3, FULL).count_paths((-1, 0), (99, 99))
+    with pytest.raises(ValueError, match=r"\(-1, -1\)"):
+        r.count_paths(r.x[1], (-1, -1))
 
 
 def brute_paths(g, a, b, memo):
