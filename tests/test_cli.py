@@ -353,6 +353,27 @@ def test_oracle_command(capsys):
     assert payload["matrix"]["nearly_total"] == "16"
 
 
+def test_oracle_counts_the_tilings_once(capsys, monkeypatch):
+    # each command reads OracleCounts.total once, so it counts the tilings
+    # of the full region once
+    import offdiag.oracle
+
+    calls = []
+    count_all_tilings = offdiag.oracle.count_all_tilings
+
+    def counted(region):
+        calls.append(region.n)
+        return count_all_tilings(region)
+
+    monkeypatch.setattr(offdiag.oracle, "count_all_tilings", counted)
+    for fmt in ("plain", "json"):
+        calls.clear()
+        code, out, _ = run(capsys, "oracle", "--n", "7", "--format", fmt)
+        assert code == 0
+        assert str(2 ** 28) in out
+        assert calls == [7]
+
+
 def test_oracle_guard(capsys):
     code, _, err = run(capsys, "oracle", "--n", "11")
     assert code == 2

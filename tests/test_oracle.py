@@ -235,9 +235,9 @@ def test_oracle_counts_fixture():
         oracle_counts(2)
 
 
-def test_total_counts_the_tilings_on_each_read(monkeypatch):
-    # oracle_counts counts only the symmetric tilings; `total` counts
-    # every tiling of the full region anew on each read
+def test_total_counts_the_tilings_once_per_order(monkeypatch):
+    # oracle_counts counts only the symmetric tilings; each read of `total`
+    # counts every tiling of the full region of its own order once, anew
     calls = []
     count_all_tilings = offdiag.oracle.count_all_tilings
 
@@ -250,6 +250,8 @@ def test_total_counts_the_tilings_on_each_read(monkeypatch):
     assert calls == []
     assert (oc.total, oc.total) == (2 ** 15, 2 ** 15)
     assert calls == [5, 5]
+    assert oracle_counts(3).total == 2 ** 6
+    assert calls == [5, 5, 3]
 
 
 def test_deleted_region_counts_match_o_vector():
