@@ -109,8 +109,10 @@ def o_vector(n: int) -> tuple[int, ...]:
     memo or that pass resumed to order n + 1, and kept in `_o_vectors`.
     That pass never pivots: the leading pivots of A(n) are the tiling
     counts even_order_full(2t) > 0, and a zero one would raise
-    ArithmeticError rather than give a wrong vector.  So does a vector that
-    fails A(n)'s last row, the one row the back-substitution never reads.
+    ArithmeticError rather than give a wrong vector.  So does a vector off
+    the kernel of A(n): the signed vector ((-1)^(k-1) o_k) must annihilate
+    rows 2..n of A(n).  Row 1, (0, 2, ..., 2), is left to the
+    deletion-vector-alternating-sum check of `verify`.
     `_o_vector_direct` computes the same vector as n separate Pfaffians, for
     verification.
     """
@@ -118,11 +120,12 @@ def o_vector(n: int) -> tuple[int, ...]:
     got = _o_vectors.get(n)
     if got is None:
         got = _deletion_vector(_even_nearly((n + 1) // 2), n)
-        (last,) = _a_block([n - 1], range(n))
-        if sum(map(mul, last[::2], got[::2])) != sum(map(mul, last[1::2],
-                                                         got[1::2])):
+        signed = list(got)
+        signed[1::2] = map(neg, signed[1::2])
+        if any(sum(map(mul, row, signed))
+               for row in _a_block(range(1, n), range(n))):
             raise ArithmeticError(f"deletion vector of order {n} is off "
-                                  f"the last row of A({n})")
+                                  f"the kernel of A({n})")
         _o_vectors[n] = got
     return got
 

@@ -136,8 +136,8 @@ MIN_N_MAX = {"identities": 4, "rank-claim": 3}
 # count_nearly(c) and o_vector(c), each read off the ladder's pass of order
 # c + 1, for the largest odd c <= n_max; above this bound they would pass
 # counts.MAX_ORDER and refuse, after every check before them had run.  The
-# rank suite reads no count; it shares the bound, so both suites, and
-# `verify`, admit the same n_max.
+# rank suite reads no count; it shares the bound, so both suites admit the
+# same n_max, and `_run_suite` refuses a larger one up front.
 MAX_N_MAX = MAX_ORDER - MAX_ORDER % 2
 
 
@@ -153,11 +153,16 @@ def _registered(suite: str, check_id: str):
 
 
 def _run_suite(suite: str, n_max: int) -> CheckReport:
+    """Run every check of `suite` at n_max, in report order.  An n_max
+    outside MIN_N_MAX[suite]..MAX_N_MAX is refused before any check runs,
+    with the one line the command line prints."""
     n_max = index(n_max)
     if n_max < MIN_N_MAX[suite]:
-        raise ValueError(f"n_max must be >= {MIN_N_MAX[suite]}")
+        raise ValueError(f"n_max must be at least {MIN_N_MAX[suite]} for "
+                         f"the {suite} suite")
     if n_max > MAX_N_MAX:
-        raise ValueError(f"n_max must be <= {MAX_N_MAX}")
+        raise ValueError(f"n_max must be at most {MAX_N_MAX}, since the "
+                         f"largest supported order is {MAX_ORDER}")
     return CheckReport(suite=suite, results=tuple(
         run(n_max) for run in CHECKS[suite].values()))
 
@@ -698,7 +703,7 @@ def scan_log_concavity(n_max: int = 35):
     """
     n_max = index(n_max)
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ValueError("n_max must be at least 1")
     rows = []
     lc_failures = []
     # the largest order first: it refuses an oversized scan before any work
@@ -772,7 +777,7 @@ def scan_asymptotics(n_max: int = 35):
     """
     n_max = index(n_max)
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ValueError("n_max must be at least 1")
     root2 = math.sqrt(2)
     rows = []
     # the largest order first: it refuses an oversized scan before any work

@@ -1,6 +1,7 @@
 """The package's public names, pinned: removing or adding one is a
 deliberate edit here."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,6 +37,28 @@ def test_public_names_are_pinned():
     # the submodules re-exported from are the ones registered
     for name in ("verify", "oracle"):
         assert sys.modules[f"offdiag.{name}"] is getattr(offdiag, name)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name counts as used when the module reads it or lists it in __all__
+    for path in sorted((SRC / "offdiag").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0]
+                             for alias in node.names}
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported |= {alias.asname or alias.name
+                             for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        assert imported <= used, (path.name, sorted(imported - used))
 
 
 def test_import_loads_no_rational_arithmetic():

@@ -94,13 +94,16 @@ def test_count_usage_errors(capsys):
     assert "odd" in err
     code, _, err = run(capsys, "count", "dpm", "--n", "5", "--k", "9")
     assert code == 2
+    assert err == "error: cell index must be within 1..5\n"
     code, _, err = run(capsys, "count", "even", "--n", "5")
     assert code == 2
-    # repeated kept labels are refused before computing, not deduplicated
+    # repeated kept labels are refused before computing, not deduplicated,
+    # by the one library check `count` and `render` share
     code, out, err = run(capsys, "count", "o", "--n", "3", "--kept", "1,1",
                          "--format", "json")
     assert (code, out) == (2, "")
-    assert err == "error: --kept repeats a label: 1,1\n"
+    assert err == "error: kept labels repeat: [1, 1]\n"
+    assert run(capsys, "render", "--n", "3", "--kept", "1,1") == (2, "", err)
     # a label that is not an integer gets one clear line
     code, out, err = run(capsys, "count", "o", "--n", "5", "--kept", "a")
     assert (code, out) == (2, "")
@@ -129,20 +132,15 @@ def test_count_refuses_ignored_flags(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_count_checks_k_before_computing(capsys, monkeypatch):
-    import offdiag.cli
-
-    def refuse(*args):
-        raise AssertionError("vector computed before --k was checked")
-
-    monkeypatch.setattr(offdiag.cli, "o_vector", refuse)
-    monkeypatch.setattr(offdiag.cli, "d_vector", refuse)
-    monkeypatch.setattr(offdiag.cli, "_defect_cells", refuse)
-    for target in ("o", "dpm"):
+def test_count_checks_k_before_computing(capsys, empty_ladders, forbid_a):
+    # target o's label is checked by the command line, a d* target's cell by
+    # `defect_weights`; both before the ladder reads any of A
+    forbid_a()
+    for target, noun in (("o", "label"), ("dpm", "cell index")):
         for k in ("0", "10"):
-            code, _, err = run(capsys, "count", target, "--n", "9", "--k", k)
-            assert code == 2
-            assert "cell index must be within 1..9" in err
+            code, out, err = run(capsys, "count", target, "--n", "9", "--k", k)
+            assert (code, out) == (2, "")
+            assert err == f"error: {noun} must be within 1..9\n"
 
 
 def test_count_one_cell_reads_one_cells_weights(capsys, monkeypatch):
@@ -215,40 +213,44 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_rejects_nonpositive_n_max(capsys):
-    code, _, err = run(capsys, "verify", "--n-max", "0")
-    assert code == 2
-    assert "at least 1" in err
+    for argv, suite in ((("--n-max", "0"), "4 for the identities"),
+                        (("rank", "--n-max", "-1"), "3 for the rank-claim")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: n_max must be at least {suite} suite\n"
+
+
+def _forbid_checks(monkeypatch):
+    """Make every check of both suites fail the test if it runs."""
+    import offdiag.verify
+
+    def refuse(n_max):
+        raise AssertionError("a check ran before --n-max was checked")
+
+    for suite in ("identities", "rank-claim"):
+        monkeypatch.setitem(offdiag.verify.CHECKS, suite, {"any": refuse})
 
 
 def test_verify_refuses_rank_bound_below_3(capsys, monkeypatch):
-    import offdiag.verify
-
-    def refuse(n_max):
-        raise AssertionError("a suite ran before --n-max was checked")
-
-    monkeypatch.setattr(offdiag.verify, "verify_identities", refuse)
-    monkeypatch.setattr(offdiag.verify, "verify_rank_claim", refuse)
-    for argv in (("rank", "--n-max", "1"), ("--n-max", "2")):
+    _forbid_checks(monkeypatch)
+    for argv in (("rank", "--n-max", "1"), ("rank", "--n-max", "2")):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2, argv
         assert out == ""
-        assert err == "error: --n-max must be at least 3 for the rank suite\n"
+        assert err == ("error: n_max must be at least 3 for the rank-claim "
+                       "suite\n")
 
 
 def test_verify_refuses_identity_bound_below_4(capsys, monkeypatch):
-    import offdiag.verify
-
-    def refuse(n_max):
-        raise AssertionError("a suite ran before --n-max was checked")
-
-    monkeypatch.setattr(offdiag.verify, "verify_identities", refuse)
-    monkeypatch.setattr(offdiag.verify, "verify_rank_claim", refuse)
+    # with both suites asked, the identity suite runs first and its bound is
+    # the tighter, so it refuses before the rank suite is reached
+    _forbid_checks(monkeypatch)
     for argv in (("identities", "--n-max", "3"), ("--n-max", "3"),
-                 ("identities", "--n-max", "1")):
+                 ("identities", "--n-max", "1"), ("--n-max", "2")):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2, argv
         assert out == ""
-        assert err == ("error: --n-max must be at least 4 for the identity "
+        assert err == ("error: n_max must be at least 4 for the identities "
                        "suite\n")
 
 
@@ -274,9 +276,10 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 
 
 def test_scan_rejects_nonpositive_n_max(capsys):
-    code, _, err = run(capsys, "scan", "logconcavity", "--n-max", "0")
-    assert code == 2
-    assert "at least 1" in err
+    for kind in ("logconcavity", "asymptotics"):
+        code, out, err = run(capsys, "scan", kind, "--n-max", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: n_max must be at least 1\n"
 
 
 def test_scan_matches_golden_output(capsys):
@@ -303,7 +306,7 @@ def test_oversized_requests_exit_2_up_front(capsys):
         assert time.perf_counter() - start < 0.5, argv
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "largest supported order" in err
-    assert err == ("error: --n-max must be at most 200, since the largest "
+    assert err == ("error: n_max must be at most 200, since the largest "
                    "supported order is 200\n")
     # the smallest order-6 region (every label deleted) has 72 squares, past
     # the 64-square cap; an order-100000 region would take minutes to build

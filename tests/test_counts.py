@@ -413,32 +413,39 @@ def test_order_bound_admits_exactly_max_order(monkeypatch):
 
 def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
                                                             empty_ladders):
-    # move one entry of a stored pivot row of the ladder's pass over A(8)
-    # by one and read order 7: the back-substitution raises on an inexact
-    # division, o_vector's check against the last row of A(7), which the
-    # back-substitution never reads, raises on a vector off the kernel, or
-    # the entry was not read and the vector is the true one
-    even_order_full(8)
-    done = offdiag.counts._even_nearly_pass
+    # shift one entry of a stored pivot row of the ladder's pass over A(n + 1)
+    # and read odd order n: the back-substitution raises on an inexact
+    # division, o_vector's check against rows 2..n of A(n) raises on a
+    # vector off the kernel, or the entry was not read and the vector is the
+    # true one.  A check against the last row of A(n) alone misses 7 of the
+    # 965 wrong vectors, among them step 2's 312 -> 624 at order 7.
     raised = kept = 0
-    for delta in (1, -1):
+    for n in range(3, 12, 2):
+        want = _o_vector_direct(n)
+        monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
+                            offdiag.pfaffian._LeadingPass())
+        even_order_full(n + 1)
+        done = offdiag.counts._even_nearly_pass
         for s, step in enumerate(done.steps):
             for r in (1, 2):
-                for c in range(len(step[r])):
-                    bad = offdiag.pfaffian._LeadingPass()
-                    bad.order, bad.rows, bad.pivot = (done.order, done.rows,
-                                                      done.pivot)
-                    bad.steps = tuple((p, list(top), list(second))
-                                      for p, top, second in done.steps)
-                    bad.steps[s][r][c] += delta
-                    monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
-                                        bad)
-                    monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
-                    try:
-                        got = o_vector(7)
-                    except ArithmeticError:
-                        raised += 1
-                    else:
-                        assert got == O_VECTORS[7], (delta, s, r, c)
-                        kept += 1
-    assert raised + kept == 2 * 48 and raised == 2 * 21
+                for c, entry in enumerate(step[r]):
+                    shifts = {1, -1, 2, 3, 7, 100, entry, -2 * entry}
+                    for delta in shifts - {0}:
+                        bad = offdiag.pfaffian._LeadingPass()
+                        bad.order, bad.rows, bad.pivot = (done.order,
+                                                          done.rows,
+                                                          done.pivot)
+                        bad.steps = tuple((p, list(top), list(second))
+                                          for p, top, second in done.steps)
+                        bad.steps[s][r][c] += delta
+                        monkeypatch.setattr(offdiag.counts,
+                                            "_even_nearly_pass", bad)
+                        monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
+                        try:
+                            got = o_vector(n)
+                        except ArithmeticError:
+                            raised += 1
+                        else:
+                            assert got == want, (n, delta, s, r, c)
+                            kept += 1
+    assert (raised, kept) == (965, 990)

@@ -60,9 +60,11 @@ def test_identity_battery_rejects_bad_bound():
 
 def test_suites_refuse_bounds_with_empty_ranges():
     for n_max in (1, 2, 3):
-        with pytest.raises(ValueError, match="n_max must be >= 4"):
+        with pytest.raises(ValueError, match="^n_max must be at least 4 for "
+                                             "the identities suite$"):
             verify_identities(n_max)
-    with pytest.raises(ValueError, match="n_max must be >= 3"):
+    with pytest.raises(ValueError, match="^n_max must be at least 3 for the "
+                                         "rank-claim suite$"):
         verify_rank_claim(2)
     # the check that sets the identity bound covers n = 4 at it
     assert "4 <= n <= 4" in CHECKS["identities"][
@@ -84,7 +86,9 @@ def test_suites_refuse_bounds_past_the_order_bound(monkeypatch):
     for suite in ("identities", "rank-claim"):
         monkeypatch.setitem(CHECKS, suite, {"any": refuse})
     for run in (verify_identities, verify_rank_claim):
-        with pytest.raises(ValueError, match="n_max must be <= 200"):
+        with pytest.raises(ValueError, match="^n_max must be at most 200, "
+                                             "since the largest supported "
+                                             "order is 200$"):
             run(MAX_N_MAX + 1)
 
 
