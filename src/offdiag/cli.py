@@ -21,6 +21,7 @@ from itertools import islice
 from . import oracle, verify
 from .counts import (
     _defect_cells,
+    _o_entry,
     count_nearly,
     count_off_diag,
     d_vector,
@@ -55,10 +56,8 @@ def _write_csv(fields, rows) -> None:
 
 
 def _check_count_flags(args) -> None:
-    """Refuse missing flags, flag combinations `count` would otherwise
-    ignore and an out-of-range --k for target o, which no library call
-    refuses before the ladder runs; the library refuses the rest, also
-    before it computes."""
+    """Refuse missing flags and flag combinations `count` would otherwise
+    ignore; the library refuses the rest before it computes."""
     given = [flag for flag, value in (("--k", args.k is not None),
                                       ("--all", args.all),
                                       ("--kept", args.kept is not None))
@@ -74,9 +73,6 @@ def _check_count_flags(args) -> None:
         raise ValueError("target o needs one of --k, --all, --kept")
     if args.target in ("dpm", "dminus", "dplus") and not given:
         raise ValueError(f"target {args.target} needs --k or --all")
-    if (args.target == "o" and args.k is not None and args.n >= 1
-            and not 1 <= args.k <= args.n):
-        raise ValueError(f"label must be within 1..{args.n}")
 
 
 def _cmd_count(args) -> int:
@@ -96,7 +92,7 @@ def _cmd_count(args) -> int:
         payload["values"] = [str(v) for v in vec]
     else:
         payload["k"] = args.k
-        payload["value"] = str(o_vector(n)[args.k - 1] if target == "o" else
+        payload["value"] = str(_o_entry(n, args.k) if target == "o" else
                                _defect_cells(target[1:], n, [args.k])[0])
     if args.format == "json":
         print(json.dumps(payload))

@@ -148,6 +148,15 @@ def d_vector(variant: str, n: int) -> tuple[int, ...]:
     return _defect_cells(variant, n, range(1, index(n) + 1))
 
 
+def _o_entry(n: int, k: int) -> int:
+    """Entry k of o_vector(n), with the order and then the label refused
+    before the ladder is resumed."""
+    n = _odd_order(n, "deletion vector")
+    if not 1 <= k <= n:
+        raise ValueError(f"label must be within 1..{n}")
+    return o_vector(n)[k - 1]
+
+
 def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
     """Entries k in `cells` of d_vector(variant, n): entry k is
     sum_l (-1)^(l-1) w_l o_l over cell k's `defect_weights` w and

@@ -20,11 +20,10 @@ and each graph fills its tables on first use and keeps them: the path counts
 out of a source (a DP over a topological order kept with the graph), the
 counts onto the doublets' lower and upper points that `q_doublet` pairs, and
 every path between two points, walked once with its vertex mask.  The family
-search filters those path lists by disjointness against the mask of the
-vertices taken so far, and enters a branch only while every later end slot
-can still be reached.  A point off the graph makes `q_doublet`,
-`enumerate_families`, `count_paths` and, as a source, `path_counts` raise
-ValueError.
+search is a plain depth-first search over those path lists, filtered by
+disjointness against the mask of the vertices taken so far.  A point off the
+graph makes `q_doublet`, `enumerate_families`, `count_paths` and, as a
+source, `path_counts` raise ValueError.
 """
 
 from __future__ import annotations
@@ -260,18 +259,9 @@ def enumerate_families(g: PathGraph, starts, fixed_ends=()):
 
 def _assign(g, starts, ends, out):
     """Append to `out` every family onto `ends`: slot by slot, each unused
-    start and each of its paths into the slot's end that avoids the paths
-    taken so far.  A branch is entered only if every later slot keeps a
-    path from some start that avoids them (a used start's paths all meet
-    it), so only branches without a family are cut and the families come
-    in the order of the full search."""
+    start and each of its paths into the slot's end that misses the
+    vertices taken so far."""
     r = len(starts)
-    into = [[mask for a in starts for mask, _ in g._path_list(a, b)]
-            for b in ends]
-
-    def open_slots(slot, occupied):
-        return all(any(not mask & occupied for mask in masks)
-                   for masks in into[slot:])
 
     def rec(slot, used, occupied, paths, perm):
         if slot == r:
@@ -283,13 +273,11 @@ def _assign(g, starts, ends, out):
             if used >> s & 1:
                 continue
             for mask, path in g._path_list(starts[s], target):
-                free = not mask & occupied
-                if free and open_slots(slot + 1, occupied | mask):
+                if not mask & occupied:
                     rec(slot + 1, used | 1 << s, occupied | mask,
                         paths + [path], perm + [s + 1])
 
-    if open_slots(0, 0):
-        rec(0, 0, 0, [], [])
+    rec(0, 0, 0, [], [])
 
 
 def signed_family_count(families) -> int:

@@ -95,6 +95,14 @@ def test_count_usage_errors(capsys):
     code, _, err = run(capsys, "count", "dpm", "--n", "5", "--k", "9")
     assert code == 2
     assert err == "error: cell index must be within 1..5\n"
+    # target o refuses the order before the label, as the d* targets do
+    code, out, err = run(capsys, "count", "o", "--n", "4", "--k", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: deletion vector is defined for odd n >= 1\n"
+    code, out, err = run(capsys, "count", "o", "--n", "201", "--k", "300")
+    assert (code, out) == (2, "")
+    assert err == ("error: this request needs a condensation of order 202; "
+                   "the largest supported order is 200\n")
     code, _, err = run(capsys, "count", "even", "--n", "5")
     assert code == 2
     # repeated kept labels are refused before computing, not deduplicated,
@@ -133,7 +141,7 @@ def test_count_refuses_ignored_flags(capsys):
 
 
 def test_count_checks_k_before_computing(capsys, empty_ladders, forbid_a):
-    # target o's label is checked by the command line, a d* target's cell by
+    # target o's label is checked by `counts._o_entry`, a d* target's cell by
     # `defect_weights`; both before the ladder reads any of A
     forbid_a()
     for target, noun in (("o", "label"), ("dpm", "cell index")):
@@ -262,12 +270,12 @@ def test_verify_all_flag_is_gone(capsys):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    import offdiag.cli
+    import offdiag.counts
 
     def broken(n):
         raise ArithmeticError("inexact division; input not skew?")
 
-    monkeypatch.setattr(offdiag.cli, "o_vector", broken)
+    monkeypatch.setattr(offdiag.counts, "o_vector", broken)
     code, out, err = run(capsys, "count", "o", "--n", "5", "--k", "3")
     assert code == 3
     assert out == ""
