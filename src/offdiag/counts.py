@@ -111,8 +111,10 @@ def o_vector(n: int) -> tuple[int, ...]:
     counts even_order_full(2t) > 0, and a zero one would raise
     ArithmeticError rather than give a wrong vector.  So does a vector off
     the kernel of A(n): the signed vector ((-1)^(k-1) o_k) must annihilate
-    rows 2..n of A(n).  Row 1, (0, 2, ..., 2), is left to the
-    deletion-vector-alternating-sum check of `verify`.
+    rows 2..n of A(n).  Row 1, (0, 2, ..., 2), then holds too: rows 2..n
+    have rank n - 1 when o_1, the Pfaffian of their block in columns 2..n,
+    is nonzero (at every supported order), so that vector spans the kernel;
+    `verify`'s deletion-vector-alternating-sum, row 1's equation, cannot fail.
     `_o_vector_direct` computes the same vector as n separate Pfaffians, for
     verification.
     """

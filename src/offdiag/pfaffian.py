@@ -8,7 +8,7 @@ in the tests.
 `_condense_rows` is the one condensation step.  Each job has one loop over
 it:
 
-- `pfaffian`: one Pfaffian, curing zero pivots by a pair search;
+- `pfaffian`: one Pfaffian, curing a zero pivot from row 0 alone;
 - `_LeadingPass`: without pivoting, one pass gives every leading order (the
   pivot after step t is the Pfaffian of the leading 2t x 2t block), and a
   border column carried along gives the bordered Pfaffian of each odd
@@ -116,17 +116,19 @@ def _condense_rows(top, second, rows, left, prev) -> list[list[int]]:
     where p = a_01 and prev is the previous step's pivot.
 
     Each row computes its entries in columns 2..left-1 and right of its own
-    column, and takes those in the columns of the rows before it by skew
-    symmetry.  Columns past the matrix's are border columns; the same
-    formula carries them along."""
+    column, and writes 0 in the columns of the rows before it and on the
+    diagonal, where no reader looks: a step reads the pivot rows from
+    column 1 on and a working row only where it computes entries, and
+    `rung`, `resume` and `_deletion_vector` read the rows as a step does.
+    Columns past the matrix's are border columns; the same formula carries
+    them along."""
     nxt = []
     for k, row in enumerate(rows):
         i = left + k
         new_row = []
         _condense_row(top, second, row, top[i], second[i], 2, left, prev,
                       new_row)
-        new_row += [-nxt[c][i - 2] for c in range(k)]
-        new_row.append(0)
+        new_row += [0] * (k + 1)
         _condense_row(top, second, row, top[i], second[i], i + 1, len(row),
                       prev, new_row)
         nxt.append(new_row)
@@ -146,42 +148,35 @@ def _condense_row(top, second, row, ui, vi, start, stop, prev, out) -> None:
         out.append(q)
 
 
-def _swap(a: list[list[int]], i: int, j: int) -> None:
-    """Swap rows and (skew) columns i and j of `a` in place."""
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
 def pfaffian(m: SkewMatrix) -> int:
     """Exact Pfaffian, by fraction-free condensation.
 
     Each step condenses the two leading rows/columns into the rest via
     new_ij = (p * cur_ij + cur_1i * cur_0j - cur_0i * cur_1j) / p_prev,
     where p is the current (0,1) pivot and p_prev the previous one.  The
-    working entries are Pfaffian minors of the input, so every division is
-    exact.  Before each step the first nonzero skew pair (i, j) is moved to
-    (0, 1), flipping the sign once per actual swap; the last pivot times
-    that sign is the Pfaffian.  When no nonzero pair is left among two or
-    more rows, every perfect matching uses a zero entry and the Pfaffian
-    is 0.
+    working entries (i, j), i < j, are Pfaffian minors of the input, so
+    every division is exact; the last pivot is the Pfaffian.  A zero pivot
+    is cured from row 0 alone: if it is all zero, vertex 0 has no partner
+    and the Pfaffian is 0; else row and column j, the first column where
+    row 0 is nonzero, are added to row and column 1 (upper entries only;
+    the diagonal is 0).  That congruence has determinant 1, so the
+    Pfaffian is unchanged and no sign is kept.
     """
     if m.order % 2:
         return 0
     a = [list(row) for row in m.rows]
-    sign = prev = 1
+    prev = 1
     while a:
-        size = len(a)
-        pair = next(((i, j) for i in range(size)
-                     for j in range(i + 1, size) if a[i][j]), None)
-        if pair is None:
+        top, second = a[0], a[1]
+        j = next((j for j, e in enumerate(top) if e), None)
+        if j is None:
             return 0
-        for src, dst in zip(pair, (0, 1)):
-            if src != dst:
-                _swap(a, src, dst)
-                sign = -sign
-        a, prev = _condense_rows(a[0], a[1], a[2:], 2, prev), a[0][1]
-    return sign * prev
+        if j > 1:
+            top[1] = top[j]
+            for c in range(2, len(second)):
+                second[c] += a[j][c] if c > j else -a[c][j]
+        a, prev = _condense_rows(top, second, a[2:], 2, prev), top[1]
+    return prev
 
 
 class _LeadingPass:
@@ -190,13 +185,15 @@ class _LeadingPass:
     input of the same ladder resumes it.
 
     Without swaps, the pivot after step t is the Pfaffian of the leading
-    2t x 2t block of the input (1 for t = 0), and working entry (i, j) is the
-    Pfaffian of that block plus input rows 2t+i and 2t+j (the Pfaffian form
-    of Bareiss's leading-minor property).  One column past the input's is
-    the border column h, which the same step carries along, so working row
-    0's last entry is the Pfaffian of the leading (2t+1) x (2t+1) block
-    bordered by h.  `rung(t)` reads both; `_deletion_vector` reads the
-    single-deletion Pfaffians off the stored steps.
+    2t x 2t block of the input (1 for t = 0), and working entry (i, j),
+    i < j, is the Pfaffian of that block plus input rows 2t+i and 2t+j (the
+    Pfaffian form of Bareiss's leading-minor property); left of a row's own
+    column an entry is 0 unless `resume` carries it.  One column past the
+    input's is the border column h, which the same step carries along, so
+    working row 0's last entry is the Pfaffian of the leading
+    (2t+1) x (2t+1) block bordered by h.  `rung(t)` reads both;
+    `_deletion_vector` reads the single-deletion Pfaffians off the stored
+    steps.
 
     It holds the input order absorbed, each step's divisor and pivot rows
     (step t holds the pivot and working rows 0 and 1 after t steps), the

@@ -448,4 +448,4 @@ def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
                         else:
                             assert got == want, (n, delta, s, r, c)
                             kept += 1
-    assert (raised, kept) == (965, 990)
+    assert (raised, kept) == (965, 960)

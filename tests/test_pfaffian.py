@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import offdiag.pfaffian
 from offdiag.matrices import matrix_a
 from offdiag.pfaffian import (
     SkewMatrix,
@@ -301,7 +302,7 @@ def test_deletion_pfaffians_match_cofactor_on_random_skew():
             raised += 1
     assert raised > 100 and read > 100
     # even orders through the same loop: pfaffian against the cofactor
-    # route, counting the inputs whose first step needs the pair search,
+    # route, counting the inputs whose first step needs the row-0 repair,
     # with row 0 all zero and with row 0 nonzero but a zero (0,1)
     zero_row = swap_in_row = nonzero = 0
     for _ in range(1500):
@@ -314,6 +315,28 @@ def test_deletion_pfaffians_match_cofactor_on_random_skew():
         elif m.rows[0][1] == 0:
             swap_in_row += 1
     assert zero_row > 100 and swap_in_row > 100 and nonzero > 100
+
+
+def test_zero_pivot_repair_reads_row_0_only(monkeypatch):
+    # a zero (0,1) pivot is cured from row 0 alone: an all-zero row 0 gives
+    # 0 before any step, whatever pair the other rows hold, and a nonzero
+    # (0,j) is added into (0,1), one step per two rows as without a repair
+    steps = 0
+    condense = offdiag.pfaffian._condense_rows
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return condense(*args)
+
+    monkeypatch.setattr(offdiag.pfaffian, "_condense_rows", counted)
+    m = SkewMatrix([[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 0, 3],
+                    [0, -2, -3, 0]])
+    assert (pfaffian(m), steps) == (0, 0)
+    m = SkewMatrix([[0, 0, 5, 0], [0, 0, 1, 2], [-5, -1, 0, 3],
+                    [0, -2, -3, 0]])
+    assert pfaffian(m) == pfaffian_cofactor(m) == -10
+    assert steps == 2
 
 
 def test_deletion_pfaffians_small_cases():
