@@ -20,8 +20,9 @@ most the work of one pass at the largest order asked.  The pass's rows and
 count_off_diag's matrices are blocks of A (`matrices._a_block`), and each
 deletion vector is kept once read (`_o_vectors`).  A scan asks for its
 largest order first, which resumes the ladder once.
-`pfaffian` itself serves only count_off_diag and d_entry_bordered, and
-`_o_vector_direct` stays as the verification route.
+count_off_diag and d_entry_bordered each run one fresh pass of the same
+kind, over a kept-set block of A and over A(n) bordered by one cell's
+Delannoy weights, and `_o_vector_direct` stays as the verification route.
 
 Every entry point takes its order through `operator.index` (a float order
 raises TypeError) and refuses a request whose condensation order exceeds
@@ -32,16 +33,8 @@ from __future__ import annotations
 
 from operator import index, mul, neg
 
-from .matrices import (MAX_ORDER, _a_block, defect_weights, matrix_a,
-                       pell_vector)
-from .pfaffian import (
-    SkewMatrix,
-    _deletion_vector,
-    _kept_indices,
-    _LeadingPass,
-    bordered_skew,
-    pfaffian,
-)
+from .matrices import MAX_ORDER, _a_block, defect_weights, pell_vector
+from .pfaffian import _deletion_vector, _kept_indices, _LeadingPass
 
 
 def _check_order(order: int) -> None:
@@ -86,13 +79,26 @@ def _even_nearly(m: int) -> _LeadingPass:
 
 def count_off_diag(n: int, kept=None) -> int:
     """Off-diagonally symmetric tilings of the order-n region that keeps only
-    the given boundary labels (all of them by default)."""
+    the given boundary labels (all of them by default).
+
+    The count is the Pfaffian of A's principal block on the kept labels: 0
+    for an odd kept set, before anything is built, and otherwise the last
+    pivot of one fresh leading pass over the block, which never pivots.  No
+    leading pivot is 0: the leading 2t x 2t block is the block of the first
+    2t kept labels, so its Pfaffian counts the tilings that keep those
+    labels, as non-intersecting path families (Stembridge), and pairing
+    consecutive kept sources u_j1 < u_j2 with doublet j1 gives a disjoint
+    family, so each such count is at least 1.  A zero pivot would raise
+    ArithmeticError rather than give a wrong count.
+    """
     n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_order(n)
     idx = range(n) if kept is None else _kept_indices(kept, n)
-    return pfaffian(SkewMatrix(_a_block(idx, idx)))
+    if len(idx) % 2:
+        return 0
+    return _LeadingPass().resume(_a_block(idx, idx), [0] * len(idx)).pivot
 
 
 def _o_vector_direct(n: int) -> tuple[int, ...]:
@@ -113,8 +119,7 @@ def o_vector(n: int) -> tuple[int, ...]:
     the kernel of A(n): the signed vector ((-1)^(k-1) o_k) must annihilate
     rows 2..n of A(n).  Row 1, (0, 2, ..., 2), then holds too: rows 2..n
     have rank n - 1 when o_1, the Pfaffian of their block in columns 2..n,
-    is nonzero (at every supported order), so that vector spans the kernel;
-    `verify`'s deletion-vector-alternating-sum, row 1's equation, cannot fail.
+    is nonzero (at every supported order), so that vector spans the kernel.
     `_o_vector_direct` computes the same vector as n separate Pfaffians, for
     verification.
     """
@@ -173,11 +178,17 @@ def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
 
 
 def d_entry_bordered(variant: str, n: int, k: int) -> int:
-    """Same defect count by the second route: a single bordered Pfaffian."""
+    """Same defect count by the second route: a single bordered Pfaffian,
+    of A(n) bordered by cell k's `defect_weights`.
+
+    It is the border entry of the last rung of one fresh pass over A(n)
+    with that border column; the pass's leading pivots are
+    even_order_full(2t) > 0, as on the ladder."""
     n, k = index(n), index(k)
     _odd_order(n, "defect count")
     weights = defect_weights(variant, n, k)
-    return pfaffian(bordered_skew(matrix_a(n), weights))
+    return _LeadingPass().resume(_a_block(range(n), range(n)),
+                                 weights).rung(n // 2)[1]
 
 
 def even_order_full(n: int) -> int:

@@ -1,26 +1,25 @@
 """Exact Pfaffians of integer skew-symmetric matrices.
 
-Two independent algorithms are kept public on purpose: a fraction-free
-condensation, which every Pfaffian here runs on, and a memoized cofactor
-expansion, kept as the clear verification route.  They cross-check each other
-in the tests.
+Two independent algorithms: a fraction-free condensation that never pivots,
+which every count of the package runs on, and a memoized cofactor
+expansion, public as the clear verification route and as the Pfaffian of an
+arbitrary skew matrix at small orders.  They cross-check each other in the
+tests.
 
-`_condense_rows` is the one condensation step.  Each job has one loop over
-it:
-
-- `pfaffian`: one Pfaffian, curing a zero pivot from row 0 alone;
-- `_LeadingPass`: without pivoting, one pass gives every leading order (the
-  pivot after step t is the Pfaffian of the leading 2t x 2t block), and a
-  border column carried along gives the bordered Pfaffian of each odd
-  leading block; `rung(t)` reads both off the steps the pass stores, and
-  `_deletion_vector` back-substitutes through them.  The pass is kept
-  after it ends, so that a larger input of the same ladder resumes it
-  instead of starting again; a fresh pass is
-  `_LeadingPass().resume(m.rows, column)`.
+`_condense_rows` is the one condensation step and `_LeadingPass.resume` the
+one loop over it.  Without pivoting, one pass gives every leading order
+(the pivot after step t is the Pfaffian of the leading 2t x 2t block), and
+a border column carried along gives the bordered Pfaffian of each odd
+leading block; `rung(t)` reads both off the steps the pass stores, and
+`_deletion_vector` back-substitutes through them.  The pass is kept after
+it ends, so that a larger input of the same ladder resumes it instead of
+starting again; a fresh pass is `_LeadingPass().resume(m.rows, column)`.
+A zero leading pivot raises ArithmeticError: every leading pivot the
+package condenses is a tiling count, never 0 (see `counts.count_off_diag`).
 
 Also here: one fraction-free (Bareiss) elimination, `_echelon`, for both the
 determinant and the rank of an integer matrix, and the bordered-matrix
-constructor used by the counting layer.
+constructor that `matrices.matrix_b` builds on.
 """
 
 from __future__ import annotations
@@ -146,37 +145,6 @@ def _condense_row(top, second, row, ui, vi, start, stop, prev, out) -> None:
         if r:
             raise ArithmeticError("inexact division; input not skew?")
         out.append(q)
-
-
-def pfaffian(m: SkewMatrix) -> int:
-    """Exact Pfaffian, by fraction-free condensation.
-
-    Each step condenses the two leading rows/columns into the rest via
-    new_ij = (p * cur_ij + cur_1i * cur_0j - cur_0i * cur_1j) / p_prev,
-    where p is the current (0,1) pivot and p_prev the previous one.  The
-    working entries (i, j), i < j, are Pfaffian minors of the input, so
-    every division is exact; the last pivot is the Pfaffian.  A zero pivot
-    is cured from row 0 alone: if it is all zero, vertex 0 has no partner
-    and the Pfaffian is 0; else row and column j, the first column where
-    row 0 is nonzero, are added to row and column 1 (upper entries only;
-    the diagonal is 0).  That congruence has determinant 1, so the
-    Pfaffian is unchanged and no sign is kept.
-    """
-    if m.order % 2:
-        return 0
-    a = [list(row) for row in m.rows]
-    prev = 1
-    while a:
-        top, second = a[0], a[1]
-        j = next((j for j, e in enumerate(top) if e), None)
-        if j is None:
-            return 0
-        if j > 1:
-            top[1] = top[j]
-            for c in range(2, len(second)):
-                second[c] += a[j][c] if c > j else -a[c][j]
-        a, prev = _condense_rows(top, second, a[2:], 2, prev), top[1]
-    return prev
 
 
 class _LeadingPass:

@@ -438,18 +438,6 @@ def _check_deletion_ratios(n_max: int):
     return f"odd orders 3..{cap}", failures
 
 
-@_registered("identities", "deletion-vector-alternating-sum")
-def _check_deletion_alternating_sum(n_max: int):
-    cap = _odd_cap(n_max)
-    failures = []
-    for n in range(1, cap + 1, 2):
-        o = o_vector(n)
-        acc = sum((-1) ** (k + 1) * o[k] for k in range(1, n))
-        if acc != 0:
-            failures.append({"n": n, "sum": acc})
-    return f"odd orders <= {cap}, entries after the first", failures
-
-
 @_registered("identities", "deletion-vector-bordered-route")
 def _check_bordered_route(n_max: int):
     cap = min(_odd_cap(n_max), 13)

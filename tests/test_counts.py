@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +19,8 @@ from offdiag.counts import (
 )
 from offdiag.matrices import matrix_a, matrix_b
 from offdiag.paths import delannoy
-from offdiag.pfaffian import pfaffian, principal_submatrix
+from offdiag.pfaffian import (_LeadingPass, pfaffian_cofactor,
+                              principal_submatrix)
 
 O_VECTORS = {
     1: (1,),
@@ -40,6 +42,16 @@ D_VECTORS = {
     ("minus", 7): (0, 624, 2496, 1040, 2496, 624, 0),
     ("plus", 7): (624, 3120, 2288, 2288, 2288, 3120, 624),
 }
+
+
+def fresh_pfaffian(m):
+    """Pf of an even-order matrix of the package, whose leading pivots are
+    counts: the last pivot of one fresh pass over it, checked against the
+    cofactor route where that is cheap (order <= 16)."""
+    got = _LeadingPass().resume(m.rows, [0] * m.order).pivot
+    if m.order <= 16:
+        assert got == pfaffian_cofactor(m)
+    return got
 
 
 def test_o_vector_fixtures():
@@ -85,9 +97,11 @@ def test_count_off_diag_subsets():
 
 
 def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
-    # every kept set at every order up to 16 is one principal block of the
-    # column memo of A, grown once to order 16, and gives the Pfaffian of
-    # the principal submatrix of A(n)
+    # every even kept set at every order up to 16 is one principal block of
+    # the column memo of A, grown once to order 16, and an odd one counts 0
+    # and builds nothing; every kept set gives the cofactor Pfaffian of the
+    # principal submatrix of A(n), all of them at n <= 8, and every even
+    # kept set of [12] counts at least 1, so no leading pivot is 0
     blocks = []
     block = offdiag.counts._a_block
 
@@ -96,13 +110,28 @@ def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
         return block(rows, cols)
 
     monkeypatch.setattr(offdiag.counts, "_a_block", counted)
+
+    def by_cofactor(n, kept):
+        return pfaffian_cofactor(principal_submatrix(matrix_a(n), kept))
+
     rng = random.Random(11)
+    sizes = []  # the size of each kept set asked
     for n in range(16, 0, -1):
         kept = rng.sample(range(1, n + 1), rng.randint(0, n))
-        assert count_off_diag(n, kept) == pfaffian(
-            principal_submatrix(matrix_a(n), kept))
-        assert count_off_diag(n) == pfaffian(matrix_a(n))
-    assert blocks == [0] + [16] * 31
+        assert count_off_diag(n) == pfaffian_cofactor(matrix_a(n))
+        assert count_off_diag(n, kept) == by_cofactor(n, kept)
+        sizes += [n, len(kept)]
+    for n in range(1, 9):
+        for size in range(n + 1):
+            for kept in combinations(range(1, n + 1), size):
+                assert count_off_diag(n, kept) == by_cofactor(n, kept)
+                sizes.append(size)
+    for size in range(0, 13, 2):
+        for kept in combinations(range(1, 13), size):
+            assert count_off_diag(12, kept) >= 1
+            sizes.append(size)
+    even = sum(size % 2 == 0 for size in sizes)
+    assert blocks == [0] + [16] * (even - 1)
     assert len(offdiag.matrices._A_COLUMNS) == 16
 
 
@@ -115,7 +144,8 @@ def test_requests_grow_the_columns_of_a_once(empty_ladders):
         n = 2 * rng.randint(0, 12) + 1
         m, k = 2 * rng.randint(1, 12), rng.randint(1, 26)
         requests += [(o_vector, n, n + 1), (count_nearly, n, n + 1),
-                     (even_order_full, m, m), (count_off_diag, k, k),
+                     (even_order_full, m, m),
+                     (count_off_diag, k, 0 if k % 2 else k),
                      (matrix_a, k, k),
                      (lambda n: d_entry_bordered("pm", n, 1), n, n)]
     rng.shuffle(requests)
@@ -212,13 +242,13 @@ def test_ratio_identities():
 def test_one_pass_ladders_match_per_order_counts():
     # ask for the largest orders first, as the scans do, so the lower orders
     # are rung reads of one grown pass; compare every rung with per-order
-    # Pfaffians (pivoting condensation) and with the n separate Pfaffians of
-    # the direct deletion route
+    # Pfaffians (a fresh pass per order) and with the n separate Pfaffians
+    # of the direct deletion route
     even_order_full(42)
     o_vector(41)
     for m in range(1, 22):
-        assert even_order_full(2 * m) == pfaffian(matrix_a(2 * m))
-        assert count_nearly(2 * m - 1) == pfaffian(matrix_b(2 * m))
+        assert even_order_full(2 * m) == fresh_pfaffian(matrix_a(2 * m))
+        assert count_nearly(2 * m - 1) == fresh_pfaffian(matrix_b(2 * m))
     for n in range(1, 42, 2):
         assert o_vector(n) == _o_vector_direct(n)
     with pytest.raises(ValueError):
@@ -237,14 +267,16 @@ def test_memo_answers_match_the_independent_routes(arrange, empty_ladders):
     for n in orders:
         if n % 2:
             assert o_vector(n) == _o_vector_direct(n)
-            assert count_nearly(n) == pfaffian(matrix_b(n + 1))
+            assert count_nearly(n) == fresh_pfaffian(matrix_b(n + 1))
         else:
-            assert even_order_full(n) == pfaffian(matrix_a(n))
+            assert even_order_full(n) == fresh_pfaffian(matrix_a(n))
 
 
 def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
                                                    empty_ladders):
-    want = (pfaffian(matrix_b(22)), pfaffian(matrix_a(22)))
+    # the references run their own passes, so they run before the spies
+    want = (fresh_pfaffian(matrix_b(22)), fresh_pfaffian(matrix_a(22)))
+    direct = _o_vector_direct(21)
     passes, substituted = [], []
     resume = offdiag.pfaffian._LeadingPass.resume
     read = offdiag.counts._deletion_vector
@@ -282,7 +314,7 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
     # a larger request resumes the pass: only the two rows it adds are
     # condensed past the stored steps, and that serves the rest
     assert (count_nearly(21), even_order_full(22)) == want
-    assert o_vector(21) == _o_vector_direct(21)
+    assert o_vector(21) == direct
     assert passes == [2] and substituted[-1] == 21
 
 

@@ -15,7 +15,7 @@ from offdiag.matrices import (
     t_array,
 )
 from offdiag.paths import delannoy
-from offdiag.pfaffian import pfaffian
+from offdiag.pfaffian import pfaffian_cofactor
 
 FIRST_ROW_TABLE = (
     (1,),
@@ -60,10 +60,10 @@ def test_matrix_a_fixtures():
 
 
 def test_matrix_a_pfaffians():
-    assert pfaffian(matrix_a(2)) == 2
-    assert pfaffian(matrix_a(4)) == 12
-    assert pfaffian(matrix_a(6)) == 312
-    assert pfaffian(matrix_a(3)) == 0
+    assert pfaffian_cofactor(matrix_a(2)) == 2
+    assert pfaffian_cofactor(matrix_a(4)) == 12
+    assert pfaffian_cofactor(matrix_a(6)) == 312
+    assert pfaffian_cofactor(matrix_a(3)) == 0
     with pytest.raises(ValueError):
         matrix_a(0)
 
@@ -135,8 +135,8 @@ def test_matrix_b_fixture():
         (-2, -2, 0, 10),
         (-2, -4, -10, 0),
     )
-    assert pfaffian(matrix_b(4)) == 16
-    assert pfaffian(matrix_b(6)) == 312
+    assert pfaffian_cofactor(matrix_b(4)) == 16
+    assert pfaffian_cofactor(matrix_b(6)) == 312
     with pytest.raises(ValueError):
         matrix_b(3)
     with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import offdiag.pfaffian
 from offdiag.matrices import matrix_a
 from offdiag.pfaffian import (
     SkewMatrix,
@@ -12,7 +11,6 @@ from offdiag.pfaffian import (
     _LeadingPass,
     bordered_skew,
     determinant,
-    pfaffian,
     pfaffian_cofactor,
     principal_submatrix,
     rational_rank,
@@ -90,11 +88,24 @@ def random_skew(rng, order, lo=-50, hi=50):
 
 
 def test_trivial_orders():
-    empty = SkewMatrix(())
-    assert pfaffian(empty) == 1
-    assert pfaffian_cofactor(empty) == 1
-    assert pfaffian(SkewMatrix(((0,),))) == 0
-    assert pfaffian(SkewMatrix(((0, 7), (-7, 0)))) == 7
+    assert pfaffian_cofactor(SkewMatrix(())) == 1
+    assert pfaffian_cofactor(SkewMatrix(((0,),))) == 0
+    assert pfaffian_cofactor(SkewMatrix(((0, 7), (-7, 0)))) == 7
+    # the condensation's pass over the empty input has pivot 1
+    assert _LeadingPass().pivot == 1
+
+
+def assert_condensed(m, want):
+    """One fresh leading pass over m, of even order, ends on the pivot
+    `want` = Pf(m) where every leading pivot is nonzero, and raises
+    ArithmeticError where one is 0."""
+    column = [0] * m.order
+    if all(pfaffian_cofactor(leading(m, 2 * t))
+           for t in range(1, m.order // 2 + 1)):
+        assert _LeadingPass().resume(m.rows, column).pivot == want
+    else:
+        with pytest.raises(ArithmeticError):
+            _LeadingPass().resume(m.rows, column)
 
 
 def test_routes_agree_with_matching_expansion():
@@ -104,7 +115,8 @@ def test_routes_agree_with_matching_expansion():
         m = random_skew(rng, order, -9, 9)
         want = naive_pfaffian(m.rows)
         assert pfaffian_cofactor(m) == want
-        assert pfaffian(m) == want
+        if order % 2 == 0:
+            assert_condensed(m, want)
 
 
 def test_routes_agree_at_larger_orders():
@@ -115,17 +127,10 @@ def test_routes_agree_at_larger_orders():
             order = rng.randint(lo, hi)
             m = random_skew(rng, order)
             cofactor = pfaffian_cofactor(m)
-            assert pfaffian(m) == cofactor
             if order % 2:
                 assert cofactor == 0
-
-
-def test_elimination_handles_zero_pivots():
-    rng = random.Random(107)
-    for _ in range(200):
-        order = rng.randint(2, 10)
-        m = random_skew(rng, order, -1, 1)
-        assert pfaffian(m) == pfaffian_cofactor(m)
+            else:
+                assert_condensed(m, cofactor)
 
 
 def test_square_is_determinant():
@@ -134,7 +139,7 @@ def test_square_is_determinant():
         for _ in range(count):
             order = rng.randint(0, hi)
             m = random_skew(rng, order)
-            pf = pfaffian(m)
+            pf = pfaffian_cofactor(m)
             assert pf * pf == determinant(m.rows) == naive_determinant(m.rows)
 
 
@@ -150,8 +155,8 @@ def test_swapping_two_indices_negates_the_pfaffian():
         swapped = SkewMatrix(
             tuple(tuple(m.rows[perm[r]][perm[c]] for c in range(order))
                   for r in range(order)))
-        pf = pfaffian(m)
-        assert pfaffian(swapped) == -pf
+        pf = pfaffian_cofactor(m)
+        assert pfaffian_cofactor(swapped) == -pf
         nonzero += pf != 0
     assert nonzero > 100
 
@@ -185,7 +190,7 @@ def test_non_integer_entries_are_refused():
         bordered_skew(SkewMatrix([[0]]), [1.7])
     with pytest.raises(TypeError):
         leading_steps(SkewMatrix([[0]]), [(Fraction(1, 2),)])
-    assert pfaffian(SkewMatrix([[0, True], [-1, 0]])) == 1
+    assert pfaffian_cofactor(SkewMatrix([[0, True], [-1, 0]])) == 1
 
 
 def test_principal_submatrix():
@@ -234,10 +239,11 @@ def test_bordered_skew_layout_and_sign():
         labels = range(1, n + 1)
         want = sum(
             (-1) ** (k - 1) * col[k - 1]
-            * pfaffian(principal_submatrix(m, [i for i in labels if i != k]))
+            * pfaffian_cofactor(
+                principal_submatrix(m, [i for i in labels if i != k]))
             for k in labels
         )
-        assert pfaffian(bordered) == want
+        assert pfaffian_cofactor(bordered) == want
         with pytest.raises(ValueError):
             bordered_skew(m, col[:-1])
 
@@ -301,42 +307,6 @@ def test_deletion_pfaffians_match_cofactor_on_random_skew():
                 deletion_rungs(m)
             raised += 1
     assert raised > 100 and read > 100
-    # even orders through the same loop: pfaffian against the cofactor
-    # route, counting the inputs whose first step needs the row-0 repair,
-    # with row 0 all zero and with row 0 nonzero but a zero (0,1)
-    zero_row = swap_in_row = nonzero = 0
-    for _ in range(1500):
-        m = sparse_skew(rng, rng.choice((2, 4, 6, 8, 10)), rng.random())
-        got = pfaffian(m)
-        assert got == pfaffian_cofactor(m)
-        nonzero += got != 0
-        if not any(m.rows[0]):
-            zero_row += 1
-        elif m.rows[0][1] == 0:
-            swap_in_row += 1
-    assert zero_row > 100 and swap_in_row > 100 and nonzero > 100
-
-
-def test_zero_pivot_repair_reads_row_0_only(monkeypatch):
-    # a zero (0,1) pivot is cured from row 0 alone: an all-zero row 0 gives
-    # 0 before any step, whatever pair the other rows hold, and a nonzero
-    # (0,j) is added into (0,1), one step per two rows as without a repair
-    steps = 0
-    condense = offdiag.pfaffian._condense_rows
-
-    def counted(*args):
-        nonlocal steps
-        steps += 1
-        return condense(*args)
-
-    monkeypatch.setattr(offdiag.pfaffian, "_condense_rows", counted)
-    m = SkewMatrix([[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 0, 3],
-                    [0, -2, -3, 0]])
-    assert (pfaffian(m), steps) == (0, 0)
-    m = SkewMatrix([[0, 0, 5, 0], [0, 0, 1, 2], [-5, -1, 0, 3],
-                    [0, -2, -3, 0]])
-    assert pfaffian(m) == pfaffian_cofactor(m) == -10
-    assert steps == 2
 
 
 def test_deletion_pfaffians_small_cases():
@@ -453,7 +423,7 @@ def test_zero_leading_pivot_raises_on_the_leading_path():
     # Pf = a01 a23 - a02 a13 + a03 a12 = 0 - 1 + 6: a zero (0, 1) pivot
     m = SkewMatrix(((0, 0, 1, 2), (0, 0, 3, 1), (-1, -3, 0, 5),
                     (-2, -1, -5, 0)))
-    assert pfaffian(m) == naive_pfaffian(m.rows) == 5
+    assert pfaffian_cofactor(m) == naive_pfaffian(m.rows) == 5
     with pytest.raises(ArithmeticError):
         leading_steps(m, [0] * 4)
     odd = bordered_skew(m, (1, 1, 1, 1))
@@ -464,7 +434,7 @@ def test_zero_leading_pivot_raises_on_the_leading_path():
                     (-1, 1, 0, 1, 0, 0), (0, -1, -1, 0, 1, 0),
                     (0, 1, 0, -1, 0, 0), (-1, 0, 0, 0, 0, 0)))
     assert pfaffian_cofactor(leading(m, 4)) == 0
-    assert pfaffian(m) == pfaffian_cofactor(m) == -2
+    assert pfaffian_cofactor(m) == naive_pfaffian(m.rows) == -2
     # two steps run on the leading 3 x 3 block; the third needs Pf = 0
     assert [p for p, _ in leading_steps(leading(m, 3), [0] * 3)] == [1, 1]
     with pytest.raises(ArithmeticError):
