@@ -1,6 +1,7 @@
 """Builders for the structured integer matrices behind the tiling counts.
 
-Everything is exact and kept as tuples of ints; each matrix has one builder.
+Everything is exact and kept as tuples of ints; each matrix has one builder,
+and the module holds no state: every call builds what it returns.
 The skew-symmetric recurrence matrix A drives the off-diagonal counts via its
 Pfaffian; its bordered companion counts the nearly off-diagonal tilings; the
 Delannoy weights of each diagonal cell turn the deletion counts into
@@ -22,27 +23,25 @@ from . import series
 # pass takes about 0.3 s at order 100, 3 s at 150 and 17 s at 200.
 MAX_ORDER = 200
 
-# A's one memo, grown only to the largest order asked: column j holds a_ij
-# for i < j (0-based), built from column j - 1 by the recurrence.
-_A_COLUMNS: list[tuple[int, ...]] = []
-
 
 def _a_block(rows, cols) -> list[tuple[int, ...]]:
-    """The rows x cols block (0-based) of A, off `_A_COLUMNS` grown first
-    to the largest index asked; an order past MAX_ORDER is refused."""
+    """The rows x cols block (0-based, in the order given) of A.  Column j
+    of A's upper triangle (a_ij for i < j) is built from column j - 1 by
+    the recurrence, up to the largest index asked; an order past MAX_ORDER
+    is refused before any column is built."""
     rows, cols = list(rows), list(cols)
     order = max(rows + cols, default=-1) + 1
     if order > MAX_ORDER:
         raise ValueError(f"A is built up to order {MAX_ORDER}; this needs "
                          f"order {order}")
-    a = _A_COLUMNS
-    while len(a) < order:
-        prev, j = a[-1] if a else (), len(a)
+    a = []
+    for j in range(order):
+        prev = a[-1] if a else ()
         col = [2] if j else []
         for i in range(1, j):
             col.append(col[i - 1] + prev[i - 1]
                        + (prev[i] if i < j - 1 else 2 * (-1) ** i))
-        a.append(tuple(col))
+        a.append(col)
     return [tuple(a[j][i] if i < j else -a[i][j] if j < i else 0
                   for j in cols) for i in rows]
 

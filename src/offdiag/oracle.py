@@ -28,6 +28,8 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import index
 
+from .pfaffian import _kept_indices
+
 Square = tuple[int, int]
 Domino = tuple[Square, Square]
 
@@ -72,7 +74,8 @@ class Region(namedtuple("Region", "n kept squares")):
 
 def build_region(n: int, kept=None) -> Region:
     """The order-n diamond, minus the boundary squares (and their mirrors)
-    whose labels are not kept; labels go through `operator.index`.  No
+    whose labels are not kept; labels are refused as the counts refuse them
+    (`pfaffian._kept_indices`).  No
     consumer takes an order above _MAX_COUNTED_ORDER, so a larger n is
     refused before a square is built: the build is O(n^2) in time and
     memory."""
@@ -83,13 +86,7 @@ def build_region(n: int, kept=None) -> Region:
         raise ValueError("region too large for exhaustive enumeration")
     if kept is None:
         kept = range(1, n + 1)
-    kept = list(map(index, kept))
-    if len(set(kept)) < len(kept):
-        raise ValueError(f"kept labels repeat: {sorted(kept)}")
-    kept = frozenset(kept)
-    for i in kept:
-        if not 1 <= i <= n:
-            raise ValueError(f"labels must be within 1..{n}")
+    kept = frozenset(i + 1 for i in _kept_indices(kept, n))
     squares = {
         (a, b)
         for a in range(-n, n)
@@ -402,7 +399,8 @@ def tiling_to_paths(region: Region, tiling) -> dict:
 
 
 def paths_to_tiling(region: Region, paths):
-    """Rebuild the mirror-symmetric tiling from its path decomposition.
+    """Rebuild the mirror-symmetric tiling from its path decomposition, the
+    dict that tiling_to_paths returns.
 
     Inverse of tiling_to_paths for valid families: step dominoes follow the
     paths, endpoints on the axis column become straddling dominoes, every
@@ -410,11 +408,9 @@ def paths_to_tiling(region: Region, paths):
     the right half is the mirror image.
     """
     n = region.n
-    if isinstance(paths, dict):
-        paths = paths.values()
     used_blacks = set()
     left = set()
-    for path in paths:
+    for path in paths.values():
         squares = [point_to_square(n, p) for p in path]
         for sq in squares:
             if sq in used_blacks:

@@ -70,8 +70,10 @@ def principal_submatrix(m: SkewMatrix, keep) -> SkewMatrix:
 
 
 def _kept_indices(keep, order: int) -> list[int]:
-    """The sorted 0-based indices of the labels `keep` of principal_submatrix
-    for a matrix of the given order, refusing repeated or outside labels."""
+    """The sorted 0-based indices of the labels `keep` for a matrix or
+    region of the given order, refusing repeated or outside labels: the one
+    check of kept labels, for principal_submatrix, count_off_diag and
+    oracle.build_region."""
     idx = sorted(map(index, keep))
     if len(set(idx)) < len(idx):
         raise ValueError(f"kept labels repeat: {idx}")

@@ -15,15 +15,13 @@ ACCEPTANCE_LINES = []
 
 @pytest.fixture
 def empty_ladders(monkeypatch):
-    """Start the per-process count memos (the ladder's pass and the
-    deletion vectors read off it), and the column memo of A its rows are
-    read off, empty and restore them afterwards, so a test that fakes
-    `_a_block` or counts condensation passes or columns of A neither leaves
+    """Start the per-process count memos, the ladder's pass and the
+    deletion vectors read off it, empty and restore them afterwards, so a
+    test that fakes `_a_block` or counts condensation passes neither leaves
     rungs behind nor reads rungs an earlier test computed."""
     monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
                         offdiag.pfaffian._LeadingPass())
     monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
-    monkeypatch.setattr(offdiag.matrices, "_A_COLUMNS", [])
 
 
 @pytest.fixture

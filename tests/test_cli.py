@@ -106,12 +106,19 @@ def test_count_usage_errors(capsys):
     code, _, err = run(capsys, "count", "even", "--n", "5")
     assert code == 2
     # repeated kept labels are refused before computing, not deduplicated,
-    # by the one library check `count` and `render` share
+    # and outside ones alike, by the one library check `count` and `render`
+    # share
     code, out, err = run(capsys, "count", "o", "--n", "3", "--kept", "1,1",
                          "--format", "json")
     assert (code, out) == (2, "")
     assert err == "error: kept labels repeat: [1, 1]\n"
-    assert run(capsys, "render", "--n", "3", "--kept", "1,1") == (2, "", err)
+    for kept, message in (("0", "labels must be within 1..3"),
+                          ("4", "labels must be within 1..3"),
+                          ("1,1", "kept labels repeat: [1, 1]")):
+        err = f"error: {message}\n"
+        for command in ("render", "count o"):
+            argv = (*command.split(), "--n", "3", "--kept", kept)
+            assert run(capsys, *argv) == (2, "", err), argv
     # a label that is not an integer gets one clear line
     code, out, err = run(capsys, "count", "o", "--n", "5", "--kept", "a")
     assert (code, out) == (2, "")

@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 import offdiag.counts
-import offdiag.matrices
 import offdiag.pfaffian
 from offdiag.counts import (
     MAX_ORDER,
@@ -98,15 +97,15 @@ def test_count_off_diag_subsets():
 
 def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
     # every even kept set at every order up to 16 is one principal block of
-    # the column memo of A, grown once to order 16, and an odd one counts 0
-    # and builds nothing; every kept set gives the cofactor Pfaffian of the
-    # principal submatrix of A(n), all of them at n <= 8, and every even
-    # kept set of [12] counts at least 1, so no leading pivot is 0
+    # A, and an odd one counts 0 and builds nothing; every kept set gives
+    # the cofactor Pfaffian of the principal submatrix of A(n), all of them
+    # at n <= 8, and every even kept set of [12] counts at least 1, so no
+    # leading pivot is 0
     blocks = []
     block = offdiag.counts._a_block
 
     def counted(rows, cols):
-        blocks.append(len(offdiag.matrices._A_COLUMNS))
+        blocks.append(len(rows))
         return block(rows, cols)
 
     monkeypatch.setattr(offdiag.counts, "_a_block", counted)
@@ -130,34 +129,7 @@ def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
         for kept in combinations(range(1, 13), size):
             assert count_off_diag(12, kept) >= 1
             sizes.append(size)
-    even = sum(size % 2 == 0 for size in sizes)
-    assert blocks == [0] + [16] * (even - 1)
-    assert len(offdiag.matrices._A_COLUMNS) == 16
-
-
-def test_requests_grow_the_columns_of_a_once(empty_ladders):
-    # whatever mix of requests arrives, the column memo of A grows only to
-    # the largest order of A asked, and a column once built is never rebuilt
-    rng = random.Random(23)
-    requests = []  # (count, its order argument, the order of A it reads)
-    for _ in range(8):
-        n = 2 * rng.randint(0, 12) + 1
-        m, k = 2 * rng.randint(1, 12), rng.randint(1, 26)
-        requests += [(o_vector, n, n + 1), (count_nearly, n, n + 1),
-                     (even_order_full, m, m),
-                     (count_off_diag, k, 0 if k % 2 else k),
-                     (matrix_a, k, k),
-                     (lambda n: d_entry_bordered("pm", n, 1), n, n)]
-    rng.shuffle(requests)
-    columns = offdiag.matrices._A_COLUMNS
-    built, largest = [], 0
-    for call, n, order in requests:
-        call(n)
-        largest = max(largest, order)
-        assert len(columns) == largest
-        assert all(old is new for old, new in zip(built, columns))
-        built = list(columns)
-    assert columns is offdiag.matrices._A_COLUMNS and largest == 26
+    assert blocks == [size for size in sizes if size % 2 == 0]
 
 
 def test_count_nearly_fixtures():
@@ -373,7 +345,6 @@ def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
                  lambda: d_vector("pm", MAX_ORDER + 1)):
         with pytest.raises(ValueError, match="largest supported order"):
             call()
-    assert len(offdiag.matrices._A_COLUMNS) == 10
     monkeypatch.setattr(offdiag.counts, "_a_block", zero_added_rows)
     for call in (lambda: even_order_full(12), lambda: count_nearly(11),
                  lambda: o_vector(11), lambda: d_vector("pm", 11)):

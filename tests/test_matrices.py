@@ -1,10 +1,11 @@
+import random
 import time
 
 import pytest
 
-import offdiag.matrices
 from offdiag.matrices import (
     MAX_ORDER,
+    _a_block,
     defect_weights,
     g_sequence,
     matrix_a,
@@ -84,16 +85,34 @@ def recurrence_table(n):
         for i in range(1, n + 1))
 
 
-def test_matrix_a_matches_its_recurrence_table(empty_ladders):
-    # the column memo, grown from empty in any order, against the table
+def test_matrix_a_matches_its_recurrence_table():
     for n in (7, 1, 40, 23, 2):
         assert matrix_a(n).rows == recurrence_table(n)
-    assert len(offdiag.matrices._A_COLUMNS) == 40
+
+
+def test_a_block_reads_rows_and_columns_in_the_order_given():
+    # the counts ask only for sorted labels and ranges; here unsorted,
+    # gappy row and column lists that differ, asked in shuffled order, are
+    # each the block of the table of A(40) on those rows and columns
+    rng = random.Random(29)
+    table = recurrence_table(40)
+    requests = [([39, 3, 17, 0], [5, 38, 2]), ([], [7, 1]), ([12, 4], [])]
+    while len(requests) < 24:
+        n = rng.randint(4, 40)
+        rows = rng.sample(range(n), rng.randint(2, n - 1))
+        cols = rng.sample(range(n), rng.randint(2, n - 1))
+        if (rows != cols and rows != sorted(rows) and cols != sorted(cols)
+                and max(rows) - min(rows) >= len(rows)
+                and max(cols) - min(cols) >= len(cols)):
+            requests.append((rows, cols))
+    rng.shuffle(requests)
+    for rows, cols in requests:
+        assert _a_block(rows, cols) == [tuple(table[i][j] for j in cols)
+                                        for i in rows]
 
 
 def test_matrix_a_refuses_orders_past_max_order():
     # refused before a column is built: matrix_a(2000) used to run 7 s
-    built = len(offdiag.matrices._A_COLUMNS)
     start = time.perf_counter()
     for call in (lambda: matrix_a(2000), lambda: matrix_a(MAX_ORDER + 1),
                  lambda: matrix_b(MAX_ORDER + 2)):
@@ -101,7 +120,6 @@ def test_matrix_a_refuses_orders_past_max_order():
                                              f"{MAX_ORDER}; this needs"):
             call()
     assert time.perf_counter() - start < 0.05
-    assert len(offdiag.matrices._A_COLUMNS) == built
     assert matrix_a(MAX_ORDER).order == MAX_ORDER
 
 
