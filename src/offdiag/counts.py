@@ -6,23 +6,27 @@ off-diagonally symmetric tilings of the full odd-order region (count_nearly
 and the per-cell d_vector), and off-diagonally symmetric tilings of the full
 even-order region (even_order_full).
 
-Every count is read off one condensation ladder: the pass of
-`pfaffian._LeadingPass` over A(N) bordered by the doubled Pell column.  A(n)
-is the leading n x n block of A(N) and the doubled Pell column of B(n+1) is
-a prefix of the one for A(N), so by the leading-minor property one pass
-gives every order up to N: its pivots give even_order_full, its border
-entries count_nearly, and `pfaffian._deletion_vector` back-substitutes
-through its stored steps for o_vector and, through it, d_vector.  The
-ladder's per-process memo is its pass of the largest order asked so far: a
-request at or below that order reads the stored steps, a larger one resumes
-the pass to its own order, so however the requests arrive the memo does at
-most the work of one pass at the largest order asked.  The pass's rows and
-count_off_diag's matrices are blocks of A (`matrices._a_block`), and each
-deletion vector is kept once read (`_o_vectors`).  A scan asks for its
-largest order first, which resumes the ladder once.
-count_off_diag and d_entry_bordered each run one fresh pass of the same
-kind, over a kept-set block of A and over A(n) bordered by one cell's
-Delannoy weights, and `_o_vector_direct` stays as the verification route.
+Every count but count_off_diag and d_entry_bordered is read off one
+ladder, a pass over the skew-symmetric Toeplitz matrix X
+(`matrices._x_row`): A(n) = P X(n) P^T with P = [D(i - j, j)] (0-based, D
+the Delannoy numbers) unit lower triangular, and the doubled Pell column of
+B(n + 1) is P (2, ..., 2)^T.  So every leading Pfaffian of A is the leading
+Pfaffian of X, and every Pell-bordered one the leading Pfaffian of X
+bordered by the constant column 2, and one `pfaffian._ToeplitzPass` over
+X(N) bordered by 2 gives every order up to N in O(N^2): its pivots give
+even_order_full, its border entries count_nearly, and
+`pfaffian._deletion_vector` back-substitutes through its stored steps to
+the kernel vector of X(n), which P^(-T) turns into o_vector's and, through
+it, d_vector's.  The ladder's per-process memo is its pass of the largest
+order asked so far: a request at or below that order reads the stored
+steps, a larger one resumes the pass to its own order, so however the
+requests arrive no entry is computed twice.  Each deletion vector is kept
+once read (`_o_vectors`), and a scan asks for its largest order first,
+which resumes the ladder once.  count_off_diag and d_entry_bordered each
+run one fresh `pfaffian._LeadingPass`, over a kept-set block of A and over
+A(n) bordered by one cell's Delannoy weights, blocks of A that
+`matrices._a_block` builds for each request, and `_o_vector_direct` stays
+as the verification route.
 
 Every entry point takes its order through `operator.index` (a float order
 raises TypeError) and refuses a request whose condensation order exceeds
@@ -33,8 +37,10 @@ from __future__ import annotations
 
 from operator import index, mul, neg
 
-from .matrices import MAX_ORDER, _a_block, defect_weights, pell_vector
-from .pfaffian import _deletion_vector, _kept_indices, _LeadingPass
+from .matrices import (MAX_ORDER, _a_block, _p_columns, _x_row,
+                       defect_weights)
+from .pfaffian import (_deletion_vector, _kept_indices, _LeadingPass,
+                       _ToeplitzPass)
 
 
 def _check_order(order: int) -> None:
@@ -54,26 +60,25 @@ def _odd_order(n: int, noun: str) -> int:
     return n
 
 
-# The ladder's per-process memo: the pass of the largest order asked so far
-# (resumable, see `_LeadingPass`), whose rungs are the counts.  Rung m gives
+# The ladder's per-process memo: the pass over X(N) bordered by the constant
+# column 2 of the largest order N asked so far (resumable, see
+# `_ToeplitzPass`), whose rungs are the counts.  Rung m gives
 # even_order_full(2m), rung m - 1 count_nearly(2m - 1), and the steps before
 # rung m o_vector(2m - 1).  A pass that raises leaves its memo as it was.
-_even_nearly_pass = _LeadingPass()
+_even_nearly_pass = _ToeplitzPass(2)
 
 # The deletion vectors read off the ladder so far, keyed by order; a scan
 # asks for each order twice (directly and through d_vector).
 _o_vectors: dict[int, tuple[int, ...]] = {}
 
 
-def _even_nearly(m: int) -> _LeadingPass:
-    """The ladder's pass over at least A(2m) bordered by the doubled Pell
-    column: the memo, or its pass resumed to order 2m."""
+def _even_nearly(m: int) -> _ToeplitzPass:
+    """The ladder's pass over at least X(2m) bordered by the constant column
+    2: the memo, or its pass resumed to order 2m."""
     global _even_nearly_pass
     done = _even_nearly_pass
     if done.order < 2 * m:
-        pell = pell_vector(2 * m)[done.order:]
-        done = _even_nearly_pass = done.resume(
-            _a_block(range(done.order, 2 * m), range(2 * m)), pell)
+        done = _even_nearly_pass = done.resume(_x_row(2 * m))
     return done
 
 
@@ -98,7 +103,7 @@ def count_off_diag(n: int, kept=None) -> int:
     idx = range(n) if kept is None else _kept_indices(kept, n)
     if len(idx) % 2:
         return 0
-    return _LeadingPass().resume(_a_block(idx, idx), [0] * len(idx)).pivot
+    return _LeadingPass(_a_block(idx, idx), [0] * len(idx)).pivot
 
 
 def _o_vector_direct(n: int) -> tuple[int, ...]:
@@ -110,13 +115,16 @@ def o_vector(n: int) -> tuple[int, ...]:
     """All single-deletion counts (|O(n; [n] minus k)| for k = 1..n), odd n.
 
     Entry k is the Pfaffian of the odd-order matrix A(n) with row and column
-    k deleted; all n of them are back-substituted by `_deletion_vector`
-    through the steps of the ladder's pass over A(n + 1), the per-process
-    memo or that pass resumed to order n + 1, and kept in `_o_vectors`.
-    That pass never pivots: the leading pivots of A(n) are the tiling
-    counts even_order_full(2t) > 0, and a zero one would raise
-    ArithmeticError rather than give a wrong vector.  So does a vector off
-    the kernel of A(n): the signed vector ((-1)^(k-1) o_k) must annihilate
+    k deleted, so x_k = (-1)^(k-1) o_k spans the kernel of A(n), with
+    x_n = even_order_full(n - 1).  `_deletion_vector` back-substitutes
+    through the steps of the ladder's pass over X(n + 1), the per-process
+    memo or that pass resumed to order n + 1, for the same vector y of
+    X(n); as A(n) = P X(n) P^T, x = P^(-T) y, solved through the unit upper
+    triangular P^T = [D(j - i, i)], which keeps the scale x_n = y_n.  The
+    vector is kept in `_o_vectors`.  The pass never pivots: its leading
+    pivots are those of A(n), the tiling counts even_order_full(2t) > 0,
+    and a zero one would raise ArithmeticError rather than give a wrong
+    vector.  So does a vector off the kernel of A(n): x must annihilate
     rows 2..n of A(n).  Row 1, (0, 2, ..., 2), then holds too: rows 2..n
     have rank n - 1 when o_1, the Pfaffian of their block in columns 2..n,
     is nonzero (at every supported order), so that vector spans the kernel.
@@ -126,22 +134,27 @@ def o_vector(n: int) -> tuple[int, ...]:
     n = _odd_order(n, "deletion vector")
     got = _o_vectors.get(n)
     if got is None:
-        got = _deletion_vector(_even_nearly((n + 1) // 2), n)
-        signed = list(got)
+        signed = list(_deletion_vector(_even_nearly((n + 1) // 2), n))
         signed[1::2] = map(neg, signed[1::2])
+        cols = _p_columns(n)
+        for i in range(n - 2, -1, -1):
+            signed[i] -= sum(map(mul, cols[i][1:], signed[i + 1:]))
         if any(sum(map(mul, row, signed))
                for row in _a_block(range(1, n), range(n))):
             raise ArithmeticError(f"deletion vector of order {n} is off "
                                   f"the kernel of A({n})")
-        _o_vectors[n] = got
+        signed[1::2] = map(neg, signed[1::2])
+        got = _o_vectors[n] = tuple(signed)
     return got
 
 
 def count_nearly(n: int) -> int:
     """Nearly off-diagonally symmetric tilings of the full odd-order region.
 
-    This is Pf(B(n + 1)), one rung of the Pell-bordered ladder, read from the
-    per-process memo or from its pass resumed to order n + 1."""
+    This is Pf(B(n + 1)), A(n) bordered by the doubled Pell column, which
+    equals Pf of X(n) bordered by the constant column 2: one rung's border
+    entry of the ladder, read from the per-process memo or from its pass
+    resumed to order n + 1."""
     n = _odd_order(n, "nearly count")
     return _even_nearly((n + 1) // 2).rung((n - 1) // 2)[1]
 
@@ -187,15 +200,15 @@ def d_entry_bordered(variant: str, n: int, k: int) -> int:
     n, k = index(n), index(k)
     _odd_order(n, "defect count")
     weights = defect_weights(variant, n, k)
-    return _LeadingPass().resume(_a_block(range(n), range(n)),
-                                 weights).rung(n // 2)[1]
+    return _LeadingPass(_a_block(range(n), range(n)),
+                        weights).rung(n // 2)[1]
 
 
 def even_order_full(n: int) -> int:
     """Off-diagonally symmetric tilings of the full even-order region.
 
-    This is Pf(A(n)), one rung of the Pell-bordered ladder (a leading pivot
-    of its pass), read from the per-process memo or from its pass resumed to
+    This is Pf(A(n)) = Pf(X(n)), one rung of the ladder (a leading pivot of
+    its pass), read from the per-process memo or from its pass resumed to
     order n."""
     n = index(n)
     if n < 2 or n % 2:

@@ -3,7 +3,10 @@
 Everything is exact and kept as tuples of ints; each matrix has one builder,
 and the module holds no state: every call builds what it returns.
 The skew-symmetric recurrence matrix A drives the off-diagonal counts via its
-Pfaffian; its bordered companion counts the nearly off-diagonal tilings; the
+Pfaffian; its bordered companion counts the nearly off-diagonal tilings;
+A = P X P^T, with P the Delannoy matrix and X skew-symmetric Toeplitz, so the
+count ladder runs on X's first row (`_x_row`) and P's columns
+(`_p_columns`) carry its deletion vectors back to A's; the
 Delannoy weights of each diagonal cell turn the deletion counts into
 per-cell defect counts; the involutive triangular matrix R is built from the
 recurrence array, and verify checks it against the path kernel (`r_value`).
@@ -19,8 +22,10 @@ from . import series
 
 
 # The largest order of A built, so of any count's condensation; 200 admits
-# scans to --n-max 100 and every count to n = 199.  On a 2-vCPU VM a cold
-# pass takes about 0.3 s at order 100, 3 s at 150 and 17 s at 200.
+# scans to --n-max 100 and every count to n = 199.  On a 2-vCPU VM the count
+# ladder's cold pass over X takes about 0.03 s at order 100 and 0.7 s at 200,
+# and one fresh condensation of a block of A (count_off_diag,
+# d_entry_bordered) about 0.3 s at order 100 and 9 s at 200.
 MAX_ORDER = 200
 
 
@@ -44,6 +49,31 @@ def _a_block(rows, cols) -> list[tuple[int, ...]]:
         a.append(col)
     return [tuple(a[j][i] if i < j else -a[i][j] if j < i else 0
                   for j in cols) for i in rows]
+
+
+def _x_row(n: int) -> list[int]:
+    """The first row (0, c_1, ..., c_(n-1)) of X(n), the skew-symmetric
+    Toeplitz matrix with x_ij = c_(j-i) for i < j, where
+    c_k = 2 (-1)^(k-1) S_(k-1) and S = 1, 2, 6, 22, 90, ... are the large
+    Schroeder numbers.  With P = [delannoy(i - j, j)] (0-based, unit lower
+    triangular), A(n) = P X(n) P^T and pell_vector(n) = P (2, ..., 2)^T,
+    so A and X share every leading Pfaffian, bordered or not."""
+    return [0] + [-2 * s if k % 2 else 2 * s
+                  for k, s in enumerate(series.schroeder_numbers(n - 1))]
+
+
+def _p_columns(n: int) -> list[list[int]]:
+    """Columns 0..n-1 of P(n) = [delannoy(i - j, j)] (0-based, unit lower
+    triangular) from the diagonal down: column j is delannoy(d, j) for
+    d = 0..n-1-j, built from column j - 1 by Delannoy's recurrence
+    D(d, j) = D(d - 1, j) + D(d, j - 1) + D(d - 1, j - 1)."""
+    cols = [[1] * n]
+    for j in range(1, n):
+        prev, col = cols[-1], [1]
+        for d in range(1, n - j):
+            col.append(col[-1] + prev[d] + prev[d - 1])
+        cols.append(col)
+    return cols
 
 
 def matrix_a(n: int) -> SkewMatrix:

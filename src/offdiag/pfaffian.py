@@ -6,16 +6,19 @@ expansion, public as the clear verification route and as the Pfaffian of an
 arbitrary skew matrix at small orders.  They cross-check each other in the
 tests.
 
-`_condense_rows` is the one condensation step and `_LeadingPass.resume` the
-one loop over it.  Without pivoting, one pass gives every leading order
-(the pivot after step t is the Pfaffian of the leading 2t x 2t block), and
-a border column carried along gives the bordered Pfaffian of each odd
-leading block; `rung(t)` reads both off the steps the pass stores, and
-`_deletion_vector` back-substitutes through them.  The pass is kept after
-it ends, so that a larger input of the same ladder resumes it instead of
-starting again; a fresh pass is `_LeadingPass().resume(m.rows, column)`.
-A zero leading pivot raises ArithmeticError: every leading pivot the
-package condenses is a tiling count, never 0 (see `counts.count_off_diag`).
+`_condense_rows` is the one condensation step and `_LeadingPass` the one
+loop over it.  Without pivoting, one pass gives every leading order (the
+pivot after step t is the Pfaffian of the leading 2t x 2t block), and a
+border column carried along gives the bordered Pfaffian of each odd leading
+block; `rung(t)` reads both off the steps the pass stores, and
+`_deletion_vector` back-substitutes through them.  `_ToeplitzPass` is the
+same pass over a skew-symmetric Toeplitz matrix bordered by a constant
+column, with the same steps, built in O(N) per step from the two pivot rows
+of the step before; it is kept after it ends, so that a larger matrix
+resumes it instead of starting again.  It runs the count ladder, and a
+fresh `_LeadingPass(m.rows, column)` every other count.  A zero leading
+pivot raises ArithmeticError: every leading pivot the package condenses is
+a tiling count, never 0 (see `counts.count_off_diag`).
 
 Also here: one fraction-free (Bareiss) elimination, `_echelon`, for both the
 determinant and the rank of an integer matrix, and the bordered-matrix
@@ -110,81 +113,74 @@ def pfaffian_cofactor(m: SkewMatrix) -> int:
     return pf(tuple(range(m.order)))
 
 
-def _condense_rows(top, second, rows, left, prev) -> list[list[int]]:
-    """One condensation step on the working rows `rows`, sitting at columns
-    left, left+1, ..., with pivot rows `top` and `second`:
+def _condense_rows(top, second, rows, prev) -> list[list[int]]:
+    """One condensation step on the working rows `rows`, which sit at
+    columns 2, 3, ... of the pivot rows `top` and `second`:
     new_ij = (p * a_ij + a_1i * a_0j - a_0i * a_1j) / prev for i, j >= 2,
     where p = a_01 and prev is the previous step's pivot.
 
-    Each row computes its entries in columns 2..left-1 and right of its own
-    column, and writes 0 in the columns of the rows before it and on the
-    diagonal, where no reader looks: a step reads the pivot rows from
-    column 1 on and a working row only where it computes entries, and
-    `rung`, `resume` and `_deletion_vector` read the rows as a step does.
-    Columns past the matrix's are border columns; the same formula carries
-    them along."""
+    Each row computes its entries right of its own column, and writes 0 in
+    the columns of the rows before it and on the diagonal, where no reader
+    looks: a step reads the pivot rows from column 1 on and a working row
+    right of its own column, and `rung` and `_deletion_vector` read the
+    rows as a step does.  Columns past the matrix's are border columns; the
+    same formula carries them along."""
+    p = top[1]
     nxt = []
     for k, row in enumerate(rows):
-        i = left + k
-        new_row = []
-        _condense_row(top, second, row, top[i], second[i], 2, left, prev,
-                      new_row)
-        new_row += [0] * (k + 1)
-        _condense_row(top, second, row, top[i], second[i], i + 1, len(row),
-                      prev, new_row)
+        i = k + 2
+        ui, vi = top[i], second[i]
+        new_row = [0] * (k + 1)
+        for j in range(i + 1, len(row)):
+            q, r = divmod(p * row[j] + vi * top[j] - ui * second[j], prev)
+            if r:
+                raise ArithmeticError("inexact division; input not skew?")
+            new_row.append(q)
         nxt.append(new_row)
     return nxt
 
 
-def _condense_row(top, second, row, ui, vi, start, stop, prev, out) -> None:
-    """Append to `out` entries start..stop-1 of one working row after a
-    condensation step with pivot rows `top` and `second`, where ui = a_0i
-    and vi = a_1i are the pivot rows' entries in this row's column (the
-    formula of `_condense_rows`)."""
-    p = top[1]
-    for j in range(start, stop):
-        q, r = divmod(p * row[j] + vi * top[j] - ui * second[j], prev)
-        if r:
-            raise ArithmeticError("inexact division; input not skew?")
-        out.append(q)
-
-
 class _LeadingPass:
-    """A leading-order condensation pass, never pivoting, run to its end and
-    kept: it is the memo of every rung it passed, and the pass over a larger
-    input of the same ladder resumes it.
+    """One leading-order condensation pass, never pivoting, over a skew
+    matrix bordered by one column, run to its end.
 
     Without swaps, the pivot after step t is the Pfaffian of the leading
     2t x 2t block of the input (1 for t = 0), and working entry (i, j),
     i < j, is the Pfaffian of that block plus input rows 2t+i and 2t+j (the
-    Pfaffian form of Bareiss's leading-minor property); left of a row's own
-    column an entry is 0 unless `resume` carries it.  One column past the
-    input's is the border column h, which the same step carries along, so
-    working row 0's last entry is the Pfaffian of the leading
-    (2t+1) x (2t+1) block bordered by h.  `rung(t)` reads both;
+    Pfaffian form of Bareiss's leading-minor property); after the first
+    step an entry left of a row's own column or on the diagonal is 0.  One
+    column past the input's is the border column h, which the same step
+    carries along, so working row 0's last entry is the Pfaffian of the
+    leading (2t+1) x (2t+1) block bordered by h.  `rung(t)` reads both;
     `_deletion_vector` reads the single-deletion Pfaffians off the stored
     steps.
 
-    It holds the input order absorbed, each step's divisor and pivot rows
-    (step t holds the pivot and working rows 0 and 1 after t steps), the
-    working rows left (fewer than two) and the last pivot.
-    `_LeadingPass()` is the pass over the empty input, so a fresh pass over m
-    with border column h is `_LeadingPass().resume(m.rows, h)`.
-    `resume` carries the rows a larger input adds through the stored steps
-    and then runs the steps they allow.  No entry is condensed twice, so
-    passes at orders N1 < N2 < ... do at most the work of one pass at the
-    last order, however the input grows.  A _LeadingPass is never
-    changed; `resume` returns a new one, so a pass that raises leaves the
-    old one as it was.
+    It holds the input order, each step's divisor and pivot rows (step t
+    holds the pivot and working rows 0 and 1 after t steps), the working
+    rows left (fewer than two) and the last pivot.  `_LeadingPass(m.rows, h)`
+    is the pass over m bordered by h, and `_LeadingPass()` the pass over the
+    empty input.  A zero leading pivot raises ArithmeticError.
     """
 
     __slots__ = ("order", "steps", "rows", "pivot")
 
-    def __init__(self):
-        self.order = 0
-        self.steps: tuple[tuple[int, list[int], list[int]], ...] = ()
-        self.rows: list[list[int]] = []
-        self.pivot = 1
+    def __init__(self, rows=(), column=()):
+        order = len(rows)
+        if len(column) != order:
+            raise ValueError("column must have one entry per row")
+        if any(len(row) != order for row in rows):
+            raise ValueError(f"each row must have {order} entries")
+        rows = [list(map(index, row)) + [index(h)]
+                for row, h in zip(rows, column)]
+        steps, pivot = [], 1
+        while len(rows) >= 2:
+            p = rows[0][1]
+            if not p:
+                raise ArithmeticError("zero pivot in condensation")
+            steps.append((pivot, rows[0], rows[1]))
+            rows, pivot = _condense_rows(rows[0], rows[1], rows[2:], pivot), p
+        self.order, self.steps = order, tuple(steps)
+        self.rows, self.pivot = rows, pivot
 
     def rung(self, t: int) -> tuple[int, int | None]:
         """(Pf of the input's leading 2t x 2t block, working row 0's border
@@ -197,44 +193,104 @@ class _LeadingPass:
             return self.steps[t][0], self.steps[t][1][-1]
         return self.pivot, self.rows[0][-1] if self.rows else None
 
-    def resume(self, rows, column) -> _LeadingPass:
-        """The pass over this pass's input grown by `rows`.
 
-        `rows` are the rows the larger input adds, each as long as its new
-        order, so the larger input's leading block is this pass's input;
-        `column` holds their border entries, one int per added row.  A zero
-        leading pivot raises ArithmeticError.
-        """
-        order = self.order + len(rows)
-        if len(column) != len(rows):
-            raise ValueError("column must have one entry per added row")
-        if any(len(row) != order for row in rows):
-            raise ValueError(f"each added row must have {order} entries")
-        added = [list(map(index, row)) + [index(h)]
-                 for row, h in zip(rows, column)]
-        # each stored pivot row gains the added columns by skew symmetry; the
-        # added rows then sit at columns left, left+1, ... of the step
-        steps, left = [], self.order
-        for prev, top, second in self.steps:
-            top = top[:left] + [-row[0] for row in added] + top[left:]
-            second = second[:left] + [-row[1] for row in added] + second[left:]
-            steps.append((prev, top, second))
-            added = _condense_rows(top, second, added, left, prev)
-            left -= 2
-        rows = [row[:left] + [-new[i] for new in added] + row[left:]
-                for i, row in enumerate(self.rows)] + added
-        pivot = self.pivot
-        while len(rows) >= 2:
-            p = rows[0][1]
-            if not p:
+class _ToeplitzPass(_LeadingPass):
+    """The `_LeadingPass` over an even-order skew-symmetric Toeplitz matrix
+    X bordered by a constant column h, with the same steps, built in O(N)
+    per step instead of O(N^2), and kept: it is the memo of every rung it
+    passed, and `resume` grows it to a larger X.
+
+    X is fixed by its first row: x_ij = row[j - i] for i < j.  With
+    S_t = {0, ..., 2t - 1}, step t holds p_t = Pf X[S_t] and the pivot rows
+    r_t(j) = Pf X[S_t + {2t, j}] and s_t(j) = Pf X[S_t + {2t + 1, j}] at
+    local column j - 2t, the border's entry last.  Step t + 1 follows from
+    step t alone by the Pfaffian Desnanot-Jacobi identity, once as it
+    stands and once shifted by one index, which the Toeplitz form allows;
+    the constant border maps to itself under the shift, so for the border
+    "j - 1" is the border again:
+        p_(t+1)    = r_t(2t + 1),   g(k) = s_t(k) - r_t(k - 1),
+        q(k)       = s_t(k - 1) + (r_t(2t + 2) g(k) - r_t(k) g(2t + 2))
+                                  / p_(t+1)     (= Pf X[S_t + {2t + 2, k}]),
+        r_(t+1)(j) = (p_(t+1) (s_t(j - 1) + r_t(j))
+                      - r_t(2t + 2) r_t(j - 1)) / p_t,
+        s_(t+1)(j) = (p_(t+1) q(j - 1) - r_t(2t + 3) r_t(j - 1)
+                      + r_t(j) r_t(2t + 2)) / p_t,
+    starting from X's rows 0 and 1 and h.  `_next_step` folds p_(t+1) q
+    into one numerator, so each entry costs one exact division by p_t,
+    checked; a zero pivot raises ArithmeticError.
+
+    `resume(row)` carries the columns a larger X adds through the stored
+    steps and then runs the steps they allow, so no entry is computed
+    twice, however the order grows.  A pass is never changed; `resume`
+    returns a new one, so a pass that raises leaves the old one as it was.
+    """
+
+    __slots__ = ("border",)
+
+    def __init__(self, border):
+        super().__init__()
+        self.border = index(border)
+
+    def resume(self, row) -> _ToeplitzPass:
+        """The pass over the X whose first row is `row`, of even length at
+        least this pass's order.  Its first self.order entries must be this
+        pass's: step 0, X's rows 0 and 1, is read off `row`, and each later
+        stored step keeps the columns it holds.  row[0], on the diagonal,
+        is not read."""
+        order = len(row)
+        if order % 2 or order < self.order:
+            raise ValueError(f"a pass of order {self.order} grows to an "
+                             f"even order, not {order}")
+        row, h = list(map(index, row)), self.border
+        steps, pivot = [], 1
+        for t in range(order // 2):
+            if t:
+                known = self.steps[t][1:] if t < len(self.steps) else None
+                top, second = _next_step(*steps[-1], known)
+            else:
+                top, second = row + [h], [-row[1]] + row[:-1] + [h]
+            if not top[1]:
                 raise ArithmeticError("zero pivot in condensation")
-            steps.append((pivot, rows[0], rows[1]))
-            rows, pivot = _condense_rows(rows[0], rows[1], rows[2:], 2,
-                                         pivot), p
-        grown = _LeadingPass()
-        grown.order, grown.steps = order, tuple(steps)
-        grown.rows, grown.pivot = rows, pivot
+            steps.append((pivot, top, second))
+            pivot = top[1]
+        grown = _ToeplitzPass(h)
+        grown.order, grown.steps, grown.pivot = order, tuple(steps), pivot
         return grown
+
+
+def _exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("inexact division; input not skew Toeplitz?")
+    return q
+
+
+def _next_step(prev, top, second, known=None) -> tuple[list[int], list[int]]:
+    """The pivot rows of the step of a `_ToeplitzPass` after the one with
+    divisor `prev` and pivot rows `top` and `second`, by its recursion.
+
+    `known` is that next step's pivot rows at a smaller order, if any: their
+    entries are kept, border included, and only the columns they lack are
+    computed.  Otherwise the rows start with the zeros left of their own
+    columns and on the diagonal, and their border entries are computed."""
+    p, a = top[1], top[2]
+    c = second[2] - p + top[3]
+    if known is None:
+        tb, sb = top[-1], second[-1]
+        head_top, head_second = [0], [0, 0]
+        border = (_exact(p * (sb + tb) - a * tb, prev),
+                  _exact((p + a) * sb - c * tb, prev))
+    else:
+        head_top, head_second = known[0][:-1], known[1][:-1]
+        border = known[0][-1], known[1][-1]
+    stop = len(top) - 3         # the next step's columns before the border
+    return (head_top
+            + [_exact(p * (second[j + 1] + top[j + 2]) - a * top[j + 1], prev)
+               for j in range(len(head_top), stop)] + [border[0]],
+            head_second
+            + [_exact(p * second[j] + a * (second[j + 1] - top[j] + top[j + 2])
+                      - c * top[j + 1], prev)
+               for j in range(len(head_second), stop)] + [border[1]])
 
 
 def _deletion_vector(done: _LeadingPass, n: int) -> tuple[int, ...]:

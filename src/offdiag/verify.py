@@ -687,7 +687,9 @@ def scan_log_concavity(n_max: int = 35):
     deletion-count vector is log-concave (conjectured, decided by exact
     cross-multiplication); each row records that verdict and whether the
     per-cell defect vector is unimodal, which is not a check (it is
-    expected not to be).
+    expected not to be).  The largest order is asked for first, which
+    resumes the count ladder, the Toeplitz pass of `counts`, once; each
+    deletion vector is then back-substituted through its stored steps.
     """
     n_max = index(n_max)
     if n_max < 1:
@@ -760,8 +762,9 @@ def scan_asymptotics(n_max: int = 35):
     Returns (report, rows).  Roots and gaps are advisory floats; the checks
     are the exact base case and, past the calibration point, that the gap has
     shrunk relative to m=5, decided from exact rational brackets on the
-    roots.  The largest order is asked for first, which resumes the
-    Pell-bordered ladder once; every count is then a rung read.
+    roots.  The largest order is asked for first, which resumes the count
+    ladder, the Toeplitz pass of `counts`, once; every count is then a rung
+    read.
     """
     n_max = index(n_max)
     if n_max < 1:

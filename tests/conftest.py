@@ -1,7 +1,10 @@
 """Collects the acceptance criterion results and prints them as a summary
 section, so the one-line-per-criterion report survives output capture, and
 provides the fixtures that empty the count ladder's memos, empty the graph
-memo, and forbid reads of A."""
+memo, and forbid reads of A and X."""
+
+import shutil
+import tempfile
 
 import pytest
 
@@ -13,14 +16,27 @@ import offdiag.pfaffian
 ACCEPTANCE_LINES = []
 
 
+def pytest_configure(config):
+    """Give hypothesis a temporary home, removed when the run ends: it
+    caches what it reads of the package's source there (from collection
+    on), and would otherwise write it into the checkout."""
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    home = tempfile.mkdtemp(prefix="offdiag-hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+
+
 @pytest.fixture
 def empty_ladders(monkeypatch):
     """Start the per-process count memos, the ladder's pass and the
     deletion vectors read off it, empty and restore them afterwards, so a
-    test that fakes `_a_block` or counts condensation passes neither leaves
+    test that fakes `_x_row` or counts the ladder's work neither leaves
     rungs behind nor reads rungs an earlier test computed."""
     monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
-                        offdiag.pfaffian._LeadingPass())
+                        offdiag.pfaffian._ToeplitzPass(2))
     monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
 
 
@@ -36,14 +52,17 @@ def empty_memos():
 
 @pytest.fixture
 def forbid_a(monkeypatch):
-    """A function that, once called, makes every read of A fail the test:
-    the counts and `matrix_a` read A only through `matrices._a_block`."""
+    """A function that, once called, makes every read of A or X fail the
+    test: the counts and `matrix_a` read A only through `matrices._a_block`,
+    and the ladder reads X only through `matrices._x_row`."""
     def refuse(*args):
-        raise AssertionError("read A for a request that should be refused")
+        raise AssertionError("read A or X for a request that should be "
+                             "refused")
 
     def arm():
         for module in (offdiag.counts, offdiag.matrices):
             monkeypatch.setattr(module, "_a_block", refuse)
+        monkeypatch.setattr(offdiag.counts, "_x_row", refuse)
     return arm
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -302,6 +303,26 @@ def test_scan_matches_golden_output(capsys):
                   "logconcavity", "--n-max", "35", "--format", "json")
     assert_golden(capsys, "scan_asymptotics_n50.json", "scan", "asymptotics",
                   "--n-max", "50", "--format", "json")
+
+
+# sha256 of stdout at the top of the admitted range, recorded before the
+# count ladder moved from a condensation of A to the Toeplitz pass over X;
+# the outputs run to 224 KB and 594 KB, so only their digests are kept.
+# Each is regenerated from a checkout with
+#   PYTHONPATH=src python -m offdiag.cli <argv> | sha256sum
+TOP_OF_RANGE = (
+    (("scan", "asymptotics", "--n-max", "100", "--format", "json"),
+     "3d0c33a9ce180ac4de0f0547e855ce50b5d64c21bb3b0d95e482c12e860ba518"),
+    (("count", "o", "--n", "199", "--all", "--format", "json"),
+     "5b93472847f77ecbaa98a682c85c6d0f11abad1adf85d708be965f4d7c5c868d"),
+)
+
+
+def test_top_of_range_matches_pinned_digests(capsys):
+    for argv, digest in TOP_OF_RANGE:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_oversized_requests_exit_2_up_front(capsys):

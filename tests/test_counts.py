@@ -16,10 +16,10 @@ from offdiag.counts import (
     even_order_full,
     o_vector,
 )
-from offdiag.matrices import matrix_a, matrix_b
+from offdiag.matrices import _x_row, matrix_a, matrix_b, pell_vector
 from offdiag.paths import delannoy
-from offdiag.pfaffian import (_LeadingPass, pfaffian_cofactor,
-                              principal_submatrix)
+from offdiag.pfaffian import (_deletion_vector, _LeadingPass, _ToeplitzPass,
+                              pfaffian_cofactor, principal_submatrix)
 
 O_VECTORS = {
     1: (1,),
@@ -47,7 +47,7 @@ def fresh_pfaffian(m):
     """Pf of an even-order matrix of the package, whose leading pivots are
     counts: the last pivot of one fresh pass over it, checked against the
     cofactor route where that is cheap (order <= 16)."""
-    got = _LeadingPass().resume(m.rows, [0] * m.order).pivot
+    got = _LeadingPass(m.rows, [0] * m.order).pivot
     if m.order <= 16:
         assert got == pfaffian_cofactor(m)
     return got
@@ -229,6 +229,21 @@ def test_one_pass_ladders_match_per_order_counts():
         o_vector(8)
 
 
+def test_ladder_matches_the_condensation_of_a():
+    # the ladder runs on X, whose leading Pfaffians, bordered by 2 or not,
+    # are those of A bordered by the Pell column: at every even order
+    # N <= 64 and at 100 the pass over X(N) has every rung of one fresh
+    # condensation of A(N) bordered by pell_vector(N), and o_vector(N - 1)
+    # is the back-substitution through that condensation
+    for order in [*range(2, 65, 2), 100]:
+        fresh = _LeadingPass(matrix_a(order).rows, pell_vector(order))
+        ladder = _ToeplitzPass(2).resume(_x_row(order))
+        assert [ladder.rung(t) for t in range(order // 2 + 1)] == [
+            fresh.rung(t) for t in range(order // 2 + 1)]
+        if order < 64:
+            assert o_vector(order - 1) == _deletion_vector(fresh, order - 1)
+
+
 @pytest.mark.parametrize("arrange", ["descending", "ascending", "shuffled"])
 def test_memo_answers_match_the_independent_routes(arrange, empty_ladders):
     orders = list(range(1, 24))
@@ -250,20 +265,20 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
     want = (fresh_pfaffian(matrix_b(22)), fresh_pfaffian(matrix_a(22)))
     direct = _o_vector_direct(21)
     passes, substituted = [], []
-    resume = offdiag.pfaffian._LeadingPass.resume
+    resume = offdiag.pfaffian._ToeplitzPass.resume
     read = offdiag.counts._deletion_vector
 
-    def counted(done, rows, border):
-        passes.append(len(rows))
-        return resume(done, rows, border)
+    def counted(done, row):
+        passes.append(len(row) - done.order)
+        return resume(done, row)
 
     def counted_read(done, n):
         substituted.append(n)
         return read(done, n)
 
-    monkeypatch.setattr(offdiag.pfaffian._LeadingPass, "resume", counted)
+    monkeypatch.setattr(offdiag.pfaffian._ToeplitzPass, "resume", counted)
     monkeypatch.setattr(offdiag.counts, "_deletion_vector", counted_read)
-    # one ladder: o_vector(19) is read off the pass over A(20) that
+    # one ladder: o_vector(19) is read off the pass over X(20) that
     # even_order_full(20) ran, and a repeated one off the vector memo
     even_order_full(20)
     assert o_vector(19) == o_vector(19)
@@ -283,8 +298,8 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
     assert passes == []
     # each order's vector is back-substituted once, when first asked
     assert sorted(substituted) == list(range(1, 18, 2))
-    # a larger request resumes the pass: only the two rows it adds are
-    # condensed past the stored steps, and that serves the rest
+    # a larger request resumes the pass: only the two columns it adds are
+    # computed past the stored steps, and that serves the rest
     assert (count_nearly(21), even_order_full(22)) == want
     assert o_vector(21) == direct
     assert passes == [2] and substituted[-1] == 21
@@ -292,31 +307,32 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
 
 def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):
     # a larger request resumes the ladder's pass, so however the orders
-    # arrive no entry is condensed twice: no order of the requests costs
-    # more than one pass at the largest order (the first, descending)
-    condensed = []
-    condense_row = offdiag.pfaffian._condense_row
+    # arrive no entry is computed twice: no order of the requests costs
+    # more than one pass at the largest order (the first, descending).
+    # Each entry the pass computes is one exact division.
+    computed = []
+    exact = offdiag.pfaffian._exact
 
-    def counted(top, second, row, ui, vi, start, stop, prev, out):
-        condensed.append(stop - start)
-        condense_row(top, second, row, ui, vi, start, stop, prev, out)
+    def counted(num, den):
+        computed.append(1)
+        return exact(num, den)
 
-    monkeypatch.setattr(offdiag.pfaffian, "_condense_row", counted)
+    monkeypatch.setattr(offdiag.pfaffian, "_exact", counted)
     shuffled = list(range(1, 32))
     random.Random(7).shuffle(shuffled)
     totals = []
     for orders in (range(31, 0, -1), range(1, 32), shuffled):
         monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
-                            offdiag.pfaffian._LeadingPass())
+                            offdiag.pfaffian._ToeplitzPass(2))
         monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
-        condensed.clear()
+        computed.clear()
         for n in orders:
             if n % 2:
                 o_vector(n)
                 count_nearly(n)
             else:
                 even_order_full(n)
-        totals.append(sum(condensed))
+        totals.append(sum(computed))
     assert max(totals) == totals[0], totals
 
 
@@ -326,29 +342,29 @@ def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
         return (offdiag.counts._even_nearly_pass,
                 dict(offdiag.counts._o_vectors))
 
-    block = offdiag.counts._a_block
+    x_row = offdiag.counts._x_row
 
-    def zero_added_rows(rows, cols):
-        # a resumed pass reads only the rows a request adds past the memo
-        # (order 10 here); zero ones make its next pivot zero
-        rows, cols = list(rows), list(cols)
-        return [tuple(a if max(i, j) < 10 else 0 for j, a in zip(cols, row))
-                for i, row in zip(rows, block(rows, cols))]
+    def zero_pivot_past_4(n):
+        # a resumed pass reads the columns a request adds past the memo
+        # (order 4 here); c_4 = -2 and c_5 = 112 make Pf X(6), its next
+        # pivot, zero
+        return x_row(n)[:4] + [-2, 112] + [0] * (n - 6)
 
-    even_order_full(10)
-    o_vector(9)
+    even_order_full(4)
+    o_vector(3)
     before = memos()
-    assert before[0].order == 10 and list(before[1]) == [9]
+    assert before[0].order == 4 and list(before[1]) == [3]
     for call in (lambda: even_order_full(MAX_ORDER + 2),
                  lambda: count_nearly(MAX_ORDER + 1),
                  lambda: o_vector(MAX_ORDER + 1),
                  lambda: d_vector("pm", MAX_ORDER + 1)):
         with pytest.raises(ValueError, match="largest supported order"):
             call()
-    monkeypatch.setattr(offdiag.counts, "_a_block", zero_added_rows)
-    for call in (lambda: even_order_full(12), lambda: count_nearly(11),
-                 lambda: o_vector(11), lambda: d_vector("pm", 11)):
-        with pytest.raises(ArithmeticError):
+    monkeypatch.setattr(offdiag.counts, "_x_row", zero_pivot_past_4)
+    for call in (lambda: even_order_full(6), lambda: count_nearly(5),
+                 lambda: o_vector(5), lambda: d_vector("pm", 5),
+                 lambda: even_order_full(12)):
+        with pytest.raises(ArithmeticError, match="zero pivot"):
             call()
     now = memos()
     assert now[0] is before[0] and now[1] == before[1]
@@ -416,17 +432,18 @@ def test_order_bound_admits_exactly_max_order(monkeypatch):
 
 def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
                                                             empty_ladders):
-    # shift one entry of a stored pivot row of the ladder's pass over A(n + 1)
+    # shift one entry of a stored pivot row of the ladder's pass over X(n + 1)
     # and read odd order n: the back-substitution raises on an inexact
     # division, o_vector's check against rows 2..n of A(n) raises on a
     # vector off the kernel, or the entry was not read and the vector is the
-    # true one.  A check against the last row of A(n) alone misses 7 of the
-    # 965 wrong vectors, among them step 2's 312 -> 624 at order 7.
+    # true one.  658 of the 990 raise at the kernel check, and a check
+    # against the last row of A(n) alone misses 8 of those, among them step
+    # 0's c_2 = -4 -> -3 at order 3.
     raised = kept = 0
     for n in range(3, 12, 2):
         want = _o_vector_direct(n)
         monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
-                            offdiag.pfaffian._LeadingPass())
+                            offdiag.pfaffian._ToeplitzPass(2))
         even_order_full(n + 1)
         done = offdiag.counts._even_nearly_pass
         for s, step in enumerate(done.steps):
@@ -434,10 +451,8 @@ def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
                 for c, entry in enumerate(step[r]):
                     shifts = {1, -1, 2, 3, 7, 100, entry, -2 * entry}
                     for delta in shifts - {0}:
-                        bad = offdiag.pfaffian._LeadingPass()
-                        bad.order, bad.rows, bad.pivot = (done.order,
-                                                          done.rows,
-                                                          done.pivot)
+                        bad = offdiag.pfaffian._ToeplitzPass(2)
+                        bad.order, bad.pivot = done.order, done.pivot
                         bad.steps = tuple((p, list(top), list(second))
                                           for p, top, second in done.steps)
                         bad.steps[s][r][c] += delta
@@ -451,4 +466,4 @@ def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
                         else:
                             assert got == want, (n, delta, s, r, c)
                             kept += 1
-    assert (raised, kept) == (965, 960)
+    assert (raised, kept) == (990, 960)

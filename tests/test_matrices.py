@@ -1,11 +1,14 @@
 import random
 import time
+from operator import mul
 
 import pytest
 
 from offdiag.matrices import (
     MAX_ORDER,
     _a_block,
+    _p_columns,
+    _x_row,
     defect_weights,
     g_sequence,
     matrix_a,
@@ -144,6 +147,30 @@ def test_smaller_orders_are_leading_blocks_and_prefixes():
     for n in range(1, 41):
         assert matrix_a(n).rows == tuple(row[:n] for row in big.rows[:n])
         assert pell_vector(n) == pell[:n]
+
+
+def test_a_is_p_x_p_transposed_and_pell_is_p_times_two():
+    # A(n) = P X(n) P^T and pell_vector(n) = P (2, ..., 2)^T exactly, with
+    # P = [delannoy(i - j, j)] unit lower triangular and X(n) the skew
+    # Toeplitz matrix of `_x_row`, at every n <= 40: P(n), X(n) and P(n)^T
+    # are the leading blocks of P(40), X(40) and P(40)^T, and with P lower
+    # triangular the leading n x n block of the product at 40 is their
+    # product
+    def times(a, b):
+        return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+    row = _x_row(40)  # c_k = 2 (-1)^(k-1) S_(k-1), S = 1, 2, 6, 22, 90, ...
+    assert row[:6] == [0, 2, -4, 12, -44, 180]
+    x = [[row[j - i] if i <= j else -row[i - j] for j in range(40)]
+         for i in range(40)]
+    p = [[delannoy(i - j, j) for j in range(40)] for i in range(40)]
+    product = times(times(p, x), list(zip(*p)))
+    for n in range(1, 41):
+        assert _x_row(n) == row[:n]
+        assert matrix_a(n).rows == tuple(tuple(r[:n]) for r in product[:n])
+        assert pell_vector(n) == tuple(2 * sum(r[:n]) for r in p[:n])
+        assert _p_columns(n) == [[p[j + d][j] for d in range(n - j)]
+                                 for j in range(n)]
 
 
 def test_matrix_b_fixture():

@@ -9,6 +9,7 @@ from offdiag.pfaffian import (
     SkewMatrix,
     _deletion_vector,
     _LeadingPass,
+    _ToeplitzPass,
     bordered_skew,
     determinant,
     pfaffian_cofactor,
@@ -102,10 +103,10 @@ def assert_condensed(m, want):
     column = [0] * m.order
     if all(pfaffian_cofactor(leading(m, 2 * t))
            for t in range(1, m.order // 2 + 1)):
-        assert _LeadingPass().resume(m.rows, column).pivot == want
+        assert _LeadingPass(m.rows, column).pivot == want
     else:
         with pytest.raises(ArithmeticError):
-            _LeadingPass().resume(m.rows, column)
+            _LeadingPass(m.rows, column)
 
 
 def test_routes_agree_with_matching_expansion():
@@ -279,14 +280,14 @@ def rungs(done):
 def leading_steps(m, column):
     """Every rung of one fresh leading-order pass over m bordered by
     `column`."""
-    return rungs(_LeadingPass().resume(m.rows, column))
+    return rungs(_LeadingPass(m.rows, column))
 
 
 def deletion_rungs(m):
     """The single-deletion Pfaffians of every odd leading block of m, read
     by back-substitution off one fresh pass over m, bordered by a zero
     column, which the back-substitution never reads."""
-    done = _LeadingPass().resume(m.rows, [0] * m.order)
+    done = _LeadingPass(m.rows, [0] * m.order)
     return [_deletion_vector(done, k) for k in range(1, m.order + 1, 2)]
 
 
@@ -323,7 +324,7 @@ def test_deletion_pfaffians_small_cases():
         with pytest.raises(ArithmeticError):
             deletion_rungs(m)
     # only odd leading blocks of the pass's input have a deletion vector
-    done = _LeadingPass().resume(((0, 5, -2), (-5, 0, 7), (2, -7, 0)),
+    done = _LeadingPass(((0, 5, -2), (-5, 0, 7), (2, -7, 0)),
                                  [0] * 3)
     for n in (0, 2, 5):
         with pytest.raises(ValueError):
@@ -335,7 +336,7 @@ def test_corrupted_step_makes_the_back_substitution_raise():
     # stored step changed so that one is not (here working entry (0, 2)
     # after one step, whose pivot is 12) raises rather than give a vector
     a = matrix_a(8)
-    done = _LeadingPass().resume(a.rows, [0] * 8)
+    done = _LeadingPass(a.rows, [0] * 8)
     assert _deletion_vector(done, 7) == (312, 1560, 3640, 4472, 3640, 1560,
                                          312)
     done.steps[1][1][2] += 1
@@ -371,52 +372,79 @@ def test_leading_pfaffians_read_every_leading_order():
         leading_steps(SkewMatrix(((0, 1), (-1, 0))), [1])
 
 
+def toeplitz(row):
+    """The skew-symmetric Toeplitz matrix with first row `row`."""
+    n = len(row)
+    return SkewMatrix([[row[j - i] if i <= j else -row[i - j]
+                        for j in range(n)] for i in range(n)])
+
+
 def test_resumed_pass_matches_one_fresh_pass():
-    # a pass grown through any sequence of leading blocks reads, at each
-    # size, every rung and every deletion vector one fresh pass over that
-    # block reads
+    # a Toeplitz pass grown through any sequence of even leading blocks of
+    # X holds, at each size, the steps of one fresh condensation pass over
+    # that block bordered by the constant column, so it reads every rung and
+    # every deletion vector that pass reads; a zero pivot among the added
+    # columns raises and leaves the old pass as it was
     rng = random.Random(143)
     resumed = raised = 0
     for _ in range(600):
-        order = rng.randint(0, 11)
-        m = random_skew(rng, order, -3, 3)
-        column = [rng.randint(-9, 9) for _ in range(order)]
-        sizes = sorted(rng.sample(range(order), rng.randint(0, order)))
-        done = _LeadingPass()
+        order = 2 * rng.randint(0, 6)
+        row = [0] + [rng.randint(-3, 3) for _ in range(order - 1)]
+        h = rng.randint(-9, 9)
+        sizes = sorted(rng.sample(range(0, order, 2),
+                                  rng.randint(0, order // 2)))
+        done = _ToeplitzPass(h)
         for k in sizes + [order]:
-            block = leading(m, k)
-            added = (block.rows[done.order:], column[done.order:k])
             try:
-                fresh = _LeadingPass().resume(block.rows, column[:k])
+                fresh = _LeadingPass(toeplitz(row[:k]).rows, [h] * k)
             except ArithmeticError:
-                # a zero pivot among the added rows: the old pass stays
-                kept = (done.order, done.steps, done.rows, done.pivot)
+                kept = (done.order, done.steps, done.pivot)
                 snapshot = repr(kept)
-                with pytest.raises(ArithmeticError):
-                    done.resume(*added)
+                with pytest.raises(ArithmeticError, match="zero pivot"):
+                    done.resume(row[:k])
                 assert repr(kept) == snapshot
                 raised += 1
                 break
-            grown = done.resume(*added)
+            grown = done.resume(row[:k])
+            assert (grown.order, grown.steps, grown.rows, grown.pivot) == (
+                fresh.order, fresh.steps, fresh.rows, fresh.pivot)
             assert rungs(grown) == rungs(fresh)
-            assert [_deletion_vector(grown, j) for j in range(1, k + 1, 2)] \
-                == [_deletion_vector(fresh, j) for j in range(1, k + 1, 2)]
-            assert grown.order == k and len(grown.steps) == k // 2
             resumed += len(done.steps) > 0
             done = grown
     assert resumed > 100 and raised > 10
-    two = _LeadingPass().resume(((0, 1), (-1, 0)), [3, 4])
+    m = SkewMatrix(((0, 1, 1), (-1, 0, 2), (-1, -2, 0)))
     with pytest.raises(ValueError):
-        two.resume([(1, 2)], [0])           # a row of the wrong length
+        _LeadingPass(m.rows[:2] + ((1, 2),), [0] * 3)  # a short row
     with pytest.raises(ValueError):
-        two.resume([(-1, -2, 0)], [])       # no border entry for it
+        _LeadingPass(m.rows, [3, 4])        # no border entry for row 3
     with pytest.raises(TypeError):
-        two.resume([(-1, -2, 0)], [(5,)])   # a border entry is one int
+        _LeadingPass(m.rows, [3, 4, (5,)])  # a border entry is one int
     # rung 1's border entry: h_1 a_23 - h_2 a_13 + h_3 a_12 (1-based)
-    assert two.resume([(-1, -2, 0)], [5]).rung(1) == (1, 3 * 2 - 4 + 5)
+    three = _LeadingPass(m.rows, [3, 4, 5])
+    assert three.rung(1) == (1, 3 * 2 - 4 + 5)
     for t in (-1, 2):
         with pytest.raises(IndexError):
-            two.rung(t)                     # a pass of one step has rungs 0, 1
+            three.rung(t)                   # a pass of one step has rungs 0, 1
+
+
+def test_toeplitz_pass_refuses_odd_orders_and_zero_pivots():
+    two = _ToeplitzPass(5).resume([0, 3])
+    assert (two.rung(0), two.rung(1)) == ((1, 5), (3, None))
+    for row in ([0, 3, 1], [0]):            # an odd order, a smaller one
+        with pytest.raises(ValueError, match="grows to an even order"):
+            two.resume(row)
+    with pytest.raises(TypeError):
+        two.resume([0, 3, 1.0, 2])          # an entry is an int
+    # Pf X(4) = c1^2 - c2^2 + c1 c3 is -1 at (c1, c2, c3) = (0, 1, 1),
+    # whose first pivot c1 is 0, and 0 at (2, 0, -2), the second pivot of a
+    # pass of order 2 that resumes
+    assert [pfaffian_cofactor(toeplitz(row))
+            for row in ([0, 0, 1, 1], [0, 2, 0, -2])] == [-1, 0]
+    with pytest.raises(ArithmeticError, match="zero pivot"):
+        _ToeplitzPass(1).resume([0, 0, 1, 1])
+    half = _ToeplitzPass(1).resume([0, 2])
+    with pytest.raises(ArithmeticError, match="zero pivot"):
+        half.resume([0, 2, 0, -2])
 
 
 def test_zero_leading_pivot_raises_on_the_leading_path():

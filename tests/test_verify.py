@@ -172,17 +172,17 @@ def test_asymptotics_scan():
 
 def test_scans_run_one_condensation_pass(monkeypatch, empty_ladders):
     passes = []
-    resume = offdiag.pfaffian._LeadingPass.resume
+    resume = offdiag.pfaffian._ToeplitzPass.resume
 
-    def counted(done, rows, border):
-        passes.append(len(rows))
-        return resume(done, rows, border)
+    def counted(done, row):
+        passes.append(len(row) - done.order)
+        return resume(done, row)
 
     # each scan asks for its largest order first, so an oversized scan is
     # refused before any resume, and the ladder is resumed once and every
     # other order is a rung read; both scans read the one ladder, so the
-    # second resumes the first's pass by the rows it adds
-    monkeypatch.setattr(offdiag.pfaffian._LeadingPass, "resume", counted)
+    # second resumes the first's pass by the columns it adds
+    monkeypatch.setattr(offdiag.pfaffian._ToeplitzPass, "resume", counted)
     for scan in (scan_asymptotics, scan_log_concavity):
         with pytest.raises(ValueError, match="largest supported order"):
             scan(101)
@@ -195,15 +195,17 @@ def test_scans_run_one_condensation_pass(monkeypatch, empty_ladders):
 
 
 def test_scans_raise_on_a_zero_leading_pivot(monkeypatch, empty_ladders):
-    # a skew matrix whose (0, 1) pivot is 0 though its Pfaffian is not; the
-    # scans' one pass never swaps, so it must stop rather than misread
+    # a skew Toeplitz X whose (0, 1) pivot is 0 though its Pfaffian is not;
+    # the scans' one pass never swaps, so it must stop rather than misread
     # orders, and leave the ladder and the vector memo as they were
-    def zero_pivot(rows, cols):
-        return [tuple(0 if {i, j} == {0, 1} else j - i for j in cols)
-                for i in rows]
+    def zero_pivot(n):
+        return [0, 0] + [1] * (n - 2)
 
-    assert pfaffian_cofactor(SkewMatrix(zero_pivot(range(4), range(4)))) == -1
-    monkeypatch.setattr(offdiag.counts, "_a_block", zero_pivot)
+    row = zero_pivot(4)
+    x4 = [[row[j - i] if i <= j else -row[i - j] for j in range(4)]
+          for i in range(4)]
+    assert pfaffian_cofactor(SkewMatrix(x4)) == -1
+    monkeypatch.setattr(offdiag.counts, "_x_row", zero_pivot)
     for scan in (scan_asymptotics, scan_log_concavity):
         with pytest.raises(ArithmeticError):
             scan(3)
