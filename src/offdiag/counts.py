@@ -30,24 +30,18 @@ as the verification route.
 
 Every entry point takes its order through `operator.index` (a float order
 raises TypeError) and refuses a request whose condensation order exceeds
-`matrices.MAX_ORDER`, both before it builds anything.
+`matrices.MAX_ORDER`, through `matrices._check_order`, the check
+`_a_block` makes too, both before it builds anything.
 """
 
 from __future__ import annotations
 
 from operator import index, mul, neg
 
-from .matrices import (MAX_ORDER, _a_block, _p_columns, _x_row,
-                       defect_weights)
+from .matrices import _a_block, _check_order, _x_row, defect_weights
+from .paths import delannoy
 from .pfaffian import (_deletion_vector, _kept_indices, _LeadingPass,
                        _ToeplitzPass)
-
-
-def _check_order(order: int) -> None:
-    if order > MAX_ORDER:
-        raise ValueError(f"this request needs a condensation of order "
-                         f"{order}; the largest supported order is "
-                         f"{MAX_ORDER}")
 
 
 def _odd_order(n: int, noun: str) -> int:
@@ -120,7 +114,8 @@ def o_vector(n: int) -> tuple[int, ...]:
     through the steps of the ladder's pass over X(n + 1), the per-process
     memo or that pass resumed to order n + 1, for the same vector y of
     X(n); as A(n) = P X(n) P^T, x = P^(-T) y, solved through the unit upper
-    triangular P^T = [D(j - i, i)], which keeps the scale x_n = y_n.  The
+    triangular P^T = [D(j - i, i)] (read off `paths.delannoy`, as
+    `defect_weights` reads it), which keeps the scale x_n = y_n.  The
     vector is kept in `_o_vectors`.  The pass never pivots: its leading
     pivots are those of A(n), the tiling counts even_order_full(2t) > 0,
     and a zero one would raise ArithmeticError rather than give a wrong
@@ -136,9 +131,9 @@ def o_vector(n: int) -> tuple[int, ...]:
     if got is None:
         signed = list(_deletion_vector(_even_nearly((n + 1) // 2), n))
         signed[1::2] = map(neg, signed[1::2])
-        cols = _p_columns(n)
         for i in range(n - 2, -1, -1):
-            signed[i] -= sum(map(mul, cols[i][1:], signed[i + 1:]))
+            signed[i] -= sum(delannoy(d, i) * x
+                             for d, x in enumerate(signed[i + 1:], 1))
         if any(sum(map(mul, row, signed))
                for row in _a_block(range(1, n), range(n))):
             raise ArithmeticError(f"deletion vector of order {n} is off "

@@ -2,14 +2,16 @@
 
 Everything is exact and kept as tuples of ints; each matrix has one builder,
 and the module holds no state: every call builds what it returns.
+`MAX_ORDER` bounds the order of A and of every count's condensation, and
+`_check_order` is its one check.
 The skew-symmetric recurrence matrix A drives the off-diagonal counts via its
 Pfaffian; its bordered companion counts the nearly off-diagonal tilings;
-A = P X P^T, with P the Delannoy matrix and X skew-symmetric Toeplitz, so the
-count ladder runs on X's first row (`_x_row`) and P's columns
-(`_p_columns`) carry its deletion vectors back to A's; the
-Delannoy weights of each diagonal cell turn the deletion counts into
-per-cell defect counts; the involutive triangular matrix R is built from the
-recurrence array, and verify checks it against the path kernel (`r_value`).
+A = P X P^T, with P = [delannoy(i - j, j)] the Delannoy matrix and X
+skew-symmetric Toeplitz, so the count ladder runs on X's first row
+(`_x_row`); the Delannoy weights of each diagonal cell turn the deletion
+counts into per-cell defect counts; the involutive triangular matrix R is
+built from the recurrence array, and verify checks it against the path
+kernel (`r_value`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,15 @@ from . import series
 MAX_ORDER = 200
 
 
+def _check_order(order: int) -> None:
+    """Refuse a condensation, or an A, of order past MAX_ORDER: the one
+    check of the bound, for `_a_block` and every count."""
+    if order > MAX_ORDER:
+        raise ValueError(f"this request needs a condensation of order "
+                         f"{order}; the largest supported order is "
+                         f"{MAX_ORDER}")
+
+
 def _a_block(rows, cols) -> list[tuple[int, ...]]:
     """The rows x cols block (0-based, in the order given) of A.  Column j
     of A's upper triangle (a_ij for i < j) is built from column j - 1 by
@@ -36,9 +47,7 @@ def _a_block(rows, cols) -> list[tuple[int, ...]]:
     is refused before any column is built."""
     rows, cols = list(rows), list(cols)
     order = max(rows + cols, default=-1) + 1
-    if order > MAX_ORDER:
-        raise ValueError(f"A is built up to order {MAX_ORDER}; this needs "
-                         f"order {order}")
+    _check_order(order)
     a = []
     for j in range(order):
         prev = a[-1] if a else ()
@@ -60,20 +69,6 @@ def _x_row(n: int) -> list[int]:
     so A and X share every leading Pfaffian, bordered or not."""
     return [0] + [-2 * s if k % 2 else 2 * s
                   for k, s in enumerate(series.schroeder_numbers(n - 1))]
-
-
-def _p_columns(n: int) -> list[list[int]]:
-    """Columns 0..n-1 of P(n) = [delannoy(i - j, j)] (0-based, unit lower
-    triangular) from the diagonal down: column j is delannoy(d, j) for
-    d = 0..n-1-j, built from column j - 1 by Delannoy's recurrence
-    D(d, j) = D(d - 1, j) + D(d, j - 1) + D(d - 1, j - 1)."""
-    cols = [[1] * n]
-    for j in range(1, n):
-        prev, col = cols[-1], [1]
-        for d in range(1, n - j):
-            col.append(col[-1] + prev[d] + prev[d - 1])
-        cols.append(col)
-    return cols
 
 
 def matrix_a(n: int) -> SkewMatrix:

@@ -22,7 +22,9 @@ a tiling count, never 0 (see `counts.count_off_diag`).
 
 Also here: one fraction-free (Bareiss) elimination, `_echelon`, for both the
 determinant and the rank of an integer matrix, and the bordered-matrix
-constructor that `matrices.matrix_b` builds on.
+constructor that `matrices.matrix_b` builds on.  Every division of these
+algorithms is exact and goes through one checked helper, `_exact`, which
+raises ArithmeticError ("inexact division") on a remainder.
 """
 
 from __future__ import annotations
@@ -113,6 +115,18 @@ def pfaffian_cofactor(m: SkewMatrix) -> int:
     return pf(tuple(range(m.order)))
 
 
+def _exact(num: int, den: int) -> int:
+    """num / den, which the calling algorithm makes an integer: the one
+    division of the condensation step, the Toeplitz step, the
+    back-substitution and the Bareiss elimination.  A remainder means the
+    input broke what the algorithm assumes, and raises ArithmeticError
+    rather than give a wrong value."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("inexact division")
+    return q
+
+
 def _condense_rows(top, second, rows, prev) -> list[list[int]]:
     """One condensation step on the working rows `rows`, which sit at
     columns 2, 3, ... of the pivot rows `top` and `second`:
@@ -130,13 +144,9 @@ def _condense_rows(top, second, rows, prev) -> list[list[int]]:
     for k, row in enumerate(rows):
         i = k + 2
         ui, vi = top[i], second[i]
-        new_row = [0] * (k + 1)
-        for j in range(i + 1, len(row)):
-            q, r = divmod(p * row[j] + vi * top[j] - ui * second[j], prev)
-            if r:
-                raise ArithmeticError("inexact division; input not skew?")
-            new_row.append(q)
-        nxt.append(new_row)
+        nxt.append([0] * (k + 1)
+                   + [_exact(p * row[j] + vi * top[j] - ui * second[j], prev)
+                      for j in range(i + 1, len(row))])
     return nxt
 
 
@@ -258,13 +268,6 @@ class _ToeplitzPass(_LeadingPass):
         return grown
 
 
-def _exact(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("inexact division; input not skew Toeplitz?")
-    return q
-
-
 def _next_step(prev, top, second, known=None) -> tuple[list[int], list[int]]:
     """The pivot rows of the step of a `_ToeplitzPass` after the one with
     divisor `prev` and pivot rows `top` and `second`, by its recursion.
@@ -315,9 +318,7 @@ def _deletion_vector(done: _LeadingPass, n: int) -> tuple[int, ...]:
         p, tail, stop = top[1], x[2 * s + 2:], n - 2 * s
         for k, num in ((2 * s + 1, -sum(map(mul, top[2:stop], tail))),
                        (2 * s, sum(map(mul, second[2:stop], tail)))):
-            x[k], r = divmod(num, p)
-            if r:
-                raise ArithmeticError("inexact division; input not skew?")
+            x[k] = _exact(num, p)
     x[1::2] = map(neg, x[1::2])
     return tuple(x)
 
@@ -361,10 +362,7 @@ def _echelon(rows) -> tuple[int, int, int]:
         for row in a[rank + 1:]:
             f = row[col]
             for j in range(col + 1, ncols):
-                q, r = divmod(p * row[j] - f * top[j], prev)
-                if r:
-                    raise ArithmeticError("inexact Bareiss division")
-                row[j] = q
+                row[j] = _exact(p * row[j] - f * top[j], prev)
         prev = p
         rank += 1
     return rank, sign, prev

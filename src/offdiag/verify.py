@@ -22,7 +22,6 @@ from operator import index
 
 from . import series
 from .counts import (
-    MAX_ORDER,
     _o_vector_direct,
     count_nearly,
     count_off_diag,
@@ -32,6 +31,7 @@ from .counts import (
     o_vector,
 )
 from .matrices import (
+    MAX_ORDER,
     matrix_a,
     matrix_r,
     pell_vector,
@@ -135,7 +135,7 @@ MIN_N_MAX = {"identities": 4, "rank-claim": 3}
 # The largest n_max either suite admits.  At n_max the identity suite counts
 # count_nearly(c) and o_vector(c), each read off the ladder's pass of order
 # c + 1, for the largest odd c <= n_max; above this bound they would pass
-# counts.MAX_ORDER and refuse, after every check before them had run.  The
+# matrices.MAX_ORDER and refuse, after every check before them had run.  The
 # rank suite reads no count; it shares the bound, so both suites admit the
 # same n_max, and `_run_suite` refuses a larger one up front.
 MAX_N_MAX = MAX_ORDER - MAX_ORDER % 2

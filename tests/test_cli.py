@@ -291,6 +291,89 @@ def test_internal_error_exits_3(capsys, monkeypatch):
                    "input not skew?\n")
 
 
+def test_a_failing_check_exits_1_with_its_witness(capsys, monkeypatch):
+    # one identity check FAILs with a witness past 2^53; the others run
+    import offdiag.verify
+
+    check, big = "schroeder-generating-function", 2**64
+
+    def failing(n_max):
+        return offdiag.verify._check(check, "forced",
+                                     [{"n": n_max, "value": big}, {"n": 0}])
+
+    monkeypatch.setitem(offdiag.verify.CHECKS["identities"], check, failing)
+    code, out, err = run(capsys, "verify", "identities", "--n-max", "4")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:2] == [f"FAIL  {check}  [forced]",
+                         f"      witness: {{'failures': 2, 'first': "
+                         f"{{'n': 4, 'value': '{big}'}}}}"]
+    assert all(line.startswith("PASS  ") for line in lines[2:-2])
+    assert lines[-2:] == ["identities: FAIL", "overall: FAIL"]
+
+    code, out, err = run(capsys, "verify", "--n-max", "4", "--format",
+                         "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    identities, rank = payload["suites"]
+    assert (identities["passed"], rank["passed"]) == (False, True)
+    assert identities["checks"][0] == {
+        "check": check, "range": "forced", "status": "FAIL",
+        "witness": {"failures": 2, "first": {"n": 4, "value": str(big)}}}
+
+
+def test_a_failing_scan_exits_1(capsys, monkeypatch):
+    import offdiag.verify
+
+    # every deletion vector (1, 1, 5, 1, ...) breaks log-concavity at k = 2
+    monkeypatch.setattr(offdiag.verify, "o_vector",
+                        lambda n: tuple(5 if k == 2 else 1 for k in range(n)))
+    code, out, err = run(capsys, "scan", "logconcavity", "--n-max", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-3:] == [
+        "FAIL  deletion-vector-log-concavity  [odd orders <= 5, exact "
+        "cross-multiplication]",
+        "      witness: {'failures': 2, 'first': {'order': 3, 'k': 2, "
+        "'triple': [1, 1, 5]}}",
+        "log-concavity: FAIL"]
+
+    # an offset that grows with the order: every gap has widened since m = 5
+    monkeypatch.setattr(offdiag.verify, "_root_offset",
+                        lambda count, order: order)
+    code, out, err = run(capsys, "scan", "asymptotics", "--n-max", "6",
+                         "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)["report"]
+    assert report["passed"] is False
+    gap = report["checks"][1]
+    assert (gap["check"], gap["status"]) == ("gap-shrinks-past-calibration",
+                                             "FAIL")
+    assert gap["witness"]["failures"] == 2
+    assert set(gap["witness"]["first"]) == {"even_gap_last", "even_gap_ref"}
+
+
+def test_oracle_disagreement_exits_1(capsys, monkeypatch):
+    import offdiag.verify
+
+    routes = offdiag.verify._ORACLE_ROUTES
+    assert routes[0][0] == "o"
+    monkeypatch.setattr(offdiag.verify, "_ORACLE_ROUTES",
+                        (("o", lambda n: (2, 3, 2)),) + routes[1:])
+    code, out, err = run(capsys, "oracle", "--n", "3", "--compare")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-6].split() == ["matrix", "deletion", "counts", "2,3,2"]
+    assert lines[-1].split() == ["agreement", "NO"]
+    code, out, err = run(capsys, "oracle", "--n", "3", "--compare",
+                         "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["agree"] is False
+    assert (payload["o"], payload["matrix"]["o"]) == (["2", "2", "2"],
+                                                      ["2", "3", "2"])
+
+
 def test_scan_rejects_nonpositive_n_max(capsys):
     for kind in ("logconcavity", "asymptotics"):
         code, out, err = run(capsys, "scan", kind, "--n-max", "0")

@@ -5,9 +5,9 @@ from itertools import combinations
 import pytest
 
 import offdiag.counts
+import offdiag.matrices
 import offdiag.pfaffian
 from offdiag.counts import (
-    MAX_ORDER,
     _o_vector_direct,
     count_nearly,
     count_off_diag,
@@ -16,7 +16,8 @@ from offdiag.counts import (
     even_order_full,
     o_vector,
 )
-from offdiag.matrices import _x_row, matrix_a, matrix_b, pell_vector
+from offdiag.matrices import (MAX_ORDER, _x_row, matrix_a, matrix_b,
+                              pell_vector)
 from offdiag.paths import delannoy
 from offdiag.pfaffian import (_deletion_vector, _LeadingPass, _ToeplitzPass,
                               pfaffian_cofactor, principal_submatrix)
@@ -417,7 +418,7 @@ def test_float_orders_are_refused_before_building(empty_ladders, forbid_a):
 
 
 def test_order_bound_admits_exactly_max_order(monkeypatch):
-    monkeypatch.setattr(offdiag.counts, "MAX_ORDER", 8)
+    monkeypatch.setattr(offdiag.matrices, "MAX_ORDER", 8)
     assert count_nearly(7) == 21632            # order 8
     assert even_order_full(8) == 30992
     assert d_entry_bordered("pm", 7, 1) == 624
@@ -467,3 +468,22 @@ def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
                             assert got == want, (n, delta, s, r, c)
                             kept += 1
     assert (raised, kept) == (990, 960)
+
+
+def test_a_wrong_delannoy_entry_never_gives_a_wrong_deletion_vector(
+        monkeypatch, empty_ladders):
+    # o_vector's P^(-T) solve reads P off paths.delannoy; shift any one
+    # entry it reads and the solved vector leaves the kernel of A(n), which
+    # the check against rows 2..n refuses
+    for n in (3, 5, 7, 9):
+        assert o_vector(n) == O_VECTORS[n]
+        for j in range(n - 1):
+            for d in range(1, n - j):
+                def shifted(p, q, key=(d, j)):
+                    return delannoy(p, q) + ((p, q) == key)
+
+                monkeypatch.setattr(offdiag.counts, "delannoy", shifted)
+                monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
+                with pytest.raises(ArithmeticError, match="off the kernel"):
+                    o_vector(n)
+        monkeypatch.setattr(offdiag.counts, "delannoy", delannoy)

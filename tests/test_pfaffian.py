@@ -7,7 +7,9 @@ import pytest
 from offdiag.matrices import matrix_a
 from offdiag.pfaffian import (
     SkewMatrix,
+    _condense_rows,
     _deletion_vector,
+    _exact,
     _LeadingPass,
     _ToeplitzPass,
     bordered_skew,
@@ -342,6 +344,56 @@ def test_corrupted_step_makes_the_back_substitution_raise():
     done.steps[1][1][2] += 1
     with pytest.raises(ArithmeticError, match="inexact division"):
         _deletion_vector(done, 7)
+
+
+def test_exact_division_returns_the_quotient_or_raises():
+    # the one division of the condensation step, the Toeplitz step, the
+    # back-substitution and the Bareiss elimination
+    for num, den, want in ((12, 4, 3), (-12, 4, -3), (12, -4, -3),
+                           (-12, -4, 3), (0, -7, 0),
+                           (-3 * 10**40, 3, -10**40)):
+        assert _exact(num, den) == want
+    for num, den in ((7, 2), (-7, 2), (7, -2), (-7, -2), (1, 10**40)):
+        with pytest.raises(ArithmeticError, match="^inexact division$"):
+            _exact(num, den)
+
+
+def test_a_condensation_step_refuses_a_remainder():
+    # the leading 4 x 4 skew matrix with a01 = 2 and 1 elsewhere above the
+    # diagonal: one step from the empty block (divisor 1) leaves its
+    # Pfaffian, 2 - 1 + 1 = 2, at working entry (0, 1); the same rows under a
+    # divisor that is not the previous pivot leave a remainder, which raises
+    # rather than give an entry
+    top, second = [0, 2, 1, 1], [-2, 0, 1, 1]
+    rows = [[-1, -1, 0, 1], [-1, -1, -1, 0]]
+    assert _condense_rows(top, second, rows, 1) == [[0, 2], [0, 0]]
+    assert _condense_rows(top, second, rows, 2) == [[0, 1], [0, 0]]
+    with pytest.raises(ArithmeticError, match="^inexact division$"):
+        _condense_rows(top, second, rows, 3)
+
+
+def test_a_leading_pass_reads_only_the_strict_upper_triangle():
+    # a leading pass reads its input's strict upper triangle and border
+    # column alone, so an integer input, skew or not, is condensed as the
+    # skew matrix of that triangle, whose working entries are Pfaffians:
+    # no integer input leaves a remainder in a step, and only a step handed
+    # a foreign divisor (above) reaches the guard
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        column = [rng.randint(-5, 5) for _ in range(n)]
+        skew = [[rows[i][j] if i < j else -rows[j][i] if j < i else 0
+                 for j in range(n)] for i in range(n)]
+        try:
+            want = _LeadingPass(skew, column)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError, match="^zero pivot"):
+                _LeadingPass(rows, column)
+            continue
+        got = _LeadingPass(rows, column)
+        assert [got.rung(t) for t in range(n // 2 + 1)] == [
+            want.rung(t) for t in range(n // 2 + 1)]
 
 
 def test_leading_pfaffians_read_every_leading_order():

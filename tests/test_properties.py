@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offdiag import series
 from offdiag.pfaffian import (SkewMatrix, _deletion_vector, _LeadingPass,
                               _ToeplitzPass)
 
@@ -46,3 +47,27 @@ def test_resumed_toeplitz_pass_matches_one_fresh_condensation(entries, border,
         assert [_deletion_vector(grown, n) for n in range(1, k, 2)] == [
             _deletion_vector(fresh, n) for n in range(1, k, 2)]
         done = grown
+
+
+coefficients = st.lists(st.integers(-50, 50), max_size=12)
+
+
+@FIXED
+@given(a=coefficients, unit=st.sampled_from((1, -1)),
+       rest=st.lists(st.integers(-9, 9), max_size=5),
+       order=st.integers(0, 12))
+def test_expanding_a_product_by_its_factor_gives_the_other(a, unit, rest,
+                                                           order):
+    # (a den) / den = a to any order the product is known to, when den's
+    # constant term is a unit, so every division is exact
+    den = [unit] + rest
+    order = min(order, len(a))
+    product = series.multiply(a, den, order)
+    assert series.expand_rational(product, den, order) == tuple(a[:order])
+
+
+@FIXED
+@given(head=st.integers(1, 30), tail=coefficients)
+def test_the_square_root_of_a_square_is_its_positive_root(head, tail):
+    root = (head, *tail)
+    assert series.sqrt(series.multiply(root, root)) == root

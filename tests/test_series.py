@@ -185,3 +185,9 @@ def test_schroeder_numbers():
         want = 3 * sch[n - 1] + sum(sch[k] * sch[n - 1 - k]
                                     for k in range(1, n - 1))
         assert sch[n] == want
+
+
+def test_schroeder_numbers_refuse_a_negative_count():
+    assert series.schroeder_numbers(0) == ()
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        series.schroeder_numbers(-1)

@@ -7,7 +7,7 @@ import offdiag.oracle
 import offdiag.pfaffian
 import offdiag.verify
 from offdiag.counts import count_nearly
-from offdiag.matrices import matrix_r
+from offdiag.matrices import MAX_ORDER, _check_order, matrix_r
 from offdiag.paths import FULL, REDUCED, PathGraph
 from offdiag.pfaffian import SkewMatrix, pfaffian_cofactor, rational_rank
 from offdiag.verify import (
@@ -75,10 +75,10 @@ def test_suites_refuse_bounds_past_the_order_bound(monkeypatch):
     # n_max = 200 needs o_vector(199) and count_nearly(199), condensations
     # of order 199 and 200; 201 would need o_vector(201), which is refused,
     # so both suites refuse it up front
-    assert MAX_N_MAX == offdiag.counts.MAX_ORDER == 200
-    offdiag.counts._check_order(_odd_cap(MAX_N_MAX) + 1)
+    assert MAX_N_MAX == MAX_ORDER == 200
+    _check_order(_odd_cap(MAX_N_MAX) + 1)
     with pytest.raises(ValueError):
-        offdiag.counts._check_order(_odd_cap(MAX_N_MAX + 1))
+        _check_order(_odd_cap(MAX_N_MAX + 1))
 
     def refuse(n_max):
         raise AssertionError("a check ran before the bound was checked")
