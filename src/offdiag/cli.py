@@ -173,7 +173,6 @@ _ORACLE_LABELS = {
 def _cmd_oracle(args) -> int:
     counts = oracle.oracle_counts(args.n)
     n = counts.n
-    values = {field: getattr(counts, field) for field in _ORACLE_LABELS}
 
     def text(value):
         return _join(value) if isinstance(value, tuple) else str(value)
@@ -186,17 +185,17 @@ def _cmd_oracle(args) -> int:
     lines = [("n", str(n))]
     payload = {"n": n}
     for field, label in _ORACLE_LABELS.items():
-        lines.append((label, text(values[field])))
-        payload[field] = strings(values[field])
+        value = getattr(counts, field)
+        lines.append((label, text(value)))
+        payload[field] = strings(value)
     agree = True
     if args.compare:
-        routed = [(field, route(n)) for field, route in verify._ORACLE_ROUTES]
-        agree = values["off_diag_full"] == 0 and all(
-            values[field] == value for field, value in routed)
-        payload["matrix"] = {field: strings(value) for field, value in routed}
+        routed, failures = verify._oracle_compare(counts)
+        agree = not failures
+        payload["matrix"] = {f: strings(v) for f, v in routed.items()}
         payload["agree"] = agree
         lines += [(f"matrix {_ORACLE_LABELS[field]}", text(value))
-                  for field, value in routed]
+                  for field, value in routed.items()]
         lines.append(("agreement", "yes" if agree else "NO"))
     if args.format == "json":
         print(json.dumps(payload))

@@ -16,12 +16,14 @@ bordered by the constant column 2, and one `pfaffian._ToeplitzPass` over
 X(N) bordered by 2 gives every order up to N in O(N^2): its pivots give
 even_order_full, its border entries count_nearly, and
 `pfaffian._deletion_vector` back-substitutes through its stored steps to
-the kernel vector of X(n), which P^(-T) turns into o_vector's and, through
-it, d_vector's.  The ladder's per-process memo is its pass of the largest
-order asked so far: a request at or below that order reads the stored
-steps, a larger one resumes the pass to its own order, so however the
-requests arrive no entry is computed twice.  Each deletion vector is kept
-once read (`_o_vectors`), and a scan asks for its largest order first,
+the kernel vector of X(n), which P^(-T) turns into the kernel vector of
+A(n) (`_kernel`).  d_vector dots it with Delannoy weights, and o_vector
+flips the sign of every other entry, the one sign flip between the ladder
+and the deletion counts.  The ladder's per-process memo is its pass of the
+largest order asked so far: a request at or below that order reads the
+stored steps, a larger one resumes the pass to its own order, so however
+the requests arrive no entry is computed twice.  Each kernel vector is
+kept once read (`_kernels`), and a scan asks for its largest order first,
 which resumes the ladder once.  count_off_diag and d_entry_bordered each
 run one fresh `pfaffian._LeadingPass`, over a kept-set block of A and over
 A(n) bordered by one cell's Delannoy weights, blocks of A that
@@ -61,9 +63,9 @@ def _odd_order(n: int, noun: str) -> int:
 # rung m o_vector(2m - 1).  A pass that raises leaves its memo as it was.
 _even_nearly_pass = _ToeplitzPass(2)
 
-# The deletion vectors read off the ladder so far, keyed by order; a scan
-# asks for each order twice (directly and through d_vector).
-_o_vectors: dict[int, tuple[int, ...]] = {}
+# The kernel vectors of A(n) read off the ladder so far, keyed by order; a
+# scan asks for each order twice (through o_vector and through d_vector).
+_kernels: dict[int, tuple[int, ...]] = {}
 
 
 def _even_nearly(m: int) -> _ToeplitzPass:
@@ -105,42 +107,51 @@ def _o_vector_direct(n: int) -> tuple[int, ...]:
                  for k in range(1, n + 1))
 
 
+def _kernel(n: int) -> tuple[int, ...]:
+    """The kernel vector x of A(n), for an odd n that `_odd_order` admits,
+    scaled to x_n = even_order_full(n - 1): x_k = (-1)^(k-1) o_k with
+    o = o_vector(n).
+
+    `_deletion_vector` back-substitutes through the steps of the ladder's
+    pass over X(n + 1), the per-process memo or that pass resumed to order
+    n + 1, for the same vector y of X(n); as A(n) = P X(n) P^T,
+    x = P^(-T) y, solved through the unit upper triangular
+    P^T = [D(j - i, i)] (read off `paths.delannoy`, as `defect_weights`
+    reads it), which keeps the scale x_n = y_n.  The vector is kept in
+    `_kernels`.  The pass never pivots: its leading pivots are those of
+    A(n), the tiling counts even_order_full(2t) > 0, and a zero one would
+    raise ArithmeticError rather than give a wrong vector.  So does a
+    vector off the kernel of A(n): x must annihilate rows 2..n of A(n).
+    Row 1, (0, 2, ..., 2), then holds too: rows 2..n have rank n - 1 when
+    o_1, the Pfaffian of their block in columns 2..n, is nonzero (at every
+    supported order), so that vector spans the kernel.
+    """
+    got = _kernels.get(n)
+    if got is None:
+        x = list(_deletion_vector(_even_nearly((n + 1) // 2), n))
+        for i in range(n - 2, -1, -1):
+            x[i] -= sum(delannoy(d, i) * v
+                        for d, v in enumerate(x[i + 1:], 1))
+        if any(sum(map(mul, row, x))
+               for row in _a_block(range(1, n), range(n))):
+            raise ArithmeticError(f"deletion vector of order {n} is off "
+                                  f"the kernel of A({n})")
+        got = _kernels[n] = tuple(x)
+    return got
+
+
 def o_vector(n: int) -> tuple[int, ...]:
     """All single-deletion counts (|O(n; [n] minus k)| for k = 1..n), odd n.
 
     Entry k is the Pfaffian of the odd-order matrix A(n) with row and column
     k deleted, so x_k = (-1)^(k-1) o_k spans the kernel of A(n), with
-    x_n = even_order_full(n - 1).  `_deletion_vector` back-substitutes
-    through the steps of the ladder's pass over X(n + 1), the per-process
-    memo or that pass resumed to order n + 1, for the same vector y of
-    X(n); as A(n) = P X(n) P^T, x = P^(-T) y, solved through the unit upper
-    triangular P^T = [D(j - i, i)] (read off `paths.delannoy`, as
-    `defect_weights` reads it), which keeps the scale x_n = y_n.  The
-    vector is kept in `_o_vectors`.  The pass never pivots: its leading
-    pivots are those of A(n), the tiling counts even_order_full(2t) > 0,
-    and a zero one would raise ArithmeticError rather than give a wrong
-    vector.  So does a vector off the kernel of A(n): x must annihilate
-    rows 2..n of A(n).  Row 1, (0, 2, ..., 2), then holds too: rows 2..n
-    have rank n - 1 when o_1, the Pfaffian of their block in columns 2..n,
-    is nonzero (at every supported order), so that vector spans the kernel.
-    `_o_vector_direct` computes the same vector as n separate Pfaffians, for
-    verification.
+    x_n = even_order_full(n - 1): `_kernel` solves for x off the ladder,
+    and this flips its even-numbered entries.  `_o_vector_direct` computes
+    the same vector as n separate Pfaffians, for verification.
     """
-    n = _odd_order(n, "deletion vector")
-    got = _o_vectors.get(n)
-    if got is None:
-        signed = list(_deletion_vector(_even_nearly((n + 1) // 2), n))
-        signed[1::2] = map(neg, signed[1::2])
-        for i in range(n - 2, -1, -1):
-            signed[i] -= sum(delannoy(d, i) * x
-                             for d, x in enumerate(signed[i + 1:], 1))
-        if any(sum(map(mul, row, signed))
-               for row in _a_block(range(1, n), range(n))):
-            raise ArithmeticError(f"deletion vector of order {n} is off "
-                                  f"the kernel of A({n})")
-        signed[1::2] = map(neg, signed[1::2])
-        got = _o_vectors[n] = tuple(signed)
-    return got
+    o = list(_kernel(_odd_order(n, "deletion vector")))
+    o[1::2] = map(neg, o[1::2])
+    return tuple(o)
 
 
 def count_nearly(n: int) -> int:
@@ -174,15 +185,14 @@ def _o_entry(n: int, k: int) -> int:
 
 def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
     """Entries k in `cells` of d_vector(variant, n): entry k is
-    sum_l (-1)^(l-1) w_l o_l over cell k's `defect_weights` w and
-    o = o_vector(n), so one cell costs n Delannoy weights.  The weights
-    are built first, so a bad variant or cell is refused before the
-    ladder is resumed."""
+    sum_l w_l x_l = sum_l (-1)^(l-1) w_l o_l over cell k's
+    `defect_weights` w and the kernel vector x = `_kernel(n)`, so one cell
+    costs n Delannoy weights.  The weights are built first, so a bad
+    variant or cell is refused before the ladder is resumed."""
     n = _odd_order(n, "defect vector")
     weights = [defect_weights(variant, n, k) for k in cells]
-    signed = list(o_vector(n))
-    signed[1::2] = map(neg, signed[1::2])
-    return tuple(sum(map(mul, w, signed)) for w in weights)
+    x = _kernel(n)
+    return tuple(sum(map(mul, w, x)) for w in weights)
 
 
 def d_entry_bordered(variant: str, n: int, k: int) -> int:

@@ -450,105 +450,91 @@ def paths_to_tiling(region: Region, paths):
 
 # --- rendering ---------------------------------------------------------------
 
+def _frame(region: Region, tiling, unit: int):
+    """What render_text and render_svg both place, at `unit` per square and
+    from the region's top-left corner, y growing downwards: the region's
+    width and height, `box`, which maps a rectangle's lower-left and
+    upper-right squares to its (x, y, width, height), and each diagonal
+    cell's box with its profile value, bottom to top."""
+    squares = region.squares
+    amin = min(a for a, _ in squares)
+    bmax = max(b for _, b in squares)
+
+    def box(lo, hi):
+        (a0, b0), (a1, b1) = lo, hi
+        return ((a0 - amin) * unit, (bmax - b1) * unit,
+                (a1 - a0 + 1) * unit, (b1 - b0 + 1) * unit)
+
+    _, _, width, height = box((amin, min(b for _, b in squares)),
+                              (max(a for a, _ in squares), bmax))
+    cells = []
+    for k, value in enumerate(diagonal_profile(region, tiling), 1):
+        block = cell_block(region.n, k)
+        cells.append((box(block[0], block[-1]), value))
+    return width, height, box, cells
+
+
+def _corners(x, y, w, h):
+    return (y, x), (y, x + w), (y + h, x), (y + h, x + w)
+
+
 def render_text(region: Region, tiling) -> str:
     """ASCII picture: domino outlines, # marks at diagonal cell corners, the
     cell values across the axis, and a bottom-to-top value legend."""
-    squares = region.squares
-    amin = min(a for a, _ in squares)
-    amax = max(a for a, _ in squares)
-    bmin = min(b for _, b in squares)
-    bmax = max(b for _, b in squares)
-    width = 2 * (amax - amin + 1) + 1
-    height = 2 * (bmax - bmin + 1) + 1
-    canvas = [[" "] * width for _ in range(height)]
-
-    def corner_rc(a, b):
-        # char position of the lower-left corner of square (a, b)
-        return 2 * (bmax - b) + 2, 2 * (a - amin)
-
-    def draw_box(a0, b0, a1, b1):
-        r1, c0 = corner_rc(a0, b0)
-        r0, _ = corner_rc(a1, b1)
-        r0 -= 2
-        _, c1 = corner_rc(a1 + 1, b0)
-        for c in range(c0, c1 + 1):
-            canvas[r0][c] = canvas[r1][c] = "-"
-        for r in range(r0, r1 + 1):
-            canvas[r][c0] = canvas[r][c1] = "|"
-        for r, c in ((r0, c0), (r0, c1), (r1, c0), (r1, c1)):
-            canvas[r][c] = "+"
-
+    width, height, box, cells = _frame(region, tiling, 2)
+    canvas = [[" "] * (width + 1) for _ in range(height + 1)]
     for d in sorted(tiling):
-        (a0, b0), (a1, b1) = d
-        draw_box(a0, b0, a1, b1)
+        x, y, w, h = box(*d)
+        for c in range(x, x + w + 1):
+            canvas[y][c] = canvas[y + h][c] = "-"
+        for r in range(y, y + h + 1):
+            canvas[r][x] = canvas[r][x + w] = "|"
+        for r, c in _corners(x, y, w, h):
+            canvas[r][c] = "+"
 
     def mark(r, c, ch):
         # deleted boundary squares can push cell corners off the canvas
-        if 0 <= r < height and 0 <= c < width:
+        if 0 <= r <= height and 0 <= c <= width:
             canvas[r][c] = ch
 
-    profile = diagonal_profile(region, tiling)
-    for k in range(1, region.n + 1):
-        (a0, b0), _, _, (a1, b1) = cell_block(region.n, k)
-        r1, c0 = corner_rc(a0, b0)
-        r0, _ = corner_rc(a1, b1)
-        r0 -= 2
-        _, c1 = corner_rc(a1 + 1, b0)
-        for r, c in ((r0, c0), (r0, c1), (r1, c0), (r1, c1)):
+    for (x, y, w, h), value in cells:
+        for r, c in _corners(x, y, w, h):
             mark(r, c, "#")
-        value = profile[k - 1]
-        mark((r0 + r1) // 2, (c0 + c1) // 2,
+        mark(y + h // 2, x + w // 2,
              "0" if value == 0 else ("+" if value > 0 else "-"))
     lines = ["".join(row).rstrip() for row in canvas]
-    legend = "cells bottom to top: " + ", ".join(f"{v:+d}" for v in profile)
-    return "\n".join(line for line in lines) + "\n" + legend + "\n"
+    legend = "cells bottom to top: " + ", ".join(f"{v:+d}" for _, v in cells)
+    return "\n".join(lines) + "\n" + legend + "\n"
 
 
 def render_svg(region: Region, tiling) -> str:
     """Self-contained SVG: region squares, domino outlines, dashed diagonal
     cells with their values."""
     unit = 24
-    squares = region.squares
-    amin = min(a for a, _ in squares)
-    amax = max(a for a, _ in squares)
-    bmin = min(b for _, b in squares)
-    bmax = max(b for _, b in squares)
-
-    def xy(a, b):
-        return (a - amin) * unit, (bmax - b) * unit
-
-    w = (amax - amin + 1) * unit
-    h = (bmax - bmin + 1) * unit
+    w, h, box, cells = _frame(region, tiling, unit)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">'
     ]
-    for a, b in sorted(squares):
-        x, y = xy(a, b)
-        fill = "#d8d8d8" if is_black(region.n, (a, b)) else "#f4f4f4"
+    for sq in sorted(region.squares):
+        x, y, _, _ = box(sq, sq)
+        fill = "#d8d8d8" if is_black(region.n, sq) else "#f4f4f4"
         parts.append(
             f'<rect x="{x}" y="{y}" width="{unit}" height="{unit}" '
             f'fill="{fill}"/>'
         )
     for d in sorted(tiling):
-        (a0, b0), (a1, b1) = d
-        x, y = xy(a0, b1)
-        dw = (a1 - a0 + 1) * unit
-        dh = (b1 - b0 + 1) * unit
+        x, y, dw, dh = box(*d)
         parts.append(
             f'<rect x="{x + 1}" y="{y + 1}" width="{dw - 2}" height="{dh - 2}" '
             f'rx="4" fill="none" stroke="#222" stroke-width="2"/>'
         )
-    profile = diagonal_profile(region, tiling)
-    for k in range(1, region.n + 1):
-        (a0, b0), _, _, (a1, b1) = cell_block(region.n, k)
-        x, y = xy(a0, b1)
+    for (x, y, cw, ch), value in cells:
         parts.append(
-            f'<rect x="{x}" y="{y}" width="{2 * unit}" height="{2 * unit}" '
+            f'<rect x="{x}" y="{y}" width="{cw}" height="{ch}" '
             f'fill="none" stroke="#c22" stroke-width="1.5" '
             f'stroke-dasharray="4 3"/>'
         )
-        value = profile[k - 1]
         parts.append(
             f'<text x="{x + unit}" y="{y + unit + 5}" font-size="14" '
             f'text-anchor="middle" fill="#c22">{value:+d}</text>'

@@ -24,6 +24,10 @@ search is a plain depth-first search over those path lists, filtered by
 disjointness against the mask of the vertices taken so far.  A point off the
 graph makes `q_doublet`, `enumerate_families`, `count_paths` and, as a
 source, `path_counts` raise ValueError.
+
+Also here: `delannoy`, the Delannoy numbers that `matrices` and `counts`
+read, filled one diagonal at a time by an exact three-term recurrence whose
+division is the package's one checked division, `series._exact`.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from operator import index, mul
+
+from .series import _exact
 
 FULL = "full"
 REDUCED = "reduced"
@@ -54,6 +60,9 @@ def delannoy(p: int, q: int) -> int:
     it, that of the Jacobi polynomials P_q^(0, p-q) at -3:
         2pq(s-2) D(p,q) = (s-1)(3s(s-2) + (p-q)^2) D(p-1,q-1)
                           - 2(p-1)(q-1)s D(p-2,q-2),   s = p + q.
+    The division goes through `series._exact`: a remainder, which a wrong
+    stored value can leave, raises ArithmeticError ("inexact division")
+    instead of being floored into a wrong Delannoy number.
 
     p and q go through `operator.index`, so a float raises TypeError, and the
     cache is typed, so (3.0, 3) is a key of its own: a float is refused
@@ -66,9 +75,10 @@ def delannoy(p: int, q: int) -> int:
     diagonal = _DIAGONALS.setdefault(d, [1, 2 * d + 3])
     for k in range(len(diagonal), m + 1):
         s = 2 * k + d
-        diagonal.append(((s - 1) * (3 * s * (s - 2) + d * d) * diagonal[-1]
-                         - 2 * (k - 1) * (k + d - 1) * s * diagonal[-2])
-                        // (2 * k * (k + d) * (s - 2)))
+        diagonal.append(_exact(
+            (s - 1) * (3 * s * (s - 2) + d * d) * diagonal[-1]
+            - 2 * (k - 1) * (k + d - 1) * s * diagonal[-2],
+            2 * k * (k + d) * (s - 2)))
     return diagonal[m]
 
 

@@ -23,13 +23,16 @@ a tiling count, never 0 (see `counts.count_off_diag`).
 Also here: one fraction-free (Bareiss) elimination, `_echelon`, for both the
 determinant and the rank of an integer matrix, and the bordered-matrix
 constructor that `matrices.matrix_b` builds on.  Every division of these
-algorithms is exact and goes through one checked helper, `_exact`, which
-raises ArithmeticError ("inexact division") on a remainder.
+algorithms is exact and goes through the package's one checked helper,
+`series._exact`, which raises ArithmeticError ("inexact division") on a
+remainder.
 """
 
 from __future__ import annotations
 
-from operator import index, mul, neg
+from operator import index, mul
+
+from .series import _exact
 
 
 class SkewMatrix:
@@ -115,18 +118,6 @@ def pfaffian_cofactor(m: SkewMatrix) -> int:
     return pf(tuple(range(m.order)))
 
 
-def _exact(num: int, den: int) -> int:
-    """num / den, which the calling algorithm makes an integer: the one
-    division of the condensation step, the Toeplitz step, the
-    back-substitution and the Bareiss elimination.  A remainder means the
-    input broke what the algorithm assumes, and raises ArithmeticError
-    rather than give a wrong value."""
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("inexact division")
-    return q
-
-
 def _condense_rows(top, second, rows, prev) -> list[list[int]]:
     """One condensation step on the working rows `rows`, which sit at
     columns 2, 3, ... of the pivot rows `top` and `second`:
@@ -162,8 +153,8 @@ class _LeadingPass:
     column past the input's is the border column h, which the same step
     carries along, so working row 0's last entry is the Pfaffian of the
     leading (2t+1) x (2t+1) block bordered by h.  `rung(t)` reads both;
-    `_deletion_vector` reads the single-deletion Pfaffians off the stored
-    steps.
+    `_deletion_vector` reads each odd leading block's kernel vector, its
+    single-deletion Pfaffians with alternating signs, off the stored steps.
 
     It holds the input order, each step's divisor and pivot rows (step t
     holds the pivot and working rows 0 and 1 after t steps), the working
@@ -297,8 +288,9 @@ def _next_step(prev, top, second, known=None) -> tuple[list[int], list[int]]:
 
 
 def _deletion_vector(done: _LeadingPass, n: int) -> tuple[int, ...]:
-    """Pf(block minus k), k = 1..n, of the leading n x n block of the input
-    of `done` (odd n <= done.order), back-substituted through its steps.
+    """The kernel vector x of the leading n x n block of the input of
+    `done` (odd n <= done.order) whose last entry is rung t's pivot,
+    back-substituted through its steps.
 
     With n = 2t + 1, x_k = (-1)^k Pf(block minus k) (0-based k) spans the
     block's kernel, as rung t's pivot (the leading 2t x 2t Pfaffian) is
@@ -319,7 +311,6 @@ def _deletion_vector(done: _LeadingPass, n: int) -> tuple[int, ...]:
         for k, num in ((2 * s + 1, -sum(map(mul, top[2:stop], tail))),
                        (2 * s, sum(map(mul, second[2:stop], tail)))):
             x[k] = _exact(num, p)
-    x[1::2] = map(neg, x[1::2])
     return tuple(x)
 
 

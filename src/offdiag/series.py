@@ -4,10 +4,13 @@ A series is a plain tuple of ints, constant term first; its order is the
 tuple length.  Coefficients are taken through `operator.index`, so a
 non-integer input (a float or a rational number) raises TypeError rather
 than being truncated.  Every division must come out exact: expanding num/den
-or taking a square root raises ArithmeticError at the first coefficient that
-is not an integer.  Everything here is exact, so these routines can serve as
-ground truth when cross-checking generating-function identities elsewhere in
-the package.
+or taking a square root raises ArithmeticError ("inexact division") at the
+first coefficient that is not an integer.  Everything here is exact, so these
+routines can serve as ground truth when cross-checking generating-function
+identities elsewhere in the package.
+
+`_exact` is the package's one checked exact division: this module imports
+nothing from the package, so `pfaffian` and `paths` import it from here.
 """
 
 from __future__ import annotations
@@ -22,11 +25,16 @@ def _as_coeffs(values) -> Coeffs:
     return tuple(map(index, values))
 
 
-def _divide(num: int, den: int) -> int:
-    """num / den, refusing a remainder."""
+def _exact(num: int, den: int) -> int:
+    """num / den, which the calling algorithm makes an integer: the one
+    division of the package's exact algorithms (the expansions here,
+    `pfaffian`'s condensation, back-substitution and elimination, and
+    `paths.delannoy`'s recurrence).  A remainder means the input broke what
+    the algorithm assumes, and raises ArithmeticError("inexact division")
+    rather than give a wrong value."""
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError(f"{num}/{den} is not an integer")
+        raise ArithmeticError("inexact division")
     return q
 
 
@@ -48,7 +56,7 @@ def expand_rational(num, den, order: int) -> Coeffs:
         acc = num[k] if k < len(num) else 0
         for i in range(1, min(k, len(den) - 1) + 1):
             acc -= den[i] * out[k - i]
-        out.append(_divide(acc, den[0]))
+        out.append(_exact(acc, den[0]))
     return tuple(out)
 
 
@@ -89,7 +97,7 @@ def sqrt(a) -> Coeffs:
         acc = a[k]
         for i in range(1, k):
             acc -= r[i] * r[k - i]
-        r.append(_divide(acc, 2 * r[0]))
+        r.append(_exact(acc, 2 * r[0]))
     return tuple(r)
 
 
@@ -106,4 +114,4 @@ def schroeder_numbers(count: int) -> tuple[int, ...]:
     numer = subtract(expand_rational((1, -1), (1,), order), root)
     if numer and numer[0] != 0:
         raise ArithmeticError("numerator lost its zero constant term")
-    return tuple(_divide(c, 2) for c in numer[1:])
+    return tuple(_exact(c, 2) for c in numer[1:])

@@ -548,7 +548,7 @@ def _check_nearly_families(n_max: int):
 
 
 # Each OracleCounts field the matrix routes also compute, with its route, for
-# oracle-agrees-small and `offdiag oracle --compare`.
+# `_oracle_compare`.
 _ORACLE_ROUTES = (
     ("o", o_vector),
     ("d_pm", lambda n: d_vector("pm", n)),
@@ -558,19 +558,30 @@ _ORACLE_ROUTES = (
 )
 
 
+def _oracle_compare(oc):
+    """The one agreement rule of the oracle and the matrix routes, for
+    oracle-agrees-small and `offdiag oracle --compare`: the matrix-route
+    value of each field in `_ORACLE_ROUTES`, as a dict in route order, and
+    the disagreements, one witness dict each.  The two agree when every
+    routed field is equal and the full odd-order region has no
+    off-diagonally symmetric tiling."""
+    n = oc.n
+    routed = {field: route(n) for field, route in _ORACLE_ROUTES}
+    failures = [{"n": n, "field": field, "oracle": getattr(oc, field),
+                 "matrix": value}
+                for field, value in routed.items()
+                if getattr(oc, field) != value]
+    if oc.off_diag_full != 0:
+        failures.append({"n": n, "full-region": oc.off_diag_full})
+    return routed, failures
+
+
 @_registered("identities", "oracle-agrees-small")
 def _check_oracle_small(n_max: int):
     cap = min(_odd_cap(n_max), 5)
     failures = []
     for n in range(1, cap + 1, 2):
-        oc = oracle_counts(n)
-        for field, route in _ORACLE_ROUTES:
-            got, want = getattr(oc, field), route(n)
-            if got != want:
-                failures.append({"n": n, "field": field, "oracle": got,
-                                 "matrix": want})
-        if oc.off_diag_full != 0:
-            failures.append({"n": n, "full-region": oc.off_diag_full})
+        failures += _oracle_compare(oracle_counts(n))[1]
     return f"exhaustive regions, odd n <= {cap}", failures
 
 

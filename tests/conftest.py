@@ -32,12 +32,12 @@ def pytest_configure(config):
 @pytest.fixture
 def empty_ladders(monkeypatch):
     """Start the per-process count memos, the ladder's pass and the
-    deletion vectors read off it, empty and restore them afterwards, so a
+    kernel vectors read off it, empty and restore them afterwards, so a
     test that fakes `_x_row` or counts the ladder's work neither leaves
     rungs behind nor reads rungs an earlier test computed."""
     monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
                         offdiag.pfaffian._ToeplitzPass(2))
-    monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
+    monkeypatch.setattr(offdiag.counts, "_kernels", {})
 
 
 @pytest.fixture

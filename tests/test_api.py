@@ -61,6 +61,24 @@ def test_no_module_imports_a_name_it_never_uses():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
+def test_one_divmod_in_the_one_exact_division():
+    # every exact division of the package goes through series._exact, which
+    # holds the one divmod call of the source
+    found = []
+    for path in sorted((SRC / "offdiag").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "divmod"):
+                owner = max((f for f in funcs
+                             if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                found.append((path.name, getattr(owner, "name", None)))
+    assert found == [("series.py", "_exact")]
+
+
 def test_import_loads_no_rational_arithmetic():
     # every exact number in the package is an int
     code = ("import sys, offdiag, offdiag.cli; "

@@ -234,15 +234,17 @@ def test_ladder_matches_the_condensation_of_a():
     # the ladder runs on X, whose leading Pfaffians, bordered by 2 or not,
     # are those of A bordered by the Pell column: at every even order
     # N <= 64 and at 100 the pass over X(N) has every rung of one fresh
-    # condensation of A(N) bordered by pell_vector(N), and o_vector(N - 1)
-    # is the back-substitution through that condensation
+    # condensation of A(N) bordered by pell_vector(N), and the kernel vector
+    # of A(N - 1) that o_vector reads is the back-substitution through that
+    # condensation
     for order in [*range(2, 65, 2), 100]:
         fresh = _LeadingPass(matrix_a(order).rows, pell_vector(order))
         ladder = _ToeplitzPass(2).resume(_x_row(order))
         assert [ladder.rung(t) for t in range(order // 2 + 1)] == [
             fresh.rung(t) for t in range(order // 2 + 1)]
         if order < 64:
-            assert o_vector(order - 1) == _deletion_vector(fresh, order - 1)
+            assert offdiag.counts._kernel(order - 1) == _deletion_vector(
+                fresh, order - 1)
 
 
 @pytest.mark.parametrize("arrange", ["descending", "ascending", "shuffled"])
@@ -325,7 +327,7 @@ def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):
     for orders in (range(31, 0, -1), range(1, 32), shuffled):
         monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
                             offdiag.pfaffian._ToeplitzPass(2))
-        monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
+        monkeypatch.setattr(offdiag.counts, "_kernels", {})
         computed.clear()
         for n in orders:
             if n % 2:
@@ -341,7 +343,7 @@ def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
                                                     empty_ladders):
     def memos():
         return (offdiag.counts._even_nearly_pass,
-                dict(offdiag.counts._o_vectors))
+                dict(offdiag.counts._kernels))
 
     x_row = offdiag.counts._x_row
 
@@ -397,7 +399,7 @@ def test_bad_variants_and_cells_are_refused_before_building(empty_ladders,
         with pytest.raises(ValueError, match=r"within 1\.\.101"):
             call()
     assert offdiag.counts._even_nearly_pass.order == 0
-    assert offdiag.counts._o_vectors == {}
+    assert offdiag.counts._kernels == {}
 
 
 def test_float_orders_are_refused_before_building(empty_ladders, forbid_a):
@@ -405,7 +407,7 @@ def test_float_orders_are_refused_before_building(empty_ladders, forbid_a):
     # before A is read or either memo changes; a bool is an index
     assert o_vector(True) == O_VECTORS[1]
     forbid_a()
-    before = (offdiag.counts._even_nearly_pass, dict(offdiag.counts._o_vectors))
+    before = (offdiag.counts._even_nearly_pass, dict(offdiag.counts._kernels))
     for call in (lambda: o_vector(3.0), lambda: d_vector("pm", 3.0),
                  lambda: even_order_full(4.0), lambda: count_nearly(3.0),
                  lambda: count_off_diag(3.0),
@@ -414,7 +416,7 @@ def test_float_orders_are_refused_before_building(empty_ladders, forbid_a):
         with pytest.raises(TypeError):
             call()
     assert (offdiag.counts._even_nearly_pass,
-            offdiag.counts._o_vectors) == before
+            offdiag.counts._kernels) == before
 
 
 def test_order_bound_admits_exactly_max_order(monkeypatch):
@@ -459,7 +461,7 @@ def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
                         bad.steps[s][r][c] += delta
                         monkeypatch.setattr(offdiag.counts,
                                             "_even_nearly_pass", bad)
-                        monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
+                        monkeypatch.setattr(offdiag.counts, "_kernels", {})
                         try:
                             got = o_vector(n)
                         except ArithmeticError:
@@ -483,7 +485,7 @@ def test_a_wrong_delannoy_entry_never_gives_a_wrong_deletion_vector(
                     return delannoy(p, q) + ((p, q) == key)
 
                 monkeypatch.setattr(offdiag.counts, "delannoy", shifted)
-                monkeypatch.setattr(offdiag.counts, "_o_vectors", {})
+                monkeypatch.setattr(offdiag.counts, "_kernels", {})
                 with pytest.raises(ArithmeticError, match="off the kernel"):
                     o_vector(n)
         monkeypatch.setattr(offdiag.counts, "delannoy", delannoy)

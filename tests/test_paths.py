@@ -79,6 +79,22 @@ def test_delannoy_cold_cache_deep_arguments(monkeypatch):
         delannoy.cache_clear()
 
 
+def test_delannoy_refuses_a_corrupted_diagonal(monkeypatch):
+    # the recurrence divides through series._exact: with D(1, 1) = 3 stored
+    # as 4, the step to D(3, 3) = 63 has numerator
+    # 5 * 72 * 13 - 2 * 2 * 2 * 6 * 4 = 4488 = 62 * 72 + 24, which raises
+    # instead of flooring to 62, and neither memo takes a value
+    monkeypatch.setattr(offdiag.paths, "_DIAGONALS", {0: [1, 4, 13]})
+    delannoy.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="^inexact division$"):
+            delannoy(3, 3)
+        assert offdiag.paths._DIAGONALS == {0: [1, 4, 13]}
+        assert delannoy.cache_info().currsize == 0
+    finally:
+        delannoy.cache_clear()
+
+
 FLOAT_THEN_COUNT = """
 import offdiag, offdiag.cli
 try:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -9,7 +10,6 @@ from offdiag.pfaffian import (
     SkewMatrix,
     _condense_rows,
     _deletion_vector,
-    _exact,
     _LeadingPass,
     _ToeplitzPass,
     bordered_skew,
@@ -18,6 +18,7 @@ from offdiag.pfaffian import (
     principal_submatrix,
     rational_rank,
 )
+from offdiag.series import _exact
 
 
 def _matchings(idx):
@@ -262,10 +263,13 @@ def sparse_skew(rng, order, density):
     return SkewMatrix(rows)
 
 
-def deleted_by_cofactor(m):
+def kernel_by_cofactor(m):
+    """(-1)^(k-1) Pf(m minus k), k = 1..order, by cofactor expansion: for
+    an odd m with a nonzero Pfaffian of its leading even block, the kernel
+    vector of m whose last entry is that Pfaffian."""
     labels = range(1, m.order + 1)
     return tuple(
-        pfaffian_cofactor(
+        (-1) ** (k - 1) * pfaffian_cofactor(
             principal_submatrix(m, [i for i in labels if i != k]))
         for k in labels)
 
@@ -286,9 +290,9 @@ def leading_steps(m, column):
 
 
 def deletion_rungs(m):
-    """The single-deletion Pfaffians of every odd leading block of m, read
-    by back-substitution off one fresh pass over m, bordered by a zero
-    column, which the back-substitution never reads."""
+    """The kernel vector of every odd leading block of m, read by
+    back-substitution off one fresh pass over m, bordered by a zero column,
+    which the back-substitution never reads."""
     done = _LeadingPass(m.rows, [0] * m.order)
     return [_deletion_vector(done, k) for k in range(1, m.order + 1, 2)]
 
@@ -302,7 +306,8 @@ def test_deletion_pfaffians_match_cofactor_on_random_skew():
         if all(pfaffian_cofactor(leading(m, 2 * t))
                for t in range(order // 2 + 1)):
             *_, got = deletion_rungs(m)
-            assert got == deleted_by_cofactor(m)
+            assert got == kernel_by_cofactor(m)
+            assert not any(sum(map(mul, row, got)) for row in m.rows)
             read += 1
         else:
             # a zero leading pivot: the ladder stops instead of misreading
@@ -316,9 +321,9 @@ def test_deletion_pfaffians_small_cases():
     assert deletion_rungs(SkewMatrix(((0,),))) == [(1,)]
     assert deletion_rungs(SkewMatrix(())) == []
     m = SkewMatrix(((0, 5, -2), (-5, 0, 7), (2, -7, 0)))
-    assert deletion_rungs(m) == [(1,), (7, -2, 5)]
+    assert deletion_rungs(m) == [(1,), (7, 2, 5)]
     # an even order gives its odd leading blocks only
-    assert deletion_rungs(bordered_skew(m, (1, 1, 1))) == [(1,), (7, -2, 5)]
+    assert deletion_rungs(bordered_skew(m, (1, 1, 1))) == [(1,), (7, 2, 5)]
     # zero leading pivots: the first rung is read, a longer pass raises
     for m in (SkewMatrix([[0] * 5] * 5),
               SkewMatrix(((0, 0, 0), (0, 0, 4), (0, -4, 0)))):
@@ -339,16 +344,17 @@ def test_corrupted_step_makes_the_back_substitution_raise():
     # after one step, whose pivot is 12) raises rather than give a vector
     a = matrix_a(8)
     done = _LeadingPass(a.rows, [0] * 8)
-    assert _deletion_vector(done, 7) == (312, 1560, 3640, 4472, 3640, 1560,
-                                         312)
+    assert _deletion_vector(done, 7) == (312, -1560, 3640, -4472, 3640,
+                                         -1560, 312)
     done.steps[1][1][2] += 1
     with pytest.raises(ArithmeticError, match="inexact division"):
         _deletion_vector(done, 7)
 
 
 def test_exact_division_returns_the_quotient_or_raises():
-    # the one division of the condensation step, the Toeplitz step, the
-    # back-substitution and the Bareiss elimination
+    # the package's one division: that of the condensation step, the
+    # Toeplitz step, the back-substitution, the Bareiss elimination, the
+    # power series and the Delannoy recurrence
     for num, den, want in ((12, 4, 3), (-12, 4, -3), (12, -4, -3),
                            (-12, -4, 3), (0, -7, 0),
                            (-3 * 10**40, 3, -10**40)):
@@ -418,7 +424,7 @@ def test_leading_pfaffians_read_every_leading_order():
             pfaffian_cofactor(bordered_skew(block, column[:block.order]))
             for block in odd] + [None] * (order % 2 == 0)
         assert deletion_rungs(m) == [
-            deleted_by_cofactor(block) for block in odd]
+            kernel_by_cofactor(block) for block in odd]
     assert raised > 10
     with pytest.raises(ValueError):
         leading_steps(SkewMatrix(((0, 1), (-1, 0))), [1])

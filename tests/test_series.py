@@ -66,6 +66,13 @@ def test_expand_rational_matches_naive_convolution():
     assert exact == 95  # of 170
 
 
+def test_a_remainder_raises_inexact_division():
+    # 1/2 has no integer constant term; the message is that of every exact
+    # division of the package
+    with pytest.raises(ArithmeticError, match="^inexact division$"):
+        series.expand_rational((1,), (2,), 2)
+
+
 def test_expand_rational_rejects_zero_constant_denominator():
     with pytest.raises(ValueError):
         series.expand_rational((1,), (0, 1), 4)

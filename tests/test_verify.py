@@ -210,7 +210,7 @@ def test_scans_raise_on_a_zero_leading_pivot(monkeypatch, empty_ladders):
         with pytest.raises(ArithmeticError):
             scan(3)
         assert offdiag.counts._even_nearly_pass.order == 0
-        assert offdiag.counts._o_vectors == {}
+        assert offdiag.counts._kernels == {}
 
 
 def test_gap_check_is_exact_across_the_sqrt2_crossing():
