@@ -6,29 +6,29 @@ off-diagonally symmetric tilings of the full odd-order region (count_nearly
 and the per-cell d_vector), and off-diagonally symmetric tilings of the full
 even-order region (even_order_full).
 
-Every count but count_off_diag and d_entry_bordered is read off one
-ladder, a pass over the skew-symmetric Toeplitz matrix X
-(`matrices._x_row`): A(n) = P X(n) P^T with P = [D(i - j, j)] (0-based, D
-the Delannoy numbers) unit lower triangular, and the doubled Pell column of
-B(n + 1) is P (2, ..., 2)^T.  So every leading Pfaffian of A is the leading
-Pfaffian of X, and every Pell-bordered one the leading Pfaffian of X
-bordered by the constant column 2, and one `pfaffian._ToeplitzPass` over
-X(N) bordered by 2 gives every order up to N in O(N^2): its pivots give
-even_order_full, its border entries count_nearly, and
-`pfaffian._deletion_vector` back-substitutes through its stored steps to
-the kernel vector of X(n), which P^(-T) turns into the kernel vector of
-A(n) (`_kernel`).  d_vector dots it with Delannoy weights, and o_vector
-flips the sign of every other entry, the one sign flip between the ladder
-and the deletion counts.  The ladder's per-process memo is its pass of the
-largest order asked so far: a request at or below that order reads the
-stored steps, a larger one resumes the pass to its own order, so however
-the requests arrive no entry is computed twice.  Each kernel vector is
-kept once read (`_kernels`), and a scan asks for its largest order first,
-which resumes the ladder once.  count_off_diag and d_entry_bordered each
-run one fresh `pfaffian._LeadingPass`, over a kept-set block of A and over
-A(n) bordered by one cell's Delannoy weights, blocks of A that
-`matrices._a_block` builds for each request, and `_o_vector_direct` stays
-as the verification route.
+Every count but d_entry_bordered, and count_off_diag of a kept set other
+than {1, ..., 2t}, is read off one ladder over the skew-symmetric Toeplitz
+matrix X (`matrices._x_row`): A(n) = P X(n) P^T with P = [D(i - j, j)]
+(0-based, D the Delannoy numbers) unit lower triangular, and the doubled
+Pell column of B(n + 1) is P (2, ..., 2)^T.  So every leading Pfaffian of A
+is the leading Pfaffian of X, and every Pell-bordered one the leading
+Pfaffian of X bordered by the constant column 2.  Rung t of the ladder is
+y_t, the kernel vector of X(2t + 1) whose end entries are p_t = Pf X(2t):
+p_t is even_order_full(2t), 2 * sum(y_t) is count_nearly(2t + 1), and
+P^(-T) y_t is the kernel vector of A(2t + 1) (`_kernel`), which d_vector
+dots with Delannoy weights and o_vector turns into the deletion counts by
+the one sign flip between the ladder and them.  Each rung follows from the
+two before it by a three-term recurrence in O(t) entries (`_rung`, which
+derives it).  The ladder's per-process memo is its rungs so far: a request
+at or below the top rung reads them, and a larger one extends them from the
+last two to the rung it needs, so however the requests arrive no rung is
+built twice.  Each kernel vector of A is kept once read (`_kernels`), and a
+scan asks for its largest order first, which extends the ladder once.
+count_off_diag of any other kept set runs one fresh `pfaffian._LeadingPass`
+over that block of A, and d_entry_bordered one over A(n) bordered by one
+cell's Delannoy weights, blocks of A that `matrices._a_block` builds for
+each request; `_o_vector_direct`, n such passes, stays as the verification
+route.
 
 Every entry point takes its order through `operator.index` (a float order
 raises TypeError) and refuses a request whose condensation order exceeds
@@ -38,17 +38,19 @@ raises TypeError) and refuses a request whose condensation order exceeds
 
 from __future__ import annotations
 
+from math import gcd
 from operator import index, mul, neg
 
 from .matrices import _a_block, _check_order, _x_row, defect_weights
 from .paths import delannoy
-from .pfaffian import (_deletion_vector, _kept_indices, _LeadingPass,
-                       _ToeplitzPass)
+from .pfaffian import _kept_indices, _LeadingPass
+from .series import _exact
 
 
 def _odd_order(n: int, noun: str) -> int:
-    """n as an int, refused unless it is odd and >= 1 and its ladder pass,
-    of order n + 1, is within MAX_ORDER; `noun` names the count refused."""
+    """n as an int, refused unless it is odd and >= 1 and its bordered
+    Pfaffian, of order n + 1, is within MAX_ORDER; `noun` names the count
+    refused."""
     n = index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"{noun} is defined for odd n >= 1")
@@ -56,26 +58,96 @@ def _odd_order(n: int, noun: str) -> int:
     return n
 
 
-# The ladder's per-process memo: the pass over X(N) bordered by the constant
-# column 2 of the largest order N asked so far (resumable, see
-# `_ToeplitzPass`), whose rungs are the counts.  Rung m gives
-# even_order_full(2m), rung m - 1 count_nearly(2m - 1), and the steps before
-# rung m o_vector(2m - 1).  A pass that raises leaves its memo as it was.
-_even_nearly_pass = _ToeplitzPass(2)
+# The ladder's per-process memo: rung t is y_t, the kernel vector of X(2t + 1)
+# whose end entries are p_t = even_order_full(2t), for every t up to the
+# largest rung asked so far; rung 0 is (1,), the kernel of the 1 x 1 zero
+# matrix, with p_0 = 1.  An extension that raises leaves it as it was.
+_rungs: list[tuple[int, ...]] = [(1,)]
 
 # The kernel vectors of A(n) read off the ladder so far, keyed by order; a
 # scan asks for each order twice (through o_vector and through d_vector).
 _kernels: dict[int, tuple[int, ...]] = {}
 
 
-def _even_nearly(m: int) -> _ToeplitzPass:
-    """The ladder's pass over at least X(2m) bordered by the constant column
-    2: the memo, or its pass resumed to order 2m."""
-    global _even_nearly_pass
-    done = _even_nearly_pass
-    if done.order < 2 * m:
-        done = _even_nearly_pass = done.resume(_x_row(2 * m))
-    return done
+def _ladder(m: int) -> list[tuple[int, ...]]:
+    """The ladder's rungs 0..m at least: the memo, or the memo extended to
+    rung m from its last two rungs.  The new rungs are built on a copy and
+    published once they all are, so an extension that raises leaves the
+    memo as it was."""
+    if len(_rungs) <= m:
+        c = _x_row(2 * m + 1)
+        built = list(_rungs)
+        for t in range(len(built), m + 1):
+            if t == 1:
+                if not c[1]:
+                    raise ArithmeticError("zero pivot in the ladder")
+                built.append((c[1], -c[2], c[1]))
+            else:
+                built.append(_rung(c, built[-1], built[-2]))
+        _rungs.extend(built[len(_rungs):])
+    return _rungs
+
+
+def _rung(c, w, q) -> tuple[int, ...]:
+    """Rung t >= 2 of the ladder, y_t, from w = y_(t-1) and q = y_(t-2)
+    and the first row c of X(2t + 1) or of a larger X (c_0 = 0, c_k for
+    k >= 1 its entries), by
+
+        p_(t-1)^2 y_t(z) = p_t p_(t-1) (1 + z)^2 w(z) - p_t^2 z^2 q(z),
+
+    reading a vector v as the polynomial v(z) = sum_i v[i] z^i, so that
+    z^s shifts it by s.  Row 0 of X(2t + 1) y_t = 0 fixes alpha = p_t/p_(t-1):
+    with u = (1 + z)^2 w, y_t = alpha u - alpha^2 z^2 q gives
+    alpha (a - alpha b) = 0 for a = sum_j c_j u[j] and
+    b = sum_j c_(j+2) q[j].  So with a/b in lowest terms,
+    y_t = a (b u - a z^2 q) / b^2; each entry's division by b^2 is exact,
+    as y_t is an integer vector and b^2 is prime to a.  y_t is a palindrome,
+    so half of it is built and mirrored.  A zero a (p_t = 0) or b
+    (b = -2 (t - 1) p_(t-1) on X) raises ArithmeticError: the kernel of
+    X(2t + 1) is then not one vector.  So does a y_t whose row 1 does not
+    vanish, which the step checks as y_t[0] = sum_k c_(k+1) w[k].
+
+    Why it holds.  Write y_t[k] = (-1)^k Pf(X(2t + 1) minus k): it spans
+    the kernel once p_t != 0, its end entries are p_t (X is Toeplitz), and
+    it is a palindrome, as J X J = -X for the reversal J.  Row i of
+    X(2t + 1) reads z^s w as row i - s of X(2t - 1) reads w, so it
+    annihilates w, z w and z^2 w for 2 <= i <= 2t - 2, and z^2 q likewise;
+    a palindrome v has (X v)_(2t-i) = -(X v)_i, so rows 0 and 1 are all
+    that is left.  Expanding Pf X(2t) and Pf X(2t - 2) along their first
+    rows, row 1 of X(2t + 1) reads p_t = sum_k c_(k+1) w[k] off z^2 w and
+    p_(t-1) off z^2 q, and row 0 reads p_t off z w.  So for every skew
+    Toeplitz X with nonzero p's, y_t = alpha (1 + z^2) w + beta z w -
+    alpha^2 z^2 q: the last entry fixes alpha = p_t/p_(t-1), row 1 then
+    the coefficient alpha^2, and row 0 beta.  The step builds it with
+    beta = 2 alpha and checks row 1, which holds exactly when beta is
+    2 alpha, and does on this X at every t: the entry at z is
+    y_t[1] = alpha w[1] + beta p_(t-1), and y_t[1] = 2t p_t.  For with
+    x = P^(-T) y_t, the kernel vector of A(2t + 1), A's row 0
+    (0, 2, ..., 2) gives sum_(j>=1) x_j = 0, and P^T's rows 0 and 1,
+    1 and D(j - 1, 1) = 2j - 1, give y_t[0] = x_0 and
+    y_t[1] - 2t y_t[0] = 2 sum_j (j - t) x_j, which is 0 as x is a
+    palindrome (the deletion counts are, by the region's reflection;
+    deletion-vector-palindrome checks it).  Rows 0 and 1 checked, each
+    rung is X(2t + 1)'s kernel vector whenever the two before it are
+    theirs, so the ladder needs no other check; `_kernel` still checks
+    every vector it reads against A, for the P^(-T) solve.
+    """
+    t = len(w) // 2 + 1
+    padded = (0, 0, *w, 0, 0)
+    u = [padded[j] + 2 * padded[j + 1] + padded[j + 2]
+         for j in range(2 * t + 1)]
+    a, b = sum(map(mul, c, u)), sum(map(mul, c[2:], q))
+    if not (a and b):
+        raise ArithmeticError("zero pivot in the ladder")
+    g = gcd(a, b)
+    a, b = _exact(a, g), _exact(b, g)
+    bb = b * b
+    half = [a * _exact(b * uj - a * qj, bb)
+            for uj, qj in zip(u[:t + 1], (0, 0, *q))]
+    if half[0] != sum(map(mul, c[1:], w)):
+        raise ArithmeticError(f"rung {t} of the ladder is off the kernel "
+                              f"of X({2 * t + 1})")
+    return (*half, *half[-2::-1])
 
 
 def count_off_diag(n: int, kept=None) -> int:
@@ -83,8 +155,10 @@ def count_off_diag(n: int, kept=None) -> int:
     the given boundary labels (all of them by default).
 
     The count is the Pfaffian of A's principal block on the kept labels: 0
-    for an odd kept set, before anything is built, and otherwise the last
-    pivot of one fresh leading pass over the block, which never pivots.  No
+    for an odd kept set, before anything is built; for a leading one,
+    {1, ..., 2t} (the full set at even n among them), the leading block
+    A(2t), whose Pfaffian is the ladder's p_t; and otherwise the last pivot
+    of one fresh leading pass over the block, which never pivots.  No
     leading pivot is 0: the leading 2t x 2t block is the block of the first
     2t kept labels, so its Pfaffian counts the tilings that keep those
     labels, as non-intersecting path families (Stembridge), and pairing
@@ -99,12 +173,23 @@ def count_off_diag(n: int, kept=None) -> int:
     idx = range(n) if kept is None else _kept_indices(kept, n)
     if len(idx) % 2:
         return 0
+    if not idx or idx[-1] == len(idx) - 1:
+        t = len(idx) // 2
+        return _ladder(t)[t][-1]
+    return _block_pfaffian(idx)
+
+
+def _block_pfaffian(idx) -> int:
+    """Pf of A's principal block on the 0-based indices `idx`, of even
+    length: the last pivot of one fresh leading pass over it."""
     return _LeadingPass(_a_block(idx, idx), [0] * len(idx)).pivot
 
 
 def _o_vector_direct(n: int) -> tuple[int, ...]:
-    return tuple(count_off_diag(n, [i for i in range(1, n + 1) if i != k])
-                 for k in range(1, n + 1))
+    """o_vector(n), for odd n, as n separate Pfaffians of blocks of A, each
+    by a fresh pass and none read off the ladder: the verification route."""
+    return tuple(_block_pfaffian([i for i in range(n) if i != k])
+                 for k in range(n))
 
 
 def _kernel(n: int) -> tuple[int, ...]:
@@ -112,23 +197,20 @@ def _kernel(n: int) -> tuple[int, ...]:
     scaled to x_n = even_order_full(n - 1): x_k = (-1)^(k-1) o_k with
     o = o_vector(n).
 
-    `_deletion_vector` back-substitutes through the steps of the ladder's
-    pass over X(n + 1), the per-process memo or that pass resumed to order
-    n + 1, for the same vector y of X(n); as A(n) = P X(n) P^T,
-    x = P^(-T) y, solved through the unit upper triangular
-    P^T = [D(j - i, i)] (read off `paths.delannoy`, as `defect_weights`
-    reads it), which keeps the scale x_n = y_n.  The vector is kept in
-    `_kernels`.  The pass never pivots: its leading pivots are those of
-    A(n), the tiling counts even_order_full(2t) > 0, and a zero one would
-    raise ArithmeticError rather than give a wrong vector.  So does a
-    vector off the kernel of A(n): x must annihilate rows 2..n of A(n).
-    Row 1, (0, 2, ..., 2), then holds too: rows 2..n have rank n - 1 when
-    o_1, the Pfaffian of their block in columns 2..n, is nonzero (at every
-    supported order), so that vector spans the kernel.
+    The ladder's rung (n - 1)/2 is the same vector y of X(n); as
+    A(n) = P X(n) P^T, x = P^(-T) y, solved through the unit upper
+    triangular P^T = [D(j - i, i)] (read off `paths.delannoy`, as
+    `defect_weights` reads it), which keeps the scale x_n = y_n.  The
+    vector is kept in `_kernels`.  A zero pivot of the ladder raises
+    ArithmeticError rather than give a wrong vector, and so does a vector
+    off the kernel of A(n): x must annihilate rows 2..n of A(n).  Row 1,
+    (0, 2, ..., 2), then holds too: rows 2..n have rank n - 1 when o_1, the
+    Pfaffian of their block in columns 2..n, is nonzero (at every supported
+    order), so that vector spans the kernel.
     """
     got = _kernels.get(n)
     if got is None:
-        x = list(_deletion_vector(_even_nearly((n + 1) // 2), n))
+        x = list(_ladder(n // 2)[n // 2])
         for i in range(n - 2, -1, -1):
             x[i] -= sum(delannoy(d, i) * v
                         for d, v in enumerate(x[i + 1:], 1))
@@ -158,11 +240,11 @@ def count_nearly(n: int) -> int:
     """Nearly off-diagonally symmetric tilings of the full odd-order region.
 
     This is Pf(B(n + 1)), A(n) bordered by the doubled Pell column, which
-    equals Pf of X(n) bordered by the constant column 2: one rung's border
-    entry of the ladder, read from the per-process memo or from its pass
-    resumed to order n + 1."""
+    equals Pf of X(n) bordered by the constant column 2: twice the sum of
+    the ladder's rung (n - 1)/2, the kernel vector of X(n), read from the
+    per-process memo or from the ladder extended to it."""
     n = _odd_order(n, "nearly count")
-    return _even_nearly((n + 1) // 2).rung((n - 1) // 2)[1]
+    return 2 * sum(_ladder(n // 2)[n // 2])
 
 
 def d_vector(variant: str, n: int) -> tuple[int, ...]:
@@ -176,7 +258,7 @@ def d_vector(variant: str, n: int) -> tuple[int, ...]:
 
 def _o_entry(n: int, k: int) -> int:
     """Entry k of o_vector(n), with the order and then the label refused
-    before the ladder is resumed."""
+    before the ladder is extended."""
     n = _odd_order(n, "deletion vector")
     if not 1 <= k <= n:
         raise ValueError(f"label must be within 1..{n}")
@@ -188,7 +270,7 @@ def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
     sum_l w_l x_l = sum_l (-1)^(l-1) w_l o_l over cell k's
     `defect_weights` w and the kernel vector x = `_kernel(n)`, so one cell
     costs n Delannoy weights.  The weights are built first, so a bad
-    variant or cell is refused before the ladder is resumed."""
+    variant or cell is refused before the ladder is extended."""
     n = _odd_order(n, "defect vector")
     weights = [defect_weights(variant, n, k) for k in cells]
     x = _kernel(n)
@@ -201,7 +283,7 @@ def d_entry_bordered(variant: str, n: int, k: int) -> int:
 
     It is the border entry of the last rung of one fresh pass over A(n)
     with that border column; the pass's leading pivots are
-    even_order_full(2t) > 0, as on the ladder."""
+    even_order_full(2t) > 0."""
     n, k = index(n), index(k)
     _odd_order(n, "defect count")
     weights = defect_weights(variant, n, k)
@@ -212,11 +294,11 @@ def d_entry_bordered(variant: str, n: int, k: int) -> int:
 def even_order_full(n: int) -> int:
     """Off-diagonally symmetric tilings of the full even-order region.
 
-    This is Pf(A(n)) = Pf(X(n)), one rung of the ladder (a leading pivot of
-    its pass), read from the per-process memo or from its pass resumed to
-    order n."""
+    This is Pf(A(n)) = Pf(X(n)), the end entry p_(n/2) of the ladder's rung
+    n/2, read from the per-process memo or from the ladder extended to
+    it."""
     n = index(n)
     if n < 2 or n % 2:
         raise ValueError("full-region count is defined for even n >= 2")
     _check_order(n)
-    return _even_nearly(n // 2).rung(n // 2)[0]
+    return _ladder(n // 2)[n // 2][-1]

@@ -25,8 +25,8 @@ from . import series
 
 # The largest order of A built, so of any count's condensation; 200 admits
 # scans to --n-max 100 and every count to n = 199.  On a 2-vCPU VM the count
-# ladder's cold pass over X takes about 0.03 s at order 100 and 0.7 s at 200,
-# and one fresh condensation of a block of A (count_off_diag,
+# ladder's cold recurrence over X takes about 0.02 s to order 100 and 0.5 s
+# to 200, and one fresh condensation of a block of A (count_off_diag,
 # d_entry_bordered) about 0.3 s at order 100 and 9 s at 200.
 MAX_ORDER = 200
 

@@ -10,7 +10,8 @@ routines can serve as ground truth when cross-checking generating-function
 identities elsewhere in the package.
 
 `_exact` is the package's one checked exact division: this module imports
-nothing from the package, so `pfaffian` and `paths` import it from here.
+nothing from the package, so `pfaffian`, `counts` and `paths` import it
+from here.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _as_coeffs(values) -> Coeffs:
 def _exact(num: int, den: int) -> int:
     """num / den, which the calling algorithm makes an integer: the one
     division of the package's exact algorithms (the expansions here,
-    `pfaffian`'s condensation, back-substitution and elimination, and
+    `pfaffian`'s condensation and elimination, `counts`' ladder, and
     `paths.delannoy`'s recurrence).  A remainder means the input broke what
     the algorithm assumes, and raises ArithmeticError("inexact division")
     rather than give a wrong value."""

@@ -133,8 +133,8 @@ CHECKS: dict[str, dict] = {"identities": {}, "rank-claim": {}}
 MIN_N_MAX = {"identities": 4, "rank-claim": 3}
 
 # The largest n_max either suite admits.  At n_max the identity suite counts
-# count_nearly(c) and o_vector(c), each read off the ladder's pass of order
-# c + 1, for the largest odd c <= n_max; above this bound they would pass
+# count_nearly(c) and o_vector(c), each checked as an order-(c + 1) request,
+# for the largest odd c <= n_max; above this bound they would pass
 # matrices.MAX_ORDER and refuse, after every check before them had run.  The
 # rank suite reads no count; it shares the bound, so both suites admit the
 # same n_max, and `_run_suite` refuses a larger one up front.
@@ -699,8 +699,8 @@ def scan_log_concavity(n_max: int = 35):
     cross-multiplication); each row records that verdict and whether the
     per-cell defect vector is unimodal, which is not a check (it is
     expected not to be).  The largest order is asked for first, which
-    resumes the count ladder, the Toeplitz pass of `counts`, once; each
-    deletion vector is then back-substituted through its stored steps.
+    extends the count ladder of `counts` once, to that order and no
+    further; each deletion vector is then solved from its rung.
     """
     n_max = index(n_max)
     if n_max < 1:
@@ -708,7 +708,7 @@ def scan_log_concavity(n_max: int = 35):
     rows = []
     lc_failures = []
     # the largest order first: it refuses an oversized scan before any work
-    # and resumes the ladder once, so each order below is read off its steps
+    # and extends the ladder once, so each order below is read off its rungs
     o_vector(2 * n_max - 1)
     for m in range(1, n_max + 1):
         order = 2 * m - 1
@@ -731,9 +731,39 @@ def scan_log_concavity(n_max: int = 35):
 # Bits of the exact root brackets behind gap-shrinks-past-calibration.  For
 # every m = 6..100 (all the scans admit) each gap differs from the m = 5 gap
 # by at least 3 685 units of 2^-20 (the least at m = 6), far above the
-# brackets' 2 units, so every verdict is decided; the two roots cost ~20 ms
-# at order ~100 and ~0.2 s at order ~200 on a 2-vCPU VM.
+# brackets' 2 units, so every verdict is decided; with `_power_exceeds` the
+# two roots cost ~0.06 ms at order ~100 and ~0.2 ms at order ~200 on a
+# 2-vCPU VM.
 _ROOT_BITS = 20
+
+
+def _power_exceeds(y: int, e: int, target: int) -> bool:
+    """Whether y**e > target, exactly, for y >= 1, e >= 0 and target >= 0,
+    without computing y**e unless it must.
+
+    Square and multiply along e's bits, keeping lo * 2^s <= y**d <= hi * 2^s
+    for the exponent d read so far, with lo and hi held to k bits under one
+    shared shift s (lo rounded down, hi up).  The bounds decide the
+    comparison unless target lies between them; then k doubles, from 64.
+    Once k reaches y**e's bit length nothing is rounded and lo = hi = y**e,
+    so the answer is always exact."""
+    k = 64
+    while True:
+        lo = hi = 1
+        s = 0
+        for bit in bin(e)[2:]:
+            lo, hi, s = lo * lo, hi * hi, 2 * s
+            if bit == "1":
+                lo, hi = lo * y, hi * y
+            drop = hi.bit_length() - k
+            if drop > 0:
+                lo, hi, s = lo >> drop, -(-hi >> drop), s + drop
+        floor = target >> s
+        if lo > floor:          # lo * 2^s > target, as lo is an integer
+            return True
+        if hi <= floor:         # hi * 2^s <= target
+            return False
+        k *= 2
 
 
 def _root_offset(count: int, order: int) -> int:
@@ -742,15 +772,16 @@ def _root_offset(count: int, order: int) -> int:
 
     floor(2^p * count^(2/N^2)) is the integer N^2-th root of
     count^2 * 2^(p N^2); it is seeded from the float root and confirmed by
-    two exact powers.  floor(2^p * sqrt(2)) is isqrt(2^(2p+1)).
+    two exact comparisons of powers with that target (`_power_exceeds`).
+    floor(2^p * sqrt(2)) is isqrt(2^(2p+1)).
     """
     bits = _ROOT_BITS
     e = order * order
     target = count * count << (bits * e)
     root = int(math.ldexp(math.exp(2 * math.log(count) / e), bits))
-    while root ** e > target:
+    while _power_exceeds(root, e, target):
         root -= 1
-    while (root + 1) ** e <= target:
+    while not _power_exceeds(root + 1, e, target):
         root += 1
     return root - math.isqrt(2 << (2 * bits))
 
@@ -773,9 +804,8 @@ def scan_asymptotics(n_max: int = 35):
     Returns (report, rows).  Roots and gaps are advisory floats; the checks
     are the exact base case and, past the calibration point, that the gap has
     shrunk relative to m=5, decided from exact rational brackets on the
-    roots.  The largest order is asked for first, which resumes the count
-    ladder, the Toeplitz pass of `counts`, once; every count is then a rung
-    read.
+    roots.  The largest order is asked for first, which extends the count
+    ladder of `counts` once; every count is then a rung read.
     """
     n_max = index(n_max)
     if n_max < 1:

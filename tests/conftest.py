@@ -11,7 +11,6 @@ import pytest
 import offdiag.counts
 import offdiag.matrices
 import offdiag.paths
-import offdiag.pfaffian
 
 ACCEPTANCE_LINES = []
 
@@ -31,12 +30,12 @@ def pytest_configure(config):
 
 @pytest.fixture
 def empty_ladders(monkeypatch):
-    """Start the per-process count memos, the ladder's pass and the
-    kernel vectors read off it, empty and restore them afterwards, so a
-    test that fakes `_x_row` or counts the ladder's work neither leaves
-    rungs behind nor reads rungs an earlier test computed."""
-    monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
-                        offdiag.pfaffian._ToeplitzPass(2))
+    """Start the per-process count memos, the ladder's rungs and the
+    kernel vectors read off them, empty (the ladder at rung 0) and restore
+    them afterwards, so a test that fakes `_x_row` or counts the ladder's
+    work neither leaves rungs behind nor reads rungs an earlier test
+    computed."""
+    monkeypatch.setattr(offdiag.counts, "_rungs", [(1,)])
     monkeypatch.setattr(offdiag.counts, "_kernels", {})
 
 

@@ -389,15 +389,20 @@ def test_scan_matches_golden_output(capsys):
 
 
 # sha256 of stdout at the top of the admitted range, recorded before the
-# count ladder moved from a condensation of A to the Toeplitz pass over X;
-# the outputs run to 224 KB and 594 KB, so only their digests are kept.
-# Each is regenerated from a checkout with
+# count ladder moved from a condensation of A to the Toeplitz pass over X
+# (the full kept set at order 200 when it was still one fresh condensation
+# of A(200), equal to `count even --n 200`); the outputs run to 224 KB and
+# 594 KB, so only their digests are kept.  Each is regenerated from a
+# checkout with
 #   PYTHONPATH=src python -m offdiag.cli <argv> | sha256sum
 TOP_OF_RANGE = (
     (("scan", "asymptotics", "--n-max", "100", "--format", "json"),
      "3d0c33a9ce180ac4de0f0547e855ce50b5d64c21bb3b0d95e482c12e860ba518"),
     (("count", "o", "--n", "199", "--all", "--format", "json"),
      "5b93472847f77ecbaa98a682c85c6d0f11abad1adf85d708be965f4d7c5c868d"),
+    (("count", "o", "--n", "200", "--kept",
+      ",".join(map(str, range(1, 201)))),
+     "bced5da856d91afa7e55c69313aa9439395a1574867a3d748e8b9acc0a5fd017"),
 )
 
 

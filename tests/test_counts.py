@@ -1,12 +1,12 @@
 import random
 import time
 from itertools import combinations
+from operator import mul
 
 import pytest
 
 import offdiag.counts
 import offdiag.matrices
-import offdiag.pfaffian
 from offdiag.counts import (
     _o_vector_direct,
     count_nearly,
@@ -16,11 +16,11 @@ from offdiag.counts import (
     even_order_full,
     o_vector,
 )
-from offdiag.matrices import (MAX_ORDER, _x_row, matrix_a, matrix_b,
-                              pell_vector)
+from offdiag.matrices import (MAX_ORDER, _a_block, _x_row, matrix_a,
+                              matrix_b, pell_vector)
 from offdiag.paths import delannoy
-from offdiag.pfaffian import (_deletion_vector, _LeadingPass, _ToeplitzPass,
-                              pfaffian_cofactor, principal_submatrix)
+from offdiag.pfaffian import (SkewMatrix, _LeadingPass, pfaffian_cofactor,
+                              principal_submatrix)
 
 O_VECTORS = {
     1: (1,),
@@ -98,7 +98,9 @@ def test_count_off_diag_subsets():
 
 def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
     # every even kept set at every order up to 16 is one principal block of
-    # A, and an odd one counts 0 and builds nothing; every kept set gives
+    # A, built once unless the set is leading ({1, ..., 2t}, read off the
+    # ladder), and an odd one counts 0 and builds nothing; every kept set
+    # gives
     # the cofactor Pfaffian of the principal submatrix of A(n), all of them
     # at n <= 8, and every even kept set of [12] counts at least 1, so no
     # leading pivot is 0
@@ -115,22 +117,24 @@ def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
         return pfaffian_cofactor(principal_submatrix(matrix_a(n), kept))
 
     rng = random.Random(11)
-    sizes = []  # the size of each kept set asked
+    kept_sets = []  # each kept set asked
     for n in range(16, 0, -1):
         kept = rng.sample(range(1, n + 1), rng.randint(0, n))
         assert count_off_diag(n) == pfaffian_cofactor(matrix_a(n))
         assert count_off_diag(n, kept) == by_cofactor(n, kept)
-        sizes += [n, len(kept)]
+        kept_sets += [range(1, n + 1), kept]
     for n in range(1, 9):
         for size in range(n + 1):
             for kept in combinations(range(1, n + 1), size):
                 assert count_off_diag(n, kept) == by_cofactor(n, kept)
-                sizes.append(size)
+                kept_sets.append(kept)
     for size in range(0, 13, 2):
         for kept in combinations(range(1, 13), size):
             assert count_off_diag(12, kept) >= 1
-            sizes.append(size)
-    assert blocks == [size for size in sizes if size % 2 == 0]
+            kept_sets.append(kept)
+    assert blocks == [len(kept) for kept in kept_sets if len(kept) % 2 == 0
+                      and sorted(kept) != list(range(1, len(kept) + 1))]
+    assert len(blocks) > 1000
 
 
 def test_count_nearly_fixtures():
@@ -230,21 +234,62 @@ def test_one_pass_ladders_match_per_order_counts():
         o_vector(8)
 
 
-def test_ladder_matches_the_condensation_of_a():
+def test_ladder_matches_the_condensation_of_a(empty_ladders):
     # the ladder runs on X, whose leading Pfaffians, bordered by 2 or not,
     # are those of A bordered by the Pell column: at every even order
-    # N <= 64 and at 100 the pass over X(N) has every rung of one fresh
-    # condensation of A(N) bordered by pell_vector(N), and the kernel vector
-    # of A(N - 1) that o_vector reads is the back-substitution through that
-    # condensation
+    # N <= 64 and at 100, one fresh condensation of A(N) bordered by
+    # pell_vector(N) has every rung's end entry p_t as its pivot and twice
+    # the rung's sum as its border entry, and the kernel vector of A(N - 1)
+    # that o_vector reads annihilates every row of A(N - 1) and ends in
+    # that condensation's pivot, which fixes it
     for order in [*range(2, 65, 2), 100]:
+        top = order // 2
         fresh = _LeadingPass(matrix_a(order).rows, pell_vector(order))
-        ladder = _ToeplitzPass(2).resume(_x_row(order))
-        assert [ladder.rung(t) for t in range(order // 2 + 1)] == [
-            fresh.rung(t) for t in range(order // 2 + 1)]
+        rungs = offdiag.counts._ladder(top)
+        assert [(y[-1], 2 * sum(y)) for y in rungs[:top]] + [
+            (rungs[top][-1], None)] == [fresh.rung(t) for t in range(top + 1)]
         if order < 64:
-            assert offdiag.counts._kernel(order - 1) == _deletion_vector(
-                fresh, order - 1)
+            x = offdiag.counts._kernel(order - 1)
+            assert x[-1] == fresh.rung(top - 1)[0]
+            assert not any(sum(map(mul, row, x))
+                           for row in matrix_a(order - 1).rows)
+
+
+def test_ladder_rungs_are_the_deletion_pfaffians_of_x(empty_ladders):
+    # rung t is y_t[k] = (-1)^k Pf(X(2t + 1) minus k), k = 0..2t, by the
+    # cofactor route, at every t <= 5; rung 0 is the empty Pfaffian and
+    # rung 1 is (c_1, -c_2, c_1)
+    row = _x_row(11)
+    rungs = offdiag.counts._ladder(5)
+    assert rungs[:2] == [(1,), (2, 4, 2)] == [(1,), (row[1], -row[2], row[1])]
+    for t in range(6):
+        n = 2 * t + 1
+        x = SkewMatrix([[row[j - i] if i <= j else -row[i - j]
+                         for j in range(n)] for i in range(n)])
+        assert rungs[t] == tuple(
+            (-1) ** k * pfaffian_cofactor(principal_submatrix(
+                x, [i for i in range(1, n + 1) if i != k + 1]))
+            for k in range(n))
+
+
+def test_leading_kept_sets_read_the_ladder(monkeypatch, empty_ladders):
+    # a kept set {1, ..., 2t}, the full set at even n among them, is the
+    # leading block A(2t), whose Pfaffian is the ladder's p_t: at every
+    # n <= 40 each leading kept set counts what a fresh pass over that
+    # block of A gives, and none builds a block of A
+    fresh = [_LeadingPass(_a_block(range(k), range(k)), [0] * k).pivot
+             for k in range(0, 41, 2)]
+    blocks = []
+    monkeypatch.setattr(offdiag.counts, "_a_block",
+                        lambda *args: blocks.append(args))
+    for n in range(1, 41):
+        for k in range(0, n + 1, 2):
+            assert count_off_diag(n, range(1, k + 1)) == fresh[k // 2]
+            assert count_off_diag(n, reversed(range(1, k + 1))) == fresh[
+                k // 2]
+        if n % 2 == 0:
+            assert count_off_diag(n) == fresh[n // 2]
+    assert blocks == []
 
 
 @pytest.mark.parametrize("arrange", ["descending", "ascending", "shuffled"])
@@ -267,27 +312,35 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
     # the references run their own passes, so they run before the spies
     want = (fresh_pfaffian(matrix_b(22)), fresh_pfaffian(matrix_a(22)))
     direct = _o_vector_direct(21)
-    passes, substituted = [], []
-    resume = offdiag.pfaffian._ToeplitzPass.resume
-    read = offdiag.counts._deletion_vector
+    extensions, built, solved = [], [], []
+    x_row, rung = offdiag.counts._x_row, offdiag.counts._rung
+    block = offdiag.counts._a_block
 
-    def counted(done, row):
-        passes.append(len(row) - done.order)
-        return resume(done, row)
+    def counted_row(n):
+        extensions.append(n)
+        return x_row(n)
 
-    def counted_read(done, n):
-        substituted.append(n)
-        return read(done, n)
+    def counted_rung(c, w, q):
+        built.append(len(w) // 2 + 1)
+        return rung(c, w, q)
 
-    monkeypatch.setattr(offdiag.pfaffian._ToeplitzPass, "resume", counted)
-    monkeypatch.setattr(offdiag.counts, "_deletion_vector", counted_read)
-    # one ladder: o_vector(19) is read off the pass over X(20) that
-    # even_order_full(20) ran, and a repeated one off the vector memo
+    def counted_block(rows, cols):
+        solved.append(len(cols))
+        return block(rows, cols)
+
+    monkeypatch.setattr(offdiag.counts, "_x_row", counted_row)
+    monkeypatch.setattr(offdiag.counts, "_rung", counted_rung)
+    monkeypatch.setattr(offdiag.counts, "_a_block", counted_block)
+    # one ladder: o_vector(19) reads rung 9 of the ladder that
+    # even_order_full(20) extended to rung 10, and a repeated one the
+    # vector memo; each extension reads X's first row once
     even_order_full(20)
     assert o_vector(19) == o_vector(19)
-    assert passes == [20] and substituted == [19]
-    passes.clear()
-    substituted.clear()
+    assert extensions == [21] and built == list(range(2, 11))
+    assert solved == [19]
+    extensions.clear()
+    built.clear()
+    solved.clear()
     for n in (20, 18, 2, 12):
         even_order_full(n)
     for n in (19, 1, 7, 17):
@@ -298,35 +351,34 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
         even_order_full(2 * m)
         count_nearly(2 * m - 1)
         o_vector(2 * m - 1)
-    assert passes == []
-    # each order's vector is back-substituted once, when first asked
-    assert sorted(substituted) == list(range(1, 18, 2))
-    # a larger request resumes the pass: only the two columns it adds are
-    # computed past the stored steps, and that serves the rest
+    assert extensions == built == []
+    # each order's vector is solved and checked once, when first asked
+    assert sorted(solved) == list(range(1, 18, 2))
+    # a larger request extends the ladder from its last two rungs by the
+    # one rung it adds, and that serves the rest
     assert (count_nearly(21), even_order_full(22)) == want
     assert o_vector(21) == direct
-    assert passes == [2] and substituted[-1] == 21
+    assert extensions == [23] and built == [11] and solved[-1] == 21
 
 
 def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):
-    # a larger request resumes the ladder's pass, so however the orders
-    # arrive no entry is computed twice: no order of the requests costs
-    # more than one pass at the largest order (the first, descending).
-    # Each entry the pass computes is one exact division.
+    # a larger request extends the ladder from its last two rungs, so
+    # however the orders arrive no rung is built twice: every order of the
+    # requests costs the same exact divisions as one extension to the
+    # largest order (the first, descending)
     computed = []
-    exact = offdiag.pfaffian._exact
+    exact = offdiag.counts._exact
 
     def counted(num, den):
         computed.append(1)
         return exact(num, den)
 
-    monkeypatch.setattr(offdiag.pfaffian, "_exact", counted)
+    monkeypatch.setattr(offdiag.counts, "_exact", counted)
     shuffled = list(range(1, 32))
     random.Random(7).shuffle(shuffled)
     totals = []
     for orders in (range(31, 0, -1), range(1, 32), shuffled):
-        monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
-                            offdiag.pfaffian._ToeplitzPass(2))
+        monkeypatch.setattr(offdiag.counts, "_rungs", [(1,)])
         monkeypatch.setattr(offdiag.counts, "_kernels", {})
         computed.clear()
         for n in orders:
@@ -336,41 +388,39 @@ def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):
             else:
                 even_order_full(n)
         totals.append(sum(computed))
-    assert max(totals) == totals[0], totals
+    assert totals[0] > 0 and totals == [totals[0]] * 3, totals
 
 
 def test_refused_requests_leave_the_memos_unchanged(monkeypatch,
                                                     empty_ladders):
     def memos():
-        return (offdiag.counts._even_nearly_pass,
-                dict(offdiag.counts._kernels))
+        return (list(offdiag.counts._rungs), dict(offdiag.counts._kernels))
 
     x_row = offdiag.counts._x_row
 
-    def zero_pivot_past_4(n):
-        # a resumed pass reads the columns a request adds past the memo
-        # (order 4 here); c_4 = -2 and c_5 = 112 make Pf X(6), its next
-        # pivot, zero
-        return x_row(n)[:4] + [-2, 112] + [0] * (n - 6)
+    def zero_pivot_past_1(n):
+        # an extension reads X's first row to the rung it needs; past the
+        # memo (rung 1 here), c_4 = -32 makes a = 64 + 2 c_4, and so p_2,
+        # zero in the step to rung 2
+        return x_row(n)[:4] + [-32] + [0] * (n - 5)
 
-    even_order_full(4)
+    even_order_full(2)
     o_vector(3)
     before = memos()
-    assert before[0].order == 4 and list(before[1]) == [3]
+    assert len(before[0]) == 2 and list(before[1]) == [3]
     for call in (lambda: even_order_full(MAX_ORDER + 2),
                  lambda: count_nearly(MAX_ORDER + 1),
                  lambda: o_vector(MAX_ORDER + 1),
                  lambda: d_vector("pm", MAX_ORDER + 1)):
         with pytest.raises(ValueError, match="largest supported order"):
             call()
-    monkeypatch.setattr(offdiag.counts, "_x_row", zero_pivot_past_4)
-    for call in (lambda: even_order_full(6), lambda: count_nearly(5),
+    monkeypatch.setattr(offdiag.counts, "_x_row", zero_pivot_past_1)
+    for call in (lambda: even_order_full(4), lambda: count_nearly(5),
                  lambda: o_vector(5), lambda: d_vector("pm", 5),
-                 lambda: even_order_full(12)):
+                 lambda: even_order_full(12), lambda: count_off_diag(4)):
         with pytest.raises(ArithmeticError, match="zero pivot"):
             call()
-    now = memos()
-    assert now[0] is before[0] and now[1] == before[1]
+    assert memos() == before
 
 
 def test_oversized_requests_are_refused_before_building(empty_ladders,
@@ -398,7 +448,7 @@ def test_bad_variants_and_cells_are_refused_before_building(empty_ladders,
                  lambda: d_entry_bordered("pm", 101, 102)):
         with pytest.raises(ValueError, match=r"within 1\.\.101"):
             call()
-    assert offdiag.counts._even_nearly_pass.order == 0
+    assert offdiag.counts._rungs == [(1,)]
     assert offdiag.counts._kernels == {}
 
 
@@ -407,7 +457,7 @@ def test_float_orders_are_refused_before_building(empty_ladders, forbid_a):
     # before A is read or either memo changes; a bool is an index
     assert o_vector(True) == O_VECTORS[1]
     forbid_a()
-    before = (offdiag.counts._even_nearly_pass, dict(offdiag.counts._kernels))
+    before = (list(offdiag.counts._rungs), dict(offdiag.counts._kernels))
     for call in (lambda: o_vector(3.0), lambda: d_vector("pm", 3.0),
                  lambda: even_order_full(4.0), lambda: count_nearly(3.0),
                  lambda: count_off_diag(3.0),
@@ -415,8 +465,7 @@ def test_float_orders_are_refused_before_building(empty_ladders, forbid_a):
                  lambda: d_entry_bordered("pm", 3, 1.0)):
         with pytest.raises(TypeError):
             call()
-    assert (offdiag.counts._even_nearly_pass,
-            offdiag.counts._kernels) == before
+    assert (offdiag.counts._rungs, offdiag.counts._kernels) == before
 
 
 def test_order_bound_admits_exactly_max_order(monkeypatch):
@@ -435,41 +484,39 @@ def test_order_bound_admits_exactly_max_order(monkeypatch):
 
 def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
                                                             empty_ladders):
-    # shift one entry of a stored pivot row of the ladder's pass over X(n + 1)
-    # and read odd order n: the back-substitution raises on an inexact
-    # division, o_vector's check against rows 2..n of A(n) raises on a
-    # vector off the kernel, or the entry was not read and the vector is the
-    # true one.  658 of the 990 raise at the kernel check, and a check
-    # against the last row of A(n) alone misses 8 of those, among them step
-    # 0's c_2 = -4 -> -3 at order 3.
+    # shift one entry of a stored rung of the ladder, kept to rung
+    # (n - 1)/2, which o_vector(n) reads, or to the rung before, which the
+    # read then extends from: the recurrence raises on a zero or an
+    # inexact division, its row-1 check raises on a rung off the kernel of
+    # X, o_vector's check against rows 2..n of A(n) raises on a vector off
+    # the kernel of A, or the rung was not read and the vector is the true
+    # one.  62 of the 593 raise at the row-1 check.  A check against A
+    # alone would miss some of those: it fixes a vector up to scale only,
+    # and a shifted rung 0, or rung 2's middle entry + 1 read at order 7,
+    # scales the rungs built on it (to 53/52 of the true vector there).
+    even_order_full(12)
+    true = list(offdiag.counts._rungs)
     raised = kept = 0
     for n in range(3, 12, 2):
         want = _o_vector_direct(n)
-        monkeypatch.setattr(offdiag.counts, "_even_nearly_pass",
-                            offdiag.pfaffian._ToeplitzPass(2))
-        even_order_full(n + 1)
-        done = offdiag.counts._even_nearly_pass
-        for s, step in enumerate(done.steps):
-            for r in (1, 2):
-                for c, entry in enumerate(step[r]):
-                    shifts = {1, -1, 2, 3, 7, 100, entry, -2 * entry}
-                    for delta in shifts - {0}:
-                        bad = offdiag.pfaffian._ToeplitzPass(2)
-                        bad.order, bad.pivot = done.order, done.pivot
-                        bad.steps = tuple((p, list(top), list(second))
-                                          for p, top, second in done.steps)
-                        bad.steps[s][r][c] += delta
-                        monkeypatch.setattr(offdiag.counts,
-                                            "_even_nearly_pass", bad)
+        for top in (n // 2 - 1, n // 2):
+            for s in range(top + 1):
+                for j, entry in enumerate(true[s]):
+                    for delta in {1, -1, 2, 3, 7, 100, entry,
+                                  -2 * entry} - {0}:
+                        bad = true[:top + 1]
+                        bad[s] = (*bad[s][:j], entry + delta,
+                                  *bad[s][j + 1:])
+                        monkeypatch.setattr(offdiag.counts, "_rungs", bad)
                         monkeypatch.setattr(offdiag.counts, "_kernels", {})
                         try:
                             got = o_vector(n)
                         except ArithmeticError:
                             raised += 1
                         else:
-                            assert got == want, (n, delta, s, r, c)
+                            assert got == want, (n, top, s, j, delta)
                             kept += 1
-    assert (raised, kept) == (990, 960)
+    assert (raised, kept) == (593, 539)
 
 
 def test_a_wrong_delannoy_entry_never_gives_a_wrong_deletion_vector(

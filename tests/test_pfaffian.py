@@ -1,17 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
-from operator import mul
 
 import pytest
 
-from offdiag.matrices import matrix_a
 from offdiag.pfaffian import (
     SkewMatrix,
     _condense_rows,
-    _deletion_vector,
     _LeadingPass,
-    _ToeplitzPass,
     bordered_skew,
     determinant,
     pfaffian_cofactor,
@@ -252,28 +248,6 @@ def test_bordered_skew_layout_and_sign():
             bordered_skew(m, col[:-1])
 
 
-def sparse_skew(rng, order, density):
-    rows = [[0] * order for _ in range(order)]
-    for i in range(order):
-        for j in range(i + 1, order):
-            if rng.random() < density:
-                e = rng.randint(-3, 3)
-                rows[i][j] = e
-                rows[j][i] = -e
-    return SkewMatrix(rows)
-
-
-def kernel_by_cofactor(m):
-    """(-1)^(k-1) Pf(m minus k), k = 1..order, by cofactor expansion: for
-    an odd m with a nonzero Pfaffian of its leading even block, the kernel
-    vector of m whose last entry is that Pfaffian."""
-    labels = range(1, m.order + 1)
-    return tuple(
-        (-1) ** (k - 1) * pfaffian_cofactor(
-            principal_submatrix(m, [i for i in labels if i != k]))
-        for k in labels)
-
-
 def leading(m, order):
     return principal_submatrix(m, range(1, order + 1))
 
@@ -289,72 +263,10 @@ def leading_steps(m, column):
     return rungs(_LeadingPass(m.rows, column))
 
 
-def deletion_rungs(m):
-    """The kernel vector of every odd leading block of m, read by
-    back-substitution off one fresh pass over m, bordered by a zero column,
-    which the back-substitution never reads."""
-    done = _LeadingPass(m.rows, [0] * m.order)
-    return [_deletion_vector(done, k) for k in range(1, m.order + 1, 2)]
-
-
-def test_deletion_pfaffians_match_cofactor_on_random_skew():
-    rng = random.Random(137)
-    raised = read = 0
-    for _ in range(1500):
-        order = rng.choice((1, 3, 5, 7, 9))
-        m = sparse_skew(rng, order, rng.random())
-        if all(pfaffian_cofactor(leading(m, 2 * t))
-               for t in range(order // 2 + 1)):
-            *_, got = deletion_rungs(m)
-            assert got == kernel_by_cofactor(m)
-            assert not any(sum(map(mul, row, got)) for row in m.rows)
-            read += 1
-        else:
-            # a zero leading pivot: the ladder stops instead of misreading
-            with pytest.raises(ArithmeticError):
-                deletion_rungs(m)
-            raised += 1
-    assert raised > 100 and read > 100
-
-
-def test_deletion_pfaffians_small_cases():
-    assert deletion_rungs(SkewMatrix(((0,),))) == [(1,)]
-    assert deletion_rungs(SkewMatrix(())) == []
-    m = SkewMatrix(((0, 5, -2), (-5, 0, 7), (2, -7, 0)))
-    assert deletion_rungs(m) == [(1,), (7, 2, 5)]
-    # an even order gives its odd leading blocks only
-    assert deletion_rungs(bordered_skew(m, (1, 1, 1))) == [(1,), (7, 2, 5)]
-    # zero leading pivots: the first rung is read, a longer pass raises
-    for m in (SkewMatrix([[0] * 5] * 5),
-              SkewMatrix(((0, 0, 0), (0, 0, 4), (0, -4, 0)))):
-        assert deletion_rungs(leading(m, 1)) == [(1,)]
-        with pytest.raises(ArithmeticError):
-            deletion_rungs(m)
-    # only odd leading blocks of the pass's input have a deletion vector
-    done = _LeadingPass(((0, 5, -2), (-5, 0, 7), (2, -7, 0)),
-                                 [0] * 3)
-    for n in (0, 2, 5):
-        with pytest.raises(ValueError):
-            _deletion_vector(done, n)
-
-
-def test_corrupted_step_makes_the_back_substitution_raise():
-    # every division of the back-substitution is exact on a true pass; a
-    # stored step changed so that one is not (here working entry (0, 2)
-    # after one step, whose pivot is 12) raises rather than give a vector
-    a = matrix_a(8)
-    done = _LeadingPass(a.rows, [0] * 8)
-    assert _deletion_vector(done, 7) == (312, -1560, 3640, -4472, 3640,
-                                         -1560, 312)
-    done.steps[1][1][2] += 1
-    with pytest.raises(ArithmeticError, match="inexact division"):
-        _deletion_vector(done, 7)
-
-
 def test_exact_division_returns_the_quotient_or_raises():
-    # the package's one division: that of the condensation step, the
-    # Toeplitz step, the back-substitution, the Bareiss elimination, the
-    # power series and the Delannoy recurrence
+    # the package's one division: that of the condensation step, the count
+    # ladder, the Bareiss elimination, the power series and the Delannoy
+    # recurrence
     for num, den, want in ((12, 4, 3), (-12, 4, -3), (12, -4, -3),
                            (-12, -4, 3), (0, -7, 0),
                            (-3 * 10**40, 3, -10**40)):
@@ -423,53 +335,14 @@ def test_leading_pfaffians_read_every_leading_order():
         assert [entry for _, entry in got] == [
             pfaffian_cofactor(bordered_skew(block, column[:block.order]))
             for block in odd] + [None] * (order % 2 == 0)
-        assert deletion_rungs(m) == [
-            kernel_by_cofactor(block) for block in odd]
     assert raised > 10
     with pytest.raises(ValueError):
         leading_steps(SkewMatrix(((0, 1), (-1, 0))), [1])
 
 
-def toeplitz(row):
-    """The skew-symmetric Toeplitz matrix with first row `row`."""
-    n = len(row)
-    return SkewMatrix([[row[j - i] if i <= j else -row[i - j]
-                        for j in range(n)] for i in range(n)])
-
-
-def test_resumed_pass_matches_one_fresh_pass():
-    # a Toeplitz pass grown through any sequence of even leading blocks of
-    # X holds, at each size, the steps of one fresh condensation pass over
-    # that block bordered by the constant column, so it reads every rung and
-    # every deletion vector that pass reads; a zero pivot among the added
-    # columns raises and leaves the old pass as it was
-    rng = random.Random(143)
-    resumed = raised = 0
-    for _ in range(600):
-        order = 2 * rng.randint(0, 6)
-        row = [0] + [rng.randint(-3, 3) for _ in range(order - 1)]
-        h = rng.randint(-9, 9)
-        sizes = sorted(rng.sample(range(0, order, 2),
-                                  rng.randint(0, order // 2)))
-        done = _ToeplitzPass(h)
-        for k in sizes + [order]:
-            try:
-                fresh = _LeadingPass(toeplitz(row[:k]).rows, [h] * k)
-            except ArithmeticError:
-                kept = (done.order, done.steps, done.pivot)
-                snapshot = repr(kept)
-                with pytest.raises(ArithmeticError, match="zero pivot"):
-                    done.resume(row[:k])
-                assert repr(kept) == snapshot
-                raised += 1
-                break
-            grown = done.resume(row[:k])
-            assert (grown.order, grown.steps, grown.rows, grown.pivot) == (
-                fresh.order, fresh.steps, fresh.rows, fresh.pivot)
-            assert rungs(grown) == rungs(fresh)
-            resumed += len(done.steps) > 0
-            done = grown
-    assert resumed > 100 and raised > 10
+def test_leading_pass_refuses_malformed_input():
+    # a pass takes one border entry, an int, per row, and rows of the
+    # input's order; its rungs run from 0 to its number of steps
     m = SkewMatrix(((0, 1, 1), (-1, 0, 2), (-1, -2, 0)))
     with pytest.raises(ValueError):
         _LeadingPass(m.rows[:2] + ((1, 2),), [0] * 3)  # a short row
@@ -485,26 +358,6 @@ def test_resumed_pass_matches_one_fresh_pass():
             three.rung(t)                   # a pass of one step has rungs 0, 1
 
 
-def test_toeplitz_pass_refuses_odd_orders_and_zero_pivots():
-    two = _ToeplitzPass(5).resume([0, 3])
-    assert (two.rung(0), two.rung(1)) == ((1, 5), (3, None))
-    for row in ([0, 3, 1], [0]):            # an odd order, a smaller one
-        with pytest.raises(ValueError, match="grows to an even order"):
-            two.resume(row)
-    with pytest.raises(TypeError):
-        two.resume([0, 3, 1.0, 2])          # an entry is an int
-    # Pf X(4) = c1^2 - c2^2 + c1 c3 is -1 at (c1, c2, c3) = (0, 1, 1),
-    # whose first pivot c1 is 0, and 0 at (2, 0, -2), the second pivot of a
-    # pass of order 2 that resumes
-    assert [pfaffian_cofactor(toeplitz(row))
-            for row in ([0, 0, 1, 1], [0, 2, 0, -2])] == [-1, 0]
-    with pytest.raises(ArithmeticError, match="zero pivot"):
-        _ToeplitzPass(1).resume([0, 0, 1, 1])
-    half = _ToeplitzPass(1).resume([0, 2])
-    with pytest.raises(ArithmeticError, match="zero pivot"):
-        half.resume([0, 2, 0, -2])
-
-
 def test_zero_leading_pivot_raises_on_the_leading_path():
     # Pf = a01 a23 - a02 a13 + a03 a12 = 0 - 1 + 6: a zero (0, 1) pivot
     m = SkewMatrix(((0, 0, 1, 2), (0, 0, 3, 1), (-1, -3, 0, 5),
@@ -514,7 +367,7 @@ def test_zero_leading_pivot_raises_on_the_leading_path():
         leading_steps(m, [0] * 4)
     odd = bordered_skew(m, (1, 1, 1, 1))
     with pytest.raises(ArithmeticError):
-        deletion_rungs(odd)
+        leading_steps(odd, [0] * 5)
     # the zero pivot may also come later: Pf of the leading 4 x 4 block is 0
     m = SkewMatrix(((0, 1, 1, 0, 0, 1), (-1, 0, -1, 1, -1, 0),
                     (-1, 1, 0, 1, 0, 0), (0, -1, -1, 0, 1, 0),

@@ -2,51 +2,54 @@
 database, so that every run draws the same examples (`conftest.py` keeps
 hypothesis's other caches out of the checkout)."""
 
-import pytest
+from functools import lru_cache
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offdiag import series
-from offdiag.pfaffian import (SkewMatrix, _deletion_vector, _LeadingPass,
-                              _ToeplitzPass)
+from offdiag import counts, series
+from offdiag.matrices import matrix_a, pell_vector
+from offdiag.pfaffian import _LeadingPass
 
 FIXED = settings(derandomize=True, deadline=None, database=None,
                  max_examples=300)
 
+TOP = 20
 
-def toeplitz(row):
-    n = len(row)
-    return SkewMatrix([[row[j - i] if i <= j else -row[i - j]
-                        for j in range(n)] for i in range(n)])
+
+def ladder_to(tops):
+    """The ladder's rungs after requests for the rungs `tops`, in turn,
+    from an empty memo; the process's own memo is put back after."""
+    kept = counts._rungs
+    counts._rungs = [(1,)]
+    try:
+        for top in tops:
+            counts._ladder(top)
+        return list(counts._rungs)
+    finally:
+        counts._rungs = kept
+
+
+@lru_cache(maxsize=None)
+def fresh_rungs(order):
+    """Every rung of one fresh condensation of A(order) bordered by the
+    Pell column."""
+    done = _LeadingPass(matrix_a(order).rows, pell_vector(order))
+    return [done.rung(t) for t in range(order // 2 + 1)]
 
 
 @FIXED
-@given(entries=st.lists(st.integers(-4, 4), min_size=13, max_size=13),
-       border=st.integers(-9, 9),
-       halves=st.lists(st.integers(0, 7), min_size=2, max_size=5))
-def test_resumed_toeplitz_pass_matches_one_fresh_condensation(entries, border,
-                                                              halves):
-    # grown through any sequence of even orders, the pass holds at each one
-    # the steps of one fresh condensation of that leading block of X
-    # bordered by the constant column, so every rung and deletion vector;
-    # a zero pivot raises and leaves the pass it resumed as it was
-    row = [0] + entries
-    done = _ToeplitzPass(border)
-    for k in sorted({2 * half for half in halves}):
-        try:
-            fresh = _LeadingPass(toeplitz(row[:k]).rows, [border] * k)
-        except ArithmeticError:
-            snapshot = repr((done.order, done.steps, done.pivot))
-            with pytest.raises(ArithmeticError, match="zero pivot"):
-                done.resume(row[:k])
-            assert repr((done.order, done.steps, done.pivot)) == snapshot
-            return
-        grown = done.resume(row[:k])
-        assert (grown.order, grown.steps, grown.pivot) == (
-            fresh.order, fresh.steps, fresh.pivot)
-        assert [_deletion_vector(grown, n) for n in range(1, k, 2)] == [
-            _deletion_vector(fresh, n) for n in range(1, k, 2)]
-        done = grown
+@given(tops=st.lists(st.integers(1, TOP), min_size=1, max_size=6))
+def test_extended_ladder_matches_one_run_and_a_fresh_condensation(tops):
+    # extended in steps of any size and asked in any order, the ladder
+    # builds exactly the rungs asked, equal to one run to the top rung; its
+    # pivots p_t and border entries 2 sum(y_t) are those of one fresh
+    # condensation of A(N) bordered by the Pell column, N = 2 max(tops)
+    got = ladder_to(tops)
+    top = max(tops)
+    assert got == ladder_to([TOP])[:top + 1]
+    assert [(y[-1], 2 * sum(y)) for y in got[:top]] + [
+        (got[top][-1], None)] == fresh_rungs(2 * top)
 
 
 coefficients = st.lists(st.integers(-50, 50), max_size=12)

@@ -1,12 +1,13 @@
 import json
+import math
+import random
 
 import pytest
 
 import offdiag.counts
 import offdiag.oracle
-import offdiag.pfaffian
 import offdiag.verify
-from offdiag.counts import count_nearly
+from offdiag.counts import count_nearly, even_order_full
 from offdiag.matrices import MAX_ORDER, _check_order, matrix_r
 from offdiag.paths import FULL, REDUCED, PathGraph
 from offdiag.pfaffian import SkewMatrix, pfaffian_cofactor, rational_rank
@@ -17,6 +18,7 @@ from offdiag.verify import (
     CheckResult,
     _adjusted_left_block,
     _odd_cap,
+    _power_exceeds,
     _root_offset,
     jsonable,
     scan_asymptotics,
@@ -171,45 +173,48 @@ def test_asymptotics_scan():
 
 
 def test_scans_run_one_condensation_pass(monkeypatch, empty_ladders):
-    passes = []
-    resume = offdiag.pfaffian._ToeplitzPass.resume
+    extensions = []
+    x_row = offdiag.counts._x_row
 
-    def counted(done, row):
-        passes.append(len(row) - done.order)
-        return resume(done, row)
+    def counted(n):
+        extensions.append(n)
+        return x_row(n)
 
     # each scan asks for its largest order first, so an oversized scan is
-    # refused before any resume, and the ladder is resumed once and every
-    # other order is a rung read; both scans read the one ladder, so the
-    # second resumes the first's pass by the columns it adds
-    monkeypatch.setattr(offdiag.pfaffian._ToeplitzPass, "resume", counted)
+    # refused before any extension, and the ladder is extended once, to
+    # the scan's top rung and no further, and every other order is a rung
+    # read; both scans read the one ladder, so the second extends the
+    # first's rungs; each extension reads X's first row once
+    monkeypatch.setattr(offdiag.counts, "_x_row", counted)
     for scan in (scan_asymptotics, scan_log_concavity):
         with pytest.raises(ValueError, match="largest supported order"):
             scan(101)
-    assert passes == []
+    assert extensions == []
     assert scan_log_concavity(25)[0].passed
-    assert passes == [50]
-    passes.clear()
+    assert extensions == [49] and len(offdiag.counts._rungs) == 25
+    extensions.clear()
     assert scan_asymptotics(50)[0].passed
-    assert passes == [50]
+    assert extensions == [101] and len(offdiag.counts._rungs) == 51
 
 
 def test_scans_raise_on_a_zero_leading_pivot(monkeypatch, empty_ladders):
-    # a skew Toeplitz X whose (0, 1) pivot is 0 though its Pfaffian is not;
-    # the scans' one pass never swaps, so it must stop rather than misread
-    # orders, and leave the ladder and the vector memo as they were
-    def zero_pivot(n):
-        return [0, 0] + [1] * (n - 2)
+    # a skew Toeplitz X with c_2 = 0, so that b = c_2, the divisor that
+    # fixes rung 2, is 0, though Pf X(4) = c1^2 - c2^2 + c1 c3 is not: the
+    # recurrence holds for the package's X, and on any other the scans
+    # must stop rather than misread orders, and leave the ladder and the
+    # vector memo as they were
+    def zero_b(n):
+        return [0, 1, 0] + [1] * (n - 3)
 
-    row = zero_pivot(4)
+    row = zero_b(4)
     x4 = [[row[j - i] if i <= j else -row[i - j] for j in range(4)]
           for i in range(4)]
-    assert pfaffian_cofactor(SkewMatrix(x4)) == -1
-    monkeypatch.setattr(offdiag.counts, "_x_row", zero_pivot)
+    assert pfaffian_cofactor(SkewMatrix(x4)) == 2
+    monkeypatch.setattr(offdiag.counts, "_x_row", zero_b)
     for scan in (scan_asymptotics, scan_log_concavity):
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match="zero pivot"):
             scan(3)
-        assert offdiag.counts._even_nearly_pass.order == 0
+        assert offdiag.counts._rungs == [(1,)]
         assert offdiag.counts._kernels == {}
 
 
@@ -228,6 +233,47 @@ def test_gap_check_is_exact_across_the_sqrt2_crossing():
         assert (gap.check, gap.range, gap.status) == (
             "gap-shrinks-past-calibration", f"m = {n_max} against m = 5",
             "PASS")
+
+
+def test_bounded_powers_decide_exactly():
+    # the k-bit brackets on y**e decide y**e > target as the exact power
+    # does; a target at y**e or one off it is never decided by rounded
+    # bounds, so k grows until nothing is rounded
+    rng = random.Random(41)
+    cases = 0
+    for _ in range(400):
+        y = rng.randint(1, 1 << rng.randint(1, 24))
+        e = rng.choice((0, 1, 2, rng.randint(3, 60), rng.randint(60, 900)))
+        power = y ** e
+        for target in (power - 1, power, power + 1,
+                       power + rng.randint(-9, 9), rng.randint(0, 2 * power),
+                       power >> rng.randint(0, 70)):
+            if target >= 0:
+                assert _power_exceeds(y, e, target) is (power > target), (
+                    y, e, target)
+                cases += 1
+    assert cases > 2000
+    assert _power_exceeds(1, 10**6, 0) and not _power_exceeds(1, 10**6, 1)
+
+
+def test_root_offsets_match_exact_powers():
+    # _root_offset brackets each root as the exact integer root would, at
+    # every order <= 60, even and nearly
+    def exact(count, order):
+        bits = offdiag.verify._ROOT_BITS
+        e = order * order
+        target = count * count << (bits * e)
+        root = int(math.ldexp(math.exp(2 * math.log(count) / e), bits))
+        while root ** e > target:
+            root -= 1
+        while (root + 1) ** e <= target:
+            root += 1
+        return root - math.isqrt(2 << (2 * bits))
+
+    for m in range(1, 31):
+        for count, order in ((even_order_full(2 * m), 2 * m),
+                             (count_nearly(2 * m - 1), 2 * m - 1)):
+            assert _root_offset(count, order) == exact(count, order), order
 
 
 def test_gap_check_fails_when_the_brackets_overlap(monkeypatch):
