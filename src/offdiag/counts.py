@@ -121,11 +121,12 @@ def _rung(c, w, q) -> tuple[int, ...]:
     the coefficient alpha^2, and row 0 beta.  The step builds it with
     beta = 2 alpha and checks row 1, which holds exactly when beta is
     2 alpha, and does on this X at every t: the entry at z is
-    y_t[1] = alpha w[1] + beta p_(t-1), and y_t[1] = 2t p_t.  For with
-    x = P^(-T) y_t, the kernel vector of A(2t + 1), A's row 0
+    y_t[1] = alpha w[1] + beta p_(t-1), and y_s[1] = 2s p_s at every s.
+    For with
+    x = P^(-T) y_s, the kernel vector of A(2s + 1), A's row 0
     (0, 2, ..., 2) gives sum_(j>=1) x_j = 0, and P^T's rows 0 and 1,
-    1 and D(j - 1, 1) = 2j - 1, give y_t[0] = x_0 and
-    y_t[1] - 2t y_t[0] = 2 sum_j (j - t) x_j, which is 0 as x is a
+    1 and D(j - 1, 1) = 2j - 1, give y_s[0] = x_0 and
+    y_s[1] - 2s y_s[0] = 2 sum_j (j - s) x_j, which is 0 as x is a
     palindrome (the deletion counts are, by the region's reflection;
     deletion-vector-palindrome checks it).  Rows 0 and 1 checked, each
     rung is X(2t + 1)'s kernel vector whenever the two before it are
