@@ -100,10 +100,9 @@ def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
     # every even kept set at every order up to 16 is one principal block of
     # A, built once unless the set is leading ({1, ..., 2t}, read off the
     # ladder), and an odd one counts 0 and builds nothing; every kept set
-    # gives
-    # the cofactor Pfaffian of the principal submatrix of A(n), all of them
-    # at n <= 8, and every even kept set of [12] counts at least 1, so no
-    # leading pivot is 0
+    # gives the cofactor Pfaffian of the principal submatrix of A(n), all
+    # of them at n <= 8, and every even kept set of [12] counts at least 1,
+    # so no leading pivot is 0
     blocks = []
     block = offdiag.counts._a_block
 
