@@ -1,9 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+import offdiag.counts
+from offdiag.counts import count_nearly, even_order_full, o_vector
 from offdiag.pfaffian import (
     SkewMatrix,
     _condense_rows,
@@ -248,6 +251,28 @@ def test_bordered_skew_layout_and_sign():
             bordered_skew(m, col[:-1])
 
 
+def sparse_skew(rng, order, density):
+    rows = [[0] * order for _ in range(order)]
+    for i in range(order):
+        for j in range(i + 1, order):
+            if rng.random() < density:
+                e = rng.randint(-3, 3)
+                rows[i][j] = e
+                rows[j][i] = -e
+    return SkewMatrix(rows)
+
+
+def kernel_by_cofactor(m):
+    """(-1)^(k-1) Pf(m minus k), k = 1..order, by cofactor expansion: for
+    an odd m with a nonzero Pfaffian of its leading even block, the kernel
+    vector of m whose last entry is that Pfaffian."""
+    labels = range(1, m.order + 1)
+    return tuple(
+        (-1) ** (k - 1) * pfaffian_cofactor(
+            principal_submatrix(m, [i for i in labels if i != k]))
+        for k in labels)
+
+
 def leading(m, order):
     return principal_submatrix(m, range(1, order + 1))
 
@@ -261,6 +286,110 @@ def leading_steps(m, column):
     """Every rung of one fresh leading-order pass over m bordered by
     `column`."""
     return rungs(_LeadingPass(m.rows, column))
+
+
+def deletion_vector(m):
+    """(-1)^(k-1) Pf(m minus k), k = 1..order, of an odd skew m: entry k is
+    the border entry of the last rung of one leading pass over m bordered
+    by the unit column e_k, as Pf(bordered_skew(m, h)) is
+    sum_k (-1)^(k-1) h_k Pf(m minus k)."""
+    n = m.order
+    return tuple(
+        _LeadingPass(m.rows, [int(i == k) for i in range(n)]).rung(n // 2)[1]
+        for k in range(n))
+
+
+def deletion_rungs(m):
+    """The deletion vector of every odd leading block of m."""
+    return [deletion_vector(leading(m, k)) for k in range(1, m.order + 1, 2)]
+
+
+def test_deletion_pfaffians_match_cofactor_on_random_skew():
+    rng = random.Random(137)
+    raised = read = 0
+    for _ in range(1500):
+        order = rng.choice((1, 3, 5, 7, 9))
+        m = sparse_skew(rng, order, rng.random())
+        if all(pfaffian_cofactor(leading(m, 2 * t))
+               for t in range(order // 2 + 1)):
+            got = deletion_vector(m)
+            assert got == kernel_by_cofactor(m)
+            assert not any(sum(map(mul, row, got)) for row in m.rows)
+            read += 1
+        else:
+            # a zero leading pivot: the pass stops instead of misreading
+            with pytest.raises(ArithmeticError):
+                deletion_vector(m)
+            raised += 1
+    assert raised > 100 and read > 100
+
+
+def test_deletion_pfaffians_small_cases():
+    assert deletion_rungs(SkewMatrix(((0,),))) == [(1,)]
+    assert deletion_rungs(SkewMatrix(())) == []
+    m = SkewMatrix(((0, 5, -2), (-5, 0, 7), (2, -7, 0)))
+    assert deletion_rungs(m) == [(1,), (7, 2, 5)]
+    # an even order gives its odd leading blocks only
+    assert deletion_rungs(bordered_skew(m, (1, 1, 1))) == [(1,), (7, 2, 5)]
+    # zero leading pivots: the first rung is read, a longer pass raises
+    for m in (SkewMatrix([[0] * 5] * 5),
+              SkewMatrix(((0, 0, 0), (0, 0, 4), (0, -4, 0)))):
+        assert deletion_rungs(leading(m, 1)) == [(1,)]
+        with pytest.raises(ArithmeticError):
+            deletion_rungs(m)
+    # the count ladder's first rungs are the deletion vectors of X(1) and
+    # X(3), (1,) and (c_1, -c_2, c_1), as the pass reads them
+    c = offdiag.counts._x_row(3)
+    x3 = SkewMatrix(((0, c[1], c[2]), (-c[1], 0, c[1]), (-c[2], -c[1], 0)))
+    assert deletion_rungs(x3) == [(1,), (c[1], -c[2], c[1])]
+    assert offdiag.counts._ladder(1)[:2] == deletion_rungs(x3)
+
+
+def test_corrupted_step_makes_the_back_substitution_raise(monkeypatch,
+                                                          empty_ladders):
+    # every division of the ladder's step (counts._rung), which builds the
+    # kernel vectors of X that the back-substitution through a pass used
+    # to, is exact on true rungs; a stored rung changed so that one is not
+    # (here entry 1 of rung 2, read by the step to rung 3 that o_vector(7)
+    # needs) raises rather than give a vector
+    assert o_vector(7) == (312, 1560, 3640, 4472, 3640, 1560, 312)
+    bad = list(offdiag.counts._rungs[:3])
+    assert bad[2] == (12, 48, 36, 48, 12)
+    bad[2] = (12, 49, 36, 48, 12)
+    monkeypatch.setattr(offdiag.counts, "_rungs", bad)
+    monkeypatch.setattr(offdiag.counts, "_kernels", {})
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        o_vector(7)
+    assert offdiag.counts._rungs == bad
+
+
+def test_toeplitz_pass_refuses_odd_orders_and_zero_pivots(monkeypatch,
+                                                          empty_ladders):
+    # the count ladder over X reads p_t at even orders and y_t at odd ones
+    for call in (lambda: even_order_full(3), lambda: count_nearly(4),
+                 lambda: o_vector(4)):
+        with pytest.raises(ValueError, match="defined for"):
+            call()
+    with pytest.raises(TypeError):
+        even_order_full(4.0)                # an order is an int
+    # Pf X(4) = c1^2 - c2^2 + c1 c3 is -1 at (c1, c2, c3) = (0, 1, 1),
+    # whose first pivot c1 is 0, and 0 at (2, 0, -2), where the step to
+    # rung 2 meets b = c_2 y_0 = 0; each raises and leaves the ladder's
+    # memo as it was
+    toeplitz = [SkewMatrix([[row[j - i] if i <= j else -row[i - j]
+                             for j in range(4)] for i in range(4)])
+                for row in ([0, 0, 1, 1], [0, 2, 0, -2])]
+    assert [pfaffian_cofactor(x) for x in toeplitz] == [-1, 0]
+    for row, kept in (([0, 0, 1, 1], [(1,)]),
+                      ([0, 2, 0, -2], [(1,), (2, 0, 2)])):
+        monkeypatch.setattr(offdiag.counts, "_x_row",
+                            lambda n, row=row: (row + [0] * n)[:n])
+        monkeypatch.setattr(offdiag.counts, "_rungs", [(1,)])
+        if len(kept) > 1:
+            assert offdiag.counts._ladder(1) == kept
+        with pytest.raises(ArithmeticError, match="zero pivot"):
+            even_order_full(4)
+        assert offdiag.counts._rungs == kept
 
 
 def test_exact_division_returns_the_quotient_or_raises():
