@@ -24,8 +24,9 @@ at or below the top rung reads them, and a larger one extends them from the
 last two to the rung it needs, so however the requests arrive no rung is
 built twice.  Each kernel vector of A is kept once read (`_kernels`), and a
 scan asks for its largest order first, which extends the ladder once.
-count_off_diag of any other kept set runs one fresh `pfaffian._LeadingPass`
-over that block of A, and d_entry_bordered one over A(n) bordered by one
+count_off_diag of any other kept set reads the last pivot of one fresh
+condensation pass (`pfaffian._leading_rungs`) over that block of A, and
+d_entry_bordered the last border entry of one over A(n) bordered by one
 cell's Delannoy weights, blocks of A that `matrices._a_block` builds for
 each request; `_o_vector_direct`, n such passes, stays as the verification
 route.
@@ -43,7 +44,7 @@ from operator import index, mul, neg
 
 from .matrices import _a_block, _check_order, _x_row, defect_weights
 from .paths import delannoy
-from .pfaffian import _kept_indices, _LeadingPass
+from .pfaffian import _kept_indices, _leading_rungs
 from .series import _exact
 
 
@@ -158,14 +159,15 @@ def count_off_diag(n: int, kept=None) -> int:
     The count is the Pfaffian of A's principal block on the kept labels: 0
     for an odd kept set, before anything is built; for a leading one,
     {1, ..., 2t} (the full set at even n among them), the leading block
-    A(2t), whose Pfaffian is the ladder's p_t; and otherwise the last pivot
-    of one fresh leading pass over the block, which never pivots.  No
-    leading pivot is 0: the leading 2t x 2t block is the block of the first
-    2t kept labels, so its Pfaffian counts the tilings that keep those
-    labels, as non-intersecting path families (Stembridge), and pairing
-    consecutive kept sources u_j1 < u_j2 with doublet j1 gives a disjoint
-    family, so each such count is at least 1.  A zero pivot would raise
-    ArithmeticError rather than give a wrong count.
+    A(2t), whose Pfaffian is the ladder's p_t; and otherwise the pivot of
+    the last rung of one fresh condensation pass over the block
+    (`_block_pfaffian`), which never pivots.  No leading pivot is 0: the
+    leading 2t x 2t block is the block of the first 2t kept labels, so its
+    Pfaffian counts the tilings that keep those labels, as non-intersecting
+    path families (Stembridge), and pairing consecutive kept sources
+    u_j1 < u_j2 with doublet j1 gives a disjoint family, so each such count
+    is at least 1.  A zero pivot would raise ArithmeticError rather than
+    give a wrong count.
     """
     n = index(n)
     if n < 1:
@@ -182,8 +184,9 @@ def count_off_diag(n: int, kept=None) -> int:
 
 def _block_pfaffian(idx) -> int:
     """Pf of A's principal block on the 0-based indices `idx`, of even
-    length: the last pivot of one fresh leading pass over it."""
-    return _LeadingPass(_a_block(idx, idx), [0] * len(idx)).pivot
+    length: the last pivot of one fresh condensation pass
+    (`pfaffian._leading_rungs`) over it."""
+    return _leading_rungs(_a_block(idx, idx), [0] * len(idx))[-1][0]
 
 
 def _o_vector_direct(n: int) -> tuple[int, ...]:
@@ -282,14 +285,13 @@ def d_entry_bordered(variant: str, n: int, k: int) -> int:
     """Same defect count by the second route: a single bordered Pfaffian,
     of A(n) bordered by cell k's `defect_weights`.
 
-    It is the border entry of the last rung of one fresh pass over A(n)
-    with that border column; the pass's leading pivots are
-    even_order_full(2t) > 0."""
+    It is the border entry of the last rung of one fresh condensation
+    pass (`pfaffian._leading_rungs`) over A(n) with that border column; the
+    pass's leading pivots are even_order_full(2t) > 0."""
     n, k = index(n), index(k)
     _odd_order(n, "defect count")
     weights = defect_weights(variant, n, k)
-    return _LeadingPass(_a_block(range(n), range(n)),
-                        weights).rung(n // 2)[1]
+    return _leading_rungs(_a_block(range(n), range(n)), weights)[-1][1]
 
 
 def even_order_full(n: int) -> int:

@@ -6,12 +6,12 @@ expansion, public as the clear verification route and as the Pfaffian of an
 arbitrary skew matrix at small orders.  They cross-check each other in the
 tests.
 
-`_condense_rows` is the one condensation step and `_LeadingPass` the one
+`_condense_rows` is the one condensation step and `_leading_rungs` the one
 loop over it.  Without pivoting, one pass gives every leading order (the
 pivot after step t is the Pfaffian of the leading 2t x 2t block), and a
 border column carried along gives the bordered Pfaffian of each odd leading
-block; `rung(t)` reads both off the steps the pass stores.  A fresh
-`_LeadingPass(m.rows, column)` runs the counts that the count ladder
+block; the pass returns both at every t and keeps no step's rows.  A fresh
+`_leading_rungs(m.rows, column)` runs the counts that the count ladder
 (`counts._ladder`) does not give: a kept-set block of A, and A bordered by
 one cell's Delannoy weights.  A zero leading pivot raises ArithmeticError:
 every leading pivot the package condenses is a tiling count, never 0 (see
@@ -124,7 +124,7 @@ def _condense_rows(top, second, rows, prev) -> list[list[int]]:
     Each row computes its entries right of its own column, and writes 0 in
     the columns of the rows before it and on the diagonal, where no reader
     looks: a step reads the pivot rows from column 1 on and a working row
-    right of its own column, and `rung` reads the rows as a step does.
+    right of its own column, and a rung only row 0's border entry.
     Columns past the matrix's are border columns; the same formula carries
     them along."""
     p = top[1]
@@ -138,9 +138,11 @@ def _condense_rows(top, second, rows, prev) -> list[list[int]]:
     return nxt
 
 
-class _LeadingPass:
-    """One leading-order condensation pass, never pivoting, over a skew
-    matrix bordered by one column, run to its end.
+def _leading_rungs(rows, column) -> list[tuple[int, int | None]]:
+    """The rungs of one leading-order condensation pass, never pivoting,
+    over the square integer `rows` bordered by the one `column`, run to its
+    end: for t = 0..len(rows)//2, (Pf of the leading 2t x 2t block, working
+    row 0's border entry after t steps), the entry None once no row is left.
 
     Without swaps, the pivot after step t is the Pfaffian of the leading
     2t x 2t block of the input (1 for t = 0), and working entry (i, j),
@@ -149,46 +151,25 @@ class _LeadingPass:
     step an entry left of a row's own column or on the diagonal is 0.  One
     column past the input's is the border column h, which the same step
     carries along, so working row 0's last entry is the Pfaffian of the
-    leading (2t+1) x (2t+1) block bordered by h.  `rung(t)` reads both off
-    the stored steps.
-
-    It holds the input order, each step's divisor and pivot rows (step t
-    holds the pivot and working rows 0 and 1 after t steps), the working
-    rows left (fewer than two) and the last pivot.  `_LeadingPass(m.rows, h)`
-    is the pass over m bordered by h, and `_LeadingPass()` the pass over the
-    empty input.  A zero leading pivot raises ArithmeticError.
+    leading (2t+1) x (2t+1) block bordered by h.  The empty input gives
+    [(1, None)].  A zero leading pivot raises ArithmeticError.
     """
-
-    __slots__ = ("order", "steps", "rows", "pivot")
-
-    def __init__(self, rows=(), column=()):
-        order = len(rows)
-        if len(column) != order:
-            raise ValueError("column must have one entry per row")
-        if any(len(row) != order for row in rows):
-            raise ValueError(f"each row must have {order} entries")
-        rows = [list(map(index, row)) + [index(h)]
-                for row, h in zip(rows, column)]
-        steps, pivot = [], 1
-        while len(rows) >= 2:
-            p = rows[0][1]
-            if not p:
-                raise ArithmeticError("zero pivot in condensation")
-            steps.append((pivot, rows[0], rows[1]))
-            rows, pivot = _condense_rows(rows[0], rows[1], rows[2:], pivot), p
-        self.order, self.steps = order, tuple(steps)
-        self.rows, self.pivot = rows, pivot
-
-    def rung(self, t: int) -> tuple[int, int | None]:
-        """(Pf of the input's leading 2t x 2t block, working row 0's border
-        entry after t steps) for 0 <= t <= len(self.steps); the border
-        entry is None once no row is left."""
-        if not 0 <= t <= len(self.steps):
-            raise IndexError(f"a pass of {len(self.steps)} steps has no "
-                             f"rung {t}")
-        if t < len(self.steps):
-            return self.steps[t][0], self.steps[t][1][-1]
-        return self.pivot, self.rows[0][-1] if self.rows else None
+    order = len(rows)
+    if len(column) != order:
+        raise ValueError("column must have one entry per row")
+    if any(len(row) != order for row in rows):
+        raise ValueError(f"each row must have {order} entries")
+    rows = [list(map(index, row)) + [index(h)]
+            for row, h in zip(rows, column)]
+    rungs, pivot = [], 1
+    while len(rows) >= 2:
+        p = rows[0][1]
+        if not p:
+            raise ArithmeticError("zero pivot in condensation")
+        rungs.append((pivot, rows[0][-1]))
+        rows, pivot = _condense_rows(rows[0], rows[1], rows[2:], pivot), p
+    rungs.append((pivot, rows[0][-1] if rows else None))
+    return rungs
 
 
 def bordered_skew(q: SkewMatrix, column) -> SkewMatrix:

@@ -391,9 +391,11 @@ def test_scan_matches_golden_output(capsys):
 # sha256 of stdout at the top of the admitted range, recorded before the
 # count ladder moved from a condensation of A to the Toeplitz pass over X
 # (the full kept set at order 200 when it was still one fresh condensation
-# of A(200), equal to `count even --n 200`); the outputs run to 224 KB and
-# 594 KB, so only their digests are kept.  Each is regenerated from a
-# checkout with
+# of A(200), equal to `count even --n 200`), and of the non-leading kept
+# set {2, ..., 98, 100} at order 100, one fresh condensation of its block of
+# A, recorded while that pass still stored every step's pivot rows; the
+# outputs run to 224 KB and 594 KB, so only their digests are kept.  Each is
+# regenerated from a checkout with
 #   PYTHONPATH=src python -m offdiag.cli <argv> | sha256sum
 TOP_OF_RANGE = (
     (("scan", "asymptotics", "--n-max", "100", "--format", "json"),
@@ -403,6 +405,9 @@ TOP_OF_RANGE = (
     (("count", "o", "--n", "200", "--kept",
       ",".join(map(str, range(1, 201)))),
      "bced5da856d91afa7e55c69313aa9439395a1574867a3d748e8b9acc0a5fd017"),
+    (("count", "o", "--n", "100", "--kept",
+      ",".join(map(str, [*range(2, 99), 100]))),
+     "5425262cc910bc03633d275fe955054578262ecaf0c484c10247c3cf78a5fc4b"),
 )
 
 

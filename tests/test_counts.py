@@ -19,7 +19,7 @@ from offdiag.counts import (
 from offdiag.matrices import (MAX_ORDER, _a_block, _x_row, matrix_a,
                               matrix_b, pell_vector)
 from offdiag.paths import delannoy
-from offdiag.pfaffian import (SkewMatrix, _LeadingPass, pfaffian_cofactor,
+from offdiag.pfaffian import (SkewMatrix, _leading_rungs, pfaffian_cofactor,
                               principal_submatrix)
 
 O_VECTORS = {
@@ -48,7 +48,7 @@ def fresh_pfaffian(m):
     """Pf of an even-order matrix of the package, whose leading pivots are
     counts: the last pivot of one fresh pass over it, checked against the
     cofactor route where that is cheap (order <= 16)."""
-    got = _LeadingPass(m.rows, [0] * m.order).pivot
+    got = _leading_rungs(m.rows, [0] * m.order)[-1][0]
     if m.order <= 16:
         assert got == pfaffian_cofactor(m)
     return got
@@ -172,6 +172,11 @@ def test_d_entry_bordered_matches_d_vector():
             vec = d_vector(variant, n)
             for k in range(1, n + 1):
                 assert d_entry_bordered(variant, n, k) == vec[k - 1]
+    # and at a large order, where each is one fresh pass over A(61)
+    for variant in ("pm", "minus"):
+        vec = d_vector(variant, 61)
+        for k in (1, 17, 31):
+            assert d_entry_bordered(variant, 61, k) == vec[k - 1]
 
 
 def test_d_entry_bordered_guards():
@@ -243,13 +248,13 @@ def test_ladder_matches_the_condensation_of_a(empty_ladders):
     # that condensation's pivot, which fixes it
     for order in [*range(2, 65, 2), 100]:
         top = order // 2
-        fresh = _LeadingPass(matrix_a(order).rows, pell_vector(order))
+        fresh = _leading_rungs(matrix_a(order).rows, pell_vector(order))
         rungs = offdiag.counts._ladder(top)
         assert [(y[-1], 2 * sum(y)) for y in rungs[:top]] + [
-            (rungs[top][-1], None)] == [fresh.rung(t) for t in range(top + 1)]
+            (rungs[top][-1], None)] == fresh
         if order < 64:
             x = offdiag.counts._kernel(order - 1)
-            assert x[-1] == fresh.rung(top - 1)[0]
+            assert x[-1] == fresh[top - 1][0]
             assert not any(sum(map(mul, row, x))
                            for row in matrix_a(order - 1).rows)
 
@@ -276,7 +281,7 @@ def test_leading_kept_sets_read_the_ladder(monkeypatch, empty_ladders):
     # leading block A(2t), whose Pfaffian is the ladder's p_t: at every
     # n <= 40 each leading kept set counts what a fresh pass over that
     # block of A gives, and none builds a block of A
-    fresh = [_LeadingPass(_a_block(range(k), range(k)), [0] * k).pivot
+    fresh = [_leading_rungs(_a_block(range(k), range(k)), [0] * k)[-1][0]
              for k in range(0, 41, 2)]
     blocks = []
     monkeypatch.setattr(offdiag.counts, "_a_block",

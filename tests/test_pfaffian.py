@@ -10,7 +10,7 @@ from offdiag.counts import count_nearly, even_order_full, o_vector
 from offdiag.pfaffian import (
     SkewMatrix,
     _condense_rows,
-    _LeadingPass,
+    _leading_rungs,
     bordered_skew,
     determinant,
     pfaffian_cofactor,
@@ -94,8 +94,8 @@ def test_trivial_orders():
     assert pfaffian_cofactor(SkewMatrix(())) == 1
     assert pfaffian_cofactor(SkewMatrix(((0,),))) == 0
     assert pfaffian_cofactor(SkewMatrix(((0, 7), (-7, 0)))) == 7
-    # the condensation's pass over the empty input has pivot 1
-    assert _LeadingPass().pivot == 1
+    # the condensation's pass over the empty input has one rung, pivot 1
+    assert _leading_rungs((), ()) == [(1, None)]
 
 
 def assert_condensed(m, want):
@@ -105,10 +105,10 @@ def assert_condensed(m, want):
     column = [0] * m.order
     if all(pfaffian_cofactor(leading(m, 2 * t))
            for t in range(1, m.order // 2 + 1)):
-        assert _LeadingPass(m.rows, column).pivot == want
+        assert _leading_rungs(m.rows, column)[-1][0] == want
     else:
         with pytest.raises(ArithmeticError):
-            _LeadingPass(m.rows, column)
+            _leading_rungs(m.rows, column)
 
 
 def test_routes_agree_with_matching_expansion():
@@ -192,7 +192,7 @@ def test_non_integer_entries_are_refused():
     with pytest.raises(TypeError):
         bordered_skew(SkewMatrix([[0]]), [1.7])
     with pytest.raises(TypeError):
-        leading_steps(SkewMatrix([[0]]), [(Fraction(1, 2),)])
+        _leading_rungs(((0,),), [(Fraction(1, 2),)])
     assert pfaffian_cofactor(SkewMatrix([[0, True], [-1, 0]])) == 1
 
 
@@ -277,17 +277,6 @@ def leading(m, order):
     return principal_submatrix(m, range(1, order + 1))
 
 
-def rungs(done):
-    """Every rung of the pass `done`."""
-    return [done.rung(t) for t in range(len(done.steps) + 1)]
-
-
-def leading_steps(m, column):
-    """Every rung of one fresh leading-order pass over m bordered by
-    `column`."""
-    return rungs(_LeadingPass(m.rows, column))
-
-
 def deletion_vector(m):
     """(-1)^(k-1) Pf(m minus k), k = 1..order, of an odd skew m: entry k is
     the border entry of the last rung of one leading pass over m bordered
@@ -295,7 +284,7 @@ def deletion_vector(m):
     sum_k (-1)^(k-1) h_k Pf(m minus k)."""
     n = m.order
     return tuple(
-        _LeadingPass(m.rows, [int(i == k) for i in range(n)]).rung(n // 2)[1]
+        _leading_rungs(m.rows, [int(i == k) for i in range(n)])[-1][1]
         for k in range(n))
 
 
@@ -433,14 +422,12 @@ def test_a_leading_pass_reads_only_the_strict_upper_triangle():
         skew = [[rows[i][j] if i < j else -rows[j][i] if j < i else 0
                  for j in range(n)] for i in range(n)]
         try:
-            want = _LeadingPass(skew, column)
+            want = _leading_rungs(skew, column)
         except ArithmeticError:
             with pytest.raises(ArithmeticError, match="^zero pivot"):
-                _LeadingPass(rows, column)
+                _leading_rungs(rows, column)
             continue
-        got = _LeadingPass(rows, column)
-        assert [got.rung(t) for t in range(n // 2 + 1)] == [
-            want.rung(t) for t in range(n // 2 + 1)]
+        assert _leading_rungs(rows, column) == want
 
 
 def test_leading_pfaffians_read_every_leading_order():
@@ -456,9 +443,9 @@ def test_leading_pfaffians_read_every_leading_order():
             # a zero leading pivot: no swap, no fallback
             raised += 1
             with pytest.raises(ArithmeticError):
-                leading_steps(m, column)
+                _leading_rungs(m.rows, column)
             continue
-        got = leading_steps(m, column)
+        got = _leading_rungs(m.rows, column)
         assert [p for p, _ in got] == pivots
         odd = [leading(m, k) for k in range(1, order + 1, 2)]
         assert [entry for _, entry in got] == [
@@ -466,7 +453,7 @@ def test_leading_pfaffians_read_every_leading_order():
             for block in odd] + [None] * (order % 2 == 0)
     assert raised > 10
     with pytest.raises(ValueError):
-        leading_steps(SkewMatrix(((0, 1), (-1, 0))), [1])
+        _leading_rungs(((0, 1), (-1, 0)), [1])
 
 
 def test_leading_pass_refuses_malformed_input():
@@ -474,17 +461,15 @@ def test_leading_pass_refuses_malformed_input():
     # input's order; its rungs run from 0 to its number of steps
     m = SkewMatrix(((0, 1, 1), (-1, 0, 2), (-1, -2, 0)))
     with pytest.raises(ValueError):
-        _LeadingPass(m.rows[:2] + ((1, 2),), [0] * 3)  # a short row
+        _leading_rungs(m.rows[:2] + ((1, 2),), [0] * 3)  # a short row
     with pytest.raises(ValueError):
-        _LeadingPass(m.rows, [3, 4])        # no border entry for row 3
+        _leading_rungs(m.rows, [3, 4])        # no border entry for row 3
     with pytest.raises(TypeError):
-        _LeadingPass(m.rows, [3, 4, (5,)])  # a border entry is one int
+        _leading_rungs(m.rows, [3, 4, (5,)])  # a border entry is one int
     # rung 1's border entry: h_1 a_23 - h_2 a_13 + h_3 a_12 (1-based)
-    three = _LeadingPass(m.rows, [3, 4, 5])
-    assert three.rung(1) == (1, 3 * 2 - 4 + 5)
-    for t in (-1, 2):
-        with pytest.raises(IndexError):
-            three.rung(t)                   # a pass of one step has rungs 0, 1
+    three = _leading_rungs(m.rows, [3, 4, 5])
+    assert three[1] == (1, 3 * 2 - 4 + 5)
+    assert len(three) == 2                    # a pass of one step: rungs 0, 1
 
 
 def test_zero_leading_pivot_raises_on_the_leading_path():
@@ -493,10 +478,10 @@ def test_zero_leading_pivot_raises_on_the_leading_path():
                     (-2, -1, -5, 0)))
     assert pfaffian_cofactor(m) == naive_pfaffian(m.rows) == 5
     with pytest.raises(ArithmeticError):
-        leading_steps(m, [0] * 4)
+        _leading_rungs(m.rows, [0] * 4)
     odd = bordered_skew(m, (1, 1, 1, 1))
     with pytest.raises(ArithmeticError):
-        leading_steps(odd, [0] * 5)
+        _leading_rungs(odd.rows, [0] * 5)
     # the zero pivot may also come later: Pf of the leading 4 x 4 block is 0
     m = SkewMatrix(((0, 1, 1, 0, 0, 1), (-1, 0, -1, 1, -1, 0),
                     (-1, 1, 0, 1, 0, 0), (0, -1, -1, 0, 1, 0),
@@ -504,9 +489,10 @@ def test_zero_leading_pivot_raises_on_the_leading_path():
     assert pfaffian_cofactor(leading(m, 4)) == 0
     assert pfaffian_cofactor(m) == naive_pfaffian(m.rows) == -2
     # two steps run on the leading 3 x 3 block; the third needs Pf = 0
-    assert [p for p, _ in leading_steps(leading(m, 3), [0] * 3)] == [1, 1]
+    steps = _leading_rungs(leading(m, 3).rows, [0] * 3)
+    assert [p for p, _ in steps] == [1, 1]
     with pytest.raises(ArithmeticError):
-        leading_steps(m, [0] * 6)
+        _leading_rungs(m.rows, [0] * 6)
 
 
 def test_rational_rank():

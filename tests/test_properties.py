@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from offdiag import counts, series
 from offdiag.matrices import matrix_a, pell_vector
-from offdiag.pfaffian import _LeadingPass
+from offdiag.pfaffian import _leading_rungs
 
 FIXED = settings(derandomize=True, deadline=None, database=None,
                  max_examples=300)
@@ -34,8 +34,7 @@ def ladder_to(tops):
 def fresh_rungs(order):
     """Every rung of one fresh condensation of A(order) bordered by the
     Pell column."""
-    done = _LeadingPass(matrix_a(order).rows, pell_vector(order))
-    return [done.rung(t) for t in range(order // 2 + 1)]
+    return _leading_rungs(matrix_a(order).rows, pell_vector(order))
 
 
 @FIXED
