@@ -14,10 +14,12 @@ Pell column of B(n + 1) is P (2, ..., 2)^T.  So every leading Pfaffian of A
 is the leading Pfaffian of X, and every Pell-bordered one the leading
 Pfaffian of X bordered by the constant column 2.  Rung t of the ladder is
 y_t, the kernel vector of X(2t + 1) whose end entries are p_t = Pf X(2t):
-p_t is even_order_full(2t), 2 * sum(y_t) is count_nearly(2t + 1), and
-P^(-T) y_t is the kernel vector of A(2t + 1) (`_kernel`), which d_vector
-dots with Delannoy weights and o_vector turns into the deletion counts by
-the one sign flip between the ladder and them.  Each rung follows from the
+p_t is even_order_full(2t), 2 * sum(y_t) is count_nearly(2t + 1), 2 y_t
+is d_vector("pm", 2t + 1), and P^(-T) y_t is the kernel vector of
+A(2t + 1) (`_kernel`, solved with additions only by `_solve_delannoy` and
+checked against A).  o_vector turns it into the deletion counts by the one
+sign flip between the ladder and them, and the "minus" and "plus"
+d_vectors dot it with Delannoy weights.  Each rung follows from the
 two before it by a three-term recurrence in O(t) entries (`_rung`, which
 derives it).  The ladder's per-process memo is its rungs so far: a request
 at or below the top rung reads them, and a larger one extends them from the
@@ -42,8 +44,8 @@ from __future__ import annotations
 from math import gcd
 from operator import index, mul, neg
 
-from .matrices import _a_block, _check_order, _x_row, defect_weights
-from .paths import delannoy
+from .matrices import (_a_block, _check_cell, _check_order, _x_row,
+                       defect_weights)
 from .pfaffian import _kept_indices, _leading_rungs
 from .series import _exact
 
@@ -196,28 +198,73 @@ def _o_vector_direct(n: int) -> tuple[int, ...]:
                  for k in range(n))
 
 
+def _solve_delannoy(y) -> list[int]:
+    """The x with P^T x = y, for P = [D(i - j, j)] (0-based, D the Delannoy
+    numbers), by additions only: no Delannoy number is read and no product
+    taken.
+
+    P is the Riordan array (1/(1 - s), s (1 + s)/(1 - s)) (Shapiro, Getu,
+    Woan and Woodson, 1991): column j of P is s^j (1 + s)^j/(1 - s)^(j+1),
+    as sum_p D(p, q) s^p = (1 + s)^q/(1 - s)^(q+1).  Its inverse is the
+    Riordan array (1 - hbar, hbar), hbar the compositional inverse of
+    s (1 + s)/(1 - s):
+
+        hbar (1 + hbar) = s (1 - hbar).
+
+    So with L_j^(m) = <hbar^j, (y_m, y_(m+1), ...)>, the pairing of the
+    coefficients of hbar^j with y from index m on,
+
+        x_j = sum_m [s^m] (1 - hbar) hbar^j y_m = L_j^(0) - L_(j+1)^(0).
+
+    Multiplying the equation for hbar by hbar^(j-1), and pairing s F with
+    (y_m, ...) as F with (y_(m+1), ...), gives for j >= 1
+
+        L_j^(m) = L_(j-1)^(m+1) - L_j^(m+1) - L_(j+1)^(m),
+
+    with L_0^(m) = y_m, and L_j^(m) = 0 for j > len(y) - 1 - m, as hbar^j
+    starts at s^j.  Row m is built from row m + 1 with j counting down:
+    len(y)^2/2 entries, two subtractions each.  A row is kept reversed,
+    [L_J^(m), ..., L_0^(m)] with J = len(y) - 1 - m, so the count down runs
+    forward through the list.
+    """
+    row = []
+    for m in range(len(y) - 1, -1, -1):
+        new = []
+        c = p = 0
+        # v = L_(j-1)^(m+1), p = L_j^(m+1), c = L_(j+1)^(m), then L_j^(m)
+        for v in row:
+            c = v - p - c
+            new.append(c)
+            p = v
+        new.append(y[m])
+        row = new
+    x = [a - b for a, b in zip(row, [0, *row])]
+    x.reverse()
+    return x
+
+
 def _kernel(n: int) -> tuple[int, ...]:
     """The kernel vector x of A(n), for an odd n that `_odd_order` admits,
     scaled to x_n = even_order_full(n - 1): x_k = (-1)^(k-1) o_k with
     o = o_vector(n).
 
     The ladder's rung (n - 1)/2 is the same vector y of X(n); as
-    A(n) = P X(n) P^T, x = P^(-T) y, solved through the unit upper
-    triangular P^T = [D(j - i, i)] (read off `paths.delannoy`, as
-    `defect_weights` reads it), which keeps the scale x_n = y_n.  The
-    vector is kept in `_kernels`.  A zero pivot of the ladder raises
-    ArithmeticError rather than give a wrong vector, and so does a vector
-    off the kernel of A(n): x must annihilate rows 2..n of A(n).  Row 1,
-    (0, 2, ..., 2), then holds too: rows 2..n have rank n - 1 when o_1, the
-    Pfaffian of their block in columns 2..n, is nonzero (at every supported
-    order), so that vector spans the kernel.
+    A(n) = P X(n) P^T, x = P^(-T) y: y = P^T x is the paper's Delannoy
+    matrix equation.  `_solve_delannoy` solves it with additions only, by
+    the recurrence L_j^(m) = L_(j-1)^(m+1) - L_j^(m+1) - L_(j+1)^(m) for the
+    pairings L_j^(m) of y from index m on with hbar^j, where
+    hbar (1 + hbar) = s (1 - hbar) comes from P^(-1) being the Riordan
+    array (1 - hbar, hbar); then x_j = L_j^(0) - L_(j+1)^(0), with the
+    scale x_n = y_n kept.  The vector is kept in `_kernels`.  A zero pivot
+    of the ladder raises ArithmeticError rather than give a wrong vector,
+    and so does a vector off the kernel of A(n): x must annihilate rows
+    2..n of A(n).  Row 1, (0, 2, ..., 2), then holds too: rows 2..n have
+    rank n - 1 when o_1, the Pfaffian of their block in columns 2..n, is
+    nonzero (at every supported order), so that vector spans the kernel.
     """
     got = _kernels.get(n)
     if got is None:
-        x = list(_ladder(n // 2)[n // 2])
-        for i in range(n - 2, -1, -1):
-            x[i] -= sum(delannoy(d, i) * v
-                        for d, v in enumerate(x[i + 1:], 1))
+        x = _solve_delannoy(_ladder(n // 2)[n // 2])
         if any(sum(map(mul, row, x))
                for row in _a_block(range(1, n), range(n))):
             raise ArithmeticError(f"deletion vector of order {n} is off "
@@ -256,6 +303,9 @@ def d_vector(variant: str, n: int) -> tuple[int, ...]:
     off-diagonal tilings whose defect sits at diagonal cell k.
 
     variant "plus" counts doubled cells, "minus" empty cells, "pm" both.
+    The "pm" vector is twice the ladder's rung (n - 1)/2, read once
+    `_kernel(n)` has checked it; "minus" and "plus" dot A's kernel vector
+    with each cell's Delannoy weights (`_defect_cells`).
     """
     return _defect_cells(variant, n, range(1, index(n) + 1))
 
@@ -270,12 +320,23 @@ def _o_entry(n: int, k: int) -> int:
 
 
 def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
-    """Entries k in `cells` of d_vector(variant, n): entry k is
-    sum_l w_l x_l = sum_l (-1)^(l-1) w_l o_l over cell k's
-    `defect_weights` w and the kernel vector x = `_kernel(n)`, so one cell
-    costs n Delannoy weights.  The weights are built first, so a bad
-    variant or cell is refused before the ladder is extended."""
+    """Entries k in `cells` of d_vector(variant, n).
+
+    Entry k is sum_l w_l x_l = sum_l (-1)^(l-1) w_l o_l over cell k's
+    `defect_weights` w and the kernel vector x = `_kernel(n)`.  The "pm"
+    weights of cell k are twice column k - 1 of P = [D(i - j, j)], so there
+    the sum is twice entry k - 1 of P^T x = y, the ladder's rung that
+    `_kernel` solved and checked: a "pm" entry is read off the rung, once
+    `_kernel(n)` has accepted it.  A "minus" or "plus" entry costs n
+    Delannoy weights.  A bad variant or cell is refused before the ladder
+    is extended."""
     n = _odd_order(n, "defect vector")
+    if variant == "pm":
+        for k in cells:
+            _check_cell(n, k)
+        _kernel(n)
+        y = _ladder(n // 2)[n // 2]
+        return tuple(2 * y[k - 1] for k in cells)
     weights = [defect_weights(variant, n, k) for k in cells]
     x = _kernel(n)
     return tuple(sum(map(mul, w, x)) for w in weights)

@@ -110,17 +110,25 @@ def matrix_b(order: int) -> SkewMatrix:
     return bordered_skew(matrix_a(order - 1), pell_vector(order - 1))
 
 
+def _check_cell(n: int, k: int) -> None:
+    """Refuse a diagonal cell k outside 1..n: the one check of a cell, for
+    `defect_weights` and the "pm" cells that `counts` reads off the
+    ladder."""
+    if not 1 <= k <= n:
+        raise ValueError(f"cell index must be within 1..{n}")
+
+
 def defect_weights(variant: str, n: int, k: int) -> tuple[int, ...]:
     """The unsigned Delannoy weights of diagonal cell k against the deletion
     counts l = 1..n: variant "pm" weighs l by 2*delannoy(l-k, k-1), "minus"
     by 2*delannoy(l-1-k, k-1), the "pm" weight of l - 1; "plus" is their
     difference.  Signed (-1)^(l-1), they are row k of the paper's Delannoy
-    matrix equation (`counts._defect_cells`) and the border column of
-    `counts.d_entry_bordered`."""
+    matrix equation: `counts._defect_cells` dots the "minus" and "plus"
+    weights with A's kernel vector, and `counts.d_entry_bordered` borders
+    A with them."""
     if variant not in ("pm", "minus", "plus"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not 1 <= k <= n:
-        raise ValueError(f"cell index must be within 1..{n}")
+    _check_cell(n, k)
     # delannoy(l-k, k-1) is 0 for l < k
     pm = [0] * (k - 1) + [2 * delannoy(j, k - 1) for j in range(n - k + 1)]
     if variant == "pm":

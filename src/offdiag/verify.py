@@ -133,8 +133,8 @@ CHECKS: dict[str, dict] = {"identities": {}, "rank-claim": {}}
 MIN_N_MAX = {"identities": 4, "rank-claim": 3}
 
 # The largest n_max either suite admits.  At n_max the identity suite counts
-# count_nearly(c) and o_vector(c), each checked as an order-(c + 1) request,
-# for the largest odd c <= n_max; above this bound they would pass
+# o_vector(c) and d_vector("pm", c), each checked as an order-(c + 1)
+# request, for the largest odd c <= n_max; above this bound they would pass
 # matrices.MAX_ORDER and refuse, after every check before them had run.  The
 # rank suite reads no count; it shares the bound, so both suites admit the
 # same n_max, and `_run_suite` refuses a larger one up front.
@@ -447,17 +447,6 @@ def _check_bordered_route(n_max: int):
         direct = _o_vector_direct(n)
         if fast != direct:
             failures.append({"n": n, "fast": fast, "direct": direct})
-    return f"odd orders <= {cap}", failures
-
-
-@_registered("identities", "nearly-total-equals-cell-sums")
-def _check_nearly_total(n_max: int):
-    cap = _odd_cap(n_max)
-    failures = []
-    for n in range(1, cap + 1, 2):
-        total, by_cell = count_nearly(n), sum(d_vector("pm", n))
-        if total != by_cell:
-            failures.append({"n": n, "bordered": total, "by-cell": by_cell})
     return f"odd orders <= {cap}", failures
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -150,7 +151,7 @@ def test_count_refuses_ignored_flags(capsys):
 
 def test_count_checks_k_before_computing(capsys, empty_ladders, forbid_a):
     # target o's label is checked by `counts._o_entry`, a d* target's cell by
-    # `defect_weights`; both before the ladder reads any of A
+    # `matrices._check_cell`; both before the ladder reads any of A
     forbid_a()
     for target, noun in (("o", "label"), ("dpm", "cell index")):
         for k in ("0", "10"):
@@ -160,11 +161,15 @@ def test_count_checks_k_before_computing(capsys, empty_ladders, forbid_a):
 
 
 def test_count_one_cell_reads_one_cells_weights(capsys, monkeypatch):
+    # a "pm" cell is read off the ladder's checked rung, so it reads no
+    # weights; a "minus" cell reads its own cell's weights only
     import offdiag.counts
 
-    want = offdiag.counts.d_vector("pm", 31)[6]
-    calls = []
     weights = offdiag.counts.defect_weights
+    x = offdiag.counts._kernel(31)
+    want = {variant: sum(map(mul, weights(variant, 31, 7), x))
+            for variant in ("pm", "minus")}
+    calls = []
 
     def counted(*args):
         calls.append(args)
@@ -172,8 +177,11 @@ def test_count_one_cell_reads_one_cells_weights(capsys, monkeypatch):
 
     monkeypatch.setattr(offdiag.counts, "defect_weights", counted)
     code, out, _ = run(capsys, "count", "dpm", "--n", "31", "--k", "7")
-    assert (code, out) == (0, f"{want}\n")
-    assert calls == [("pm", 31, 7)]
+    assert (code, out) == (0, f"{want['pm']}\n")
+    assert calls == []
+    code, out, _ = run(capsys, "count", "dminus", "--n", "31", "--k", "7")
+    assert (code, out) == (0, f"{want['minus']}\n")
+    assert calls == [("minus", 31, 7)]
 
 
 def test_verify_command(capsys):

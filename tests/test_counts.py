@@ -16,8 +16,8 @@ from offdiag.counts import (
     even_order_full,
     o_vector,
 )
-from offdiag.matrices import (MAX_ORDER, _a_block, _x_row, matrix_a,
-                              matrix_b, pell_vector)
+from offdiag.matrices import (MAX_ORDER, _a_block, _x_row, defect_weights,
+                              matrix_a, matrix_b, pell_vector)
 from offdiag.paths import delannoy
 from offdiag.pfaffian import (SkewMatrix, _leading_rungs, pfaffian_cofactor,
                               principal_submatrix)
@@ -177,6 +177,17 @@ def test_d_entry_bordered_matches_d_vector():
         vec = d_vector(variant, 61)
         for k in (1, 17, 31):
             assert d_entry_bordered(variant, 61, k) == vec[k - 1]
+
+
+def test_pm_cells_satisfy_the_delannoy_matrix_equation():
+    # d_vector("pm") is read off the ladder's rung, not dotted with the
+    # weights, so check the paper's Delannoy matrix equation, the weights
+    # route, at large orders
+    for n in (61, 121, 199):
+        x = offdiag.counts._kernel(n)
+        vec = d_vector("pm", n)
+        for k in (1, (n + 1) // 2, n):
+            assert vec[k - 1] == sum(map(mul, defect_weights("pm", n, k), x))
 
 
 def test_d_entry_bordered_guards():
@@ -525,18 +536,24 @@ def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
 
 def test_a_wrong_delannoy_entry_never_gives_a_wrong_deletion_vector(
         monkeypatch, empty_ladders):
-    # o_vector's P^(-T) solve reads P off paths.delannoy; shift any one
-    # entry it reads and the solved vector leaves the kernel of A(n), which
-    # the check against rows 2..n refuses
+    # o_vector's P^(-T) solve reads no Delannoy number, so shift instead
+    # each single entry of the vector it solves: the vector leaves the
+    # kernel of A(n), which the check against rows 2..n refuses, and
+    # nothing is kept; d_vector("pm"), read off the rung only once that
+    # check has passed, is refused too
+    solve = offdiag.counts._solve_delannoy
     for n in (3, 5, 7, 9):
         assert o_vector(n) == O_VECTORS[n]
-        for j in range(n - 1):
-            for d in range(1, n - j):
-                def shifted(p, q, key=(d, j)):
-                    return delannoy(p, q) + ((p, q) == key)
+        for j in range(n):
+            def shifted(y, j=j):
+                x = solve(y)
+                x[j] += 1
+                return x
 
-                monkeypatch.setattr(offdiag.counts, "delannoy", shifted)
-                monkeypatch.setattr(offdiag.counts, "_kernels", {})
+            monkeypatch.setattr(offdiag.counts, "_solve_delannoy", shifted)
+            monkeypatch.setattr(offdiag.counts, "_kernels", {})
+            for call in (lambda: o_vector(n), lambda: d_vector("pm", n)):
                 with pytest.raises(ArithmeticError, match="off the kernel"):
-                    o_vector(n)
-        monkeypatch.setattr(offdiag.counts, "delannoy", delannoy)
+                    call()
+            assert offdiag.counts._kernels == {}
+        monkeypatch.setattr(offdiag.counts, "_solve_delannoy", solve)

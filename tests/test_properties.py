@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from offdiag import counts, series
 from offdiag.matrices import matrix_a, pell_vector
+from offdiag.paths import delannoy
 from offdiag.pfaffian import _leading_rungs
 
 FIXED = settings(derandomize=True, deadline=None, database=None,
@@ -49,6 +50,27 @@ def test_extended_ladder_matches_one_run_and_a_fresh_condensation(tops):
     assert got == ladder_to([TOP])[:top + 1]
     assert [(y[-1], 2 * sum(y)) for y in got[:top]] + [
         (got[top][-1], None)] == fresh_rungs(2 * top)
+
+
+def p_transpose_times(x):
+    """P^T x for P = [delannoy(i - j, j)], 0-based."""
+    return [sum(delannoy(i - j, j) * v for i, v in enumerate(x))
+            for j in range(len(x))]
+
+
+@FIXED
+@given(y=st.lists(st.integers(), min_size=1, max_size=40))
+def test_the_delannoy_solve_inverts_p_transpose(y):
+    # `counts._solve_delannoy` reads no Delannoy number; P^T times what it
+    # solves gives back any integer vector
+    assert p_transpose_times(counts._solve_delannoy(y)) == y
+
+
+def test_the_delannoy_solve_inverts_p_transpose_on_every_rung():
+    # and on each of the ladder's rungs, the vectors it solves in use, to
+    # n = 121
+    for y in counts._ladder(60)[:61]:
+        assert p_transpose_times(counts._solve_delannoy(y)) == list(y)
 
 
 coefficients = st.lists(st.integers(-50, 50), max_size=12)

@@ -33,7 +33,7 @@ def test_identity_battery_passes():
     assert report.suite == "identities"
     assert report.passed
     assert report.failures() == ()
-    assert len(report.results) == 25
+    assert len(report.results) == 24
     ids = [r.check for r in report.results]
     assert len(set(ids)) == len(ids)
     for r in report.results:
@@ -74,9 +74,9 @@ def test_suites_refuse_bounds_with_empty_ranges():
 
 
 def test_suites_refuse_bounds_past_the_order_bound(monkeypatch):
-    # n_max = 200 needs o_vector(199) and count_nearly(199), condensations
-    # of order 199 and 200; 201 would need o_vector(201), which is refused,
-    # so both suites refuse it up front
+    # n_max = 200 needs o_vector(199) and d_vector("pm", 199), each checked
+    # as an order-200 request; 201 would need o_vector(201), which is
+    # refused, so both suites refuse it up front
     assert MAX_N_MAX == MAX_ORDER == 200
     _check_order(_odd_cap(MAX_N_MAX) + 1)
     with pytest.raises(ValueError):
