@@ -29,9 +29,10 @@ scan asks for its largest order first, which extends the ladder once.
 count_off_diag of any other kept set reads the last pivot of one fresh
 condensation pass (`pfaffian._leading_rungs`) over that block of A, and
 d_entry_bordered the last border entry of one over A(n) bordered by one
-cell's Delannoy weights, blocks of A that `matrices._a_block` builds for
-each request; `_o_vector_direct`, n such passes, stays as the verification
-route.
+cell's Delannoy weights; `_o_vector_direct`, n such passes, stays as the
+verification route.  Every block of A read here, `_kernel`'s check of
+A(n) included, is a principal block, which `matrices._a_block` builds
+afresh for each request.
 
 Every entry point takes its order through `operator.index` (a float order
 raises TypeError) and refuses a request whose condensation order exceeds
@@ -188,7 +189,7 @@ def _block_pfaffian(idx) -> int:
     """Pf of A's principal block on the 0-based indices `idx`, of even
     length: the last pivot of one fresh condensation pass
     (`pfaffian._leading_rungs`) over it."""
-    return _leading_rungs(_a_block(idx, idx), [0] * len(idx))[-1][0]
+    return _leading_rungs(_a_block(idx), [0] * len(idx))[-1][0]
 
 
 def _o_vector_direct(n: int) -> tuple[int, ...]:
@@ -257,16 +258,15 @@ def _kernel(n: int) -> tuple[int, ...]:
     array (1 - hbar, hbar); then x_j = L_j^(0) - L_(j+1)^(0), with the
     scale x_n = y_n kept.  The vector is kept in `_kernels`.  A zero pivot
     of the ladder raises ArithmeticError rather than give a wrong vector,
-    and so does a vector off the kernel of A(n): x must annihilate rows
-    2..n of A(n).  Row 1, (0, 2, ..., 2), then holds too: rows 2..n have
-    rank n - 1 when o_1, the Pfaffian of their block in columns 2..n, is
-    nonzero (at every supported order), so that vector spans the kernel.
+    and so does a vector off the kernel of A(n): x must annihilate every
+    row of A(n), row 1, (0, 2, ..., 2), included.  A(n) has rank n - 1
+    when o_1, the Pfaffian of its block on rows and columns 2..n, is
+    nonzero (at every supported order), so the nonzero x spans its kernel.
     """
     got = _kernels.get(n)
     if got is None:
         x = _solve_delannoy(_ladder(n // 2)[n // 2])
-        if any(sum(map(mul, row, x))
-               for row in _a_block(range(1, n), range(n))):
+        if any(sum(map(mul, row, x)) for row in _a_block(range(n))):
             raise ArithmeticError(f"deletion vector of order {n} is off "
                                   f"the kernel of A({n})")
         got = _kernels[n] = tuple(x)
@@ -349,10 +349,9 @@ def d_entry_bordered(variant: str, n: int, k: int) -> int:
     It is the border entry of the last rung of one fresh condensation
     pass (`pfaffian._leading_rungs`) over A(n) with that border column; the
     pass's leading pivots are even_order_full(2t) > 0."""
-    n, k = index(n), index(k)
-    _odd_order(n, "defect count")
+    n, k = _odd_order(n, "defect count"), index(k)
     weights = defect_weights(variant, n, k)
-    return _leading_rungs(_a_block(range(n), range(n)), weights)[-1][1]
+    return _leading_rungs(_a_block(range(n)), weights)[-1][1]
 
 
 def even_order_full(n: int) -> int:

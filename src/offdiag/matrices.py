@@ -40,13 +40,13 @@ def _check_order(order: int) -> None:
                          f"{MAX_ORDER}")
 
 
-def _a_block(rows, cols) -> list[tuple[int, ...]]:
-    """The rows x cols block (0-based, in the order given) of A.  Column j
-    of A's upper triangle (a_ij for i < j) is built from column j - 1 by
-    the recurrence, up to the largest index asked; an order past MAX_ORDER
-    is refused before any column is built."""
-    rows, cols = list(rows), list(cols)
-    order = max(rows + cols, default=-1) + 1
+def _a_block(idx) -> list[tuple[int, ...]]:
+    """The principal block of A on `idx`, a sequence of increasing 0-based
+    indices, so A(n) is `_a_block(range(n))`.  Column j of A's upper
+    triangle (a_ij for i < j) is built from column j - 1 by the recurrence,
+    up to the largest index asked; an order past MAX_ORDER is refused
+    before any column is built."""
+    order = idx[-1] + 1 if idx else 0
     _check_order(order)
     a = []
     for j in range(order):
@@ -57,7 +57,7 @@ def _a_block(rows, cols) -> list[tuple[int, ...]]:
                        + (prev[i] if i < j - 1 else 2 * (-1) ** i))
         a.append(col)
     return [tuple(a[j][i] if i < j else -a[i][j] if j < i else 0
-                  for j in cols) for i in rows]
+                  for j in idx) for i in idx]
 
 
 def _x_row(n: int) -> list[int]:
@@ -82,7 +82,7 @@ def matrix_a(n: int) -> SkewMatrix:
     n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return SkewMatrix(_a_block(range(n), range(n)))
+    return SkewMatrix(_a_block(range(n)))
 
 
 def pell_vector(n: int) -> tuple[int, ...]:

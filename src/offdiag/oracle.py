@@ -365,18 +365,22 @@ def _covering(tiling):
     return cover
 
 
+# A path's unit steps, keyed by where the step's domino puts the black
+# square's partner, both as offsets from the black square: a partner on the
+# right steps the path two squares right, one above or below steps it
+# diagonally.  `_step_target` reads it one way and paths_to_tiling the
+# other.
+_STEP_OF_PARTNER = {(1, 0): (2, 0), (0, 1): (1, 1), (0, -1): (1, -1)}
+_PARTNER_OF_STEP = {step: p for p, step in _STEP_OF_PARTNER.items()}
+
+
 def _step_target(domino: Domino, black: Square):
     """Where the chain continues after this black square, or None."""
     a, b = black
     s, t = domino
-    partner = t if s == black else s
-    if partner == (a + 1, b):
-        return (a + 2, b)
-    if partner == (a, b + 1):
-        return (a + 1, b + 1)
-    if partner == (a, b - 1):
-        return (a + 1, b - 1)
-    return None
+    pa, pb = t if s == black else s
+    step = _STEP_OF_PARTNER.get((pa - a, pb - b))
+    return None if step is None else (a + step[0], b + step[1])
 
 
 def tiling_to_paths(region: Region, tiling) -> dict:
@@ -418,14 +422,10 @@ def paths_to_tiling(region: Region, paths):
             used_blacks.add(sq)
         for here, there in zip(squares, squares[1:]):
             a, b = here
-            if there == (a + 2, b):
-                left.add(((a, b), (a + 1, b)))
-            elif there == (a + 1, b + 1):
-                left.add(((a, b), (a, b + 1)))
-            elif there == (a + 1, b - 1):
-                left.add(((a, b - 1), (a, b)))
-            else:
+            partner = _PARTNER_OF_STEP.get((there[0] - a, there[1] - b))
+            if partner is None:
                 raise ValueError(f"not a unit step: {here} -> {there}")
+            left.add(tuple(sorted((here, (a + partner[0], b + partner[1])))))
         a, b = squares[-1]
         if a == -1:
             left.add(((-1, b), (0, b)))

@@ -54,7 +54,7 @@ def forbid_a(monkeypatch):
     """A function that, once called, makes every read of A or X fail the
     test: the counts and `matrix_a` read A only through `matrices._a_block`,
     and the ladder reads X only through `matrices._x_row`."""
-    def refuse(*args):
+    def refuse(arg):
         raise AssertionError("read A or X for a request that should be "
                              "refused")
 

@@ -106,9 +106,9 @@ def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
     blocks = []
     block = offdiag.counts._a_block
 
-    def counted(rows, cols):
-        blocks.append(len(rows))
-        return block(rows, cols)
+    def counted(idx):
+        blocks.append(len(idx))
+        return block(idx)
 
     monkeypatch.setattr(offdiag.counts, "_a_block", counted)
 
@@ -292,11 +292,10 @@ def test_leading_kept_sets_read_the_ladder(monkeypatch, empty_ladders):
     # leading block A(2t), whose Pfaffian is the ladder's p_t: at every
     # n <= 40 each leading kept set counts what a fresh pass over that
     # block of A gives, and none builds a block of A
-    fresh = [_leading_rungs(_a_block(range(k), range(k)), [0] * k)[-1][0]
+    fresh = [_leading_rungs(_a_block(range(k)), [0] * k)[-1][0]
              for k in range(0, 41, 2)]
     blocks = []
-    monkeypatch.setattr(offdiag.counts, "_a_block",
-                        lambda *args: blocks.append(args))
+    monkeypatch.setattr(offdiag.counts, "_a_block", blocks.append)
     for n in range(1, 41):
         for k in range(0, n + 1, 2):
             assert count_off_diag(n, range(1, k + 1)) == fresh[k // 2]
@@ -339,9 +338,9 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
         built.append(len(w) // 2 + 1)
         return rung(c, w, q)
 
-    def counted_block(rows, cols):
-        solved.append(len(cols))
-        return block(rows, cols)
+    def counted_block(idx):
+        solved.append(len(idx))
+        return block(idx)
 
     monkeypatch.setattr(offdiag.counts, "_x_row", counted_row)
     monkeypatch.setattr(offdiag.counts, "_rung", counted_rung)

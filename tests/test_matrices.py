@@ -92,25 +92,23 @@ def test_matrix_a_matches_its_recurrence_table():
         assert matrix_a(n).rows == recurrence_table(n)
 
 
-def test_a_block_reads_rows_and_columns_in_the_order_given():
-    # the counts ask only for sorted labels and ranges; here unsorted,
-    # gappy row and column lists that differ, asked in shuffled order, are
-    # each the block of the table of A(40) on those rows and columns
+def test_a_block_is_the_principal_block_on_the_indices_given():
+    # random increasing, gappy index lists up to order 40 each give the
+    # block of the table of A(40) on those rows and columns; the empty list
+    # gives the empty block, and range(n) all of A(n)
     rng = random.Random(29)
     table = recurrence_table(40)
-    requests = [([39, 3, 17, 0], [5, 38, 2]), ([], [7, 1]), ([12, 4], [])]
+    requests = [[], [0], [39], [3, 17, 38]]
     while len(requests) < 24:
         n = rng.randint(4, 40)
-        rows = rng.sample(range(n), rng.randint(2, n - 1))
-        cols = rng.sample(range(n), rng.randint(2, n - 1))
-        if (rows != cols and rows != sorted(rows) and cols != sorted(cols)
-                and max(rows) - min(rows) >= len(rows)
-                and max(cols) - min(cols) >= len(cols)):
-            requests.append((rows, cols))
-    rng.shuffle(requests)
-    for rows, cols in requests:
-        assert _a_block(rows, cols) == [tuple(table[i][j] for j in cols)
-                                        for i in rows]
+        idx = sorted(rng.sample(range(n), rng.randint(2, n - 1)))
+        if idx[-1] - idx[0] >= len(idx):
+            requests.append(idx)
+    for idx in requests:
+        assert _a_block(idx) == [tuple(table[i][j] for j in idx)
+                                 for i in idx]
+    for n in (1, 2, 7, 23, 40):
+        assert tuple(_a_block(range(n))) == matrix_a(n).rows
 
 
 def test_matrix_a_refuses_orders_past_max_order():

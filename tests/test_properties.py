@@ -7,10 +7,11 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offdiag import counts, series
-from offdiag.matrices import matrix_a, pell_vector
+from offdiag import count_off_diag, counts, series
+from offdiag.matrices import _a_block, matrix_a, pell_vector
 from offdiag.paths import delannoy
-from offdiag.pfaffian import _leading_rungs
+from offdiag.pfaffian import (_leading_rungs, pfaffian_cofactor,
+                              principal_submatrix)
 
 FIXED = settings(derandomize=True, deadline=None, database=None,
                  max_examples=300)
@@ -71,6 +72,27 @@ def test_the_delannoy_solve_inverts_p_transpose_on_every_rung():
     # n = 121
     for y in counts._ladder(60)[:61]:
         assert p_transpose_times(counts._solve_delannoy(y)) == list(y)
+
+
+@FIXED
+@given(n_kept=st.integers(9, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
+def test_count_off_diag_is_the_cofactor_pfaffian_of_its_block(n_kept):
+    # past the orders whose kept sets are all checked, any kept set counts
+    # the Pfaffian of A's principal block on it, by cofactor expansion
+    n, kept = n_kept
+    assert count_off_diag(n, kept) == pfaffian_cofactor(
+        principal_submatrix(matrix_a(n), kept))
+
+
+@FIXED
+@given(idx=st.sets(st.integers(0, 23)).map(
+    lambda s: sorted(s)[len(s) % 2:]))
+def test_no_pivot_of_a_principal_block_is_below_one(idx):
+    # each pivot of the pass over A's block on an even index list counts
+    # path families, so none is below 1 and count_off_diag never pivots
+    rungs = _leading_rungs(_a_block(idx), [0] * len(idx))
+    assert all(pivot >= 1 for pivot, _ in rungs)
 
 
 coefficients = st.lists(st.integers(-50, 50), max_size=12)
