@@ -222,11 +222,15 @@ def cell_block(n: int, k: int) -> tuple[Square, ...]:
 
 
 def diagonal_profile(region: Region, tiling) -> tuple[int, ...]:
-    profile = []
-    for k in range(1, region.n + 1):
-        block = set(cell_block(region.n, k))
-        inside = sum(1 for s, t in tiling if s in block and t in block)
-        profile.append(inside - 1)
+    """Each diagonal cell's count of dominoes inside it, less one."""
+    # square (a, b) with a in {-1, 0} lies in cell (b + n + 2)//2
+    n = region.n
+    profile = [-1] * n
+    for (a, b), (c, e) in tiling:
+        if -1 <= a <= 0 and -1 <= c <= 0:
+            k = (b + n + 2) // 2
+            if k == (e + n + 2) // 2 and 1 <= k <= n:
+                profile[k - 1] += 1
     return tuple(profile)
 
 
@@ -351,11 +355,6 @@ def square_to_point(n: int, sq: Square) -> tuple[int, int]:
     return ((a - b - n - 1) // 2, (a + b + n - 1) // 2)
 
 
-def point_to_square(n: int, pt: tuple[int, int]) -> Square:
-    x, y = pt
-    return (1 + x + y, y - x - n)
-
-
 def _covering(tiling):
     cover = {}
     for d in tiling:
@@ -409,43 +408,55 @@ def paths_to_tiling(region: Region, paths):
     Inverse of tiling_to_paths for valid families: step dominoes follow the
     paths, endpoints on the axis column become straddling dominoes, every
     remaining black square is paired with the white square on its left, and
-    the right half is the mirror image.
+    the right half is the mirror image.  An empty path is refused first.
     """
+    for label, path in paths.items():
+        if not path:
+            raise ValueError(f"path {label!r} is empty")
     n = region.n
+    squares = region.squares
     used_blacks = set()
     left = set()
     for path in paths.values():
-        squares = [point_to_square(n, p) for p in path]
-        for sq in squares:
+        # the inverse of square_to_point
+        blacks = [(1 + x + y, y - x - n) for x, y in path]
+        for sq in blacks:
             if sq in used_blacks:
                 raise ValueError(f"paths intersect at {sq}")
             used_blacks.add(sq)
-        for here, there in zip(squares, squares[1:]):
+        for here, there in zip(blacks, blacks[1:]):
             a, b = here
             partner = _PARTNER_OF_STEP.get((there[0] - a, there[1] - b))
             if partner is None:
                 raise ValueError(f"not a unit step: {here} -> {there}")
-            left.add(tuple(sorted((here, (a + partner[0], b + partner[1])))))
-        a, b = squares[-1]
+            other = (a + partner[0], b + partner[1])
+            left.add((here, other) if here < other else (other, here))
+        a, b = blacks[-1]
         if a == -1:
             left.add(((-1, b), (0, b)))
         elif a != 0:
-            raise ValueError(f"path must end on the axis, got {squares[-1]}")
-    for sq in sorted(region.squares):
+            raise ValueError(f"path must end on the axis, got {blacks[-1]}")
+    black = (n + 1) % 2
+    stuck = []
+    for sq in squares:
         a, b = sq
-        if a > 0 or not is_black(n, sq) or sq in used_blacks:
+        if a > 0 or (a + b) % 2 != black or sq in used_blacks:
             continue
-        filler = ((a - 1, b), (a, b))
-        if filler[0] not in region.squares:
-            raise ValueError(f"no room to finish square {sq}")
-        left.add(filler)
+        if (a - 1, b) not in squares:
+            stuck.append(sq)
+        left.add(((a - 1, b), sq))
+    if stuck:
+        raise ValueError(f"no room to finish square {min(stuck)}")
+    # every domino above is sorted, and the mirror swaps a horizontal
+    # domino's squares
     tiling = set(left)
-    for d in left:
-        tiling.add(mirror_domino(d))
-    covered = [sq for d in tiling for sq in d]
-    if len(covered) != len(set(covered)) or set(covered) != region.squares:
+    for (a, b), (c, e) in left:
+        tiling.add(((-1 - c, b), (-1 - a, e)) if b == e
+                   else ((-1 - a, b), (-1 - c, e)))
+    covered = {sq for d in tiling for sq in d}
+    if len(covered) != 2 * len(tiling) or covered != squares:
         raise ValueError("paths do not induce a tiling of the region")
-    return frozenset(tuple(sorted(d)) for d in tiling)
+    return frozenset(tiling)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -20,10 +20,13 @@ and each graph fills its tables on first use and keeps them: the path counts
 out of a source (a DP over a topological order kept with the graph), the
 counts onto the doublets' lower and upper points that `q_doublet` pairs, and
 every path between two points, walked once with its vertex mask.  The family
-search is a plain depth-first search over those path lists, filtered by
-disjointness against the mask of the vertices taken so far.  A point off the
-graph makes `q_doublet`, `enumerate_families`, `count_paths` and, as a
-source, `path_counts` raise ValueError.
+search is a plain depth-first search.  For each choice of ends it first
+lists, slot by slot, the starts with at least one path into the slot's end,
+with those path lists; it then fills the slots in order, filtering each path
+by disjointness against the mask of the vertices taken so far, and carries
+the family's sign as the parity of the inversions placed so far.  A point
+off the graph makes `q_doublet`, `enumerate_families`, `count_paths` and, as
+a source, `path_counts` raise ValueError.
 
 Also here: `delannoy`, the Delannoy numbers that `matrices` and `counts`
 read, filled one diagonal at a time by an exact three-term recurrence whose
@@ -223,15 +226,6 @@ class PathFamily(namedtuple("PathFamily", "ends paths connection sign")):
     __slots__ = ()
 
 
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def enumerate_families(g: PathGraph, starts, fixed_ends=()):
     """All vertex-disjoint path families from `starts` onto admissible ends.
 
@@ -270,24 +264,37 @@ def enumerate_families(g: PathGraph, starts, fixed_ends=()):
 def _assign(g, starts, ends, out):
     """Append to `out` every family onto `ends`: slot by slot, each unused
     start and each of its paths into the slot's end that misses the
-    vertices taken so far."""
+    vertices taken so far.
+
+    Each slot's candidates, (start index, start bit, path list), are listed
+    once, in start order, keeping only the starts with a path into the
+    slot's end.  The sign is the parity of the connection's inversions:
+    placing start s adds one inversion per used start above s.
+    """
     r = len(starts)
+    candidates = []
+    for end in ends:
+        slot = []
+        for s, start in enumerate(starts):
+            paths = g._path_list(start, end)
+            if paths:
+                slot.append((s, 1 << s, paths))
+        candidates.append(slot)
 
-    def rec(slot, used, occupied, paths, perm):
+    def rec(slot, used, occupied, paths, connection, sign):
         if slot == r:
-            out.append(PathFamily(ends=ends, paths=tuple(paths),
-                                  connection=tuple(perm), sign=_perm_sign(perm)))
+            out.append(PathFamily(ends, paths, connection, sign))
             return
-        target = ends[slot]
-        for s in range(r):
-            if used >> s & 1:
+        for s, bit, options in candidates[slot]:
+            if used & bit:
                 continue
-            for mask, path in g._path_list(starts[s], target):
+            placed = -sign if (used >> s).bit_count() & 1 else sign
+            for mask, path in options:
                 if not mask & occupied:
-                    rec(slot + 1, used | 1 << s, occupied | mask,
-                        paths + [path], perm + [s + 1])
+                    rec(slot + 1, used | bit, occupied | mask,
+                        paths + (path,), connection + (s + 1,), placed)
 
-    rec(0, 0, 0, [], [])
+    rec(0, 0, 0, (), (), 1)
 
 
 def signed_family_count(families) -> int:

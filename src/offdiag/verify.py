@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import index
+from operator import index, mul
 
 from . import series
 from .counts import (
@@ -233,14 +233,12 @@ def _check_translation_invariance(n_max: int):
     failures = []
     for n in range(2, cap + 1):
         g = staircase(n, REDUCED)
-        verts = sorted(g.vertices)
-        for a in verts:
-            for b in verts:
-                a2 = (a[0] + 1, a[1] - 1)
-                b2 = (b[0] + 1, b[1] - 1)
-                if a2 in g.vertices and b2 in g.vertices:
-                    if q_doublet(g, a, b) != q_doublet(g, a2, b2):
-                        failures.append({"n": n, "a": a, "b": b})
+        shifts = [(v, (v[0] + 1, v[1] - 1)) for v in sorted(g.vertices)]
+        shifts = [(v, v2) for v, v2 in shifts if v2 in g.vertices]
+        for a, a2 in shifts:
+            for b, b2 in shifts:
+                if q_doublet(g, a, b) != q_doublet(g, a2, b2):
+                    failures.append({"n": n, "a": a, "b": b})
     return f"reduced graphs n <= {cap}, all vertex pairs", failures
 
 
@@ -367,10 +365,13 @@ def _check_t_alternating_convolution(_n_max: int):
     size = 30
     arr = t_array(size, size)
     failures = []
-    for n in range(1, size + 1):
+    for n, row in enumerate(arr, 1):
+        signed = [-t if i % 2 else t for i, t in enumerate(row)]
         for j in range(1, size + 1):
-            acc = sum((-1) ** (k + j) * arr[n - 1][k - 1] * arr[n - 1][j - k]
-                      for k in range(1, j + 1))
+            # sum over k of (-1)^(k + j) T(n, k) T(n, j + 1 - k)
+            acc = sum(map(mul, signed[:j], row[j - 1::-1]))
+            if j % 2 == 0:
+                acc = -acc
             if acc != (1 if j == 1 else 0):
                 failures.append({"n": n, "j": j, "sum": acc})
     return "rows and columns <= 30", failures

@@ -54,6 +54,17 @@ def is_mirror_symmetric(tiling):
     return all(mirror_domino(d) in tiling for d in tiling)
 
 
+def reference_profile(region, tiling):
+    """diagonal_profile by its definition: a set per cell, and the whole
+    tiling scanned once per cell for the dominoes inside it."""
+    profile = []
+    for k in range(1, region.n + 1):
+        block = set(cell_block(region.n, k))
+        inside = sum(1 for s, t in tiling if s in block and t in block)
+        profile.append(inside - 1)
+    return tuple(profile)
+
+
 def reference_census(region):
     """(off_diag, nearly_plus, nearly_minus) by filtering every tiling."""
     off_diag = 0
@@ -62,7 +73,7 @@ def reference_census(region):
     for tiling in enumerate_tilings(region):
         if not is_mirror_symmetric(tiling):
             continue
-        profile = diagonal_profile(region, tiling)
+        profile = reference_profile(region, tiling)
         defects = [k for k, value in enumerate(profile) if value]
         if not defects:
             off_diag += 1
@@ -177,6 +188,18 @@ def test_census_matches_reference_classification():
             census = classify_region_tilings(region)
             assert (census.off_diag, census.nearly_plus,
                     census.nearly_minus) == reference_census(region)
+
+
+def test_diagonal_profile_matches_its_definition():
+    seen = 0
+    for n in (1, 2, 3, 4):
+        for kept in all_kept_subsets(n):
+            region = build_region(n, kept)
+            for tiling in enumerate_tilings(region):
+                assert (diagonal_profile(region, tiling)
+                        == reference_profile(region, tiling))
+                seen += 1
+    assert seen == 6184
 
 
 def test_ad1_classification():
@@ -296,15 +319,29 @@ def test_path_round_trip_on_all_symmetric_tilings():
 
 def test_paths_to_tiling_rejects_bad_input():
     region = build_region(3)
-    tiling = next(symmetric_tilings(region))
-    paths = tiling_to_paths(region, tiling)
-    if paths:
-        broken = dict(paths)
-        broken.pop(next(iter(broken)))
-        with pytest.raises(ValueError):
+    paths = tiling_to_paths(region, next(symmetric_tilings(region)))
+    # the chain out of label 1 is one square on the axis column; the
+    # others take one step each
+    assert [len(paths[i]) for i in (1, 2, 3)] == [1, 2, 2]
+    (x, y), = paths[1]
+    cases = [
+        ({1: ()}, r"^path 1 is empty$"),
+        ({**paths, 9: paths[1]}, r"^paths intersect at \(-1, -3\)$"),
+        ({"a": ((0, 0), (99, 99))},
+         r"^not a unit step: \(1, -3\) -> \(199, -3\)$"),
+        ({**paths, 2: paths[2][:-1]},
+         r"^path must end on the axis, got \(-2, -2\)$"),
+        ({2: paths[2], 3: paths[3]},
+         r"^no room to finish square \(-1, -3\)$"),
+        ({**paths, 1: paths[1] + ((x + 1, y),)},
+         r"^paths do not induce a tiling of the region$"),
+    ]
+    for broken, message in cases:
+        with pytest.raises(ValueError, match=message):
             paths_to_tiling(region, broken)
-    with pytest.raises(ValueError):
-        paths_to_tiling(region, {"a": ((0, 0), (99, 99))})
+    # an empty path is refused before any other path is read
+    with pytest.raises(ValueError, match=r"^path 9 is empty$"):
+        paths_to_tiling(region, {**paths, 8: paths[1], 9: ()})
 
 
 def test_render_text_fixture_and_determinism():
