@@ -27,10 +27,13 @@ last two to the rung it needs, so however the requests arrive no rung is
 built twice.  Each kernel vector of A is kept once read (`_kernels`), and a
 scan asks for its largest order first, which extends the ladder once.
 count_off_diag of any other kept set reads the last pivot of one fresh
-condensation pass (`pfaffian._leading_rungs`) over that block of A, and
-d_entry_bordered the last border entry of one over A(n) bordered by one
-cell's Delannoy weights; `_o_vector_direct`, n such passes, stays as the
-verification route.  Every block of A read here, `_kernel`'s check of
+condensation pass (`pfaffian._leading_rungs`) over that block of A.  A
+pass carries any number of border columns at the cost of one, so
+`_bordered_cells` reads the defect counts of every cell asked off one pass
+over A(n) bordered by each cell's Delannoy weights (d_entry_bordered asks
+for one cell), and `_o_vector_direct` the deletion counts off one pass over
+A(n) bordered by the n unit columns; both stay off the ladder, as
+verification routes.  Every block of A read here, `_kernel`'s check of
 A(n) included, is a principal block, which `matrices._a_block` builds
 afresh for each request.
 
@@ -188,15 +191,20 @@ def count_off_diag(n: int, kept=None) -> int:
 def _block_pfaffian(idx) -> int:
     """Pf of A's principal block on the 0-based indices `idx`, of even
     length: the last pivot of one fresh condensation pass
-    (`pfaffian._leading_rungs`) over it."""
-    return _leading_rungs(_a_block(idx), [0] * len(idx))[-1][0]
+    (`pfaffian._leading_rungs`) over it, with no border column."""
+    return _leading_rungs(_a_block(idx))[-1][0]
 
 
 def _o_vector_direct(n: int) -> tuple[int, ...]:
-    """o_vector(n), for odd n, as n separate Pfaffians of blocks of A, each
-    by a fresh pass and none read off the ladder: the verification route."""
-    return tuple(_block_pfaffian([i for i in range(n) if i != k])
-                 for k in range(n))
+    """o_vector(n), for odd n, off one fresh pass over A(n) bordered by the
+    n unit columns, none read off the ladder: the verification route.
+
+    Bordered by e_k, the odd-order A(n) has Pfaffian (-1)^(k-1) Pf(A(n)
+    minus k) (`pfaffian.bordered_skew`), so the last rung's entry in column
+    k, sign flipped at even k, is o_k."""
+    units = [[int(i == k) for i in range(n)] for k in range(n)]
+    entries = _leading_rungs(_a_block(range(n)), *units)[-1][1:]
+    return tuple(-e if k % 2 else e for k, e in enumerate(entries))
 
 
 def _solve_delannoy(y) -> list[int]:
@@ -280,7 +288,7 @@ def o_vector(n: int) -> tuple[int, ...]:
     k deleted, so x_k = (-1)^(k-1) o_k spans the kernel of A(n), with
     x_n = even_order_full(n - 1): `_kernel` solves for x off the ladder,
     and this flips its even-numbered entries.  `_o_vector_direct` computes
-    the same vector as n separate Pfaffians, for verification.
+    the same vector off one bordered condensation pass, for verification.
     """
     o = list(_kernel(_odd_order(n, "deletion vector")))
     o[1::2] = map(neg, o[1::2])
@@ -342,16 +350,26 @@ def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
     return tuple(sum(map(mul, w, x)) for w in weights)
 
 
+def _bordered_cells(variant: str, n: int, cells) -> tuple[int, ...]:
+    """Entries k in `cells` of d_vector(variant, n) by the second route:
+    for each cell, the Pfaffian of A(n) bordered by its `defect_weights`.
+
+    Every border column rides on one fresh condensation pass
+    (`pfaffian._leading_rungs`) over A(n), none read off the ladder: entry
+    k is the last rung's entry in cell k's column.  The pass's leading
+    pivots are even_order_full(2t) > 0.  A bad order, variant or cell is
+    refused before A is built."""
+    n = _odd_order(n, "defect count")
+    weights = [defect_weights(variant, n, k) for k in cells]
+    return tuple(_leading_rungs(_a_block(range(n)), *weights)[-1][1:])
+
+
 def d_entry_bordered(variant: str, n: int, k: int) -> int:
     """Same defect count by the second route: a single bordered Pfaffian,
-    of A(n) bordered by cell k's `defect_weights`.
-
-    It is the border entry of the last rung of one fresh condensation
-    pass (`pfaffian._leading_rungs`) over A(n) with that border column; the
-    pass's leading pivots are even_order_full(2t) > 0."""
+    of A(n) bordered by cell k's `defect_weights`, read off one fresh
+    condensation pass with that one border column (`_bordered_cells`)."""
     n, k = _odd_order(n, "defect count"), index(k)
-    weights = defect_weights(variant, n, k)
-    return _leading_rungs(_a_block(range(n)), weights)[-1][1]
+    return _bordered_cells(variant, n, (k,))[0]
 
 
 def even_order_full(n: int) -> int:

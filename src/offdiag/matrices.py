@@ -26,8 +26,9 @@ from . import series
 # The largest order of A built, so of any count's condensation; 200 admits
 # scans to --n-max 100 and every count to n = 199.  On a 2-vCPU VM the count
 # ladder's cold recurrence over X takes about 0.02 s to order 100 and 0.5 s
-# to 200, and one fresh condensation of a block of A (count_off_diag,
-# d_entry_bordered) about 0.3 s at order 100 and 9 s at 200.
+# to 200, and one fresh condensation of a block of A (count_off_diag, or
+# d_entry_bordered with its one border column) about 0.15 s at order 100
+# and 9 s at 200.
 MAX_ORDER = 200
 
 
@@ -124,7 +125,7 @@ def defect_weights(variant: str, n: int, k: int) -> tuple[int, ...]:
     by 2*delannoy(l-1-k, k-1), the "pm" weight of l - 1; "plus" is their
     difference.  Signed (-1)^(l-1), they are row k of the paper's Delannoy
     matrix equation: `counts._defect_cells` dots the "minus" and "plus"
-    weights with A's kernel vector, and `counts.d_entry_bordered` borders
+    weights with A's kernel vector, and `counts._bordered_cells` borders
     A with them."""
     if variant not in ("pm", "minus", "plus"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -15,12 +15,18 @@ symmetric tiling is off-diagonal when its profile is all zero and nearly
 off-diagonal when exactly one cell is nonzero.  Symmetric tilings are built
 directly, a domino and its mirror image at a time, not filtered.
 
-One backtracker places dominoes on the first free square.  The generators
-walk it tiling by tiling (for render and the path checks); the counters
-count its tilings with the same placements, memoized on the occupancy mask
-(a transfer-matrix count), and never walk them.  Everything here is
-exhaustive and meant as an independent ground truth for the Pfaffian and
-path counts, so region sizes are deliberately capped.
+One backtracker places dominoes on the first free square.  Its placement
+table is built once per call over the whole order-n diamond, and a region
+enters it as a start mask that marks the squares it lacks as already
+covered: the first free square skips them, and a placement onto one fails
+the mask test, so each region's tilings come in the order a table of its
+own squares would give.  The generators walk it tiling by tiling (for
+render and the path checks); the counters count its tilings with the same
+placements, memoized on the occupancy mask (a transfer-matrix count), and
+never walk them; `oracle_counts` sweeps all n + 1 of its regions over one
+table.  Nothing is kept between calls.  Everything here is exhaustive and
+meant as an independent ground truth for the Pfaffian and path counts, so
+region sizes are deliberately capped.
 """
 
 from __future__ import annotations
@@ -87,12 +93,7 @@ def build_region(n: int, kept=None) -> Region:
     if kept is None:
         kept = range(1, n + 1)
     kept = frozenset(i + 1 for i in _kept_indices(kept, n))
-    squares = {
-        (a, b)
-        for a in range(-n, n)
-        for b in range(-n, n)
-        if span(a) + span(b) <= n + 1
-    }
+    squares = set(_diamond(n))
     for i in range(1, n + 1):
         if i not in kept:
             sq = boundary_square(n, i)
@@ -101,14 +102,20 @@ def build_region(n: int, kept=None) -> Region:
     return Region(n=n, kept=kept, squares=frozenset(squares))
 
 
-def _placement_table(region: Region, images) -> list:
-    """Each square's placements, in (a, b) order: the images(d) of its
-    rightward, then its upward domino d that fit the region, as (bitmask,
-    dominoes)."""
-    squares = sorted(region.squares)
-    bit = {sq: 1 << i for i, sq in enumerate(squares)}
+def _diamond(n: int) -> list[Square]:
+    """The squares of the full order-n diamond, in (a, b) order: square i
+    is bit i of every mask over an order-n region."""
+    return [(a, b) for a in range(-n, n) for b in range(-n, n)
+            if span(a) + span(b) <= n + 1]
+
+
+def _placement_table(n: int, images) -> list:
+    """Each square's placements over the order-n diamond, in (a, b) order:
+    the images(d) of its rightward, then its upward domino d that fit the
+    diamond, as (bitmask, dominoes)."""
+    bit = {sq: 1 << i for i, sq in enumerate(_diamond(n))}
     table = []
-    for a, b in squares:
+    for a, b in bit:
         placements = []
         for d in (((a, b), (a + 1, b)), ((a, b), (a, b + 1))):
             dominoes = images(d)
@@ -117,6 +124,12 @@ def _placement_table(region: Region, images) -> list:
                 placements.append((sum(bit[sq] for sq in covered), dominoes))
         table.append(placements)
     return table
+
+
+def _start_mask(region: Region) -> int:
+    """The diamond's squares that the region lacks, marked as covered."""
+    return sum(1 << i for i, sq in enumerate(_diamond(region.n))
+               if sq not in region.squares)
 
 
 def _first_free(mask: int) -> int:
@@ -137,7 +150,7 @@ def _backtrack(region: Region, images):
     refused on the call, before the first tiling is asked for."""
     if len(region.squares) > _MAX_SQUARES:
         raise ValueError("region too large for exhaustive enumeration")
-    table = _placement_table(region, images)
+    table = _placement_table(region.n, images)
     full = (1 << len(table)) - 1
     acc = []
 
@@ -151,7 +164,7 @@ def _backtrack(region: Region, images):
                 yield from rec(mask | cover)
                 del acc[-len(dominoes):]
 
-    return rec(0)
+    return rec(_start_mask(region))
 
 
 def enumerate_tilings(region: Region):
@@ -171,8 +184,9 @@ def symmetric_tilings(region: Region):
     return _backtrack(region, _mirror_images)
 
 
-def _sweep(table, step, tag) -> dict:
-    """Count _backtrack's tilings without walking them.
+def _sweep(table, start: int, step, tag) -> dict:
+    """Count _backtrack's tilings from the occupancy mask `start` without
+    walking them.
 
     The backtracker always covers the first free square, so the ways to go
     on from a partial tiling depend on its occupancy mask alone (plus the
@@ -183,7 +197,7 @@ def _sweep(table, step, tag) -> dict:
     square i, or None to prune it.  Returns {tag: ways} over the tilings.
     """
     layers = [{} for _ in range(len(table) + 1)]
-    layers[0][0, tag] = 1
+    layers[_first_free(start)][start, tag] = 1
     for i, placements in enumerate(table):
         for (mask, tag), ways in layers[i].items():
             for cover, payload in placements:
@@ -209,8 +223,9 @@ def count_all_tilings(region: Region) -> int:
     """Number of domino tilings of the region, memoized on the occupancy
     mask alone."""
     _check_countable(region)
-    table = _placement_table(region, _all_images)
-    return sum(_sweep(table, lambda i, tag, dominoes: tag, 0).values())
+    table = _placement_table(region.n, _all_images)
+    return sum(_sweep(table, _start_mask(region),
+                      lambda i, tag, dominoes: tag, 0).values())
 
 
 def cell_block(n: int, k: int) -> tuple[Square, ...]:
@@ -266,15 +281,28 @@ def classify_region_tilings(region: Region) -> RegionCensus:
     first free square lies in a later cell; a second defect prunes.
     """
     _check_countable(region)
-    n = region.n
-    cells = [(b + n + 2) // 2 if a == -1 else 0
-             for a, b in sorted(region.squares)]
+    return _census(_census_table(region.n), region)
+
+
+def _census_table(n: int):
+    """The census's placement table over the order-n diamond, each
+    placement's payload its count of dominoes inside a diagonal cell, and
+    each square's diagonal cell (0 off column a = -1)."""
+    cells = [(b + n + 2) // 2 if a == -1 else 0 for a, b in _diamond(n)]
     table = []
-    for k, placements in zip(cells, _placement_table(region, _mirror_images)):
+    for k, placements in zip(cells, _placement_table(n, _mirror_images)):
         block = set(cell_block(n, k)) if k else set()
         table.append([
             (cover, sum(1 for s, t in dominoes if s in block and t in block))
             for cover, dominoes in placements])
+    return table, cells
+
+
+def _census(census_table, region: Region) -> RegionCensus:
+    """classify_region_tilings of the region, swept over the census table
+    of its order (`_census_table`)."""
+    table, cells = census_table
+    n = region.n
 
     def step(i, tag, inside_added):
         k = cells[i]
@@ -291,7 +319,8 @@ def classify_region_tilings(region: Region) -> RegionCensus:
     off_diag = 0
     plus = [0] * n
     minus = [0] * n
-    for (cell, inside, defect), ways in _sweep(table, step, (1, 0, ())).items():
+    swept = _sweep(table, _start_mask(region), step, (1, 0, ()))
+    for (cell, inside, defect), ways in swept.items():
         defect = _close_cells(cell, inside, defect, n + 1)
         if defect == ():
             off_diag += ways
@@ -322,17 +351,17 @@ def oracle_counts(n: int) -> OracleCounts:
     boundary square k removed; the d vectors count the nearly off-diagonal
     tilings of the full region by defect cell and defect sign.  These count
     the symmetric tilings alone; `total`, counted on each read, counts
-    every tiling.  No tiling is walked.
+    every tiling.  No tiling is walked: all n + 1 regions are swept over
+    one census table.
     """
     n = index(n)
     if n < 1 or n % 2 == 0 or n > _MAX_COUNTED_ORDER:
         raise ValueError(
             f"oracle is exhaustive; odd n <= {_MAX_COUNTED_ORDER} only")
-    full = classify_region_tilings(build_region(n))
-    o = []
-    for k in range(1, n + 1):
-        region = build_region(n, set(range(1, n + 1)) - {k})
-        o.append(classify_region_tilings(region).off_diag)
+    table = _census_table(n)
+    full = _census(table, build_region(n))
+    o = [_census(table, build_region(n, set(range(1, n + 1)) - {k})).off_diag
+         for k in range(1, n + 1)]
     d_pm = tuple(p + m for p, m in zip(full.nearly_plus, full.nearly_minus))
     return OracleCounts(
         n=n,
@@ -347,57 +376,45 @@ def oracle_counts(n: int) -> OracleCounts:
 
 # --- correspondence with the lattice-path picture ---------------------------
 
-def square_to_point(n: int, sq: Square) -> tuple[int, int]:
-    """Rotated coordinates of a black square (the lattice the paths live on)."""
-    a, b = sq
-    if (a - b - n - 1) % 2:
-        raise ValueError(f"{sq} is not a black square of order {n}")
-    return ((a - b - n - 1) // 2, (a + b + n - 1) // 2)
-
-
-def _covering(tiling):
-    cover = {}
-    for d in tiling:
-        s, t = d
-        cover[s] = d
-        cover[t] = d
-    return cover
-
-
-# A path's unit steps, keyed by where the step's domino puts the black
-# square's partner, both as offsets from the black square: a partner on the
-# right steps the path two squares right, one above or below steps it
-# diagonally.  `_step_target` reads it one way and paths_to_tiling the
-# other.
-_STEP_OF_PARTNER = {(1, 0): (2, 0), (0, 1): (1, 1), (0, -1): (1, -1)}
-_PARTNER_OF_STEP = {step: p for p, step in _STEP_OF_PARTNER.items()}
-
-
-def _step_target(domino: Domino, black: Square):
-    """Where the chain continues after this black square, or None."""
-    a, b = black
-    s, t = domino
-    pa, pb = t if s == black else s
-    step = _STEP_OF_PARTNER.get((pa - a, pb - b))
-    return None if step is None else (a + step[0], b + step[1])
+# A path's unit steps, each with where its domino puts the black square's
+# partner, both as offsets from the black square: a step two squares right
+# has its partner on the right, a diagonal step one above or below.
+_PARTNER_OF_STEP = {(2, 0): (1, 0), (1, 1): (0, 1), (1, -1): (0, -1)}
 
 
 def tiling_to_paths(region: Region, tiling) -> dict:
     """Decompose a tiling into its domino chains, one per kept boundary
-    square, as paths in rotated coordinates (keyed by boundary label)."""
+    square, as paths in rotated coordinates (keyed by boundary label).
+
+    A chain goes on from black square (a, b) by where the domino covering
+    it puts its partner: on the right two squares right, above or below
+    one square diagonally that way, on the left nowhere; it also stops
+    at a square past the axis column or off the region."""
     n = region.n
-    cover = _covering(tiling)
+    squares = region.squares
+    partner = {}
+    for s, t in tiling:
+        partner[s] = t
+        partner[t] = s
     paths = {}
     for i in sorted(region.kept):
-        sq = boundary_square(n, i)
-        chain = [sq]
+        # boundary square i; boundary squares are black and every step
+        # keeps the colour, so each square (a, b) of the chain is black and
+        # has the point ((a - b - n - 1)/2, (a + b + n - 1)/2)
+        a, b = -i, i - n - 1
+        path = []
         while True:
-            current = chain[-1]
-            target = _step_target(cover[current], current)
-            if target is None or target[0] > 0 or target not in region.squares:
+            path.append(((a - b - n - 1) // 2, (a + b + n - 1) // 2))
+            pa, pb = partner[a, b]
+            if pa > a:
+                a += 2
+            elif pb != b:
+                a, b = a + 1, pb
+            else:
                 break
-            chain.append(target)
-        paths[i] = tuple(square_to_point(n, sq) for sq in chain)
+            if a > 0 or (a, b) not in squares:
+                break
+        paths[i] = tuple(path)
     return paths
 
 
@@ -408,17 +425,28 @@ def paths_to_tiling(region: Region, paths):
     Inverse of tiling_to_paths for valid families: step dominoes follow the
     paths, endpoints on the axis column become straddling dominoes, every
     remaining black square is paired with the white square on its left, and
-    the right half is the mirror image.  An empty path is refused first.
+    the right half is the mirror image.  An empty path is refused first,
+    then a path filed under a label the region does not keep, or one that
+    does not start at its label's boundary square.
     """
     for label, path in paths.items():
         if not path:
             raise ValueError(f"path {label!r} is empty")
     n = region.n
+    for label, path in paths.items():
+        if label not in region.kept:
+            raise ValueError(f"label {label!r} is not a kept label")
+        if path[0] != (-label, -1):
+            # (-i, -1) is the point of boundary_square(n, i)
+            x, y = path[0]
+            raise ValueError(f"path {label} must start at "
+                             f"{boundary_square(n, label)}, got "
+                             f"{(1 + x + y, y - x - n)}")
     squares = region.squares
     used_blacks = set()
     left = set()
     for path in paths.values():
-        # the inverse of square_to_point
+        # the inverse of tiling_to_paths' square-to-point map
         blacks = [(1 + x + y, y - x - n) for x, y in path]
         for sq in blacks:
             if sq in used_blacks:

@@ -15,12 +15,19 @@ drops it, so doublets start at index 2.  Path counts, the antisymmetric
 doublet kernel Q, and explicit enumeration of vertex-disjoint path families
 (with the permutation sign bookkeeping of the Pfaffian method) all live here.
 
-`staircase(n, variant)` is the one graph memo, so each graph is built once,
-and each graph fills its tables on first use and keeps them: the path counts
-out of a source (a DP over a topological order kept with the graph), the
-counts onto the doublets' lower and upper points that `q_doublet` pairs, and
-every path between two points, walked once with its vertex mask.  The family
-search is a plain depth-first search.  For each choice of ends it first
+`staircase(n, variant)` is the one graph memo, so each graph is built once.
+No step raises a or lowers b, so every point reached from (-a, b) meets the
+size bound a <= n and the variant's bottom row bound on b once the source
+does: what a source reaches, and every path between two points, is the same
+in each staircase graph, full or reduced and of any size, that holds the
+points.  So the path counts out of a source (a DP over the topological
+order of the graph that first asks) and every path between two points
+(walked once, with its vertex mask) are kept in module tables keyed by
+point, `_COUNTS` and `_PATHS`, which the first graph to ask for a point
+fills for all; a vertex's bit in the masks (`_bit`) does not depend on the
+graph either.  Each graph keeps only the counts onto its doublets' lower and
+upper points that `q_doublet` pairs, filled on first use.  The family search
+is a plain depth-first search.  For each choice of ends it first
 lists, slot by slot, the starts with at least one path into the slot's end,
 with those path lists; it then fills the slots in order, filtering each path
 by disjointness against the mask of the vertices taken so far, and carries
@@ -51,6 +58,19 @@ Point = tuple[int, int]
 # The Delannoy numbers computed so far, one list per diagonal: _DIAGONALS[d]
 # holds D(m, m + d) for m = 0, 1, ...
 _DIAGONALS: dict[int, list[int]] = {}
+
+# The path counts out of each source asked so far, keyed by the source, and
+# every path between two points, keyed by the pair, as (vertex mask, vertex
+# tuple) pairs: the same in every staircase graph that holds the points.
+_COUNTS: dict[Point, dict[Point, int]] = {}
+_PATHS: dict[tuple[Point, Point], list[tuple[int, tuple]]] = {}
+
+
+def _bit(p: Point) -> int:
+    """The vertex (-a, b)'s bit in every path mask, 1 << (a(a+1)/2 + b + 1):
+    one bit per vertex of every staircase graph, whatever the graph."""
+    a = -p[0]
+    return 1 << (a * (a + 1) // 2 + p[1] + 1)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -113,8 +133,8 @@ class PathGraph:
                 if q in verts
             )
         self.out = out
-        # every step raises x + y, so this order is topological; a vertex's
-        # rank in it is also its bit in the vertex masks of `_path_list`
+        # every step raises x + y, so this order is topological; a path
+        # count DP from a source starts at the source's rank in it
         self._order = tuple(sorted(verts, key=lambda p: (p[0] + p[1], p[0])))
         self._rank = {p: r for r, p in enumerate(self._order)}
         self.x = {i: (-i, 0) for i in range(1, n + 1)}
@@ -130,9 +150,7 @@ class PathGraph:
         self.doublets = tuple(
             ((-j, j - 2), (-j, j - 1)) for j in self.doublet_indices
         )
-        self._counts: dict[Point, dict[Point, int]] = {}
         self._doublet_counts: dict[Point, tuple[tuple[int, ...], ...]] = {}
-        self._paths: dict[tuple[Point, Point], list[tuple[int, tuple]]] = {}
 
     def _check_point(self, p: Point) -> None:
         if p not in self._rank:
@@ -140,12 +158,12 @@ class PathGraph:
                              f"staircase graph of size {self.n}")
 
     def path_counts(self, src: Point) -> dict[Point, int]:
-        """All path counts out of src, by forward DP in topological order.
-        A source off the graph raises ValueError."""
-        got = self._counts.get(src)
+        """All path counts out of src, by forward DP in topological order,
+        kept in `_COUNTS`.  A source off the graph raises ValueError."""
+        self._check_point(src)
+        got = _COUNTS.get(src)
         if got is not None:
             return got
-        self._check_point(src)
         counts = {src: 1}
         out = self.out
         for p in self._order[self._rank[src]:]:
@@ -154,7 +172,7 @@ class PathGraph:
                 continue
             for q in out[p]:
                 counts[q] = counts.get(q, 0) + c
-        self._counts[src] = counts
+        _COUNTS[src] = counts
         return counts
 
     def count_paths(self, a: Point, b: Point) -> int:
@@ -176,13 +194,13 @@ class PathGraph:
 
     def _path_list(self, a: Point, b: Point) -> list[tuple[int, tuple]]:
         """Every path a -> b, as (vertex mask, vertex tuple) pairs in
-        depth-first order with the out-neighbours taken in sorted order.
-        a and b must be on the graph."""
-        got = self._paths.get((a, b))
+        depth-first order with the out-neighbours taken in sorted order,
+        kept in `_PATHS`.  a and b must be on the graph."""
+        got = _PATHS.get((a, b))
         if got is not None:
             return got
         found = []
-        out, rank = self.out, self._rank
+        out = self.out
         bx, by = b
 
         def walk(p, acc, mask):
@@ -191,11 +209,11 @@ class PathGraph:
                 return
             for q in out[p]:
                 if q[0] <= bx and q[1] <= by:
-                    walk(q, acc + (q,), mask | 1 << rank[q])
+                    walk(q, acc + (q,), mask | _bit(q))
 
         if a[0] <= bx and a[1] <= by:
-            walk(a, (a,), 1 << rank[a])
-        self._paths[a, b] = found
+            walk(a, (a,), _bit(a))
+        _PATHS[a, b] = found
         return found
 
 

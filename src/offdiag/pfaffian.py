@@ -8,14 +8,17 @@ tests.
 
 `_condense_rows` is the one condensation step and `_leading_rungs` the one
 loop over it.  Without pivoting, one pass gives every leading order (the
-pivot after step t is the Pfaffian of the leading 2t x 2t block), and a
+pivot after step t is the Pfaffian of the leading 2t x 2t block), and each
 border column carried along gives the bordered Pfaffian of each odd leading
-block; the pass returns both at every t and keeps no step's rows.  A fresh
-`_leading_rungs(m.rows, column)` runs the counts that the count ladder
-(`counts._ladder`) does not give: a kept-set block of A, and A bordered by
-one cell's Delannoy weights.  A zero leading pivot raises ArithmeticError:
-every leading pivot the package condenses is a tiling count, never 0 (see
-`counts.count_off_diag`).
+block; the pass returns both at every t and keeps no step's rows.  No pivot
+reads a border column, and each column is carried by the same formula on
+its own, so any number of border columns cost one pass.  A fresh
+`_leading_rungs(m.rows, *columns)` runs the counts that the count ladder
+(`counts._ladder`) does not give: a kept-set block of A with no border
+column, A bordered by the Delannoy weights of every cell asked, and the
+verification route's A bordered by every unit column.  A zero leading pivot
+raises ArithmeticError: every leading pivot the package condenses is a
+tiling count, never 0 (see `counts.count_off_diag`).
 
 Also here: one fraction-free (Bareiss) elimination, `_echelon`, for both the
 determinant and the rank of an integer matrix, and the bordered-matrix
@@ -124,7 +127,7 @@ def _condense_rows(top, second, rows, prev) -> list[list[int]]:
     Each row computes its entries right of its own column, and writes 0 in
     the columns of the rows before it and on the diagonal, where no reader
     looks: a step reads the pivot rows from column 1 on and a working row
-    right of its own column, and a rung only row 0's border entry.
+    right of its own column, and a rung only row 0's border entries.
     Columns past the matrix's are border columns; the same formula carries
     them along."""
     p = top[1]
@@ -138,43 +141,49 @@ def _condense_rows(top, second, rows, prev) -> list[list[int]]:
     return nxt
 
 
-def _leading_rungs(rows, column) -> list[tuple[int, int | None]]:
+def _leading_rungs(rows, *columns) -> list[tuple[int | None, ...]]:
     """The rungs of one leading-order condensation pass, never pivoting,
-    over the square integer `rows` bordered by the one `column`, run to its
-    end: for t = 0..len(rows)//2, (Pf of the leading 2t x 2t block, working
-    row 0's border entry after t steps), the entry None once no row is left.
+    over the square integer `rows` bordered by the `columns`, run to its
+    end: for t = 0..len(rows)//2, (Pf of the leading 2t x 2t block, then
+    working row 0's entry in each border column after t steps), each entry
+    None once no row is left.
 
     Without swaps, the pivot after step t is the Pfaffian of the leading
     2t x 2t block of the input (1 for t = 0), and working entry (i, j),
     i < j, is the Pfaffian of that block plus input rows 2t+i and 2t+j (the
     Pfaffian form of Bareiss's leading-minor property); after the first
-    step an entry left of a row's own column or on the diagonal is 0.  One
-    column past the input's is the border column h, which the same step
-    carries along, so working row 0's last entry is the Pfaffian of the
-    leading (2t+1) x (2t+1) block bordered by h.  The empty input gives
-    [(1, None)].  A zero leading pivot raises ArithmeticError.
+    step an entry left of a row's own column or on the diagonal is 0.  The
+    columns past the input's are the border columns h, which the same step
+    carries along, each on its own, so working row 0's entry in h is the
+    Pfaffian of the leading (2t+1) x (2t+1) block bordered by h.  With one
+    column a rung is (pivot, entry); with none it is (pivot,).  The empty
+    input with one empty column gives [(1, None)].  A zero leading pivot
+    raises ArithmeticError.
     """
     order = len(rows)
-    if len(column) != order:
+    if any(len(column) != order for column in columns):
         raise ValueError("column must have one entry per row")
     if any(len(row) != order for row in rows):
         raise ValueError(f"each row must have {order} entries")
-    rows = [list(map(index, row)) + [index(h)]
-            for row, h in zip(rows, column)]
+    rows = [[*map(index, row), *map(index, border)]
+            for row, *border in zip(rows, *columns)]
     rungs, pivot = [], 1
+    # the working rows are as many as the matrix columns left, so a row's
+    # border entries start at len(rows)
     while len(rows) >= 2:
         p = rows[0][1]
         if not p:
             raise ArithmeticError("zero pivot in condensation")
-        rungs.append((pivot, rows[0][-1]))
+        rungs.append((pivot, *rows[0][len(rows):]))
         rows, pivot = _condense_rows(rows[0], rows[1], rows[2:], pivot), p
-    rungs.append((pivot, rows[0][-1] if rows else None))
+    rungs.append((pivot, *(rows[0][1:] if rows else [None] * len(columns))))
     return rungs
 
 
 def bordered_skew(q: SkewMatrix, column) -> SkewMatrix:
     """The order n+1 skew matrix [[Q, h], [-h^T, 0]] for the border column
-    h; for odd n its Pfaffian is sum_k (-1)^(k-1) h_k Pf(Q minus k)."""
+    h; for odd n its Pfaffian is sum_k (-1)^(k-1) h_k Pf(Q minus k), so
+    the unit column e_k gives (-1)^(k-1) Pf(Q minus k)."""
     col = tuple(map(index, column))
     if len(col) != q.order:
         raise ValueError("border column length must match matrix order")

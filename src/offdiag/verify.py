@@ -22,10 +22,10 @@ from operator import index, mul
 
 from . import series
 from .counts import (
+    _bordered_cells,
     _o_vector_direct,
     count_nearly,
     count_off_diag,
-    d_entry_bordered,
     d_vector,
     even_order_full,
     o_vector,
@@ -460,12 +460,11 @@ def _check_defect_routes(n_max: int):
         # the weights, so a plus entry cannot disagree on its own
         for variant in ("pm", "minus"):
             vec = d_vector(variant, n)
-            for k in range(1, n + 1):
-                direct = d_entry_bordered(variant, n, k)
-                if direct != vec[k - 1]:
+            bordered = _bordered_cells(variant, n, range(1, n + 1))
+            for k, (direct, entry) in enumerate(zip(bordered, vec), 1):
+                if direct != entry:
                     failures.append({"n": n, "variant": variant, "k": k,
-                                     "bordered": direct,
-                                     "matrix": vec[k - 1]})
+                                     "bordered": direct, "matrix": entry})
     return (f"odd orders <= {cap}, all cells, pm and minus variants",
             failures)
 

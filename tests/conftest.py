@@ -1,7 +1,7 @@
 """Collects the acceptance criterion results and prints them as a summary
 section, so the one-line-per-criterion report survives output capture, and
 provides the fixtures that empty the count ladder's memos, empty the graph
-memo, and forbid reads of A and X."""
+memo and the point tables, and forbid reads of A and X."""
 
 import shutil
 import tempfile
@@ -41,12 +41,19 @@ def empty_ladders(monkeypatch):
 
 @pytest.fixture
 def empty_memos():
-    """Empty the graph memo (`paths.staircase`) before and after the test,
-    so a test that counts graph builds sees only its own and leaves none
-    behind."""
-    offdiag.paths.staircase.cache_clear()
-    yield
-    offdiag.paths.staircase.cache_clear()
+    """Empty the graph memo (`paths.staircase`) and the point tables
+    (`paths._COUNTS`, `paths._PATHS`) before and after the test, so a test
+    that counts graph builds sees only its own, a test that perturbs a
+    route reads no table filled before it, and neither leaves any behind.
+    The test gets the function that empties them, to call again."""
+    def empty():
+        offdiag.paths.staircase.cache_clear()
+        offdiag.paths._COUNTS.clear()
+        offdiag.paths._PATHS.clear()
+
+    empty()
+    yield empty
+    empty()
 
 
 @pytest.fixture

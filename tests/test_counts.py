@@ -7,6 +7,8 @@ import pytest
 
 import offdiag.counts
 import offdiag.matrices
+import offdiag.pfaffian
+import offdiag.verify
 from offdiag.counts import (
     _o_vector_direct,
     count_nearly,
@@ -177,6 +179,44 @@ def test_d_entry_bordered_matches_d_vector():
         vec = d_vector(variant, 61)
         for k in (1, 17, 31):
             assert d_entry_bordered(variant, 61, k) == vec[k - 1]
+
+
+def test_bordered_cells_are_the_single_cell_entries():
+    # one pass carries every cell's weights; each entry is the one-cell
+    # route's, for every variant, a subset of the cells and any order
+    for n in (1, 5, 9):
+        for variant in ("pm", "minus", "plus"):
+            cells = [k for k in range(n, 0, -1) if k % 3 != 1]
+            assert offdiag.counts._bordered_cells(variant, n, cells) == tuple(
+                d_entry_bordered(variant, n, k) for k in cells)
+    assert offdiag.counts._bordered_cells("pm", 5, ()) == ()
+    with pytest.raises(ValueError, match="^cell index must be within"):
+        offdiag.counts._bordered_cells("pm", 5, (1, 6))
+
+
+def test_each_verification_route_is_one_pass(monkeypatch):
+    # `_o_vector_direct(n)` and the defect route's cells of one (n,
+    # variant) each ride on one pass over A(n): (n - 1)/2 condensation steps
+    steps = []
+    condense = offdiag.pfaffian._condense_rows
+
+    def counted(*args):
+        steps.append(len(args[2]))
+        return condense(*args)
+
+    monkeypatch.setattr(offdiag.pfaffian, "_condense_rows", counted)
+    for n in (1, 3, 9, 21):
+        del steps[:]
+        assert _o_vector_direct(n) == o_vector(n)
+        assert len(steps) == (n - 1) // 2
+        for variant in ("pm", "minus", "plus"):
+            del steps[:]
+            offdiag.counts._bordered_cells(variant, n, range(1, n + 1))
+            assert len(steps) == (n - 1) // 2
+    del steps[:]
+    check = offdiag.verify.CHECKS["identities"]["defect-entry-routes-agree"]
+    assert check(21).ok
+    assert len(steps) == sum(2 * ((n - 1) // 2) for n in range(1, 22, 2))
 
 
 def test_pm_cells_satisfy_the_delannoy_matrix_equation():

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from itertools import combinations
 
@@ -326,9 +327,17 @@ def test_paths_to_tiling_rejects_bad_input():
     (x, y), = paths[1]
     cases = [
         ({1: ()}, r"^path 1 is empty$"),
-        ({**paths, 9: paths[1]}, r"^paths intersect at \(-1, -3\)$"),
-        ({"a": ((0, 0), (99, 99))},
-         r"^not a unit step: \(1, -3\) -> \(199, -3\)$"),
+        # a path filed under a label the region does not keep, or under
+        # another kept label than its boundary square's
+        ({7: paths[1], 2: paths[2], 3: paths[3]},
+         r"^label 7 is not a kept label$"),
+        ({**paths, "a": paths[1]}, r"^label 'a' is not a kept label$"),
+        ({1: paths[2], 2: paths[1], 3: paths[3]},
+         r"^path 1 must start at \(-1, -3\), got \(-2, -2\)$"),
+        ({**paths, 3: paths[3][:1] + paths[2][1:]},
+         r"^paths intersect at \(0, -2\)$"),
+        ({1: paths[1] + ((99, 99),)},
+         r"^not a unit step: \(-1, -3\) -> \(199, -3\)$"),
         ({**paths, 2: paths[2][:-1]},
          r"^path must end on the axis, got \(-2, -2\)$"),
         ({2: paths[2], 3: paths[3]},
@@ -342,6 +351,10 @@ def test_paths_to_tiling_rejects_bad_input():
     # an empty path is refused before any other path is read
     with pytest.raises(ValueError, match=r"^path 9 is empty$"):
         paths_to_tiling(region, {**paths, 8: paths[1], 9: ()})
+    # a region that drops label 2 keeps no path under it
+    dropped = build_region(3, (1, 3))
+    with pytest.raises(ValueError, match=r"^label 2 is not a kept label$"):
+        paths_to_tiling(dropped, paths)
 
 
 def test_render_text_fixture_and_determinism():
@@ -364,3 +377,114 @@ def test_render_svg_is_wellformed():
     assert root.tag.endswith("svg")
     body = ET.tostring(root, encoding="unicode")
     assert "rect" in body or "path" in body
+
+
+# sha256 prefixes of each region's tilings in generation order (each
+# tiling's sorted dominoes, one byte per coordinate plus 8), recorded from
+# the backtracker that built a placement table per region; keyed by order,
+# in all_kept_subsets order (the full region alone at order 5)
+ENUMERATION_DIGESTS = {
+    1: ["420e36ee8181", "7e2b46e96465"],
+    2: ["439227f72960", "35f387bd5cfa", "bda0648ff70b", "cc11d7e864cd"],
+    3: ["b6f0ca452324", "cc0e0c0ebb33", "d2961e235fbb", "285709298afe",
+        "9b3334b31bf9", "c5445048c53a", "169b60006ab8", "9a5c0386d885"],
+    4: ["18721f0b1760", "ca3059c959e3", "485b2acd183f", "01c653f9633d",
+        "662c374ab2f6", "86e0cb81145e", "9047d28a348e", "52acf4c7b66b",
+        "a0c1a9dbb387", "4f7208d071bb", "1b8eb2d51558", "dd0dcac0f710",
+        "e88204386878", "0a19e70ae045", "ff62c89caf80", "8a5ba05e483c"],
+    5: ["a6e2edb4566a"],
+}
+SYMMETRIC_DIGESTS = {
+    1: ["420e36ee8181", "7e2b46e96465"],
+    2: ["439227f72960", "35f387bd5cfa", "8e607186db5a", "846104cf076d"],
+    3: ["b6f0ca452324", "cc0e0c0ebb33", "19e9491d9592", "9beefdd6bb8b",
+        "0ab2567acb6a", "d55e0c73ccac", "08bb36f6bb3b", "af3c88d3f369"],
+    4: ["18721f0b1760", "ca3059c959e3", "55563f4b7851", "abc0dd91f79c",
+        "106eb50e3b11", "39471d3c575b", "e0792831d379", "950a4b69a265",
+        "a7ab93acd099", "1b72bb58c29c", "ea1240a51f74", "77e37d7322d5",
+        "1488fad22cca", "d89e3d31a91d", "04eceb5fee1f", "6c16b811ced0"],
+    5: ["7a8a6f6170ee"],
+}
+
+
+def pinned_regions(n):
+    return all_kept_subsets(n) if n < 5 else [frozenset(range(1, 6))]
+
+
+def sequence_digest(tilings):
+    h = hashlib.sha256()
+    for tiling in tilings:
+        h.update(bytes(c + 8 for domino in sorted(tiling) for square in domino
+                       for c in square))
+    return h.hexdigest()[:12]
+
+
+@pytest.mark.parametrize("generate, digests", (
+    (enumerate_tilings, ENUMERATION_DIGESTS),
+    (symmetric_tilings, SYMMETRIC_DIGESTS)))
+def test_generation_order_is_pinned(generate, digests):
+    # one placement table per order, each region entering as a start mask,
+    # keeps every region's order, and with it render --index
+    for n, want in digests.items():
+        got = [sequence_digest(generate(build_region(n, kept)))
+               for kept in pinned_regions(n)]
+        assert got == want, n
+
+
+def region_table(region, images):
+    """A placement table over the region's own squares, in (a, b) order:
+    each square's rightward, then upward domino, with its images, where
+    they fit the region, as (bitmask, dominoes)."""
+    squares = sorted(region.squares)
+    bit = {sq: 1 << i for i, sq in enumerate(squares)}
+    table = []
+    for a, b in squares:
+        placements = []
+        for d in (((a, b), (a + 1, b)), ((a, b), (a, b + 1))):
+            dominoes = images(d)
+            covered = [sq for domino in dominoes for sq in domino]
+            if all(sq in bit for sq in covered):
+                placements.append((sum(bit[sq] for sq in covered), dominoes))
+        table.append(placements)
+    return table
+
+
+def region_tilings(region, images):
+    """Every tiling by the region's own table, covering the first free
+    square in each way in turn."""
+    table = region_table(region, images)
+    full = (1 << len(table)) - 1
+
+    def rec(mask, acc):
+        if mask == full:
+            yield frozenset(acc)
+            return
+        first = ((mask + 1) & ~mask).bit_length() - 1
+        for cover, dominoes in table[first]:
+            if not mask & cover:
+                yield from rec(mask | cover, acc + list(dominoes))
+
+    return rec(0, [])
+
+
+def test_counters_match_a_table_per_region():
+    regions = [build_region(n, kept) for n in (1, 2, 3, 4)
+               for kept in all_kept_subsets(n)]
+    regions.append(build_region(5))
+    mirrored = (lambda d: tuple({d, mirror_domino(d)}))
+    for region in regions:
+        assert count_all_tilings(region) == sum(
+            1 for _ in region_tilings(region, lambda d: (d,)))
+        off_diag = 0
+        plus = [0] * region.n
+        minus = [0] * region.n
+        for tiling in region_tilings(region, mirrored):
+            profile = reference_profile(region, tiling)
+            defects = [k for k, value in enumerate(profile) if value]
+            if not defects:
+                off_diag += 1
+            elif len(defects) == 1:
+                k = defects[0]
+                (plus if profile[k] > 0 else minus)[k] += 1
+        assert classify_region_tilings(region) == (off_diag, tuple(plus),
+                                                   tuple(minus))

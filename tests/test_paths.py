@@ -288,12 +288,16 @@ def test_points_off_the_graph_are_refused():
         q_doublet(r, (-1, -1), r.x[1])
     with pytest.raises(ValueError, match=r"\(-2, -1\)"):
         enumerate_families(r, (r.x[1], (-2, -1)))
+    # the full graph puts u_1 = (-1, -1) in the point table, and the
+    # reduced graph, which lacks it, still refuses it
+    g.path_counts(g.u[1])
+    assert (-1, -1) in offdiag.paths._COUNTS
     for graph, src in ((g, (99, 99)), (r, (-1, -1))):
         with pytest.raises(ValueError, match=r"not on the"):
             graph.path_counts(src)
         with pytest.raises(ValueError, match=r"not on the"):
             graph.count_paths(src, graph.x[1])
-        assert src not in graph._counts
+    assert (99, 99) not in offdiag.paths._COUNTS
     with pytest.raises(ValueError, match=r"\(99, 99\)"):
         staircase(3, FULL).count_paths((-1, 0), (99, 99))
     with pytest.raises(ValueError, match=r"\(-1, -1\)"):
@@ -390,3 +394,44 @@ def test_family_order_is_pinned():
                    paths=(((-3, 1),), ((-4, -1), (-4, 0), (-4, 1), (-3, 2))),
                    connection=(2, 1), sign=-1),
     )
+
+
+def graph_counts(g, src):
+    """The path counts out of src on g alone: each vertex pulls from its
+    in-neighbours in an order where every step raises x + y; the vertices
+    src does not reach are left out."""
+    into = {p: [q for q in g.vertices if p in g.out[q]] for p in g.vertices}
+    counts = {}
+    for p in sorted(g.vertices, key=lambda p: (p[0] + p[1], p[0])):
+        c = (p == src) + sum(counts.get(q, 0) for q in into[p])
+        if c:
+            counts[p] = c
+    return counts
+
+
+@pytest.mark.parametrize("largest_first", (False, True))
+def test_point_tables_match_each_graph_alone(empty_memos, largest_first):
+    # the tables are filled by whichever graph asks first, so each graph's
+    # counts and path lists must be its own, from either end of the sizes
+    sizes = sorted(range(1, 9), reverse=largest_first)
+    for n, variant in product(sizes, (FULL, REDUCED)):
+        g = staircase(n, variant)
+        memo = {}
+        for a in g.vertices:
+            assert g.path_counts(a) == graph_counts(g, a)
+            for b in g.vertices:
+                got = g._path_list(a, b)
+                assert [path for _, path in got] == brute_paths(g, a, b, memo)
+                for mask, path in got:
+                    assert mask == sum(map(offdiag.paths._bit, path))
+
+
+def test_mask_bits_are_one_per_vertex_of_every_graph():
+    # distinct single bits, so masks are disjoint exactly when paths are
+    vertices = staircase(8, FULL).vertices
+    bits = {offdiag.paths._bit(p) for p in vertices}
+    assert len(bits) == len(vertices)
+    assert all(bit.bit_count() == 1 for bit in bits)
+    # the graphs of smaller size or the reduced variant hold no other vertex
+    for n, variant in product(range(1, 9), (FULL, REDUCED)):
+        assert staircase(n, variant).vertices <= vertices

@@ -456,6 +456,35 @@ def test_leading_pfaffians_read_every_leading_order():
         _leading_rungs(((0, 1), (-1, 0)), [1])
 
 
+def test_a_pass_with_several_columns_is_one_pass_per_column():
+    # no pivot reads a border column and each column is carried on its
+    # own, so a pass with m columns has the pivots of a pass with none and
+    # each column's entries of the pass with that column alone
+    rng = random.Random(151)
+    read = 0
+    for _ in range(300):
+        order = rng.randint(0, 9)
+        m = random_skew(rng, order, -6, 6)
+        columns = [[rng.randint(-9, 9) for _ in range(order)]
+                   for _ in range(rng.randint(0, 4))]
+        try:
+            bare = _leading_rungs(m.rows)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                _leading_rungs(m.rows, *columns)
+            continue
+        singles = [_leading_rungs(m.rows, column) for column in columns]
+        assert _leading_rungs(m.rows, *columns) == [
+            (pivot, *(single[t][1] for single in singles))
+            for t, (pivot,) in enumerate(bare)]
+        read += 1
+    assert read > 200
+    assert _leading_rungs(()) == [(1,)]
+    assert _leading_rungs((), (), ()) == [(1, None, None)]
+    with pytest.raises(ValueError, match="^column must have one entry"):
+        _leading_rungs(((0, 1), (-1, 0)), [1, 2], [1])
+
+
 def test_leading_pass_refuses_malformed_input():
     # a pass takes one border entry, an int, per row, and rows of the
     # input's order; its rungs run from 0 to its number of steps

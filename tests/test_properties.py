@@ -4,13 +4,13 @@ hypothesis's other caches out of the checkout)."""
 
 from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from offdiag import count_off_diag, counts, series
 from offdiag.matrices import _a_block, matrix_a, pell_vector
 from offdiag.paths import delannoy
-from offdiag.pfaffian import (_leading_rungs, pfaffian_cofactor,
+from offdiag.pfaffian import (SkewMatrix, _leading_rungs, pfaffian_cofactor,
                               principal_submatrix)
 
 FIXED = settings(derandomize=True, deadline=None, database=None,
@@ -93,6 +93,40 @@ def test_no_pivot_of_a_principal_block_is_below_one(idx):
     # path families, so none is below 1 and count_off_diag never pivots
     rungs = _leading_rungs(_a_block(idx), [0] * len(idx))
     assert all(pivot >= 1 for pivot, _ in rungs)
+
+
+def odd_skew(draw_upper):
+    """The odd-order skew matrix whose strict upper triangle, row by row,
+    is `draw_upper`'s entries."""
+    n, upper = draw_upper
+    rows = [[0] * n for _ in range(n)]
+    entries = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = next(entries)
+            rows[j][i] = -rows[i][j]
+    return rows
+
+
+@settings(FIXED, max_examples=100)
+@given(drawn=st.integers(0, 3).map(lambda t: 2 * t + 1).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(-9, 9), min_size=n * (n - 1) // 2,
+        max_size=n * (n - 1) // 2))))
+def test_unit_borders_give_the_signed_deletion_pfaffians(drawn):
+    # bordered by the unit column e_k, an odd skew M has Pfaffian
+    # (-1)^(k-1) Pf(M minus k): one pass with every unit column reads them
+    # all, where no leading pivot is 0
+    rows = odd_skew(drawn)
+    m = SkewMatrix(rows)
+    n = m.order
+    assume(all(pfaffian_cofactor(principal_submatrix(m, range(1, 2 * t + 1)))
+               for t in range(1, n // 2 + 1)))
+    units = [[int(i == k) for i in range(n)] for k in range(n)]
+    assert _leading_rungs(rows, *units)[-1][1:] == tuple(
+        (-1) ** k * pfaffian_cofactor(principal_submatrix(
+            m, [label for label in range(1, n + 1) if label != k + 1]))
+        for k in range(n))
 
 
 coefficients = st.lists(st.integers(-50, 50), max_size=12)

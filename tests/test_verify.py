@@ -479,3 +479,97 @@ def test_jsonable_conversions():
     assert out["e"] is None
     assert out["f"] is True
     json.dumps(out)
+
+
+# --- the checks that read shared tables or one batched pass can still fail --
+
+def corrupt_path_count(monkeypatch, src, dst):
+    """Make every graph count one path too many from src onto dst."""
+    path_counts = PathGraph.path_counts
+
+    def corrupted(self, p):
+        counts = path_counts(self, p)
+        return {**counts, dst: counts.get(dst, 0) + 1} if p == src else counts
+
+    monkeypatch.setattr(PathGraph, "path_counts", corrupted)
+
+
+def corrupt_last_rung(monkeypatch):
+    """Make every condensation pass of several border columns read its
+    second column's last entry one too high."""
+    leading_rungs = offdiag.counts._leading_rungs
+
+    def corrupted(rows, *columns):
+        rungs = leading_rungs(rows, *columns)
+        if len(columns) > 1:
+            pivot, first, second, *rest = rungs[-1]
+            rungs[-1] = (pivot, first, second + 1, *rest)
+        return rungs
+
+    monkeypatch.setattr(offdiag.counts, "_leading_rungs", corrupted)
+
+
+def drop_start_mask(monkeypatch):
+    """Make every region enter the oracle's table as the full diamond."""
+    monkeypatch.setattr(offdiag.oracle, "_start_mask", lambda region: 0)
+
+
+def share_a_point(monkeypatch):
+    """Make the last path of every decomposition at n >= 2 end on the
+    first path's end as well."""
+    tiling_to_paths = offdiag.verify.tiling_to_paths
+
+    def corrupted(region, tiling):
+        paths = tiling_to_paths(region, tiling)
+        if len(paths) > 1:
+            first, last = min(paths), max(paths)
+            paths[last] += (paths[first][-1],)
+        return paths
+
+    monkeypatch.setattr(offdiag.verify, "tiling_to_paths", corrupted)
+
+
+def drop_a_path(monkeypatch):
+    """Make every decomposition at n >= 2 lose its last label's path."""
+    tiling_to_paths = offdiag.verify.tiling_to_paths
+
+    def corrupted(region, tiling):
+        paths = tiling_to_paths(region, tiling)
+        if len(paths) > 1:
+            del paths[max(paths)]
+        return paths
+
+    monkeypatch.setattr(offdiag.verify, "tiling_to_paths", corrupted)
+
+
+# One perturbation of one route, keyed by (suite, check id), for each check
+# that reads the point tables, the oracle's one table per order, or one
+# condensation pass with several border columns.
+REROUTED = {
+    ("identities", "defect-entry-routes-agree"): corrupt_last_rung,
+    ("identities", "deletion-vector-bordered-route"): corrupt_last_rung,
+    # x_2 = (-2, 0) onto the upper point of its own doublet, (-2, 1)
+    ("identities", "kernel-translation-invariance"):
+        lambda mp: corrupt_path_count(mp, (-2, 0), (-2, 1)),
+    # u_2 = (-2, -1) onto the lower point of doublet 2, (-2, 0)
+    ("identities", "r-matrix-structure"):
+        lambda mp: corrupt_path_count(mp, (-2, -1), (-2, 0)),
+    ("identities", "oracle-agrees-small"): drop_start_mask,
+    ("identities", "tiling-path-round-trip"): share_a_point,
+    ("identities", "diagonal-doublet-law"): drop_a_path,
+}
+
+
+@pytest.mark.parametrize("suite, check_id", REROUTED)
+def test_rerouted_checks_pass_and_fail_on_a_perturbed_route(
+        monkeypatch, empty_memos, suite, check_id):
+    # with the point tables empty, so no table filled before the
+    # perturbation hides it, a perturbed route fails its check with a
+    # witness, and the unperturbed route passes
+    check = CHECKS[suite][check_id]
+    assert check(12).ok
+    empty_memos()
+    REROUTED[suite, check_id](monkeypatch)
+    result = check(12)
+    assert result.status == "FAIL"
+    assert result.witness["failures"] >= 1 and result.witness["first"]
