@@ -4,6 +4,11 @@ Subcommands: count (exact tiling counts), verify (identity battery and the
 rank claim), scan (conjecture scans), oracle (exhaustive small-order recount),
 render (draw one tiling as text or SVG).
 
+`main` hands an argv whose first token is a subcommand's name straight to
+that subcommand's parser; the top-level parser sees only the rest (help, a
+missing or unknown command) and reports leftover tokens, so usage, help and
+error text are argparse's own either way.
+
 Exit codes: 0 on success (also when the reader of stdout leaves early), 1
 when a verification or comparison fails, 2 on usage errors or out-of-range
 requests, 3 on an internal error.
@@ -284,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="text")
     p_render.set_defaults(func=_cmd_render)
 
+    # each subcommand's parser by name, for `main`'s dispatch
+    parser.commands = sub.choices
     return parser
 
 
@@ -296,8 +303,22 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A first token that names a subcommand skips the top-level pass, which
+    # would only hand the rest on to that subcommand's parser; leftover
+    # tokens are still reported by the top-level parser, as parse_args
+    # would.  Any other argv (empty, help, an unknown or abbreviated
+    # command) goes through the top-level parser.
+    command = _parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser.parse_args(argv)
+        if command is None:
+            args = _parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                _parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -319,12 +319,14 @@ def d_vector(variant: str, n: int) -> tuple[int, ...]:
 
 
 def _o_entry(n: int, k: int) -> int:
-    """Entry k of o_vector(n), with the order and then the label refused
-    before the ladder is extended."""
+    """Entry k of o_vector(n), read off the kernel vector as o_k =
+    (-1)^(k-1) x_k, with the order and then the label refused before the
+    ladder is extended."""
     n = _odd_order(n, "deletion vector")
     if not 1 <= k <= n:
         raise ValueError(f"label must be within 1..{n}")
-    return o_vector(n)[k - 1]
+    x = _kernel(n)[k - 1]
+    return -x if k % 2 == 0 else x
 
 
 def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:

@@ -291,7 +291,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(n):
         raise ArithmeticError("inexact division; input not skew?")
 
-    monkeypatch.setattr(offdiag.counts, "o_vector", broken)
+    monkeypatch.setattr(offdiag.counts, "_kernel", broken)
     code, out, err = run(capsys, "count", "o", "--n", "5", "--k", "3")
     assert code == 3
     assert out == ""
@@ -611,6 +611,73 @@ def test_bad_usage_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "count", "widgets", "--n", "3")[0] == 2
     assert run(capsys, "scan", "logconcavity", "--format", "yaml")[0] == 2
+
+
+# argvs for the dispatch test: each subcommand, valid and with -h; help
+# and missing, unknown or abbreviated commands; an abbreviated flag, a
+# `--flag=value`, `--` before a positional; leftover tokens; a bad int, a
+# bad choice and a missing required flag
+DISPATCHED = (
+    ("count", "o", "--n", "5", "--k", "3"),
+    ("verify", "identities", "--n-max", "4"),
+    ("scan", "asymptotics", "--n-max", "3", "--format", "json"),
+    ("oracle", "--n", "3"),
+    ("render", "--n", "1"),
+    ("count", "-h"),
+    ("verify", "-h"),
+    ("scan", "-h"),
+    ("oracle", "-h"),
+    ("render", "-h"),
+    (),
+    ("-h",),
+    ("--help",),
+    ("-h", "count"),
+    ("frobnicate",),
+    ("coun", "o", "--n", "5", "--k", "3"),
+    ("count", "o", "--n", "5", "--k", "3", "--form", "csv"),
+    ("count", "o", "--n=5", "--all"),
+    ("count", "--n", "5", "--all", "--", "o"),
+    ("count", "--", "o", "--n", "5", "--all"),
+    ("count", "o", "--n", "5", "--k", "3", "extra"),
+    ("count", "o", "--n", "5", "--k", "3", "--bogus"),
+    ("count", "o", "--n", "five", "--k", "3"),
+    ("count", "widgets", "--n", "3"),
+    ("count", "o", "--k", "3"),
+)
+
+
+@pytest.mark.parametrize("argv", DISPATCHED,
+                         ids=lambda argv: " ".join(argv) or "(empty)")
+def test_dispatch_matches_the_top_level_parse(capsys, argv):
+    # `main` hands a subcommand's tokens straight to its parser; every
+    # outcome must be what the top-level parser's own pass gives, compared
+    # at run time, since argparse's text differs between Python versions
+    import offdiag.cli
+
+    def top_level(argv):
+        try:
+            args = offdiag.cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        return args.func(args)
+
+    want = top_level(list(argv)), *capsys.readouterr()
+    assert run(capsys, *argv) == want
+
+
+def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv",
+                        ["offdiag", "count", "o", "--n", "5", "--k", "3"])
+    assert main() == 0
+    assert capsys.readouterr() == ("60\n", "")
+    monkeypatch.setattr(sys, "argv", ["offdiag", "count", "o", "--n", "5",
+                                      "--k", "3", "extra"])
+    assert main() == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: offdiag [-h]")
+    assert err.endswith("error: unrecognized arguments: extra\n")
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

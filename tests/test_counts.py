@@ -10,6 +10,7 @@ import offdiag.matrices
 import offdiag.pfaffian
 import offdiag.verify
 from offdiag.counts import (
+    _o_entry,
     _o_vector_direct,
     count_nearly,
     count_off_diag,
@@ -70,6 +71,12 @@ def test_o_vector_is_palindromic():
 def test_o_vector_bordered_route_matches_direct():
     for n in range(1, 42, 2):
         assert o_vector(n) == _o_vector_direct(n)
+
+
+def test_o_entry_is_the_o_vector_entry():
+    # read off the kernel vector with its sign flipped at even labels
+    for n in range(1, 22, 2):
+        assert tuple(_o_entry(n, k) for k in range(1, n + 1)) == o_vector(n)
 
 
 def test_o_vector_rejects_even_orders():

@@ -494,6 +494,18 @@ def corrupt_path_count(monkeypatch, src, dst):
     monkeypatch.setattr(PathGraph, "path_counts", corrupted)
 
 
+def drop_first_path(monkeypatch, src):
+    """Make every graph's list of the paths out of src lose its first
+    path."""
+    path_list = PathGraph._path_list
+
+    def corrupted(self, a, b):
+        paths = path_list(self, a, b)
+        return paths[1:] if a == src else paths
+
+    monkeypatch.setattr(PathGraph, "_path_list", corrupted)
+
+
 def corrupt_last_rung(monkeypatch):
     """Make every condensation pass of several border columns read its
     second column's last entry one too high."""
@@ -557,6 +569,28 @@ REROUTED = {
     ("identities", "oracle-agrees-small"): drop_start_mask,
     ("identities", "tiling-path-round-trip"): share_a_point,
     ("identities", "diagonal-doublet-law"): drop_a_path,
+    # u_2 = (-2, -1) onto the upper point of doublet 2, (-2, 1)
+    ("identities", "doublet-kernel-matches-recurrence"):
+        lambda mp: corrupt_path_count(mp, (-2, -1), (-2, 1)),
+    # x_3 = (-3, 0) onto v_3 = (-2, 0)
+    ("identities", "path-counts-match-delannoy"):
+        lambda mp: corrupt_path_count(mp, (-3, 0), (-2, 0)),
+    # x_2 = (-2, 0) onto the upper point of its own doublet, (-2, 1)
+    ("identities", "wall-shift-boundary-term"):
+        lambda mp: corrupt_path_count(mp, (-2, 0), (-2, 1)),
+    # x_3 = (-3, 0) onto the upper point of its own doublet, (-3, 2)
+    ("identities", "window-three-term-recurrence"):
+        lambda mp: corrupt_path_count(mp, (-3, 0), (-3, 2)),
+    # u_2 = (-2, -1) onto the lower point of doublet 2, (-2, 0)
+    ("identities", "corner-kernel-halves-pair"):
+        lambda mp: corrupt_path_count(mp, (-2, -1), (-2, 0)),
+    # u_3 = (-3, -1) onto the lower point of doublet 3, (-3, 1)
+    ("identities", "r-matrix-first-row-closed-forms"):
+        lambda mp: corrupt_path_count(mp, (-3, -1), (-3, 1)),
+    ("identities", "family-enumeration-matches-pfaffians"):
+        lambda mp: drop_first_path(mp, (-2, -1)),
+    ("identities", "nearly-families-split-by-endpoint"):
+        lambda mp: drop_first_path(mp, (-2, -1)),
 }
 
 
