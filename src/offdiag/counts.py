@@ -14,12 +14,14 @@ Pell column of B(n + 1) is P (2, ..., 2)^T.  So every leading Pfaffian of A
 is the leading Pfaffian of X, and every Pell-bordered one the leading
 Pfaffian of X bordered by the constant column 2.  Rung t of the ladder is
 y_t, the kernel vector of X(2t + 1) whose end entries are p_t = Pf X(2t):
-p_t is even_order_full(2t), 2 * sum(y_t) is count_nearly(2t + 1), 2 y_t
-is d_vector("pm", 2t + 1), and P^(-T) y_t is the kernel vector of
-A(2t + 1) (`_kernel`, solved with additions only by `_solve_delannoy` and
-checked against A).  o_vector turns it into the deletion counts by the one
-sign flip between the ladder and them, and the "minus" and "plus"
-d_vectors dot it with Delannoy weights.  Each rung follows from the
+p_t is even_order_full(2t), 2 * sum(y_t) is count_nearly(2t + 1), 2 y_t is
+d_vector("pm", 2t + 1), and P^(-T) y_t is the kernel vector of A(2t + 1)
+(`_kernel`, solved with additions only by `_solve_delannoy` and checked
+against A).  o_vector turns it into the deletion counts by the one sign
+flip between the ladder and them.  The "minus" d_vector is y_t times X's
+first row c(z), truncated to 2t + 1 terms, and "plus" is 2 y_t minus it, so
+the ladder keeps the row its last extension read (`_row`), and no count
+read off the ladder reads a Delannoy number.  Each rung follows from the
 two before it by a three-term recurrence in O(t) entries (`_rung`, which
 derives it).  The ladder's per-process memo is its rungs so far: a request
 at or below the top rung reads them, and a larger one extends them from the
@@ -27,15 +29,15 @@ last two to the rung it needs, so however the requests arrive no rung is
 built twice.  Each kernel vector of A is kept once read (`_kernels`), and a
 scan asks for its largest order first, which extends the ladder once.
 count_off_diag of any other kept set reads the last pivot of one fresh
-condensation pass (`pfaffian._leading_rungs`) over that block of A.  A
-pass carries any number of border columns at the cost of one, so
+condensation pass (`pfaffian._leading_rungs`) over that block of A.  A pass
+carries any number of border columns at the cost of one, so
 `_bordered_cells` reads the defect counts of every cell asked off one pass
 over A(n) bordered by each cell's Delannoy weights (d_entry_bordered asks
 for one cell), and `_o_vector_direct` the deletion counts off one pass over
 A(n) bordered by the n unit columns; both stay off the ladder, as
-verification routes.  Every block of A read here, `_kernel`'s check of
-A(n) included, is a principal block, which `matrices._a_block` builds
-afresh for each request.
+verification routes.  Every block of A read here, `_kernel`'s check of A(n)
+included, is a principal block, which `matrices._a_block` builds afresh for
+each request.
 
 Every entry point takes its order through `operator.index` (a float order
 raises TypeError) and refuses a request whose condensation order exceeds
@@ -48,7 +50,7 @@ from __future__ import annotations
 from math import gcd
 from operator import index, mul, neg
 
-from .matrices import (_a_block, _check_cell, _check_order, _x_row,
+from .matrices import (_a_block, _check_cells, _check_order, _x_row,
                        defect_weights)
 from .pfaffian import _kept_indices, _leading_rungs
 from .series import _exact
@@ -71,16 +73,23 @@ def _odd_order(n: int, noun: str) -> int:
 # matrix, with p_0 = 1.  An extension that raises leaves it as it was.
 _rungs: list[tuple[int, ...]] = [(1,)]
 
-# The kernel vectors of A(n) read off the ladder so far, keyed by order; a
-# scan asks for each order twice (through o_vector and through d_vector).
+# X's first row (c_0, ..., c_2T) as the ladder's last extension read it, T
+# its top rung, so at least n long for the rung of every order n it holds:
+# `_defect_cells` reads the "minus" and "plus" vectors off it and the rung.
+# It is published with the rungs; rung 0 reads the row of X(1), (0,).
+_row: list[int] = [0]
+
+# The kernel vectors of A(n) read off the ladder so far, keyed by order:
+# o_vector reads them, and d_vector asks for one only to have `_kernel`
+# check the rung it reads against A; a scan asks for each order twice.
 _kernels: dict[int, tuple[int, ...]] = {}
 
 
 def _ladder(m: int) -> list[tuple[int, ...]]:
     """The ladder's rungs 0..m at least: the memo, or the memo extended to
     rung m from its last two rungs.  The new rungs are built on a copy and
-    published once they all are, so an extension that raises leaves the
-    memo as it was."""
+    published once they all are, with the row of X they were built from
+    (`_row`), so an extension that raises leaves both as they were."""
     if len(_rungs) <= m:
         c = _x_row(2 * m + 1)
         built = list(_rungs)
@@ -92,6 +101,7 @@ def _ladder(m: int) -> list[tuple[int, ...]]:
             else:
                 built.append(_rung(c, built[-1], built[-2]))
         _rungs.extend(built[len(_rungs):])
+        _row[:] = c
     return _rungs
 
 
@@ -311,9 +321,10 @@ def d_vector(variant: str, n: int) -> tuple[int, ...]:
     off-diagonal tilings whose defect sits at diagonal cell k.
 
     variant "plus" counts doubled cells, "minus" empty cells, "pm" both.
-    The "pm" vector is twice the ladder's rung (n - 1)/2, read once
-    `_kernel(n)` has checked it; "minus" and "plus" dot A's kernel vector
-    with each cell's Delannoy weights (`_defect_cells`).
+    Each is read off the ladder's rung y = y_((n-1)/2), once `_kernel(n)`
+    has checked it: "pm" is 2y, "minus" the product of y with X's first
+    row truncated to n terms, and "plus" 2y minus that (`_defect_cells`).
+    `d_entry_bordered` reads the same counts off a bordered Pfaffian.
     """
     return _defect_cells(variant, n, range(1, index(n) + 1))
 
@@ -330,26 +341,46 @@ def _o_entry(n: int, k: int) -> int:
 
 
 def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
-    """Entries k in `cells` of d_vector(variant, n).
+    """Entries k in `cells` of d_vector(variant, n), all read off the
+    ladder's rung y = y_((n-1)/2) and X's first row c (`_row`), 0-based on
+    y: "pm" is 2 y[k-1], "minus" sum_(j<k-1) c_(k-1-j) y[j], and "plus"
+    their difference.  So "minus" is the truncated product
+    c(z) y(z) mod z^n, and no Delannoy number is read.
 
-    Entry k is sum_l w_l x_l = sum_l (-1)^(l-1) w_l o_l over cell k's
-    `defect_weights` w and the kernel vector x = `_kernel(n)`.  The "pm"
-    weights of cell k are twice column k - 1 of P = [D(i - j, j)], so there
-    the sum is twice entry k - 1 of P^T x = y, the ladder's rung that
-    `_kernel` solved and checked: a "pm" entry is read off the rung, once
-    `_kernel(n)` has accepted it.  A "minus" or "plus" entry costs n
-    Delannoy weights.  A bad variant or cell is refused before the ladder
-    is extended."""
+    Why.  Entry k is sum_l w_l x_l over cell k's `defect_weights` w and the
+    kernel vector x = `_kernel(n)` = P^(-T) y of A(n) = P X(n) P^T,
+    P = [D(i - j, j)].  The "pm" weights of cell k are twice column k - 1
+    of P, so that sum is 2 (P^T x)[k-1] = 2 y[k-1].  The "minus" weight
+    of label l is the "pm" weight of l - 1, so d_minus = 2 P^T S x, for
+    the shift (S x)_i = x_(i+1), that is 2 (P^(-1) S^T P)^T y.  P is the
+    Riordan array (1/(1 - s), h), h = s (1 + s)/(1 - s), and P^(-1) is
+    (1 - hbar, hbar) (`_solve_delannoy`), so P^(-1) S^T P takes column
+    (1/(1 - s)) h^j, times s, back to hbar s^j: it is (hbar, s), the lower
+    Toeplitz matrix of hbar, and 2 hbar = sqrt(1 + 6s + s^2) - 1 - s = c(s).
+    So d_minus[i] = sum_(j>i) c_(j-i) y[j], row i of X's strictly upper
+    triangle times y, and row i of X y = 0 turns it into the strictly lower
+    triangle, sum_(j<i) c_(i-j) y[j].
+
+    The rung is read once `_kernel(n)` has accepted it.  The kept row is
+    checked, before "minus" or "plus" reads it, by row 0 of X(n) y = 0,
+    sum_(j=1..n-1) c_j y[j] = 0: every y[j] is a positive count, so a
+    changed c_j with 0 < j < n raises ArithmeticError rather than give a
+    wrong count.  The order, then the variant, then the cells are refused
+    before the ladder is extended."""
     n = _odd_order(n, "defect vector")
+    _check_cells(variant, n, cells)
+    _kernel(n)
+    y = _ladder(n // 2)[n // 2]
     if variant == "pm":
-        for k in cells:
-            _check_cell(n, k)
-        _kernel(n)
-        y = _ladder(n // 2)[n // 2]
         return tuple(2 * y[k - 1] for k in cells)
-    weights = [defect_weights(variant, n, k) for k in cells]
-    x = _kernel(n)
-    return tuple(sum(map(mul, w, x)) for w in weights)
+    c = _row
+    if sum(map(mul, c[1:n], y[1:])):
+        raise ArithmeticError(f"the kept row of X is off the kernel of "
+                              f"X({n})")
+    minus = [sum(map(mul, c[k - 1:0:-1], y)) for k in cells]
+    if variant == "minus":
+        return tuple(minus)
+    return tuple(2 * y[k - 1] - m for k, m in zip(cells, minus))
 
 
 def _bordered_cells(variant: str, n: int, cells) -> tuple[int, ...]:

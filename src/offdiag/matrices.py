@@ -9,7 +9,9 @@ Pfaffian; its bordered companion counts the nearly off-diagonal tilings;
 A = P X P^T, with P = [delannoy(i - j, j)] the Delannoy matrix and X
 skew-symmetric Toeplitz, so the count ladder runs on X's first row
 (`_x_row`); the Delannoy weights of each diagonal cell turn the deletion
-counts into per-cell defect counts; the involutive triangular matrix R is
+counts into per-cell defect counts, as the border columns of the defect
+counts' verification route, and `_check_cells` is the one check of a
+defect variant and its cells; the involutive triangular matrix R is
 built from the recurrence array, and verify checks it against the path
 kernel (`r_value`).
 """
@@ -111,12 +113,15 @@ def matrix_b(order: int) -> SkewMatrix:
     return bordered_skew(matrix_a(order - 1), pell_vector(order - 1))
 
 
-def _check_cell(n: int, k: int) -> None:
-    """Refuse a diagonal cell k outside 1..n: the one check of a cell, for
-    `defect_weights` and the "pm" cells that `counts` reads off the
-    ladder."""
-    if not 1 <= k <= n:
-        raise ValueError(f"cell index must be within 1..{n}")
+def _check_cells(variant: str, n: int, cells) -> None:
+    """Refuse an unknown variant, then a diagonal cell outside 1..n: the
+    one check of a defect request, for `defect_weights` and for the cells
+    that `counts._defect_cells` reads off the ladder."""
+    if variant not in ("pm", "minus", "plus"):
+        raise ValueError(f"unknown variant {variant!r}")
+    for k in cells:
+        if not 1 <= k <= n:
+            raise ValueError(f"cell index must be within 1..{n}")
 
 
 def defect_weights(variant: str, n: int, k: int) -> tuple[int, ...]:
@@ -124,12 +129,10 @@ def defect_weights(variant: str, n: int, k: int) -> tuple[int, ...]:
     counts l = 1..n: variant "pm" weighs l by 2*delannoy(l-k, k-1), "minus"
     by 2*delannoy(l-1-k, k-1), the "pm" weight of l - 1; "plus" is their
     difference.  Signed (-1)^(l-1), they are row k of the paper's Delannoy
-    matrix equation: `counts._defect_cells` dots the "minus" and "plus"
-    weights with A's kernel vector, and `counts._bordered_cells` borders
-    A with them."""
-    if variant not in ("pm", "minus", "plus"):
-        raise ValueError(f"unknown variant {variant!r}")
-    _check_cell(n, k)
+    matrix equation.  Only the verification route reads them:
+    `counts._bordered_cells` borders A with them, while `d_vector` reads
+    every variant off the count ladder."""
+    _check_cells(variant, n, (k,))
     # delannoy(l-k, k-1) is 0 for l < k
     pm = [0] * (k - 1) + [2 * delannoy(j, k - 1) for j in range(n - k + 1)]
     if variant == "pm":

@@ -30,12 +30,13 @@ def pytest_configure(config):
 
 @pytest.fixture
 def empty_ladders(monkeypatch):
-    """Start the per-process count memos, the ladder's rungs and the
-    kernel vectors read off them, empty (the ladder at rung 0) and restore
-    them afterwards, so a test that fakes `_x_row` or counts the ladder's
-    work neither leaves rungs behind nor reads rungs an earlier test
-    computed."""
+    """Start the per-process count memos, the ladder's rungs with the row
+    of X it keeps and the kernel vectors read off them, empty (the ladder
+    at rung 0, with X(1)'s row) and restore them afterwards, so a test that
+    fakes `_x_row` or counts the ladder's work neither leaves rungs or a
+    row behind nor reads those an earlier test computed."""
     monkeypatch.setattr(offdiag.counts, "_rungs", [(1,)])
+    monkeypatch.setattr(offdiag.counts, "_row", [0])
     monkeypatch.setattr(offdiag.counts, "_kernels", {})
 
 

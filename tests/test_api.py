@@ -135,6 +135,38 @@ def test_no_command_loads_dataclasses():
     assert done.stdout == "[0, 0, 0] False\n"
 
 
+def test_every_command_loads_only_the_standard_library():
+    # the package is dependency-free: after one small run of each
+    # subcommand, every top-level module loaded is the package's own or in
+    # the standard library; -S keeps site's .pth files, which may load
+    # third-party modules at start-up, out of the count, and the
+    # site-packages directories are put back on the path, so an installed
+    # package that the code imports would still load and be counted
+    code = "\n".join([
+        "import contextlib, io, site, sys",
+        "sys.path.extend(site.getsitepackages())",
+        "import offdiag.cli",
+        "argvs = (['count', 'dminus', '--n', '5', '--all',",
+        "          '--format', 'csv'],",
+        "         ['verify', '--n-max', '4', '--format', 'json'],",
+        "         ['scan', 'asymptotics', '--n-max', '3', '--format', 'csv'],",
+        "         ['oracle', '--n', '3', '--compare', '--format', 'json'],",
+        "         ['render', '--n', '2', '--format', 'svg'])",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [offdiag.cli.main(argv) for argv in argvs]",
+        "print(codes, sorted({argv[0] for argv in argvs}"
+        " ^ set(offdiag.cli.build_parser().commands)))",
+        "top = {name.partition('.')[0] for name in sys.modules}",
+        "print(sorted(top - set(sys.stdlib_module_names)",
+        "             - {'__main__', 'offdiag'}))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0, 0, 0] []\n[]\n"
+
+
 # Each public callable that takes an order, called with that order alone.
 ORDER_TAKING = {
     "PathGraph": offdiag.PathGraph,

@@ -151,7 +151,7 @@ def test_count_refuses_ignored_flags(capsys):
 
 def test_count_checks_k_before_computing(capsys, empty_ladders, forbid_a):
     # target o's label is checked by `counts._o_entry`, a d* target's cell by
-    # `matrices._check_cell`; both before the ladder reads any of A
+    # `matrices._check_cells`; both before the ladder reads any of A
     forbid_a()
     for target, noun in (("o", "label"), ("dpm", "cell index")):
         for k in ("0", "10"):
@@ -160,28 +160,34 @@ def test_count_checks_k_before_computing(capsys, empty_ladders, forbid_a):
             assert err == f"error: {noun} must be within 1..9\n"
 
 
-def test_count_one_cell_reads_one_cells_weights(capsys, monkeypatch):
-    # a "pm" cell is read off the ladder's checked rung, so it reads no
-    # weights; a "minus" cell reads its own cell's weights only
+def test_count_one_cell_reads_no_weights_on_a_warm_ladder(capsys,
+                                                          monkeypatch):
+    # every variant's cell is read off the ladder's checked rung and the
+    # row of X the ladder keeps, so on a warm ladder a single-cell query
+    # reads no Delannoy weights and no fresh row of X, and prints what the
+    # weights route gives
     import offdiag.counts
 
-    weights = offdiag.counts.defect_weights
+    weights, x_row = offdiag.counts.defect_weights, offdiag.counts._x_row
     x = offdiag.counts._kernel(31)
-    want = {variant: sum(map(mul, weights(variant, 31, 7), x))
-            for variant in ("pm", "minus")}
+    cells = (1, 7, 16, 31)
+    want = {(variant, k): sum(map(mul, weights(variant, 31, k), x))
+            for variant in ("pm", "minus", "plus") for k in cells}
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return weights(*args)
+    def counted(route):
+        def spy(*args):
+            calls.append(args)
+            return route(*args)
+        return spy
 
-    monkeypatch.setattr(offdiag.counts, "defect_weights", counted)
-    code, out, _ = run(capsys, "count", "dpm", "--n", "31", "--k", "7")
-    assert (code, out) == (0, f"{want['pm']}\n")
+    monkeypatch.setattr(offdiag.counts, "defect_weights", counted(weights))
+    monkeypatch.setattr(offdiag.counts, "_x_row", counted(x_row))
+    for (variant, k), value in want.items():
+        code, out, _ = run(capsys, "count", f"d{variant}", "--n", "31",
+                           "--k", str(k))
+        assert (code, out) == (0, f"{value}\n")
     assert calls == []
-    code, out, _ = run(capsys, "count", "dminus", "--n", "31", "--k", "7")
-    assert (code, out) == (0, f"{want['minus']}\n")
-    assert calls == [("minus", 31, 7)]
 
 
 def test_verify_command(capsys):
@@ -416,6 +422,10 @@ TOP_OF_RANGE = (
     (("count", "o", "--n", "100", "--kept",
       ",".join(map(str, [*range(2, 99), 100]))),
      "5425262cc910bc03633d275fe955054578262ecaf0c484c10247c3cf78a5fc4b"),
+    (("count", "dminus", "--n", "199", "--all", "--format", "json"),
+     "89117c3a2af967c5a26fb5b00122961b40705faeab0d4070c28e1119b31b4759"),
+    (("count", "dplus", "--n", "199", "--all", "--format", "json"),
+     "dee74c77ab7553250f4733c0dc9abfb64cf637031ea073096ba2fb1d497a5b00"),
 )
 
 

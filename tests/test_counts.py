@@ -237,6 +237,19 @@ def test_pm_cells_satisfy_the_delannoy_matrix_equation():
             assert vec[k - 1] == sum(map(mul, defect_weights("pm", n, k), x))
 
 
+def test_every_defect_cell_is_the_weights_dot_product():
+    # the paper's Delannoy matrix equation, computed here by the weights
+    # route: entry k of d_vector(variant, n) is cell k's `defect_weights`
+    # dotted with A's kernel vector, for every variant and every cell, at
+    # every odd n <= 61 and at 199
+    for n in [*range(1, 62, 2), 199]:
+        x = offdiag.counts._kernel(n)
+        for variant in ("pm", "minus", "plus"):
+            assert d_vector(variant, n) == tuple(
+                sum(map(mul, defect_weights(variant, n, k), x))
+                for k in range(1, n + 1)), (variant, n)
+
+
 def test_d_entry_bordered_guards():
     with pytest.raises(ValueError):
         d_entry_bordered("pm", 4, 1)
@@ -440,6 +453,7 @@ def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):
     totals = []
     for orders in (range(31, 0, -1), range(1, 32), shuffled):
         monkeypatch.setattr(offdiag.counts, "_rungs", [(1,)])
+        monkeypatch.setattr(offdiag.counts, "_row", [0])
         monkeypatch.setattr(offdiag.counts, "_kernels", {})
         computed.clear()
         for n in orders:
@@ -501,11 +515,19 @@ def test_bad_variants_and_cells_are_refused_before_building(empty_ladders,
     # checked in the order parity, condensation order, variant, cell, all
     # before the ladder or the bordered Pfaffian reads A
     forbid_a()
+    cells = offdiag.counts._defect_cells
+    for call in (lambda: cells("bogus", 100, [0]),
+                 lambda: d_entry_bordered("bogus", 100, 0)):
+        with pytest.raises(ValueError, match="defined for odd n"):
+            call()
     for call in (lambda: d_vector("bogus", 101),
+                 lambda: cells("bogus", 101, [0]),
                  lambda: d_entry_bordered("bogus", 101, 102)):
         with pytest.raises(ValueError, match="unknown variant 'bogus'"):
             call()
-    for call in (lambda: offdiag.counts._defect_cells("pm", 101, [102]),
+    for call in (lambda: cells("pm", 101, [102]),
+                 lambda: cells("minus", 101, [0]),
+                 lambda: cells("plus", 101, [1, 102]),
                  lambda: d_entry_bordered("pm", 101, 102)):
         with pytest.raises(ValueError, match=r"within 1\.\.101"):
             call()
@@ -578,6 +600,52 @@ def test_corrupted_steps_never_give_a_wrong_deletion_vector(monkeypatch,
                             assert got == want, (n, top, s, j, delta)
                             kept += 1
     assert (raised, kept) == (593, 539)
+
+
+def test_a_corrupted_row_never_gives_a_wrong_defect_count(monkeypatch,
+                                                          capsys,
+                                                          empty_ladders):
+    # shift one entry of the row of X that the ladder keeps: "minus" and
+    # "plus" read c_1..c_(n-1) at order n, each checked by row 0 of
+    # X(n) y = 0, whose y entries are positive counts, so every shift of
+    # one of them raises (exit 3 from the command line, with nothing
+    # printed), and a shift of c_0 or of an entry past n - 1 changes
+    # nothing; "pm" reads no row
+    from offdiag.cli import main
+
+    o_vector(13)
+    true = list(offdiag.counts._row)
+    assert len(true) == 13
+    wants = {n: {variant: d_vector(variant, n)
+                 for variant in ("pm", "minus", "plus")}
+             for n in range(1, 14, 2)}
+    raised = kept = 0
+    for n, want in wants.items():
+        for j, entry in enumerate(true):
+            for delta in {1, -1, 2, 7, entry, -2 * entry} - {0}:
+                bad = [*true[:j], entry + delta, *true[j + 1:]]
+                monkeypatch.setattr(offdiag.counts, "_row", bad)
+                assert d_vector("pm", n) == want["pm"]
+                for variant in ("minus", "plus"):
+                    try:
+                        got = d_vector(variant, n)
+                    except ArithmeticError:
+                        raised += 1
+                        assert 0 < j < n, (n, j, delta)
+                    else:
+                        assert got == want[variant], (variant, n, j, delta)
+                        kept += 1
+                code = main(["count", "dminus", "--n", str(n),
+                             "--k", str(n)])
+                out, err = capsys.readouterr()
+                if 0 < j < n:
+                    assert (code, out) == (3, ""), (n, j, delta)
+                    assert "kept row of X" in err
+                else:
+                    assert (code, out) == (0, f"{want['minus'][-1]}\n")
+    # 4, 5 and 6 distinct shifts of c_0 = 0, c_1 = 2 and each later entry:
+    # 246 of the 525 (order, entry, shift) triples shift a read entry
+    assert (raised, kept) == (2 * 246, 2 * 279)
 
 
 def test_a_wrong_delannoy_entry_never_gives_a_wrong_deletion_vector(

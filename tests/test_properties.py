@@ -21,15 +21,16 @@ TOP = 20
 
 def ladder_to(tops):
     """The ladder's rungs after requests for the rungs `tops`, in turn,
-    from an empty memo; the process's own memo is put back after."""
-    kept = counts._rungs
-    counts._rungs = [(1,)]
+    from an empty memo; the process's own memo, with the row of X it
+    keeps, is put back after."""
+    kept = counts._rungs, counts._row
+    counts._rungs, counts._row = [(1,)], [0]
     try:
         for top in tops:
             counts._ladder(top)
         return list(counts._rungs)
     finally:
-        counts._rungs = kept
+        counts._rungs, counts._row = kept
 
 
 @lru_cache(maxsize=None)

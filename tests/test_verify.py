@@ -6,6 +6,7 @@ import pytest
 
 import offdiag.counts
 import offdiag.oracle
+import offdiag.series
 import offdiag.verify
 from offdiag.counts import count_nearly, even_order_full
 from offdiag.matrices import MAX_ORDER, _check_order, matrix_r
@@ -554,9 +555,71 @@ def drop_a_path(monkeypatch):
     monkeypatch.setattr(offdiag.verify, "tiling_to_paths", corrupted)
 
 
-# One perturbation of one route, keyed by (suite, check id), for each check
-# that reads the point tables, the oracle's one table per order, or one
-# condensation pass with several border columns.
+def shift_last_entry(monkeypatch, module, name):
+    """Make every tuple that module.name returns end one too high."""
+    route = getattr(module, name)
+
+    def corrupted(*args):
+        *head, last = route(*args)
+        return (*head, last + 1)
+
+    monkeypatch.setattr(module, name, corrupted)
+
+
+def shift_r_corner(monkeypatch):
+    """Make every matrix_r that verify reads have its top right entry one
+    too high."""
+    route = offdiag.verify.matrix_r
+
+    def corrupted(n):
+        first, *rest = route(n)
+        return ((*first[:-1], first[-1] + 1), *rest)
+
+    monkeypatch.setattr(offdiag.verify, "matrix_r", corrupted)
+
+
+def shift_t_diagonal(monkeypatch):
+    """Make every t_array that verify reads have entry (3, 3) one too
+    high."""
+    route = offdiag.verify.t_array
+
+    def corrupted(nrows, ncols):
+        rows = [list(row) for row in route(nrows, ncols)]
+        rows[2][2] += 1
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(offdiag.verify, "t_array", corrupted)
+
+
+def shift_kernel_memo(monkeypatch):
+    """Make the kept kernel vector of A(5), which o_vector(5) reads, have
+    its first entry one too high."""
+    x = offdiag.counts._kernel(5)
+    monkeypatch.setitem(offdiag.counts._kernels, 5, (x[0] + 1, *x[1:]))
+
+
+def drop_a_placement(monkeypatch):
+    """Make every placement table of the oracle lose the upward domino on
+    its first square."""
+    placement_table = offdiag.oracle._placement_table
+
+    def corrupted(n, images):
+        table = placement_table(n, images)
+        return [table[0][:1], *table[1:]]
+
+    monkeypatch.setattr(offdiag.oracle, "_placement_table", corrupted)
+
+
+def drop_a_column_from_ranks(monkeypatch):
+    """Make every rank that verify takes miss the matrix's last column."""
+    monkeypatch.setattr(offdiag.verify, "rational_rank",
+                        lambda rows: rational_rank([r[:-1] for r in rows]))
+
+
+# One perturbation of one route, keyed by (suite, check id), for every
+# check: it reads the point tables, the oracle's one table per order, one
+# condensation pass with several border columns, a shifted memo entry, or
+# one function of the package that verify reads.
 REROUTED = {
     ("identities", "defect-entry-routes-agree"): corrupt_last_rung,
     ("identities", "deletion-vector-bordered-route"): corrupt_last_rung,
@@ -591,7 +654,26 @@ REROUTED = {
         lambda mp: drop_first_path(mp, (-2, -1)),
     ("identities", "nearly-families-split-by-endpoint"):
         lambda mp: drop_first_path(mp, (-2, -1)),
+    ("identities", "schroeder-generating-function"):
+        lambda mp: shift_last_entry(mp, offdiag.series, "schroeder_numbers"),
+    ("identities", "r-matrix-reverses-deletion-vector"): shift_r_corner,
+    ("identities", "t-array-row-generating-function"): shift_t_diagonal,
+    ("identities", "t-array-alternating-convolution"): shift_t_diagonal,
+    ("identities", "diagonal-closed-form"): shift_t_diagonal,
+    ("identities", "pell-equals-doubled-delannoy-sums"):
+        lambda mp: shift_last_entry(mp, offdiag.verify, "pell_vector"),
+    ("identities", "deletion-vector-palindrome"): shift_kernel_memo,
+    ("identities", "second-entry-ratios"): shift_kernel_memo,
+    ("identities", "tiling-count-power-of-two"): drop_a_placement,
+    ("rank-claim", "reversal-difference-rank"): drop_a_column_from_ranks,
 }
+
+
+def test_every_check_has_a_rerouted_case():
+    # a check registered without a failing case fails the suite
+    assert set(REROUTED) == {(suite, check_id)
+                             for suite, checks in CHECKS.items()
+                             for check_id in checks}
 
 
 @pytest.mark.parametrize("suite, check_id", REROUTED)
