@@ -28,21 +28,27 @@ at or below the top rung reads them, and a larger one extends them from the
 last two to the rung it needs, so however the requests arrive no rung is
 built twice.  Each kernel vector of A is kept once read (`_kernels`), and a
 scan asks for its largest order first, which extends the ladder once.
-count_off_diag of any other kept set reads the last pivot of one fresh
-condensation pass (`pfaffian._leading_rungs`) over that block of A.  A pass
-carries any number of border columns at the cost of one, so
+count_off_diag of a kept set {1, ..., m} minus one label k, m odd, reads
+entry k of o_vector(m) (`_o_entry`); of any other kept set, the last pivot
+of one fresh condensation pass (`pfaffian._leading_rungs`) over that block
+of A.  A pass carries any number of border columns at the cost of one, so
 `_bordered_cells` reads the defect counts of every cell asked off one pass
 over A(n) bordered by each cell's Delannoy weights (d_entry_bordered asks
 for one cell), and `_o_vector_direct` the deletion counts off one pass over
 A(n) bordered by the n unit columns; both stay off the ladder, as
-verification routes.  Every block of A read here, `_kernel`'s check of A(n)
-included, is a principal block, which `matrices._a_block` builds afresh for
-each request.
+verification routes.  Every block of A read here is a principal block.
+The hot path, `_kernel`'s check of A(n) and the kept-set passes, reads it
+off a per-process memo of the rows of A(N), N the largest order asked so
+far (`_a_rows`): A(n) is the leading block of every larger A, so a larger
+request extends the memo by `matrices._extend_a`, the one copy of A's
+recurrence, and never rebuilds it.  The verification routes build A afresh
+through `matrices._a_block`, so they share no state with the path they
+check.
 
 Every entry point takes its order through `operator.index` (a float order
 raises TypeError) and refuses a request whose condensation order exceeds
 `matrices.MAX_ORDER`, through `matrices._check_order`, the check
-`_a_block` makes too, both before it builds anything.
+`_extend_a` makes too, both before it builds anything.
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ from __future__ import annotations
 from math import gcd
 from operator import index, mul, neg
 
-from .matrices import (_a_block, _check_cells, _check_order, _x_row,
-                       defect_weights)
+from .matrices import (_a_block, _check_cells, _check_order, _extend_a,
+                       _principal_block, _x_row, defect_weights)
 from .pfaffian import _kept_indices, _leading_rungs
 from .series import _exact
 
@@ -84,6 +90,13 @@ _row: list[int] = [0]
 # check the rung it reads against A; a scan asks for each order twice.
 _kernels: dict[int, tuple[int, ...]] = {}
 
+# The rows of A(N), N the largest order of A asked so far: `_kernel` checks
+# each vector against their leading n, and `_block_pfaffian` picks a kept
+# set's block off them.  A larger request extends them by
+# `matrices._extend_a`, which builds the new rows on the side, so an
+# extension that raises leaves them as they were.
+_a_rows: list[tuple[int, ...]] = []
+
 
 def _ladder(m: int) -> list[tuple[int, ...]]:
     """The ladder's rungs 0..m at least: the memo, or the memo extended to
@@ -103,6 +116,14 @@ def _ladder(m: int) -> list[tuple[int, ...]]:
         _rungs.extend(built[len(_rungs):])
         _row[:] = c
     return _rungs
+
+
+def _a(order: int) -> list[tuple[int, ...]]:
+    """The rows of A(N) for some N >= order: the memo, or the memo
+    extended to `order` (never rebuilt) and published once complete."""
+    if len(_a_rows) < order:
+        _a_rows[:] = _extend_a(_a_rows, order)
+    return _a_rows
 
 
 def _rung(c, w, q) -> tuple[int, ...]:
@@ -172,12 +193,15 @@ def count_off_diag(n: int, kept=None) -> int:
     """Off-diagonally symmetric tilings of the order-n region that keeps only
     the given boundary labels (all of them by default).
 
-    The count is the Pfaffian of A's principal block on the kept labels: 0
-    for an odd kept set, before anything is built; for a leading one,
-    {1, ..., 2t} (the full set at even n among them), the leading block
-    A(2t), whose Pfaffian is the ladder's p_t; and otherwise the pivot of
-    the last rung of one fresh condensation pass over the block
-    (`_block_pfaffian`), which never pivots.  No leading pivot is 0: the
+    The count is the Pfaffian of A's principal block on the kept labels,
+    which does not depend on n beyond the labels: 0 for an odd kept set,
+    before anything is built; for a leading one, {1, ..., 2t} (the full set
+    at even n among them), the leading block A(2t), whose Pfaffian is the
+    ladder's p_t; for {1, ..., m} minus one label k, m odd, the block of
+    A(m) minus row and column k, whose Pfaffian is o_vector(m)[k - 1], read
+    off the ladder by `_o_entry`; and otherwise the pivot of the last rung
+    of one fresh condensation pass over the block (`_block_pfaffian`),
+    which never pivots.  No leading pivot is 0: the
     leading 2t x 2t block is the block of the first 2t kept labels, so its
     Pfaffian counts the tilings that keep those labels, as non-intersecting
     path families (Stembridge), and pairing consecutive kept sources
@@ -195,14 +219,18 @@ def count_off_diag(n: int, kept=None) -> int:
     if not idx or idx[-1] == len(idx) - 1:
         t = len(idx) // 2
         return _ladder(t)[t][-1]
+    if idx[-1] == len(idx):  # {1, ..., m} minus one label, m odd
+        k = next(i for i, j in enumerate(idx) if i != j)
+        return _o_entry(len(idx) + 1, k + 1)
     return _block_pfaffian(idx)
 
 
 def _block_pfaffian(idx) -> int:
     """Pf of A's principal block on the 0-based indices `idx`, of even
     length: the last pivot of one fresh condensation pass
-    (`pfaffian._leading_rungs`) over it, with no border column."""
-    return _leading_rungs(_a_block(idx))[-1][0]
+    (`pfaffian._leading_rungs`) over it, with no border column.  The block
+    is picked off the memo of A's rows (`_a`)."""
+    return _leading_rungs(_principal_block(_a(idx[-1] + 1), idx))[-1][0]
 
 
 def _o_vector_direct(n: int) -> tuple[int, ...]:
@@ -211,7 +239,10 @@ def _o_vector_direct(n: int) -> tuple[int, ...]:
 
     Bordered by e_k, the odd-order A(n) has Pfaffian (-1)^(k-1) Pf(A(n)
     minus k) (`pfaffian.bordered_skew`), so the last rung's entry in column
-    k, sign flipped at even k, is o_k."""
+    k, sign flipped at even k, is o_k.  A(n) is built afresh
+    (`matrices._a_block`), not read off the memo of A's rows that
+    `_kernel` checks against, so the route shares no state with the one it
+    checks."""
     units = [[int(i == k) for i in range(n)] for k in range(n)]
     entries = _leading_rungs(_a_block(range(n)), *units)[-1][1:]
     return tuple(-e if k % 2 else e for k, e in enumerate(entries))
@@ -277,14 +308,18 @@ def _kernel(n: int) -> tuple[int, ...]:
     scale x_n = y_n kept.  The vector is kept in `_kernels`.  A zero pivot
     of the ladder raises ArithmeticError rather than give a wrong vector,
     and so does a vector off the kernel of A(n): x must annihilate every
-    row of A(n), row 1, (0, 2, ..., 2), included.  A(n) has rank n - 1
-    when o_1, the Pfaffian of its block on rows and columns 2..n, is
-    nonzero (at every supported order), so the nonzero x spans its kernel.
+    row of A(n), row 1, (0, 2, ..., 2), included.  The rows are the leading
+    n of the memo of A(N), N >= n (`_a`), each of N entries; `map` stops at
+    x's n entries, so each product reads exactly row i of A(n), the leading
+    block, and the check is the same as against a fresh A(n).  A(n) has
+    rank n - 1 when o_1, the Pfaffian of its block on rows and columns
+    2..n, is nonzero (at every supported order), so the nonzero x spans its
+    kernel.
     """
     got = _kernels.get(n)
     if got is None:
         x = _solve_delannoy(_ladder(n // 2)[n // 2])
-        if any(sum(map(mul, row, x)) for row in _a_block(range(n))):
+        if any(sum(map(mul, row, x)) for row in _a(n)[:n]):
             raise ArithmeticError(f"deletion vector of order {n} is off "
                                   f"the kernel of A({n})")
         got = _kernels[n] = tuple(x)
@@ -389,9 +424,10 @@ def _bordered_cells(variant: str, n: int, cells) -> tuple[int, ...]:
 
     Every border column rides on one fresh condensation pass
     (`pfaffian._leading_rungs`) over A(n), none read off the ladder: entry
-    k is the last rung's entry in cell k's column.  The pass's leading
-    pivots are even_order_full(2t) > 0.  A bad order, variant or cell is
-    refused before A is built."""
+    k is the last rung's entry in cell k's column.  A(n) is built afresh
+    (`matrices._a_block`), sharing no state with the memo of A's rows.  The
+    pass's leading pivots are even_order_full(2t) > 0.  A bad order,
+    variant or cell is refused before A is built."""
     n = _odd_order(n, "defect count")
     weights = [defect_weights(variant, n, k) for k in cells]
     return tuple(_leading_rungs(_a_block(range(n)), *weights)[-1][1:])

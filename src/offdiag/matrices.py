@@ -1,7 +1,10 @@
 """Builders for the structured integer matrices behind the tiling counts.
 
 Everything is exact and kept as tuples of ints; each matrix has one builder,
-and the module holds no state: every call builds what it returns.
+and the module holds no state: every call builds what it returns.  A's
+recurrence is written once, as an extender (`_extend_a`) from the rows of a
+leading block to a larger order, which a fresh build starts from nothing;
+the memo of A's rows that the counts read lives in `counts`.
 `MAX_ORDER` bounds the order of A and of every count's condensation, and
 `_check_order` is its one check.
 The skew-symmetric recurrence matrix A drives the off-diagonal counts via its
@@ -18,7 +21,7 @@ kernel (`r_value`).
 
 from __future__ import annotations
 
-from operator import index
+from operator import index, neg
 
 from .pfaffian import SkewMatrix, bordered_skew
 from .paths import FULL, delannoy, q_doublet, staircase
@@ -30,37 +33,63 @@ from . import series
 # ladder's cold recurrence over X takes about 0.02 s to order 100 and 0.5 s
 # to 200, and one fresh condensation of a block of A (count_off_diag, or
 # d_entry_bordered with its one border column) about 0.15 s at order 100
-# and 9 s at 200.
+# and 9 s at 200.  The memo of A's rows that `counts` keeps holds at most
+# A(200): 40 000 entries of up to 493 bits, about 2.3 MiB, built in about
+# 0.01 s; cold o_vector(199) then count_off_diag(200, labels 2, 4, ...,
+# 200) peaks at 22.7 MiB with it, against 21.2 MiB when A was rebuilt per
+# request (CPython 3.11).
 MAX_ORDER = 200
 
 
 def _check_order(order: int) -> None:
     """Refuse a condensation, or an A, of order past MAX_ORDER: the one
-    check of the bound, for `_a_block` and every count."""
+    check of the bound, for `_extend_a` and every count."""
     if order > MAX_ORDER:
         raise ValueError(f"this request needs a condensation of order "
                          f"{order}; the largest supported order is "
                          f"{MAX_ORDER}")
 
 
-def _a_block(idx) -> list[tuple[int, ...]]:
-    """The principal block of A on `idx`, a sequence of increasing 0-based
-    indices, so A(n) is `_a_block(range(n))`.  Column j of A's upper
-    triangle (a_ij for i < j) is built from column j - 1 by the recurrence,
-    up to the largest index asked; an order past MAX_ORDER is refused
-    before any column is built."""
-    order = idx[-1] + 1 if idx else 0
+def _extend_a(rows, order: int) -> list[tuple[int, ...]]:
+    """The rows of A(order), built by extending `rows`, the rows of a
+    leading block A(m) (m = len(rows), 0 for a fresh build), to `order`
+    columns: a new list of new tuples, with `rows` left as it was, so this
+    holds no state.  Column j of A's upper triangle (a_ij for i < j) is
+    built from column j - 1 by the recurrence, starting from the last
+    column of `rows`; an order past MAX_ORDER is refused before any column
+    is built.  This is the one copy of the recurrence: `_a_block` builds
+    afresh with it, and `counts` extends its memo of A's rows with it."""
     _check_order(order)
-    a = []
-    for j in range(order):
-        prev = a[-1] if a else ()
+    m = len(rows)
+    prev = [row[m - 1] for row in rows[:m - 1]]
+    cols = []
+    for j in range(m, order):
         col = [2] if j else []
         for i in range(1, j):
             col.append(col[i - 1] + prev[i - 1]
                        + (prev[i] if i < j - 1 else 2 * (-1) ** i))
-        a.append(col)
-    return [tuple(a[j][i] if i < j else -a[i][j] if j < i else 0
-                  for j in idx) for i in idx]
+        cols.append(col)
+        prev = col
+    new = [(*row, *(col[i] for col in cols)) for i, row in enumerate(rows)]
+    for i in range(m, order):
+        new.append((*map(neg, cols[i - m]), 0,
+                    *(col[i] for col in cols[i - m + 1:])))
+    return new
+
+
+def _principal_block(rows, idx) -> list[tuple[int, ...]]:
+    """The principal block on the 0-based indices `idx` of the matrix
+    whose rows are `rows`."""
+    return [tuple(rows[i][j] for j in idx) for i in idx]
+
+
+def _a_block(idx) -> list[tuple[int, ...]]:
+    """The principal block of A on `idx`, a sequence of increasing 0-based
+    indices, so A(n) is `_a_block(range(n))`: built afresh by `_extend_a`
+    up to the largest index asked, sharing nothing with the memo of A that
+    `counts` keeps; an order past MAX_ORDER is refused before any column
+    is built."""
+    return _principal_block(_extend_a([], idx[-1] + 1 if idx else 0), idx)
 
 
 def _x_row(n: int) -> list[int]:
@@ -80,7 +109,8 @@ def matrix_a(n: int) -> SkewMatrix:
     Upper triangle (1-based): first row is all 2s; below that,
     a[i][j] = a[i-1][j] + a[i][j-1] + a[i-1][j-1] away from the diagonal and
     a[i][i+1] = a[i-1][i+1] + a[i-1][i] + 2*(-1)^(i-1) next to it.
-    Orders above MAX_ORDER are refused.
+    Orders above MAX_ORDER are refused.  Built afresh (`_a_block`) on every
+    call, sharing no state with the memo of A's rows that the counts read.
     """
     n = index(n)
     if n < 1:

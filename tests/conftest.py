@@ -31,13 +31,15 @@ def pytest_configure(config):
 @pytest.fixture
 def empty_ladders(monkeypatch):
     """Start the per-process count memos, the ladder's rungs with the row
-    of X it keeps and the kernel vectors read off them, empty (the ladder
-    at rung 0, with X(1)'s row) and restore them afterwards, so a test that
-    fakes `_x_row` or counts the ladder's work neither leaves rungs or a
-    row behind nor reads those an earlier test computed."""
+    of X it keeps, the kernel vectors read off them and the rows of A,
+    empty (the ladder at rung 0, with X(1)'s row) and restore them
+    afterwards, so a test that fakes `_x_row` or counts the ladder's or
+    A's work neither leaves rungs, a row or rows of A behind nor reads
+    those an earlier test computed."""
     monkeypatch.setattr(offdiag.counts, "_rungs", [(1,)])
     monkeypatch.setattr(offdiag.counts, "_row", [0])
     monkeypatch.setattr(offdiag.counts, "_kernels", {})
+    monkeypatch.setattr(offdiag.counts, "_a_rows", [])
 
 
 @pytest.fixture
@@ -59,16 +61,19 @@ def empty_memos():
 
 @pytest.fixture
 def forbid_a(monkeypatch):
-    """A function that, once called, makes every read of A or X fail the
-    test: the counts and `matrix_a` read A only through `matrices._a_block`,
-    and the ladder reads X only through `matrices._x_row`."""
-    def refuse(arg):
+    """A function that, once called, makes every build of A or read of X
+    fail the test: the counts and `matrix_a` build A only through
+    `matrices._a_block` or the extender `matrices._extend_a` (the memo of
+    A's rows in `counts` reads it), and the ladder reads X only through
+    `matrices._x_row`."""
+    def refuse(*args):
         raise AssertionError("read A or X for a request that should be "
                              "refused")
 
     def arm():
         for module in (offdiag.counts, offdiag.matrices):
             monkeypatch.setattr(module, "_a_block", refuse)
+            monkeypatch.setattr(module, "_extend_a", refuse)
         monkeypatch.setattr(offdiag.counts, "_x_row", refuse)
     return arm
 

@@ -105,21 +105,38 @@ def test_count_off_diag_subsets():
         count_off_diag(3, (2, 1, 1))
 
 
+def read_off_ladder(kept):
+    """Whether count_off_diag reads `kept` off the ladder: a leading set
+    {1, ..., 2t}, or {1, ..., m} minus one label for odd m."""
+    labels = sorted(kept)
+    return labels == list(range(1, len(labels) + 1)) or (
+        len(labels) % 2 == 0 and labels[-1] == len(labels) + 1)
+
+
 def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
     # every even kept set at every order up to 16 is one principal block of
-    # A, built once unless the set is leading ({1, ..., 2t}, read off the
-    # ladder), and an odd one counts 0 and builds nothing; every kept set
-    # gives the cofactor Pfaffian of the principal submatrix of A(n), all
-    # of them at n <= 8, and every even kept set of [12] counts at least 1,
-    # so no leading pivot is 0
-    blocks = []
-    block = offdiag.counts._a_block
+    # A: one fresh pass over it unless the ladder determines it (a leading
+    # set, or one label short of an odd {1, ..., m}), and an odd one counts
+    # 0 and runs none; the blocks are read off the memo of A's rows, which
+    # is extended once per new largest label asked, from the rows it holds,
+    # and never for a repeated or smaller one; every kept set gives the
+    # cofactor Pfaffian of the principal submatrix of A(n), all of them at
+    # n <= 8, and every even kept set of [12] counts at least 1, so no
+    # leading pivot is 0
+    passes, extensions = [], []
+    leading_rungs = offdiag.counts._leading_rungs
+    extend = offdiag.counts._extend_a
 
-    def counted(idx):
-        blocks.append(len(idx))
-        return block(idx)
+    def counted_pass(rows, *columns):
+        passes.append(len(rows))
+        return leading_rungs(rows, *columns)
 
-    monkeypatch.setattr(offdiag.counts, "_a_block", counted)
+    def counted_extension(rows, order):
+        extensions.append((len(rows), order))
+        return extend(rows, order)
+
+    monkeypatch.setattr(offdiag.counts, "_leading_rungs", counted_pass)
+    monkeypatch.setattr(offdiag.counts, "_extend_a", counted_extension)
 
     def by_cofactor(n, kept):
         return pfaffian_cofactor(principal_submatrix(matrix_a(n), kept))
@@ -140,9 +157,17 @@ def test_count_off_diag_reads_one_build_of_a(monkeypatch, empty_ladders):
         for kept in combinations(range(1, 13), size):
             assert count_off_diag(12, kept) >= 1
             kept_sets.append(kept)
-    assert blocks == [len(kept) for kept in kept_sets if len(kept) % 2 == 0
-                      and sorted(kept) != list(range(1, len(kept) + 1))]
-    assert len(blocks) > 1000
+    even = [kept for kept in kept_sets if len(kept) % 2 == 0]
+    assert passes == [len(kept) for kept in even
+                      if not read_off_ladder(kept)]
+    assert len(passes) > 1000
+    top, want = 0, []
+    for kept in even:  # every non-leading one reads A, through its block
+        # or the kernel check of o_vector(max(kept))
+        if sorted(kept) != list(range(1, len(kept) + 1)) and max(kept) > top:
+            want.append((top, max(kept)))
+            top = max(kept)
+    assert extensions == want and want[-1][1] == 16
 
 
 def test_count_nearly_fixtures():
@@ -386,9 +411,9 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
     # the references run their own passes, so they run before the spies
     want = (fresh_pfaffian(matrix_b(22)), fresh_pfaffian(matrix_a(22)))
     direct = _o_vector_direct(21)
-    extensions, built, solved = [], [], []
+    extensions, built, solved, grown = [], [], [], []
     x_row, rung = offdiag.counts._x_row, offdiag.counts._rung
-    block = offdiag.counts._a_block
+    solve, extend = offdiag.counts._solve_delannoy, offdiag.counts._extend_a
 
     def counted_row(n):
         extensions.append(n)
@@ -398,23 +423,28 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
         built.append(len(w) // 2 + 1)
         return rung(c, w, q)
 
-    def counted_block(idx):
-        solved.append(len(idx))
-        return block(idx)
+    def counted_solve(y):
+        solved.append(len(y))
+        return solve(y)
+
+    def counted_extension(rows, order):
+        grown.append((len(rows), order))
+        return extend(rows, order)
 
     monkeypatch.setattr(offdiag.counts, "_x_row", counted_row)
     monkeypatch.setattr(offdiag.counts, "_rung", counted_rung)
-    monkeypatch.setattr(offdiag.counts, "_a_block", counted_block)
+    monkeypatch.setattr(offdiag.counts, "_solve_delannoy", counted_solve)
+    monkeypatch.setattr(offdiag.counts, "_extend_a", counted_extension)
     # one ladder: o_vector(19) reads rung 9 of the ladder that
     # even_order_full(20) extended to rung 10, and a repeated one the
-    # vector memo; each extension reads X's first row once
+    # vector memo; each extension reads X's first row once, and the memo
+    # of A's rows is extended once, to the order the check reads
     even_order_full(20)
     assert o_vector(19) == o_vector(19)
     assert extensions == [21] and built == list(range(2, 11))
-    assert solved == [19]
-    extensions.clear()
-    built.clear()
-    solved.clear()
+    assert solved == [19] and grown == [(0, 19)]
+    for spy in (extensions, built, solved, grown):
+        spy.clear()
     for n in (20, 18, 2, 12):
         even_order_full(n)
     for n in (19, 1, 7, 17):
@@ -425,14 +455,121 @@ def test_repeated_and_smaller_requests_run_no_pass(monkeypatch,
         even_order_full(2 * m)
         count_nearly(2 * m - 1)
         o_vector(2 * m - 1)
-    assert extensions == built == []
-    # each order's vector is solved and checked once, when first asked
+    assert extensions == built == grown == []
+    # each order's vector is solved and checked once, when first asked,
+    # against the leading rows of the memo of A
     assert sorted(solved) == list(range(1, 18, 2))
     # a larger request extends the ladder from its last two rungs by the
-    # one rung it adds, and that serves the rest
+    # one rung it adds, and the memo of A from its rows by two orders, and
+    # that serves the rest
     assert (count_nearly(21), even_order_full(22)) == want
     assert o_vector(21) == direct
     assert extensions == [23] and built == [11] and solved[-1] == 21
+    assert grown == [(19, 21)]
+
+
+def test_kept_sets_one_label_short_read_the_ladder(monkeypatch,
+                                                    empty_ladders):
+    # a kept set {1, ..., m} minus one label k, m odd, is the block of
+    # A(m) minus row and column k, whose Pfaffian is o_vector(m)[k - 1]:
+    # all 344 such sets at n <= 15 (every odd m <= n and every k, the
+    # empty set at m = 1 among them), asked in any order of their labels,
+    # count what the verification route gives, and none runs a fresh pass
+    direct = {m: _o_vector_direct(m) for m in range(1, 16, 2)}
+    passes = []
+    monkeypatch.setattr(offdiag.counts, "_leading_rungs",
+                        lambda *args: passes.append(args))
+    rng = random.Random(3)
+    asked = 0
+    for n in range(1, 16):
+        for m in range(1, n + 1, 2):
+            for k in range(1, m + 1):
+                kept = [i for i in range(1, m + 1) if i != k]
+                rng.shuffle(kept)
+                assert read_off_ladder(kept)
+                assert count_off_diag(n, kept) == direct[m][k - 1]
+                asked += 1
+    assert asked == 344 and passes == []
+
+
+def test_memo_of_a_gives_the_blocks_of_a_fresh_build(monkeypatch,
+                                                     empty_ladders):
+    # interleaved requests at orders 41, 7, 61 and 13 extend the memo of
+    # A's rows only past its largest order so far, from the rows it holds;
+    # after each, its leading n rows cut to n entries are matrix_a(n),
+    # and the block a kept set's pass reads is principal_submatrix's
+    extend, leading_rungs = (offdiag.counts._extend_a,
+                             offdiag.counts._leading_rungs)
+    grown, blocks = [], []
+
+    def counted_extension(rows, order):
+        grown.append((len(rows), order))
+        return extend(rows, order)
+
+    def recorded(rows, *columns):
+        blocks.append(tuple(rows))
+        return leading_rungs(rows, *columns)
+
+    monkeypatch.setattr(offdiag.counts, "_extend_a", counted_extension)
+    monkeypatch.setattr(offdiag.counts, "_leading_rungs", recorded)
+    rng = random.Random(17)
+    for n in (41, 7, 61, 13):
+        kept = [1, *rng.sample(range(3, n), 2), n]
+        assert count_off_diag(n, kept) == fresh_pfaffian(
+            principal_submatrix(matrix_a(n), kept))
+        assert blocks.pop(0) == principal_submatrix(matrix_a(n), kept).rows
+        o_vector(n)
+        rows = offdiag.counts._a_rows
+        assert tuple(row[:n] for row in rows[:n]) == matrix_a(n).rows
+    assert grown == [(0, 41), (41, 61)] and len(rows) == 61
+
+
+def test_a_refused_order_leaves_the_memo_of_a_untouched(empty_ladders):
+    # an order past MAX_ORDER is refused by count_off_diag, and by the
+    # extender itself, before any row is built, and the memo keeps the
+    # rows it held
+    count_off_diag(9, [1, 4, 6, 9])
+    before = offdiag.counts._a_rows
+    rows = list(before)
+    assert len(rows) == 9
+    for call in (lambda: count_off_diag(MAX_ORDER + 1,
+                                        [1, 2, 5, MAX_ORDER + 1]),
+                 lambda: count_off_diag(MAX_ORDER + 1),
+                 lambda: offdiag.counts._a(MAX_ORDER + 1)):
+        with pytest.raises(ValueError, match="largest supported order"):
+            call()
+        assert offdiag.counts._a_rows is before and before == rows
+
+
+def test_a_shifted_entry_of_a_never_gives_a_wrong_kernel_vector(
+        monkeypatch, empty_ladders):
+    # shift one entry of the memo of A's rows, held to order 9, by +1 or
+    # -1, and solve each odd order's kernel vector afresh: `_kernel(n)`
+    # checks x against the leading n rows, each cut to n entries, and
+    # every x_k is a nonzero count, so each of the 2 (1 + 9 + 25 + 49 +
+    # 81) = 330 shifts inside the leading n x n block raises, and each of
+    # the 480 outside it is not read and leaves the true vector
+    true = {n: offdiag.counts._kernel(n) for n in range(9, 0, -2)}
+    rows = list(offdiag.counts._a_rows)
+    assert len(rows) == 9
+    raised = kept = 0
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            for delta in (1, -1):
+                bad = list(rows)
+                bad[i] = (*row[:j], entry + delta, *row[j + 1:])
+                monkeypatch.setattr(offdiag.counts, "_a_rows", bad)
+                for n, x in true.items():
+                    monkeypatch.setattr(offdiag.counts, "_kernels", {})
+                    try:
+                        got = offdiag.counts._kernel(n)
+                    except ArithmeticError:
+                        assert i < n and j < n, (n, i, j, delta)
+                        raised += 1
+                    else:
+                        assert got == x and not (i < n and j < n)
+                        kept += 1
+    assert (raised, kept) == (330, 480)
 
 
 def test_memo_work_does_not_depend_on_the_request_order(monkeypatch):

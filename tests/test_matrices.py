@@ -7,6 +7,7 @@ import pytest
 from offdiag.matrices import (
     MAX_ORDER,
     _a_block,
+    _extend_a,
     _x_row,
     defect_weights,
     g_sequence,
@@ -109,6 +110,23 @@ def test_a_block_is_the_principal_block_on_the_indices_given():
                                  for i in idx]
     for n in (1, 2, 7, 23, 40):
         assert tuple(_a_block(range(n))) == matrix_a(n).rows
+
+
+def test_extending_a_leading_block_gives_the_fresh_build():
+    # the rows of A(m), extended to any larger order, are the rows a fresh
+    # build of that order gives, and the rows extended are left as they
+    # were; an order at or below m adds nothing
+    table = recurrence_table(40)
+    for m, order in ((0, 40), (1, 2), (2, 3), (7, 8), (13, 40), (39, 40),
+                     (9, 9), (12, 5)):
+        rows = _extend_a([], m)
+        copy = list(rows)
+        got = _extend_a(rows, order)
+        assert rows == copy and got is not rows
+        top = max(m, order)
+        assert got == [tuple(table[i][:top]) for i in range(top)]
+    with pytest.raises(ValueError, match="largest supported order"):
+        _extend_a(_extend_a([], 3), MAX_ORDER + 1)
 
 
 def test_matrix_a_refuses_orders_past_max_order():

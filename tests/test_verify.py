@@ -591,11 +591,20 @@ def shift_t_diagonal(monkeypatch):
     monkeypatch.setattr(offdiag.verify, "t_array", corrupted)
 
 
-def shift_kernel_memo(monkeypatch):
-    """Make the kept kernel vector of A(5), which o_vector(5) reads, have
+def shift_kernel_memo(monkeypatch, n):
+    """Make the kept kernel vector of A(n), which o_vector(n) reads, have
     its first entry one too high."""
-    x = offdiag.counts._kernel(5)
-    monkeypatch.setitem(offdiag.counts._kernels, 5, (x[0] + 1, *x[1:]))
+    x = offdiag.counts._kernel(n)
+    monkeypatch.setitem(offdiag.counts._kernels, n, (x[0] + 1, *x[1:]))
+
+
+def change_rung_end(monkeypatch, t, change):
+    """Make the kept rung t of the ladder, whose end entry p is
+    even_order_full(2t), end in change(p) instead."""
+    rungs = list(offdiag.counts._ladder(t))
+    *head, p = rungs[t]
+    rungs[t] = (*head, change(p))
+    monkeypatch.setattr(offdiag.counts, "_rungs", rungs)
 
 
 def drop_a_placement(monkeypatch):
@@ -662,18 +671,50 @@ REROUTED = {
     ("identities", "diagonal-closed-form"): shift_t_diagonal,
     ("identities", "pell-equals-doubled-delannoy-sums"):
         lambda mp: shift_last_entry(mp, offdiag.verify, "pell_vector"),
-    ("identities", "deletion-vector-palindrome"): shift_kernel_memo,
-    ("identities", "second-entry-ratios"): shift_kernel_memo,
+    ("identities", "deletion-vector-palindrome"):
+        lambda mp: shift_kernel_memo(mp, 5),
+    ("identities", "second-entry-ratios"):
+        lambda mp: shift_kernel_memo(mp, 5),
     ("identities", "tiling-count-power-of-two"): drop_a_placement,
     ("rank-claim", "reversal-difference-rank"): drop_a_column_from_ranks,
+    # o_vector(3) = (3, 2, 2): 2 * 2 < 3 * 2
+    ("log-concavity", "deletion-vector-log-concavity"):
+        lambda mp: shift_kernel_memo(mp, 3),
+    # even_order_full(2) = 3
+    ("asymptotics", "base-case-exact"):
+        lambda mp: change_rung_end(mp, 1, lambda p: p + 1),
+    # even_order_full(10) doubled moves the m = 5 even root up by a factor
+    # 2^(1/50), to within the m = 12 gap of sqrt(2)
+    ("asymptotics", "gap-shrinks-past-calibration"):
+        lambda mp: change_rung_end(mp, 5, lambda p: 2 * p),
 }
+
+# The scans by the suite name of their reports.
+SCANS = {"log-concavity": scan_log_concavity,
+         "asymptotics": scan_asymptotics}
+
+
+def run_check(suite, check_id, n_max):
+    """The CheckResult of one check: its `verify.CHECKS` entry, or its
+    result in the report of its scan."""
+    if suite in CHECKS:
+        return CHECKS[suite][check_id](n_max)
+    report, _ = SCANS[suite](n_max)
+    (result,) = (r for r in report.results if r.check == check_id)
+    return result
 
 
 def test_every_check_has_a_rerouted_case():
-    # a check registered without a failing case fails the suite
+    # a check registered, or added to a scan's report, without a failing
+    # case fails the suite; at n_max 12 each scan reports every check it
+    # has
+    reports = [scan(12)[0] for scan in SCANS.values()]
+    assert [report.suite for report in reports] == list(SCANS)
     assert set(REROUTED) == {(suite, check_id)
                              for suite, checks in CHECKS.items()
-                             for check_id in checks}
+                             for check_id in checks} | {
+        (report.suite, result.check)
+        for report in reports for result in report.results}
 
 
 @pytest.mark.parametrize("suite, check_id", REROUTED)
@@ -682,10 +723,9 @@ def test_rerouted_checks_pass_and_fail_on_a_perturbed_route(
     # with the point tables empty, so no table filled before the
     # perturbation hides it, a perturbed route fails its check with a
     # witness, and the unperturbed route passes
-    check = CHECKS[suite][check_id]
-    assert check(12).ok
+    assert run_check(suite, check_id, 12).ok
     empty_memos()
     REROUTED[suite, check_id](monkeypatch)
-    result = check(12)
+    result = run_check(suite, check_id, 12)
     assert result.status == "FAIL"
     assert result.witness["failures"] >= 1 and result.witness["first"]
