@@ -6,8 +6,14 @@ render (draw one tiling as text or SVG).
 
 `main` hands an argv whose first token is a subcommand's name straight to
 that subcommand's parser; the top-level parser sees only the rest (help, a
-missing or unknown command) and reports leftover tokens, so usage, help and
-error text are argparse's own either way.
+missing or unknown command) and reports leftover tokens.  A plain argv (the
+positional first, then distinct flags spelled in full, each value its own
+token that does not start with "-") is read off the subcommand parser's own
+actions and defaults, without argparse's generic pass; every other argv
+(help, `--flag=value`, abbreviations, repeated flags, `--`, dash-led
+values, bad values, missing flags, leftover tokens) goes through argparse,
+so usage, help and error text are argparse's own either way.  An argument
+that is not a string is refused before either path reads it.
 
 Exit codes: 0 on success (also when the reader of stdout leaves early), 1
 when a verification or comparison fails, 2 on usage errors or out-of-range
@@ -294,8 +300,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_reader(parser: argparse.ArgumentParser):
+    """Return a reader of `parser`'s plain argvs, or None if `parser` has an
+    action the reader does not model.
+
+    A plain argv is every positional, then distinct flags spelled in full,
+    each value its own token that does not start with "-".  The reader
+    gives the namespace `parser.parse_known_args` gives such an argv, with
+    no leftover tokens, from the parser's own actions and defaults; it
+    returns None for any other argv (help, `--flag=value`, abbreviations,
+    repeated flags, `--`, dash-led values, a bad value, a missing required
+    flag, leftover tokens), which argparse then reads itself.
+    """
+    if (parser.prefix_chars != "-" or parser.fromfile_prefix_chars
+            or parser._mutually_exclusive_groups):
+        return None
+    defaults, positionals, flags = {}, [], {}
+    for action in parser._actions:
+        if type(action) is argparse._HelpAction:
+            continue  # not in `flags`, so argparse reads -h and --help
+        store = (type(action) is argparse._StoreAction
+                 and action.nargs is None
+                 and not isinstance(action.choices, str)
+                 and not (action.type and isinstance(action.default, str)))
+        if (not (store or type(action) is argparse._StoreTrueAction)
+                or getattr(action, "deprecated", False)
+                or action.dest in defaults or action.dest == argparse.SUPPRESS
+                or action.default is argparse.SUPPRESS):
+            return None
+        defaults[action.dest] = action.default
+        for flag in action.option_strings:
+            flags[flag] = action
+        if not action.option_strings:
+            positionals.append(action)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    required = {action for action in flags.values() if action.required}
+
+    def read(tokens):
+        if len(tokens) < len(positionals):
+            return None
+        pairs = list(zip(positionals, tokens))
+        values, seen, i = dict(defaults), set(), len(pairs)
+        while i < len(tokens):
+            action = flags.get(tokens[i])
+            if action is None or action in seen:
+                return None
+            seen.add(action)
+            if action.nargs == 0:  # store_true
+                values[action.dest] = action.const
+                i += 1
+            elif i + 1 < len(tokens):
+                pairs.append((action, tokens[i + 1]))
+                i += 2
+            else:
+                return None
+        if not required <= seen:
+            return None
+        for action, token in pairs:
+            if token[:1] == "-":
+                return None
+            try:
+                value = action.type(token) if action.type else token
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        return argparse.Namespace(**values)
+
+    return read
+
+
 # Built by the first `main` call, not at import, and reused by later calls
-# in the same process.
+# in the same process; so are the plain readers of its subcommands.
 _parser: argparse.ArgumentParser | None = None
 
 
@@ -303,21 +381,35 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+        _parser.readers = {name: _plain_reader(command)
+                           for name, command in _parser.commands.items()}
     if argv is None:
         argv = sys.argv[1:]
+    for token in argv:
+        if not isinstance(token, str):
+            print(f"error: arguments must be strings, got {token!r}",
+                  file=sys.stderr)
+            return 2
     # A first token that names a subcommand skips the top-level pass, which
-    # would only hand the rest on to that subcommand's parser; leftover
-    # tokens are still reported by the top-level parser, as parse_args
-    # would.  Any other argv (empty, help, an unknown or abbreviated
-    # command) goes through the top-level parser.
+    # would only hand the rest on to that subcommand's parser.  A plain argv
+    # (see `_plain_reader`) is read off that parser's actions without
+    # argparse's generic pass; any other goes through the subcommand's
+    # parser, and its leftover tokens are still reported by the top-level
+    # parser, as parse_args would, so help and error text are argparse's
+    # own.  Any other argv (empty, help, an unknown or abbreviated command)
+    # goes through the top-level parser.
     command = _parser.commands.get(argv[0]) if argv else None
     try:
         if command is None:
             args = _parser.parse_args(argv)
         else:
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                _parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            read = _parser.readers[argv[0]]
+            args = read(argv[1:]) if read else None
+            if args is None:
+                args, extras = command.parse_known_args(argv[1:])
+                if extras:
+                    _parser.error(
+                        f"unrecognized arguments: {' '.join(extras)}")
             args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -626,7 +626,11 @@ def test_bad_usage_exits_2(capsys):
 # argvs for the dispatch test: each subcommand, valid and with -h; help
 # and missing, unknown or abbreviated commands; an abbreviated flag, a
 # `--flag=value`, `--` before a positional; leftover tokens; a bad int, a
-# bad choice and a missing required flag
+# bad choice and a missing required flag; then the edges of the plain
+# reader: a repeated flag, dash-led values, the positional after the
+# flags, a value after a store_true flag, a flag missing its value, an
+# empty value, the int spellings `int()` takes, and a plain argv of each
+# subcommand it reads
 DISPATCHED = (
     ("count", "o", "--n", "5", "--k", "3"),
     ("verify", "identities", "--n-max", "4"),
@@ -653,15 +657,35 @@ DISPATCHED = (
     ("count", "o", "--n", "five", "--k", "3"),
     ("count", "widgets", "--n", "3"),
     ("count", "o", "--k", "3"),
+    ("count", "o", "--n", "5", "--n", "7", "--k", "3"),
+    ("count", "o", "--n", "-3", "--k", "3"),
+    ("count", "o", "--n", "5", "--kept", "-1,2"),
+    ("count", "--n", "5", "o", "--k", "3"),
+    ("count", "o", "--n", "5", "--all", "5"),
+    ("count", "o", "--n", "", "--k", "3"),
+    ("count", "o", "--n", " 5", "--k", "3"),
+    ("count", "o", "--n", "+5", "--k", "3"),
+    ("count", "o", "--n", "5_0", "--k", "3"),
+    ("count", "o", "--n", "5", "--k", "3", "--format", "yaml"),
+    ("count", "o", "--n", "5", "--al"),
+    ("count", "o", "--n", "5", "--k"),
+    ("count", "o", "--n", "5", "--all", "--format", "csv"),
+    ("count", "o", "--kept", "1,2", "--n", "3", "--format", "json"),
+    ("count", "d", "--n", "5"),
+    ("scan", "logconcavity", "--n-max", "3"),
+    ("oracle", "--n", "3", "--compare", "--format", "json"),
+    ("render", "--n", "3", "--kept", "1,2", "--index", "1"),
 )
 
 
 @pytest.mark.parametrize("argv", DISPATCHED,
                          ids=lambda argv: " ".join(argv) or "(empty)")
 def test_dispatch_matches_the_top_level_parse(capsys, argv):
-    # `main` hands a subcommand's tokens straight to its parser; every
-    # outcome must be what the top-level parser's own pass gives, compared
-    # at run time, since argparse's text differs between Python versions
+    # `main` hands a subcommand's tokens straight to its parser, or reads a
+    # plain argv off that parser's actions; every outcome must be what the
+    # top-level parser's own pass gives, compared at run time, since
+    # argparse's text differs between Python versions; a request the
+    # library refuses is reported as `main` reports it
     import offdiag.cli
 
     def top_level(argv):
@@ -669,7 +693,11 @@ def test_dispatch_matches_the_top_level_parse(capsys, argv):
             args = offdiag.cli.build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     want = top_level(list(argv)), *capsys.readouterr()
     assert run(capsys, *argv) == want
@@ -712,3 +740,62 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert run(capsys, "count", "o", "--n", "3", "--k", "2") == (0, "2\n", "")
     assert built == [1]
     assert fresh.startswith("usage: offdiag count")
+
+
+def test_main_refuses_a_token_that_is_not_a_string(capsys):
+    # refused before either path reads it: argparse would raise a
+    # TypeError on it, and the plain reader would convert it
+    for argv, got in ((["count", "o", "--n", 5, "--k", 3], "5"),
+                      (["count", "o", "--n=5", "--k", 3], "3"),
+                      ([5], "5"),
+                      (["count", None], "None")):
+        assert run(capsys, *argv) == (
+            2, "", f"error: arguments must be strings, got {got}\n"), argv
+
+
+def count_shapes():
+    """Every shape of query-mix argv, with each --format and none: `o --k`,
+    `o --kept`, `d`, `even`, and `dpm`, `dplus`, `dminus` with --k."""
+    shapes = [("o", "--n", "5", "--k", "3"),
+              ("o", "--n", "41", "--k", "41"),
+              ("o", "--n", "7", "--kept", "1,4,6"),
+              ("o", "--n", "1", "--kept", "1"),
+              ("d", "--n", "61"),
+              ("even", "--n", "2")]
+    shapes += [(target, "--n", "31", "--k", "17")
+               for target in ("dpm", "dplus", "dminus")]
+    for shape in shapes:
+        yield shape
+        for fmt in ("plain", "json", "csv"):
+            yield (*shape, "--format", fmt)
+
+
+def test_plain_reader_gives_the_subparsers_namespace():
+    import offdiag.cli
+
+    parser = offdiag.cli.build_parser()
+    command = parser.commands["count"]
+    read = offdiag.cli._plain_reader(command)
+    for tokens in count_shapes():
+        assert (read(list(tokens)), []) == command.parse_known_args(
+            list(tokens)), tokens
+    # `verify`'s optional positional is an action the reader does not model
+    assert offdiag.cli._plain_reader(parser.commands["verify"]) is None
+
+
+def test_a_plain_argv_skips_argparse(capsys, monkeypatch):
+    import offdiag.cli
+
+    run(capsys, "count", "o", "--n", "3", "--k", "1")  # builds the parser
+    command = offdiag.cli._parser.commands["count"]
+    parse, calls = command.parse_known_args, []
+
+    def spy(args):
+        calls.append(args)
+        return parse(args)
+
+    monkeypatch.setattr(command, "parse_known_args", spy)
+    assert run(capsys, "count", "o", "--n", "5", "--k", "3") == (0, "60\n", "")
+    assert calls == []
+    assert run(capsys, "count", "o", "--n=5", "--k", "3") == (0, "60\n", "")
+    assert calls == [["o", "--n=5", "--k", "3"]]
