@@ -32,18 +32,17 @@ count_off_diag of a kept set {1, ..., m} minus one label k, m odd, reads
 entry k of o_vector(m) (`_o_entry`); of any other kept set, the last pivot
 of one fresh condensation pass (`pfaffian._leading_rungs`) over that block
 of A.  A pass carries any number of border columns at the cost of one, so
-`_bordered_cells` reads the defect counts of every cell asked off one pass
-over A(n) bordered by each cell's Delannoy weights (d_entry_bordered asks
-for one cell), and `_o_vector_direct` the deletion counts off one pass over
-A(n) bordered by the n unit columns; both stay off the ladder, as
-verification routes.  Every block of A read here is a principal block.
-The hot path, `_kernel`'s check of A(n) and the kept-set passes, reads it
-off a per-process memo of the rows of A(N), N the largest order asked so
-far (`_a_rows`): A(n) is the leading block of every larger A, so a larger
-request extends the memo by `matrices._extend_a`, the one copy of A's
-recurrence, and never rebuilds it.  The verification routes build A afresh
-through `matrices._a_block`, so they share no state with the path they
-check.
+`_o_vector_direct` reads the deletion counts off one pass over A(n)
+bordered by the n unit columns, and d_entry_bordered one cell's defect
+count off one pass over A(n) bordered by that cell's Delannoy weights; both
+stay off the ladder, as verification routes.  Every block of A read here
+is a principal block.  The hot path, `_kernel`'s check of A(n) and the
+kept-set passes, reads it off a per-process memo of the rows of A(N), N
+the largest order asked so far (`_a_rows`): A(n) is the leading block of
+every larger A, so a larger request extends the memo by
+`matrices._extend_a`, the one copy of A's recurrence, and never rebuilds
+it.  The verification routes build A afresh through `matrices._a_block`,
+so they share no state with the path they check.
 
 Every entry point takes its order through `operator.index` (a float order
 raises TypeError) and refuses a request whose condensation order exceeds
@@ -418,27 +417,17 @@ def _defect_cells(variant: str, n: int, cells) -> tuple[int, ...]:
     return tuple(2 * y[k - 1] - m for k, m in zip(cells, minus))
 
 
-def _bordered_cells(variant: str, n: int, cells) -> tuple[int, ...]:
-    """Entries k in `cells` of d_vector(variant, n) by the second route:
-    for each cell, the Pfaffian of A(n) bordered by its `defect_weights`.
-
-    Every border column rides on one fresh condensation pass
-    (`pfaffian._leading_rungs`) over A(n), none read off the ladder: entry
-    k is the last rung's entry in cell k's column.  A(n) is built afresh
-    (`matrices._a_block`), sharing no state with the memo of A's rows.  The
-    pass's leading pivots are even_order_full(2t) > 0.  A bad order,
-    variant or cell is refused before A is built."""
-    n = _odd_order(n, "defect count")
-    weights = [defect_weights(variant, n, k) for k in cells]
-    return tuple(_leading_rungs(_a_block(range(n)), *weights)[-1][1:])
-
-
 def d_entry_bordered(variant: str, n: int, k: int) -> int:
-    """Same defect count by the second route: a single bordered Pfaffian,
-    of A(n) bordered by cell k's `defect_weights`, read off one fresh
-    condensation pass with that one border column (`_bordered_cells`)."""
-    n, k = _odd_order(n, "defect count"), index(k)
-    return _bordered_cells(variant, n, (k,))[0]
+    """Same defect count by the second route: the Pfaffian of A(n) bordered
+    by cell k's `defect_weights`, the last rung's entry in that one border
+    column of one fresh condensation pass (`pfaffian._leading_rungs`),
+    none read off the ladder.  A(n) is built afresh (`matrices._a_block`),
+    sharing no state with the memo of A's rows.  The pass's leading pivots
+    are even_order_full(2t) > 0.  A bad order, variant or cell is refused
+    before A is built."""
+    n = _odd_order(n, "defect count")
+    column = defect_weights(variant, n, index(k))
+    return _leading_rungs(_a_block(range(n)), column)[-1][1]
 
 
 def even_order_full(n: int) -> int:

@@ -159,9 +159,11 @@ def defect_weights(variant: str, n: int, k: int) -> tuple[int, ...]:
     counts l = 1..n: variant "pm" weighs l by 2*delannoy(l-k, k-1), "minus"
     by 2*delannoy(l-1-k, k-1), the "pm" weight of l - 1; "plus" is their
     difference.  Signed (-1)^(l-1), they are row k of the paper's Delannoy
-    matrix equation.  Only the verification route reads them:
-    `counts._bordered_cells` borders A with them, while `d_vector` reads
-    every variant off the count ladder."""
+    matrix equation.  Only the verification routes read them:
+    `counts.d_entry_bordered` borders A with them, and the check
+    defect-entry-routes-agree dots them with the deletion counts of one
+    bordered pass (`counts._o_vector_direct`), while `d_vector` reads every
+    variant off the count ladder."""
     _check_cells(variant, n, (k,))
     # delannoy(l-k, k-1) is 0 for l < k
     pm = [0] * (k - 1) + [2 * delannoy(j, k - 1) for j in range(n - k + 1)]

@@ -33,7 +33,8 @@ with those path lists; it then fills the slots in order, filtering each path
 by disjointness against the mask of the vertices taken so far, and carries
 the family's sign as the parity of the inversions placed so far.  A point
 off the graph makes `q_doublet`, `enumerate_families`, `count_paths` and, as
-a source, `path_counts` raise ValueError.
+a source, `path_counts` raise ValueError, and a graph argument that is not a
+PathGraph makes `q_doublet` and `enumerate_families` raise TypeError.
 
 Also here: `delannoy`, the Delannoy numbers that `matrices` and `counts`
 read, filled one diagonal at a time by an exact three-term recurrence whose
@@ -227,7 +228,10 @@ def staircase(n: int, variant: str) -> PathGraph:
 
 def q_doublet(g: PathGraph, a: Point, b: Point) -> int:
     """Antisymmetric kernel: sum over doublets of the 2x2 path-count minor.
-    A point off the graph raises ValueError."""
+    A graph that is not a PathGraph raises TypeError, a point off it
+    ValueError."""
+    if not isinstance(g, PathGraph):
+        raise TypeError(f"expected a PathGraph, got {type(g).__name__}")
     lo_a, hi_a = g.doublet_counts(a)
     lo_b, hi_b = g.doublet_counts(b)
     return sum(map(mul, lo_a, hi_b)) - sum(map(mul, hi_a, lo_b))
@@ -251,8 +255,11 @@ def enumerate_families(g: PathGraph, starts, fixed_ends=()):
     in ascending staircase order, taken as whole doublets.  Every
     assignment of starts to slots contributes one PathFamily per disjoint
     realization, carrying the permutation sign.  Exhaustive, hence refused
-    for n > 8; a start or fixed end off the graph raises ValueError.
+    for n > 8; a graph that is not a PathGraph raises TypeError, a start or
+    fixed end off the graph ValueError.
     """
+    if not isinstance(g, PathGraph):
+        raise TypeError(f"expected a PathGraph, got {type(g).__name__}")
     if g.n > 8:
         raise ValueError("family enumeration is exponential; n > 8 refused")
     starts = tuple(starts)

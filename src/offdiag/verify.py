@@ -12,6 +12,16 @@ Each check is declared once, by suite and id, in `CHECKS`; the suite runners
 and the tests run it from there.  The checks are the paper's claims and the
 identities they rest on; generic Pfaffian and power-series algebra is left to
 the unit tests.
+
+`_run_suite` gives the checks of one suite run one plain dict, and each
+object that several checks read is built in it once, by `_once`: the walk
+of each full region n <= 4, its symmetric tilings with their path
+decompositions; the deletion counts of one fresh bordered pass,
+`_o_vector_direct(n)`, for each odd n; `t_array(30, 30)`; and `matrix_r(n)`.
+A check called alone gets a fresh dict.  The dict is not module state: it
+is dropped when the run ends, so a later run, or a check run under a
+replaced route, reads nothing an earlier run built, and nothing built for a
+check outlives it.
 """
 
 from __future__ import annotations
@@ -22,7 +32,6 @@ from operator import index, mul
 
 from . import series
 from .counts import (
-    _bordered_cells,
     _o_vector_direct,
     count_nearly,
     count_off_diag,
@@ -32,6 +41,7 @@ from .counts import (
 )
 from .matrices import (
     MAX_ORDER,
+    defect_weights,
     matrix_a,
     matrix_r,
     pell_vector,
@@ -125,7 +135,8 @@ def _check(check_id: str, range_str: str, failures) -> CheckResult:
 
 
 # The checks of each suite, keyed by check id, in report order.  Every check
-# takes n_max (some ignore it) and returns a CheckResult.
+# takes n_max (some ignore it) and, optionally, the suite run's dict of
+# shared objects, and returns a CheckResult.
 CHECKS: dict[str, dict] = {"identities": {}, "rank-claim": {}}
 
 # The smallest n_max at which every check of a suite covers a nonempty range;
@@ -142,20 +153,33 @@ MAX_N_MAX = MAX_ORDER - MAX_ORDER % 2
 
 
 def _registered(suite: str, check_id: str):
-    """Register a check body, which takes n_max and returns its range string
-    and its list of failures, under `suite` and `check_id`."""
+    """Register a check body, which takes n_max and the suite run's dict of
+    shared objects and returns its range string and its list of failures,
+    under `suite` and `check_id`.  A check called without the dict gets a
+    fresh one, so it builds everything it reads itself."""
     def register(body):
-        def run(n_max: int) -> CheckResult:
-            return _check(check_id, *body(n_max))
+        def run(n_max: int, built: dict | None = None) -> CheckResult:
+            return _check(check_id,
+                          *body(n_max, {} if built is None else built))
         CHECKS[suite][check_id] = run
         return run
     return register
 
 
+def _once(built: dict, key, build, *args):
+    """built[key], set to build(*args) the first time a check of the suite
+    run asks for it.  `build` is looked up by the caller at each ask, so a
+    replaced route is the one that builds."""
+    if key not in built:
+        built[key] = build(*args)
+    return built[key]
+
+
 def _run_suite(suite: str, n_max: int) -> CheckReport:
-    """Run every check of `suite` at n_max, in report order.  An n_max
-    outside MIN_N_MAX[suite]..MAX_N_MAX is refused before any check runs,
-    with the one line the command line prints."""
+    """Run every check of `suite` at n_max, in report order, with one
+    dict of shared objects for the run (`_once`).  An n_max outside
+    MIN_N_MAX[suite]..MAX_N_MAX is refused before any check runs, with the
+    one line the command line prints."""
     n_max = index(n_max)
     if n_max < MIN_N_MAX[suite]:
         raise ValueError(f"n_max must be at least {MIN_N_MAX[suite]} for "
@@ -163,14 +187,15 @@ def _run_suite(suite: str, n_max: int) -> CheckReport:
     if n_max > MAX_N_MAX:
         raise ValueError(f"n_max must be at most {MAX_N_MAX}, since the "
                          f"largest supported order is {MAX_ORDER}")
+    built = {}
     return CheckReport(suite=suite, results=tuple(
-        run(n_max) for run in CHECKS[suite].values()))
+        run(n_max, built) for run in CHECKS[suite].values()))
 
 
 # --- identity battery --------------------------------------------------------
 
 @_registered("identities", "schroeder-generating-function")
-def _check_schroeder_numbers(_n_max: int):
+def _check_schroeder_numbers(_n_max: int, _built: dict):
     count = 30
     sch = series.schroeder_numbers(count)
     failures = []
@@ -186,7 +211,7 @@ def _check_schroeder_numbers(_n_max: int):
 
 
 @_registered("identities", "doublet-kernel-matches-recurrence")
-def _check_kernel_matches_recurrence(n_max: int):
+def _check_kernel_matches_recurrence(n_max: int, _built: dict):
     cap = min(n_max, 8)
     failures = []
     for n in range(1, cap + 1):
@@ -202,7 +227,7 @@ def _check_kernel_matches_recurrence(n_max: int):
 
 
 @_registered("identities", "path-counts-match-delannoy")
-def _check_path_count_closed_forms(n_max: int):
+def _check_path_count_closed_forms(n_max: int, _built: dict):
     cap = min(n_max, 8)
     failures = []
     for n in range(1, cap + 1):
@@ -228,7 +253,7 @@ def _check_path_count_closed_forms(n_max: int):
 
 
 @_registered("identities", "kernel-translation-invariance")
-def _check_translation_invariance(n_max: int):
+def _check_translation_invariance(n_max: int, _built: dict):
     cap = min(n_max, 8)
     failures = []
     for n in range(2, cap + 1):
@@ -243,7 +268,7 @@ def _check_translation_invariance(n_max: int):
 
 
 @_registered("identities", "wall-shift-boundary-term")
-def _check_wall_shift(n_max: int):
+def _check_wall_shift(n_max: int, _built: dict):
     cap = min(n_max, 8)
     failures = []
     for n in range(2, cap + 1):
@@ -261,7 +286,7 @@ def _check_wall_shift(n_max: int):
 
 
 @_registered("identities", "window-three-term-recurrence")
-def _check_three_term_window(n_max: int):
+def _check_three_term_window(n_max: int, _built: dict):
     cap = min(n_max, 8)
     failures = []
     for n in range(4, cap + 1):
@@ -278,7 +303,7 @@ def _check_three_term_window(n_max: int):
 
 
 @_registered("identities", "corner-kernel-halves-pair")
-def _check_corner_kernel(n_max: int):
+def _check_corner_kernel(n_max: int, _built: dict):
     cap = min(n_max, 8)
     failures = []
     for n in range(2, cap + 1):
@@ -292,17 +317,20 @@ def _check_corner_kernel(n_max: int):
 
 
 @_registered("identities", "r-matrix-structure")
-def _check_r_structure(n_max: int):
+def _check_r_structure(n_max: int, built: dict):
     cap = min(n_max, 12)
     failures = []
     for n in range(1, cap + 1):
         # the structure is read off the path kernel, and matrix_r, built
-        # from one t_array row by it, must equal the signed kernel
-        rows = matrix_r(n)
+        # from one t_array row by it, must equal the signed kernel; the
+        # kernel's row 1 is read once
+        rows = _once(built, ("matrix_r", n), matrix_r, n)
+        first = [r_value(n, 1, j) for j in range(1, n + 1)]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                kernel, signed = r_value(n, i, j), rows[i - 1][j - 1]
-                want = r_value(n, 1, j - i + 1) if j > i else int(j == i)
+                kernel = r_value(n, i, j) if i > 1 else first[j - 1]
+                signed = rows[i - 1][j - 1]
+                want = first[j - i] if j > i else int(j == i)
                 if kernel != want or signed != (-1) ** (n + j) * kernel:
                     failures.append({"n": n, "i": i, "j": j, "kernel": kernel,
                                      "structure": want, "matrix": signed})
@@ -310,11 +338,11 @@ def _check_r_structure(n_max: int):
 
 
 @_registered("identities", "r-matrix-reverses-deletion-vector")
-def _check_r_reverses_counts(n_max: int):
+def _check_r_reverses_counts(n_max: int, built: dict):
     cap = min(n_max, 12)
     failures = []
     for n in range(1, cap + 1, 2):
-        rows = matrix_r(n)
+        rows = _once(built, ("matrix_r", n), matrix_r, n)
         o = o_vector(n)
         image = tuple(sum(rows[i][j] * o[j] for j in range(n))
                       for i in range(n))
@@ -324,7 +352,7 @@ def _check_r_reverses_counts(n_max: int):
 
 
 @_registered("identities", "r-matrix-first-row-closed-forms")
-def _check_r_first_row_closed_forms(n_max: int):
+def _check_r_first_row_closed_forms(n_max: int, _built: dict):
     cap = min(n_max, 12)
     failures = []
     for n in range(2, cap + 1):
@@ -343,9 +371,9 @@ def _check_r_first_row_closed_forms(n_max: int):
 
 
 @_registered("identities", "t-array-row-generating-function")
-def _check_t_row_generating_function(_n_max: int):
+def _check_t_row_generating_function(_n_max: int, built: dict):
     cols = 30
-    arr = t_array(cols, cols)
+    arr = _once(built, "t_array", t_array, cols, cols)
     failures = []
     rises, falls = (1,), (1,)  # (1 + z)^(n-1) and (1 - z)^(n-1), truncated
     for n in range(1, cols + 1):
@@ -361,9 +389,9 @@ def _check_t_row_generating_function(_n_max: int):
 
 
 @_registered("identities", "t-array-alternating-convolution")
-def _check_t_alternating_convolution(_n_max: int):
+def _check_t_alternating_convolution(_n_max: int, built: dict):
     size = 30
-    arr = t_array(size, size)
+    arr = _once(built, "t_array", t_array, size, size)
     failures = []
     for n, row in enumerate(arr, 1):
         signed = [-t if i % 2 else t for i, t in enumerate(row)]
@@ -378,9 +406,9 @@ def _check_t_alternating_convolution(_n_max: int):
 
 
 @_registered("identities", "diagonal-closed-form")
-def _check_diagonal_closed_form(_n_max: int):
+def _check_diagonal_closed_form(_n_max: int, built: dict):
     size = 30
-    arr = t_array(size, size)
+    arr = _once(built, "t_array", t_array, size, size)
     closed = series.expand_rational(
         series.subtract(series.expand_rational((3, -1), (1,), size),
                         series.sqrt(series.expand_rational((1, -6, 1), (1,),
@@ -400,7 +428,7 @@ def _check_diagonal_closed_form(_n_max: int):
 
 
 @_registered("identities", "pell-equals-doubled-delannoy-sums")
-def _check_pell_delannoy_sums(_n_max: int):
+def _check_pell_delannoy_sums(_n_max: int, _built: dict):
     pell = pell_vector(40)
     failures = []
     for i in range(1, 41):
@@ -415,7 +443,7 @@ def _odd_cap(n_max: int) -> int:
 
 
 @_registered("identities", "deletion-vector-palindrome")
-def _check_deletion_palindrome(n_max: int):
+def _check_deletion_palindrome(n_max: int, _built: dict):
     cap = _odd_cap(n_max)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -426,7 +454,7 @@ def _check_deletion_palindrome(n_max: int):
 
 
 @_registered("identities", "second-entry-ratios")
-def _check_deletion_ratios(n_max: int):
+def _check_deletion_ratios(n_max: int, _built: dict):
     cap = _odd_cap(n_max)
     failures = []
     for n in range(3, cap + 1, 2):
@@ -440,28 +468,34 @@ def _check_deletion_ratios(n_max: int):
 
 
 @_registered("identities", "deletion-vector-bordered-route")
-def _check_bordered_route(n_max: int):
+def _check_bordered_route(n_max: int, built: dict):
     cap = min(_odd_cap(n_max), 13)
     failures = []
     for n in range(1, cap + 1, 2):
         fast = o_vector(n)
-        direct = _o_vector_direct(n)
+        direct = _once(built, ("o_direct", n), _o_vector_direct, n)
         if fast != direct:
             failures.append({"n": n, "fast": fast, "direct": direct})
     return f"odd orders <= {cap}", failures
 
 
 @_registered("identities", "defect-entry-routes-agree")
-def _check_defect_routes(n_max: int):
+def _check_defect_routes(n_max: int, built: dict):
     cap = min(_odd_cap(n_max), 21)
     failures = []
     for n in range(1, cap + 1, 2):
+        # the paper's Delannoy matrix equation, d_k = sum_l (-1)^(l-1)
+        # w_kl o_l, over cell k's `defect_weights` w and the deletion counts
+        # o of the fresh bordered pass: it is the Pfaffian of A(n) bordered
+        # by w, as a bordered Pfaffian is linear in its border column
+        o = _once(built, ("o_direct", n), _o_vector_direct, n)
+        signed = [-e if l % 2 else e for l, e in enumerate(o)]
         # the plus weights are pm - minus and both routes are linear in
         # the weights, so a plus entry cannot disagree on its own
         for variant in ("pm", "minus"):
             vec = d_vector(variant, n)
-            bordered = _bordered_cells(variant, n, range(1, n + 1))
-            for k, (direct, entry) in enumerate(zip(bordered, vec), 1):
+            for k, entry in enumerate(vec, 1):
+                direct = sum(map(mul, defect_weights(variant, n, k), signed))
                 if direct != entry:
                     failures.append({"n": n, "variant": variant, "k": k,
                                      "bordered": direct, "matrix": entry})
@@ -470,7 +504,7 @@ def _check_defect_routes(n_max: int):
 
 
 @_registered("identities", "family-enumeration-matches-pfaffians")
-def _check_family_enumeration(n_max: int):
+def _check_family_enumeration(n_max: int, _built: dict):
     from itertools import combinations
 
     cap = min(n_max, 4)
@@ -508,7 +542,7 @@ def _check_family_enumeration(n_max: int):
 
 
 @_registered("identities", "nearly-families-split-by-endpoint")
-def _check_nearly_families(n_max: int):
+def _check_nearly_families(n_max: int, _built: dict):
     cap = min(_odd_cap(n_max), 5)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -566,7 +600,7 @@ def _oracle_compare(oc):
 
 
 @_registered("identities", "oracle-agrees-small")
-def _check_oracle_small(n_max: int):
+def _check_oracle_small(n_max: int, _built: dict):
     cap = min(_odd_cap(n_max), 5)
     failures = []
     for n in range(1, cap + 1, 2):
@@ -575,7 +609,7 @@ def _check_oracle_small(n_max: int):
 
 
 @_registered("identities", "tiling-count-power-of-two")
-def _check_tiling_census(n_max: int):
+def _check_tiling_census(n_max: int, _built: dict):
     cap = min(n_max, 5)
     failures = []
     for n in range(1, cap + 1):
@@ -586,14 +620,21 @@ def _check_tiling_census(n_max: int):
     return f"full regions n <= {cap}", failures
 
 
+def _walk(n: int):
+    """The full order-n region and its symmetric tilings, in enumeration
+    order, each with its path decomposition (`tiling_to_paths`)."""
+    region = build_region(n)
+    return region, [(tiling, tiling_to_paths(region, tiling))
+                    for tiling in symmetric_tilings(region)]
+
+
 @_registered("identities", "tiling-path-round-trip")
-def _check_tiling_round_trip(n_max: int):
+def _check_tiling_round_trip(n_max: int, built: dict):
     cap = min(n_max, 4)
     failures = []
     for n in range(1, cap + 1):
-        region = build_region(n)
-        for index, tiling in enumerate(symmetric_tilings(region)):
-            paths = tiling_to_paths(region, tiling)
+        region, walk = _once(built, ("walk", n), _walk, n)
+        for index, (tiling, paths) in enumerate(walk):
             points = [p for path in paths.values() for p in path]
             if len(points) != len(set(points)):
                 failures.append({"n": n, "index": index,
@@ -605,16 +646,15 @@ def _check_tiling_round_trip(n_max: int):
 
 
 @_registered("identities", "diagonal-doublet-law")
-def _check_diagonal_doublet_law(n_max: int):
+def _check_diagonal_doublet_law(n_max: int, built: dict):
     cap = min(n_max, 4)
     failures = []
     for n in range(1, cap + 1):
-        region = build_region(n)
+        region, walk = _once(built, ("walk", n), _walk, n)
         g = staircase(n, FULL)
-        for index, tiling in enumerate(symmetric_tilings(region)):
+        for index, (tiling, paths) in enumerate(walk):
             profile = diagonal_profile(region, tiling)
-            ends = {path[-1]
-                    for path in tiling_to_paths(region, tiling).values()}
+            ends = {path[-1] for path in paths.values()}
             for k in range(1, n + 1):
                 both_or_neither = ((g.v[2 * k - 1] in ends)
                                    == (g.v[2 * k] in ends))
@@ -645,7 +685,7 @@ def _adjusted_left_block(order: int) -> list[list[int]]:
 
 
 @_registered("rank-claim", "reversal-difference-rank")
-def _check_reversal_rank(n_max: int):
+def _check_reversal_rank(n_max: int, _built: dict):
     cap = _odd_cap(n_max)
     failures = []
     for order in range(3, cap + 1, 2):

@@ -311,7 +311,7 @@ def test_a_failing_check_exits_1_with_its_witness(capsys, monkeypatch):
 
     check, big = "schroeder-generating-function", 2**64
 
-    def failing(n_max):
+    def failing(n_max, built=None):
         return offdiag.verify._check(check, "forced",
                                      [{"n": n_max, "value": big}, {"n": 0}])
 

@@ -213,22 +213,11 @@ def test_d_entry_bordered_matches_d_vector():
             assert d_entry_bordered(variant, 61, k) == vec[k - 1]
 
 
-def test_bordered_cells_are_the_single_cell_entries():
-    # one pass carries every cell's weights; each entry is the one-cell
-    # route's, for every variant, a subset of the cells and any order
-    for n in (1, 5, 9):
-        for variant in ("pm", "minus", "plus"):
-            cells = [k for k in range(n, 0, -1) if k % 3 != 1]
-            assert offdiag.counts._bordered_cells(variant, n, cells) == tuple(
-                d_entry_bordered(variant, n, k) for k in cells)
-    assert offdiag.counts._bordered_cells("pm", 5, ()) == ()
-    with pytest.raises(ValueError, match="^cell index must be within"):
-        offdiag.counts._bordered_cells("pm", 5, (1, 6))
-
-
 def test_each_verification_route_is_one_pass(monkeypatch):
-    # `_o_vector_direct(n)` and the defect route's cells of one (n,
-    # variant) each ride on one pass over A(n): (n - 1)/2 condensation steps
+    # `_o_vector_direct(n)` and each `d_entry_bordered` cell ride on one
+    # pass over A(n): (n - 1)/2 condensation steps; the two bordered checks
+    # read the one deletion pass per order, alone or sharing a suite run's
+    # dict
     steps = []
     condense = offdiag.pfaffian._condense_rows
 
@@ -243,12 +232,19 @@ def test_each_verification_route_is_one_pass(monkeypatch):
         assert len(steps) == (n - 1) // 2
         for variant in ("pm", "minus", "plus"):
             del steps[:]
-            offdiag.counts._bordered_cells(variant, n, range(1, n + 1))
+            d_entry_bordered(variant, n, (n + 1) // 2)
             assert len(steps) == (n - 1) // 2
-    del steps[:]
-    check = offdiag.verify.CHECKS["identities"]["defect-entry-routes-agree"]
-    assert check(21).ok
-    assert len(steps) == sum(2 * ((n - 1) // 2) for n in range(1, 22, 2))
+    # at n_max 21 the deletion check stops at 13 and the defect check at 21
+    checks = offdiag.verify.CHECKS["identities"]
+    below_13, below_21 = (sum((n - 1) // 2 for n in range(1, top + 1, 2))
+                          for top in (13, 21))
+    for built in (None, {}):
+        del steps[:]
+        assert checks["deletion-vector-bordered-route"](21, built).ok
+        assert len(steps) == below_13
+        del steps[:]
+        assert checks["defect-entry-routes-agree"](21, built).ok
+        assert len(steps) == below_21 - (0 if built is None else below_13)
 
 
 def test_pm_cells_satisfy_the_delannoy_matrix_equation():

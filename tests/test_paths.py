@@ -304,6 +304,20 @@ def test_points_off_the_graph_are_refused():
         r.count_paths(r.x[1], (-1, -1))
 
 
+@pytest.mark.parametrize("graph", [None, 5, "full"], ids=repr)
+def test_a_graph_that_is_not_a_path_graph_is_refused(graph):
+    # a one-line TypeError that names what was passed, never an
+    # AttributeError from inside
+    want = f"^expected a PathGraph, got {type(graph).__name__}$"
+    g = PathGraph(3, FULL)
+    with pytest.raises(TypeError, match=want):
+        q_doublet(graph, g.u[1], g.u[2])
+    with pytest.raises(TypeError, match=want):
+        enumerate_families(graph, (g.u[1], g.u[2]))
+    with pytest.raises(TypeError, match=want):
+        enumerate_families(graph, (g.u[1],), fixed_ends=(g.v[1],))
+
+
 def brute_paths(g, a, b, memo):
     """Every path a -> b as a vertex tuple, by recursion over g.out."""
     if (a, b) not in memo:

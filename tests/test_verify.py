@@ -419,6 +419,102 @@ def test_identity_battery_walks_the_order_5_tilings_once(monkeypatch):
     assert len(walks) == 1
 
 
+def test_one_suite_run_builds_each_shared_object_once(monkeypatch,
+                                                      empty_memos):
+    # one identity run walks each full region n <= 4 once, runs one
+    # deletion pass per odd n <= 11 across the two bordered checks, and
+    # builds t_array(30, 30) and each matrix_r(n) once; each check called
+    # alone builds what it reads itself, and nothing outlives a run
+    import offdiag.pfaffian
+
+    builds = []
+    for name in ("symmetric_tilings", "_o_vector_direct", "t_array",
+                 "matrix_r"):
+        def spy(*args, name=name, route=getattr(offdiag.verify, name)):
+            builds.append((name, args[0].n if name == "symmetric_tilings"
+                          else args))
+            return route(*args)
+
+        monkeypatch.setattr(offdiag.verify, name, spy)
+    steps = []
+    condense = offdiag.pfaffian._condense_rows
+
+    def counted(*args):
+        steps.append(args)
+        return condense(*args)
+
+    monkeypatch.setattr(offdiag.pfaffian, "_condense_rows", counted)
+    in_bordered = []
+    for check_id in ("deletion-vector-bordered-route",
+                     "defect-entry-routes-agree"):
+        def timed(n_max, built=None, run=CHECKS["identities"][check_id]):
+            before = len(steps)
+            result = run(n_max, built)
+            in_bordered.append(len(steps) - before)
+            return result
+
+        monkeypatch.setitem(CHECKS["identities"], check_id, timed)
+
+    def once_each():
+        return sorted(
+            [("symmetric_tilings", n) for n in range(1, 5)]
+            + [("_o_vector_direct", (n,)) for n in range(1, 12, 2)]
+            + [("t_array", (30, 30))]
+            + [("matrix_r", (n,)) for n in range(1, 13)])
+
+    for _ in range(2):
+        builds.clear()
+        in_bordered.clear()
+        assert verify_identities(12).passed
+        assert sorted(builds) == once_each()
+        assert sum(in_bordered) == sum((n - 1) // 2 for n in range(1, 12, 2))
+    builds.clear()
+    for check_id in ("tiling-path-round-trip", "diagonal-doublet-law",
+                     "deletion-vector-bordered-route",
+                     "defect-entry-routes-agree",
+                     "t-array-row-generating-function",
+                     "t-array-alternating-convolution",
+                     "diagonal-closed-form", "r-matrix-structure",
+                     "r-matrix-reverses-deletion-vector"):
+        assert CHECKS["identities"][check_id](12).ok
+    assert sorted(set(builds)) == once_each()
+    assert sorted(builds) == sorted(
+        2 * [("symmetric_tilings", n) for n in range(1, 5)]
+        + 2 * [("_o_vector_direct", (n,)) for n in range(1, 12, 2)]
+        + 3 * [("t_array", (30, 30))]
+        + [("matrix_r", (n,)) for n in range(1, 13)]
+        + [("matrix_r", (n,)) for n in range(1, 12, 2)])
+
+
+def test_r_structure_reads_the_kernel_once_per_entry(monkeypatch,
+                                                      empty_memos):
+    # row 1 of the path kernel is read once per n: n^2 r_value calls
+    calls = []
+    r_value = offdiag.verify.r_value
+
+    def counted(n, i, j):
+        calls.append((n, i, j))
+        return r_value(n, i, j)
+
+    monkeypatch.setattr(offdiag.verify, "r_value", counted)
+    assert CHECKS["identities"]["r-matrix-structure"](12).ok
+    assert len(calls) == len(set(calls)) == sum(n * n for n in range(1, 13))
+
+
+def test_a_wrong_defect_weight_fails_the_defect_check(monkeypatch):
+    # the defect check reads the Delannoy weights that verify imports: a
+    # last weight one too high moves every cell by the last deletion count
+    shift_last_entry(monkeypatch, offdiag.verify, "defect_weights")
+    result = CHECKS["identities"]["defect-entry-routes-agree"](12)
+    assert result.status == "FAIL"
+    first = result.witness["first"]
+    assert {"n": 1, "variant": "pm", "k": 1}.items() <= first.items()
+    assert first["bordered"] - first["matrix"] == 1
+    report = verify_identities(12)
+    assert [r.check for r in report.failures()] == [
+        "defect-entry-routes-agree"]
+
+
 def test_oracle_check_compares_every_defect_variant(monkeypatch):
     from offdiag import verify as verify_mod
     from offdiag.oracle import oracle_counts
